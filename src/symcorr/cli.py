@@ -24,13 +24,7 @@ import sys
 
 import numpy as np
 
-from .densities import (
-    ReducedDensity,
-    export_density_grid,
-    reduce_numerical,
-    reduce_to_one,
-    reduce_to_pair,
-)
+from .densities import export_density_grid, reduce_numerical
 from .information import compute_report, entropy
 from .orbitals import MOMENTUM, POSITION, ModelParams
 from .quadrature import NonConvergenceError, QuadratureScheme
@@ -40,12 +34,7 @@ from .superposition import (
     SuperpositionSpec,
     scan_coefficient,
 )
-from .wavefunction import (
-    DISTINGUISHABLE,
-    Configuration,
-    build,
-    parse_symmetry,
-)
+from .wavefunction import Configuration, build, parse_symmetry
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -159,13 +148,7 @@ def _report_rows_to_text(rows, fmt):
     for r in rows:
         lines.append(f"# {r['system']}  [{r['space']}]")
         for key in ROW_KEYS:
-            label = ROW_LABELS[key]
-            val = {"s1": r["s1"], "s2": r["s2"], "s3": r["s3"],
-                   "I_pair": r["I_pair"], "I3": r["I3"],
-                   "I_rho_gamma": r["I_rho_gamma"],
-                   "I_gamma_gamma": r["I_gamma_gamma"],
-                   "I_higher": r["I_higher"]}[key]
-            lines.append(f"{label:<14} {val:>12.6f}")
+            lines.append(f"{ROW_LABELS[key]:<14} {r[key]:>12.6f}")
         if r.get("error_estimate") is not None:
             lines.append(f"{'(est. error)':<14} {r['error_estimate']:>12.2e}")
     return "\n".join(lines)
@@ -195,12 +178,9 @@ def cmd_report(args):
         else:
             wf = build(cfg)
             s2 = entropy(wf, scheme)
-            if sym != DISTINGUISHABLE and cfg.distinct:
-                s1 = entropy(reduce_to_one(wf), scheme)
-            else:
-                s1 = float(np.mean(
-                    [entropy(reduce_numerical(wf, 1, scheme, keep=(k,)),
-                             scheme) for k in range(2)]))
+            s1 = float(np.mean(
+                [entropy(reduce_numerical(wf, 1, scheme, keep=(k,)), scheme)
+                 for k in range(2)]))
             rows.append({"system": f"{args.model} ns={ns} {sym}",
                          "space": space, "s1": s1, "s2": s2,
                          "I_pair": 2 * s1 - s2})
@@ -281,11 +261,7 @@ def cmd_tables(args):
         for n3 in n3_values:
             for sym_tag in ("a", "s"):
                 rep = computed[(sym_tag, n3)]
-                got = rep.as_dict()[{"s1": "s1", "s2": "s2", "s3": "s3",
-                                     "I_pair": "I_pair", "I3": "I3",
-                                     "I_rho_gamma": "I_rho_gamma",
-                                     "I_gamma_gamma": "I_gamma_gamma",
-                                     "I_higher": "I_higher"}[key]]
+                got = rep.as_dict()[key]
                 want = reference[(sym_tag, n3)][key]
                 delta = got - want
                 if abs(delta) > TABLE_TOLERANCE:
@@ -316,18 +292,10 @@ def cmd_density_grid(args):
     if space == "both":
         raise ValueError("density-grid needs a single space")
     scheme = _scheme(args)
-    cfg = Configuration(params, ns, sym, space)
-    wf = build(cfg)
-    if len(ns) == 2:
-        # the pair density of a two-particle state is |Psi|^2 itself
-        density = ReducedDensity(arity=2, space=space, strategy="closed-form",
-                                 domains=tuple(cfg.domains(2)),
-                                 func=lambda x1, x2: wf.density(x1, x2))
-    elif cfg.distinct and sym != DISTINGUISHABLE:
-        density = reduce_to_pair(wf)
-    else:
-        density = reduce_numerical(wf, 2, scheme)
-    text = export_density_grid(density, n_points=args.points)
+    wf = build(Configuration(params, ns, sym, space))
+    # for two particles the pair density is |Psi|^2 itself
+    text = export_density_grid(reduce_numerical(wf, 2, scheme),
+                               n_points=args.points)
     _emit(text.rstrip("\n"), args.out)
     return 0
 

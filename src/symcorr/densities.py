@@ -1,13 +1,10 @@
 """Reduced (marginal) one- and two-particle probability densities.
 
-Single permanent/determinant configurations with distinct quantum
-numbers use closed forms: the pair density is the Hartree-plus-exchange
-expression and the one-particle density is the orbital-density average.
-Everything else (superpositions, repeated quantum numbers) is reduced
-numerically: entropy integrals consume the precomputed tensor-grid
-values, while off-grid queries re-run the quadrature over the
-integrated coordinates at the requested points, so pointwise accuracy
-matches the underlying rule instead of an interpolation order.
+Every reduced density comes from the reduced density matrix of the
+state's orbital-coefficient tensor (see ``wavefunction``): by orbital
+orthonormality it is exact at any point, with no quadrature over the
+integrated coordinates.  ``reduce_numerical`` also tabulates it on the
+scheme's rule for its arity, which entropy integrals consume.
 """
 
 from __future__ import annotations
@@ -17,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import Interval, QuadratureScheme, RealLine, axis_rule
-from .wavefunction import ANTISYMMETRIC, DISTINGUISHABLE, SYMMETRIC
+from .quadrature import Interval, QuadratureScheme, axis_rule
+from .wavefunction import ANTISYMMETRIC, SYMMETRIC
 
 __all__ = [
     "ReducedDensity",
@@ -29,8 +26,7 @@ __all__ = [
     "export_density_grid",
 ]
 
-CLOSED_FORM = "closed-form"
-QUADRATURE_REDUCED = "quadrature-reduced"
+REDUCED_DENSITY_MATRIX = "reduced-density-matrix"
 
 
 @dataclass(frozen=True)
@@ -71,144 +67,87 @@ class ReducedDensity:
 def quadrature_marginal(wf, keep, scheme=None):
     """Callable marginal density of the kept coordinates.
 
-    Each call integrates |Psi|^2 over the remaining coordinates with the
-    scheme's full-dimension rule, so values at arbitrary points carry
-    quadrature accuracy rather than an interpolation order.  Kept
-    coordinates broadcast; integrated nodes occupy one trailing axis
-    each during evaluation.
+    Exact from the state's reduced density matrix, so the name's
+    quadrature and ``scheme`` play no part; both are kept for callers.
+    Kept coordinates broadcast; scalars give a float.
     """
-    scheme = scheme or QuadratureScheme()
-    n_part = wf.nparticles
-    keep = tuple(keep)
-    away = [i for i in range(n_part) if i not in keep]
-    rules = [axis_rule(d, scheme, n_part) for d in wf.domains(n_part)]
-    coords = [r[0] for r in rules]
-    weights = [r[1] for r in rules]
 
     def func(*kept_vals):
-        kept_vals = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                          for v in kept_vals))
-        lead = kept_vals[0].shape
-        pad = (np.newaxis,) * len(away)
-        args = [None] * n_part
-        for k, v in zip(keep, kept_vals):
-            args[k] = v[(...,) + pad]
-        for j, i in enumerate(away):
-            shape = (1,) * len(lead) + tuple(
-                len(coords[i]) if jj == j else 1 for jj in range(len(away)))
-            args[i] = coords[i].reshape(shape)
-        vals = wf.density(*args)
-        for j in range(len(away) - 1, -1, -1):
-            vals = np.tensordot(vals, weights[away[j]],
-                                axes=([len(lead) + j], [0]))
-        return vals if lead else float(vals)
+        vals = wf.marginal_values(tuple(keep), kept_vals)
+        return vals if vals.ndim else float(vals)
 
     return func
 
 
 def _require_single_distinct(wf):
     if wf.symmetry not in (SYMMETRIC, ANTISYMMETRIC):
-        raise ValueError("closed-form reduction needs an (anti)symmetrized state")
+        raise ValueError("reduce_to_one/reduce_to_pair need an "
+                         "(anti)symmetrized state; use reduce_numerical")
     if not wf.config.distinct:
         raise ValueError(
-            "closed-form reduction needs distinct quantum numbers; "
+            "reduce_to_one/reduce_to_pair need distinct quantum numbers; "
             "use reduce_numerical for repeated ones")
 
 
-def reduce_to_one(wf):
-    """One-particle density rho(x) = (1/N) sum_i |psi_{n_i}(x)|^2.
+def _reduced(wf, keep, rules=()):
+    """ReducedDensity of the kept coordinates, tabulated on ``rules``."""
+    func = quadrature_marginal(wf, keep)
+    grid = {}
+    if rules:
+        coords = tuple(r[0] for r in rules)
+        values = func(*np.meshgrid(*coords, indexing="ij", sparse=True))
+        grid = dict(grid_axes=coords, grid_weights=tuple(r[1] for r in rules),
+                    grid_values=np.asarray(values, dtype=float))
+    domains = wf.domains(wf.nparticles)
+    return ReducedDensity(arity=len(keep), space=wf.space,
+                          strategy=REDUCED_DENSITY_MATRIX,
+                          domains=tuple(domains[k] for k in keep), func=func,
+                          **grid)
 
-    Identical for symmetric and antisymmetric states with the same
-    quantum numbers.
+
+def reduce_to_one(wf):
+    """One-particle density of an (anti)symmetrized distinct-orbital state.
+
+    rho(x) = (1/N) sum_i |psi_{n_i}(x)|^2, identical for symmetric and
+    antisymmetric states with the same quantum numbers.
     """
     _require_single_distinct(wf)
-    cfg = wf.config
-    n_part = cfg.nparticles
-
-    def rho(x):
-        vals = cfg.orbital_values(x)
-        return sum(np.abs(v) ** 2 for v in vals) / n_part
-
-    return ReducedDensity(arity=1, space=cfg.space, strategy=CLOSED_FORM,
-                          domains=tuple(cfg.domains(1)), func=rho)
+    return _reduced(wf, (0,))
 
 
 def reduce_to_pair(wf):
-    """Two-particle density from the Hartree + exchange closed form.
+    """Pair density of an (anti)symmetrized distinct-orbital state.
 
-    For N = 3:  (1/6) [ sum_{i != j} |psi_i(x1)|^2 |psi_j(x2)|^2
-                 +/- sum_{i != j} psi_i*(x1) psi_j*(x2) psi_j(x1) psi_i(x2) ]
-    with + for symmetric and - for antisymmetric states.  For N = 2 the
-    pair density is |Psi|^2 itself.
+    For N = 3 this is the Hartree + exchange form
+    (1/6) [ sum_{i != j} |psi_i(x1)|^2 |psi_j(x2)|^2
+           +/- sum_{i != j} psi_i*(x1) psi_j*(x2) psi_j(x1) psi_i(x2) ];
+    for N = 2 the pair density is |Psi|^2 itself.
     """
     _require_single_distinct(wf)
-    cfg = wf.config
-    if cfg.nparticles == 2:
-        def pair2(x1, x2):
-            return wf.density(x1, x2)
-        return ReducedDensity(arity=2, space=cfg.space, strategy=CLOSED_FORM,
-                              domains=tuple(cfg.domains(2)), func=pair2)
-
-    sign = 1.0 if cfg.symmetry == SYMMETRIC else -1.0
-
-    def gamma(x1, x2):
-        v1 = cfg.orbital_values(x1)
-        v2 = cfg.orbital_values(x2)
-        hartree = 0.0
-        exchange = 0.0
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                hartree = hartree + np.abs(v1[i]) ** 2 * np.abs(v2[j]) ** 2
-                exchange = exchange + np.real(
-                    np.conj(v1[i]) * np.conj(v2[j]) * v1[j] * v2[i])
-        return (hartree + sign * exchange) / 6.0
-
-    return ReducedDensity(arity=2, space=cfg.space, strategy=CLOSED_FORM,
-                          domains=tuple(cfg.domains(2)), func=gamma)
+    return _reduced(wf, (0, 1))
 
 
 def reduce_numerical(wf, arity, scheme=None, keep=None):
-    """k-particle density by quadrature over the remaining coordinates.
+    """k-particle density of any state, tabulated on the scheme's rule.
 
-    The density is materialized on the scheme's tensor grid for entropy
-    integrals; pointwise calls re-run the quadrature over the integrated
-    axes at the query points, so off-grid values carry full rule
-    accuracy.  ``keep`` selects which coordinates survive (defaults to
-    the first ``arity``); it only matters for distinguishable states,
-    whose marginals differ per coordinate.
+    The values on the scheme's rule for ``arity`` dimensions feed
+    entropy integrals; pointwise calls are exact.  ``keep`` selects which
+    coordinates survive (defaults to the first ``arity``); it only
+    matters for distinguishable states, whose marginals differ per
+    coordinate.  For N = 2, arity 2 is |Psi|^2 itself.
     """
     if arity not in (1, 2):
         raise ValueError("reduced density arity must be 1 or 2")
     scheme = scheme or QuadratureScheme()
     n_part = wf.nparticles
-    if arity >= n_part:
-        raise ValueError("arity must be smaller than the particle count")
+    if arity > n_part:
+        raise ValueError("arity exceeds the particle count")
     keep = tuple(keep) if keep is not None else tuple(range(arity))
     if (len(keep) != arity or any(k not in range(n_part) for k in keep)
             or list(keep) != sorted(set(keep))):
         raise ValueError(f"invalid kept-coordinate selection {keep}")
-
-    full_domains = wf.domains(n_part)
-    rules = [axis_rule(d, scheme, n_part) for d in full_domains]
-    coords = [r[0] for r in rules]
-    weights = [r[1] for r in rules]
-    dens = wf.density_tensor(coords, weights)
-
-    reduced = dens
-    for axis in sorted(set(range(n_part)) - set(keep), reverse=True):
-        reduced = np.tensordot(reduced, weights[axis], axes=([axis], [0]))
-
-    kept_domains = tuple(full_domains[k] for k in keep)
-    kept_weights = tuple(weights[k] for k in keep)
-    kept_coords = tuple(coords[k] for k in keep)
-    func = quadrature_marginal(wf, keep, scheme)
-
-    return ReducedDensity(arity=arity, space=wf.space,
-                          strategy=QUADRATURE_REDUCED, domains=kept_domains,
-                          func=func, grid_axes=kept_coords,
-                          grid_weights=kept_weights, grid_values=reduced)
+    domains = wf.domains(n_part)
+    return _reduced(wf, keep, [axis_rule(domains[k], scheme, arity) for k in keep])
 
 
 def _default_plot_range(domain):

@@ -14,10 +14,15 @@ evaluations of I and I^3 exist purely as validation cross-checks; the
 combination form needs one well-conditioned 3D integral instead of a 3D
 integrand containing a ratio of six densities.
 
-For distinguishable (Hartree-type) states the marginals differ per
-coordinate; s1 and s2 are then the averages over coordinates/pairs,
-which reproduces the distinguishable-system decomposition of I^3 exactly
-and keeps the hierarchy identities intact.  All values are in nats.
+Every state takes one path: s1 and s2 integrate the exact rho and Gamma
+of its coefficient tensor on the scheme's 1D and 2D rules, and s3
+integrates |Psi|^2 on the 3D rule.  For distinguishable (Hartree-type)
+states the marginals differ per coordinate; s1 and s2 are then the
+averages over coordinates/pairs, which reproduces the
+distinguishable-system decomposition of I^3 exactly and keeps the
+hierarchy identities intact.  A Hartree product factorizes, so its s2
+and s3 are sums of its 1D entropies and every correlation measure
+vanishes to round-off.  All values are in nats.
 """
 
 from __future__ import annotations
@@ -28,22 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import quadrature_marginal, reduce_to_one, reduce_to_pair
+from .densities import quadrature_marginal, reduce_numerical
 from .orbitals import MOMENTUM, POSITION
-from .quadrature import (
-    QuadratureScheme,
-    axis_rule,
-    entropy_from_values,
-    entropy_integrand,
-)
-from .wavefunction import (
-    ANTISYMMETRIC,
-    DISTINGUISHABLE,
-    SYMMETRIC,
-    Configuration,
-    WaveFunction,
-    build,
-)
+from .quadrature import QuadratureScheme, axis_rule, entropy_from_values
+from .wavefunction import DISTINGUISHABLE, Configuration, WaveFunction, build
 
 __all__ = [
     "EntropyTriple",
@@ -143,86 +136,31 @@ def entropy(density, scheme=None):
     return entropy_from_values(vals, [r[1] for r in rules])
 
 
-def _entropies_closed_form(wf, scheme):
-    """(s1, s2, s3) for a single distinct-quantum-number (anti)symmetric state."""
-    rho = reduce_to_one(wf)
-    gamma = reduce_to_pair(wf)
-    s1 = entropy(rho, scheme)
-    s2 = entropy(gamma, scheme)
-    s3 = entropy(wf, scheme)
-    return s1, s2, s3
-
-
-def _marginal_values(wf, scheme, keep, axes):
-    """Marginal density values on a tensor grid of the given axes.
-
-    Superposition scans install a ``marginal_values`` hook that reuses
-    cached component grids; everything else integrates |Psi|^2 directly.
-    """
-    hook = getattr(wf, "marginal_values", None)
-    if hook is not None:
-        return hook(keep, axes, scheme)
-    func = quadrature_marginal(wf, keep, scheme)
-    if len(keep) == 1:
-        return np.asarray(func(axes[0]), dtype=float)
-    return np.asarray(func(axes[0][:, None], axes[1][None, :]), dtype=float)
-
-
-def _entropies_numerical(wf, scheme):
-    """(s1, s2, s3) by quadrature reduction of |Psi|^2.
-
-    Used for superpositions, repeated quantum numbers and distinguishable
-    states.  Marginal entropies run on the same 1D/2D rules as the
-    closed-form path, so the two paths agree to quadrature accuracy; for
-    distinguishable states the per-coordinate entropies are averaged.
-    """
-    x3, w3 = _axis(wf, 3, scheme)
-    d3 = wf.density_tensor([x3] * 3, [w3] * 3)
-    s3 = entropy_from_values(d3, [w3] * 3)
-    x2, w2 = _axis(wf, 2, scheme)
-    x1, w1 = _axis(wf, 1, scheme)
+def _keeps(wf):
+    """Kept coordinates of the distinct 1- and 2-particle marginals."""
     if wf.symmetry == DISTINGUISHABLE:
-        pair_keeps = [(0, 1), (0, 2), (1, 2)]
-        one_keeps = [(0,), (1,), (2,)]
-    else:
-        pair_keeps = [(0, 1)]
-        one_keeps = [(0,)]
-    s2 = float(np.mean([
-        entropy_from_values(_marginal_values(wf, scheme, k, (x2, x2)), [w2, w2])
-        for k in pair_keeps]))
-    s1 = float(np.mean([
-        entropy_from_values(_marginal_values(wf, scheme, k, (x1,)), [w1])
-        for k in one_keeps]))
-    return s1, s2, s3
+        return [(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]
+    return [(0,)], [(0, 1)]
 
 
-def _entropies_product(wf, scheme):
-    """(s1, s2, s3) for a Hartree product, via separability.
-
-    The joint density factorizes, so the pair and triple entropies are
-    sums of per-coordinate 1D entropies; averaged over coordinates this
-    gives s2 = 2 s1 and s3 = 3 s1 and every correlation measure vanishes
-    identically, reproducing the distinguishable-system decomposition.
-    """
-    x1, w1 = _axis(wf, 1, scheme)
-    per_coord = [entropy_from_values(np.abs(v) ** 2, [w1])
-                 for v in wf.config.orbital_values(x1)]
-    s1 = float(np.mean(per_coord))
-    return s1, 2.0 * s1, 3.0 * s1
+def _entropies(wf, scheme):
+    """(s1, s2, s3) of a three-particle state on the scheme's rules."""
+    ones, pairs = _keeps(wf)
+    s1 = float(np.mean([entropy(reduce_numerical(wf, 1, scheme, keep=k), scheme)
+                        for k in ones]))
+    if len(wf.terms) == 1 and np.count_nonzero(wf.terms[0][1]) == 1:
+        # a Hartree product: the joint density factorizes
+        return s1, 2.0 * s1, 3.0 * s1
+    s2 = float(np.mean([entropy(reduce_numerical(wf, 2, scheme, keep=k), scheme)
+                        for k in pairs]))
+    return s1, s2, entropy(wf, scheme)
 
 
 def _entropy_triple(wf, scheme, with_error=True):
-    single = isinstance(wf, WaveFunction)
-    closed = (single and wf.symmetry in (SYMMETRIC, ANTISYMMETRIC)
-              and wf.config.distinct and wf.nparticles == 3)
-    if single and wf.symmetry == DISTINGUISHABLE:
-        calc = _entropies_product
-    else:
-        calc = _entropies_closed_form if closed else _entropies_numerical
-    s1, s2, s3 = calc(wf, scheme)
+    s1, s2, s3 = _entropies(wf, scheme)
     err = None
     if with_error:
-        c1, c2, c3 = calc(wf, scheme.coarsened())
+        c1, c2, c3 = _entropies(wf, scheme.coarsened())
         err = max(abs(s1 - c1), abs(s2 - c2), abs(s3 - c3))
     return EntropyTriple(s1=s1, s2=s2, s3=s3, space=wf.space,
                          error_estimate=err)
@@ -240,8 +178,8 @@ def _describe(wf):
 def compute_report(system, scheme=None, with_error=True):
     """Full InformationReport for a three-particle system.
 
-    ``system`` is a Configuration, a WaveFunction, or a superposed
-    wavefunction exposing ``density_tensor``.  Pair mutual information in
+    ``system`` is a Configuration, a WaveFunction, or a superposition
+    (``build_superposition``).  Pair mutual information in
     [-tol, 0) from quadrature noise is clamped to zero with a warning;
     larger negative values raise.
     """
@@ -273,18 +211,10 @@ def compute_report(system, scheme=None, with_error=True):
     )
 
 
-def _node_densities(wf, scheme):
-    """(x, w, d3, gamma_nodes, rho_nodes) on the 3D tensor grid."""
-    x, w = _axis(wf, 3, scheme)
-    d3 = wf.density_tensor([x] * 3, [w] * 3)
-    single = isinstance(wf, WaveFunction)
-    if single and wf.symmetry in (SYMMETRIC, ANTISYMMETRIC) and wf.config.distinct:
-        gamma = np.asarray(reduce_to_pair(wf)(x[:, None], x[None, :]), dtype=float)
-        rho = np.asarray(reduce_to_one(wf)(x), dtype=float)
-    else:
-        gamma = np.tensordot(d3, w, axes=([2], [0]))
-        rho = np.tensordot(gamma, w, axes=([1], [0]))
-    return x, w, d3, gamma, rho
+def _marginals_at(wf, x):
+    """(Gamma, rho) at the nodes x, exact from the reduced density matrices."""
+    gamma = quadrature_marginal(wf, (0, 1))(x[:, None], x[None, :])
+    return gamma, quadrature_marginal(wf, (0,))(x)
 
 
 def mutual_information_pair_direct(system, scheme=None):
@@ -297,13 +227,8 @@ def mutual_information_pair_direct(system, scheme=None):
     wf = _as_wavefunction(system)
     if wf.symmetry == DISTINGUISHABLE:
         raise ValueError("direct pair integral assumes indistinguishable marginals")
-    single = isinstance(wf, WaveFunction)
-    if single and wf.config.distinct and wf.nparticles == 3:
-        x, w = _axis(wf, 2, scheme)
-        gamma = np.asarray(reduce_to_pair(wf)(x[:, None], x[None, :]), dtype=float)
-        rho = np.asarray(reduce_to_one(wf)(x), dtype=float)
-    else:
-        x, w, _, gamma, rho = _node_densities(wf, scheme)
+    x, w = _axis(wf, 2, scheme)
+    gamma, rho = _marginals_at(wf, x)
     mask = gamma > _LOG_FLOOR
     denom = np.maximum(np.outer(rho, rho), _LOG_FLOOR)
     wmat = np.outer(w, w)
@@ -323,7 +248,9 @@ def mutual_information_higher_direct(system, scheme=None):
     if wf.symmetry == DISTINGUISHABLE:
         raise ValueError("direct higher-order integral assumes "
                          "indistinguishable marginals")
-    x, w, d3, gamma, rho = _node_densities(wf, scheme)
+    x, w = _axis(wf, 3, scheme)
+    d3 = wf.density_tensor([x] * 3, [w] * 3)
+    gamma, rho = _marginals_at(wf, x)
     log_rho = np.log(np.maximum(rho, _LOG_FLOOR))
     log_gamma = np.log(np.maximum(gamma, _LOG_FLOOR))
     w23 = np.outer(w, w)
@@ -349,15 +276,7 @@ def entropy_sum_check(params, ns, symmetry, scheme=None):
     sums = {}
     for space in (POSITION, MOMENTUM):
         cfg = Configuration(params=params, ns=ns, symmetry=symmetry, space=space)
-        wf = build(cfg)
-        if wf.symmetry in (SYMMETRIC, ANTISYMMETRIC) and cfg.distinct:
-            sums[space] = entropy(reduce_to_one(wf), scheme)
-        else:
-            x, w = _axis(wf, 3, scheme)
-            d3 = wf.density_tensor([x] * 3, [w] * 3)
-            g = np.tensordot(d3, w, axes=([2], [0]))
-            rho = np.tensordot(g, w, axes=([1], [0]))
-            sums[space] = entropy_from_values(rho, [w])
+        sums[space] = entropy(reduce_numerical(build(cfg), 1, scheme), scheme)
     total = sums[POSITION] + sums[MOMENTUM]
     return total, ENTROPIC_BOUND, bool(total >= ENTROPIC_BOUND - 1e-9)
 
@@ -372,20 +291,12 @@ def cumulant3(system, scheme=None):
     """
     scheme = scheme or QuadratureScheme()
     wf = _as_wavefunction(system)
-    x, w, d3, gamma, rho = _node_densities(wf, scheme)
-    if wf.symmetry == DISTINGUISHABLE:
-        # coordinate-averaged moments from the full density
-        g13 = np.tensordot(d3, w, axes=([1], [0]))
-        g23 = np.tensordot(d3, w, axes=([0], [0]))
-        rho1 = np.tensordot(gamma, w, axes=([1], [0]))
-        rho2 = np.tensordot(gamma, w, axes=([0], [0]))
-        rho3 = np.tensordot(g13, w, axes=([0], [0]))
-        wx = w * x
-        m1 = float(np.mean([wx @ r for r in (rho1, rho2, rho3)]))
-        m2 = float(np.mean([wx @ g @ wx for g in (gamma, g13, g23)]))
-    else:
-        wx = w * x
-        m1 = float(wx @ rho)
-        m2 = float(wx @ gamma @ wx)
+    x, w = _axis(wf, 3, scheme)
+    wx = w * x
+    ones, pairs = _keeps(wf)
+    m1 = float(np.mean([wx @ quadrature_marginal(wf, k)(x) for k in ones]))
+    m2 = float(np.mean([wx @ quadrature_marginal(wf, k)(x[:, None], x[None, :]) @ wx
+                        for k in pairs]))
+    d3 = wf.density_tensor([x] * 3, [w] * 3)
     m3 = float(np.einsum("i,j,k,ijk->", wx, wx, wx, d3, optimize=True))
     return m3 - 3.0 * m2 * m1 + 2.0 * m1**3

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import xlogy
 
 __all__ = [
     "Interval",
@@ -226,8 +225,7 @@ def entropy_integrand(density_value):
     d = np.asarray(density_value, dtype=float)
     if np.any(d < -NEGATIVE_NOISE_TOL):
         raise ValueError("density value significantly negative")
-    d = np.where(d < DENSITY_FLOOR, 0.0, d)
-    return -xlogy(d, d)
+    return -(d * np.log(np.where(d >= DENSITY_FLOOR, d, 1.0)))
 
 
 def entropy_from_values(values, weight_axes):

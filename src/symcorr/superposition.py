@@ -8,28 +8,30 @@ normalized by construction, so no renormalization is needed; with
 interference on and non-orthogonal components the density is divided by
 1 + 2 c1 c2 Re<A|B>).
 
-Reductions of superpositions always go through the numerical tensor-grid
-path.  ``scan_coefficient`` reuses the component amplitude grids across
-all samples, so a full coefficient scan costs little more than a single
-report.
+Both components are written as coefficient tensors on the union of
+their orbitals, so a superposition is one tensor (c1 C_A + c2 C_B) /
+sqrt(norm) and a mixture a weighted pair of tensors; densities and
+reductions then take the same path as a single configuration.
+``scan_coefficient`` builds each sample's tensor afresh and shares one
+set of orbital tables across all samples.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .information import compute_report
-from .quadrature import QuadratureScheme, axis_rule
+from .quadrature import QuadratureScheme
 from .wavefunction import (
-    ANTISYMMETRIC,
-    DISTINGUISHABLE,
-    SYMMETRIC,
     Configuration,
+    OrbitalTables,
     build,
+    coefficient_tensor,
+    density_grid,
+    reduced_density,
 )
 
 __all__ = [
@@ -69,38 +71,46 @@ class SuperpositionSpec:
         return math.sqrt(max(0.0, 1.0 - self.c1 * self.c1))
 
 
+def _union_orbitals(cfg_a, cfg_b):
+    return tuple(sorted(set(cfg_a.ns) | set(cfg_b.ns)))
+
+
 def _component_overlap(cfg_a, cfg_b):
-    """<Psi_A|Psi_B> over an orthonormal orbital basis (exact, via deltas)."""
-    if cfg_a.symmetry == DISTINGUISHABLE:
-        return float(all(na == nb for na, nb in zip(cfg_a.ns, cfg_b.ns)))
-    n = cfg_a.nparticles
-    s = np.array([[1.0 if na == nb else 0.0 for nb in cfg_b.ns]
-                  for na in cfg_a.ns])
-    if cfg_a.symmetry == ANTISYMMETRIC:
-        return float(np.linalg.det(s))
-    perm = sum(math.prod(s[i, p[i]] for i in range(n))
-               for p in itertools.permutations(range(n)))
-    norm_a = build(cfg_a).norm_factor
-    norm_b = build(cfg_b).norm_factor
-    # <A|B> = norm_a norm_b sum_{P,Q} prod delta = norm_a norm_b N! perm(S)
-    return float(perm) * norm_a * norm_b * math.factorial(n)
+    """<Psi_A|Psi_B>, exact from the coefficient tensors on the union basis."""
+    orbitals = _union_orbitals(cfg_a, cfg_b)
+    return float(np.vdot(coefficient_tensor(cfg_a, orbitals),
+                         coefficient_tensor(cfg_b, orbitals)))
 
 
-class SuperposedWaveFunction:
-    """c1*Psi_A + c2*Psi_B with an optional interference toggle."""
+class _CachedMixture:
+    """c1*Psi_A + c2*Psi_B as coefficient tensors on cached orbital tables.
 
-    def __init__(self, spec):
+    With interference the state is the single tensor (c1 C_A + c2 C_B) /
+    sqrt(norm); without, it is the weighted pair (c1^2, C_A), (c2^2, C_B).
+    ``tables`` may be shared, as the samples of a scan do.
+    """
+
+    def __init__(self, spec, tables=None):
         self.spec = spec
-        self.wf_a = build(spec.state_a)
-        self.wf_b = build(spec.state_b)
+        a, b = spec.state_a, spec.state_b
         self.c1 = float(spec.c1)
         self.c2 = float(spec.c2)
         self.interference = bool(spec.interference)
-        self.overlap = _component_overlap(spec.state_a, spec.state_b)
+        self.overlap = _component_overlap(a, b)
         self.norm_sq = 1.0 + 2.0 * self.c1 * self.c2 * self.overlap \
             if self.interference else 1.0
         if self.norm_sq <= 0:
             raise ValueError("superposition has vanishing norm")
+        self.tables = tables or OrbitalTables(a.params, a.space,
+                                              _union_orbitals(a, b))
+        ca = coefficient_tensor(a, self.tables.orbitals)
+        cb = coefficient_tensor(b, self.tables.orbitals)
+        if self.interference:
+            c = (self.c1 * ca + self.c2 * cb) / math.sqrt(self.norm_sq)
+            self.terms = ((1.0, c),)
+        else:
+            self.terms = tuple((w, c) for w, c in ((self.c1**2, ca),
+                                                   (self.c2**2, cb)) if w > 0)
 
     @property
     def nparticles(self):
@@ -124,6 +134,27 @@ class SuperposedWaveFunction:
     def domains(self, arity=None):
         return self.spec.state_a.domains(arity)
 
+    def density_tensor(self, axes, weights=None):
+        """|Psi|^2 (or the mixture density) on a tensor grid."""
+        return density_grid(self.terms, [self.tables(ax) for ax in axes])
+
+    def marginal_values(self, keep, coords):
+        """Reduced density of the kept coordinates at broadcastable points."""
+        return reduced_density(self.terms, keep, [self.tables(c) for c in coords])
+
+
+class SuperposedWaveFunction(_CachedMixture):
+    """c1*Psi_A + c2*Psi_B with an optional interference toggle.
+
+    Pointwise ``amplitude`` and ``density`` expand the two components
+    directly, independent of the coefficient tensors.
+    """
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.wf_a = build(spec.state_a)
+        self.wf_b = build(spec.state_b)
+
     def amplitude(self, *coords):
         if not self.interference:
             raise ValueError("an interference-free mixture has no amplitude")
@@ -140,84 +171,9 @@ class SuperposedWaveFunction:
             out = (out + 2.0 * self.c1 * self.c2 * cross) / self.norm_sq
         return out
 
-    def density_tensor(self, axes, weights=None):
-        amp_a = self.wf_a.amplitude_tensor(axes)
-        amp_b = self.wf_b.amplitude_tensor(axes)
-        da = np.abs(amp_a) ** 2
-        db = np.abs(amp_b) ** 2
-        out = self.c1**2 * da + self.c2**2 * db
-        if self.interference:
-            out = (out + 2.0 * self.c1 * self.c2 * np.real(np.conj(amp_a) * amp_b)) \
-                / self.norm_sq
-        return out
-
 
 def build_superposition(spec):
     return SuperposedWaveFunction(spec)
-
-
-def _component_grid_cache(wf_a, wf_b):
-    """Shared per-scan cache of component density/cross grids.
-
-    Returns a lookup (keep, axes, scheme) -> (da, db, cross) where the
-    non-kept coordinates are already integrated out with the scheme's
-    3D rule.  Grids depend only on the components, not on c1, so one
-    evaluation serves every sample of a scan.
-    """
-    cache = {}
-
-    def lookup(keep, axes, scheme):
-        key = (tuple(keep), tuple(len(a) for a in axes), scheme)
-        if key not in cache:
-            xi, wi = axis_rule(wf_a.domains(1)[0], scheme, wf_a.nparticles)
-            kept = iter(axes)
-            full_axes = [next(kept) if i in keep else xi
-                         for i in range(wf_a.nparticles)]
-            amp_a = wf_a.amplitude_tensor(full_axes)
-            amp_b = wf_b.amplitude_tensor(full_axes)
-            da = np.abs(amp_a) ** 2
-            db = np.abs(amp_b) ** 2
-            cross = np.real(np.conj(amp_a) * amp_b)
-            away = [i for i in range(wf_a.nparticles) if i not in keep]
-            for i in sorted(away, reverse=True):
-                da = np.tensordot(da, wi, axes=([i], [0]))
-                db = np.tensordot(db, wi, axes=([i], [0]))
-                cross = np.tensordot(cross, wi, axes=([i], [0]))
-            cache[key] = (da, db, cross)
-        return cache[key]
-
-    return lookup
-
-
-class _CachedMixture:
-    """Mixture density backed by a per-scan component grid cache."""
-
-    def __init__(self, template, c1, grid_lookup, scheme):
-        self.spec = SuperpositionSpec(template.state_a, template.state_b,
-                                      c1, template.interference)
-        self._full = SuperposedWaveFunction(self.spec)
-        self._lookup = grid_lookup
-        self._scheme = scheme
-
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._full, name)
-
-    def _combine(self, da, db, cross):
-        c1, c2 = self._full.c1, self._full.c2
-        out = c1**2 * da + c2**2 * db
-        if self._full.interference:
-            out = (out + 2.0 * c1 * c2 * cross) / self._full.norm_sq
-        return out
-
-    def density_tensor(self, axes, weights=None):
-        da, db, cross = self._lookup(tuple(range(len(axes))), tuple(axes),
-                                     self._scheme)
-        return self._combine(da, db, cross)
-
-    def marginal_values(self, keep, axes, scheme):
-        return self._combine(*self._lookup(keep, tuple(axes), scheme))
 
 
 @dataclass(frozen=True)
@@ -261,9 +217,10 @@ def scan_coefficient(spec_template, c1sq_samples=DEFAULT_C1SQ_GRID,
                      scheme=None, with_error=False):
     """Scan c1^2 over the given samples, one InformationReport each.
 
-    The component amplitudes are evaluated once on the scheme's 3D grid
-    and shared by all samples.  Per-sample failures are collected in
-    ``errors``; the remaining samples are still returned.
+    Every sample builds its coefficient tensor from the two components,
+    on one set of orbital tables shared by all samples.  Per-sample
+    failures are collected in ``errors``; the remaining samples are
+    still returned.
     """
     scheme = scheme or QuadratureScheme()
     samples = sorted(float(c) for c in c1sq_samples)
@@ -272,14 +229,15 @@ def scan_coefficient(spec_template, c1sq_samples=DEFAULT_C1SQ_GRID,
     if samples[0] < 0.0 or samples[-1] > 1.0 or len(set(samples)) != len(samples):
         raise ValueError("c1^2 samples must be distinct values in [0, 1]")
 
-    wf_a = build(spec_template.state_a)
-    wf_b = build(spec_template.state_b)
-    lookup = _component_grid_cache(wf_a, wf_b)
+    a, b = spec_template.state_a, spec_template.state_b
+    tables = OrbitalTables(a.params, a.space, _union_orbitals(a, b))
 
     results = []
     errors = []
     for c1sq in samples:
-        mix = _CachedMixture(spec_template, math.sqrt(c1sq), lookup, scheme)
+        spec = SuperpositionSpec(a, b, math.sqrt(c1sq),
+                                 spec_template.interference)
+        mix = _CachedMixture(spec, tables)
         try:
             rep = compute_report(mix, scheme, with_error=with_error)
         except Exception as exc:  # keep partial scan results

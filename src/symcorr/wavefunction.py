@@ -1,9 +1,18 @@
 """N-particle wavefunctions (N = 2, 3) from single-particle orbitals.
 
 Symmetric states are permanents, antisymmetric states Slater
-determinants, and distinguishable states plain Hartree products.
-Determinants/permanents are expanded explicitly for N <= 3, which is
-exact and avoids pivoting over complex entries.  Wavefunctions are
+determinants, and distinguishable states plain Hartree products.  Every
+state is held as one orbital-coefficient tensor C over its distinct
+orbitals,
+
+    Psi(x1, ..., xN) = sum C_ab.. phi_a(x1) phi_b(x2) ...,
+
+and an interference-free mixture as a weighted list of such tensors.
+|Psi|^2 on a tensor grid is one mode product per axis (BLAS), and the
+reduced densities follow exactly from the reduced density matrices of
+C, by orbital orthonormality, with no quadrature over the integrated
+coordinates.  ``WaveFunction.amplitude`` keeps the explicit permutation
+expansion as an independent pointwise reference.  Wavefunctions are
 immutable value objects; evaluation is referentially transparent.
 """
 
@@ -13,6 +22,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +43,10 @@ __all__ = [
     "parse_symmetry",
     "Configuration",
     "WaveFunction",
+    "OrbitalTables",
+    "coefficient_tensor",
+    "density_grid",
+    "reduced_density",
     "build",
     "eval_density",
     "exchange_symmetry_check",
@@ -124,6 +138,107 @@ def _norm_factor(config):
     return 1.0 / math.sqrt(math.factorial(config.nparticles) * mult)
 
 
+def coefficient_tensor(config, orbitals):
+    """Normalized C of a configuration over the given orbital list."""
+    idx = [orbitals.index(n) for n in config.ns]
+    c = np.zeros((len(orbitals),) * config.nparticles)
+    if config.symmetry == DISTINGUISHABLE:
+        c[tuple(idx)] = 1.0
+        return c
+    for perm, sign in _PERMUTATIONS[config.nparticles]:
+        c[tuple(idx[p] for p in perm)] += \
+            sign if config.symmetry == ANTISYMMETRIC else 1
+    return c * _norm_factor(config)
+
+
+class OrbitalTables:
+    """Orbital values at coordinate arrays, orbital index last.
+
+    Tables of coordinate axes (arrays with at most one non-singleton
+    dimension, such as quadrature rules) are kept in a bounded memo, so
+    states built on one instance, such as the samples of a scan, share
+    them.
+    """
+
+    MEMO_SIZE = 16
+
+    def __init__(self, params, space, orbitals):
+        self.params = params
+        self.space = space
+        self.orbitals = tuple(orbitals)
+        self._memo = {}
+
+    def _eval(self, x):
+        return np.stack([np.asarray(eval_orbital(self.params, n, self.space, x))
+                         for n in self.orbitals], axis=-1)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.size != max(x.shape, default=1):
+            return self._eval(x)
+        key = x.tobytes()
+        if key not in self._memo:
+            if len(self._memo) >= self.MEMO_SIZE:
+                self._memo.clear()
+            self._memo[key] = self._eval(x.ravel())
+        return self._memo[key].reshape(x.shape + (len(self.orbitals),))
+
+
+def _mode_products(c, tables):
+    """sum C_ab.. t0[i, a] t1[j, b] ... on the tensor grid of the tables."""
+    out = c
+    for t in tables:
+        out = np.tensordot(out, t, axes=([0], [1]))
+    return out
+
+
+def _abs2(a):
+    """|a|^2 of a fresh array (squared in place when real)."""
+    if np.iscomplexobj(a):
+        d = a.real ** 2
+        d += a.imag ** 2
+        return d
+    a *= a
+    return a
+
+
+def density_grid(terms, tables):
+    """sum_t w_t |Psi_t|^2 on the tensor grid of per-axis orbital tables."""
+    total = None
+    for weight, c in terms:
+        d = _abs2(_mode_products(c, tables))
+        if weight != 1.0:
+            d *= weight
+        total = d if total is None else np.add(total, d, out=total)
+    return total
+
+
+def reduced_density(terms, keep, tables):
+    """Marginal density of the kept coordinates at broadcastable points.
+
+    The reduced density matrix D = sum_t w_t tr_rest(C_t* C_t) is
+    contracted with q(x) = conj(phi(x)) (x) phi(x) on each kept axis;
+    ``tables`` holds the orbital values at the kept coordinates.
+    """
+    k = len(keep)
+    d = 0.0
+    for weight, c in terms:
+        ck = np.moveaxis(c, keep, range(k))
+        rest = list(range(k, c.ndim))
+        d = d + weight * np.tensordot(np.conj(ck), ck, (rest, rest))
+    r = d.shape[0]
+    # D[a1.., c1..] -> K[(a1 c1), (a2 c2), ...], matching q(x1), q(x2), ...
+    order = [i for pair in zip(range(k), range(k, 2 * k)) for i in pair]
+    kmat = d.transpose(order).reshape(r * r, -1)
+    qs = [(np.conj(t)[..., :, None] * t[..., None, :]).reshape(t.shape[:-1] + (-1,))
+          for t in tables]
+    vals = qs[0] @ kmat
+    for q in qs[1:]:
+        vals = np.einsum("...pq,...p->...q",
+                         vals.reshape(vals.shape[:-1] + (r * r, -1)), q)
+    return vals[..., 0].real
+
+
 @dataclass(frozen=True)
 class WaveFunction:
     """Evaluatable N-particle amplitude for one configuration."""
@@ -143,6 +258,16 @@ class WaveFunction:
     def symmetry(self):
         return self.config.symmetry
 
+    @cached_property
+    def tables(self):
+        cfg = self.config
+        return OrbitalTables(cfg.params, cfg.space, sorted(set(cfg.ns)))
+
+    @cached_property
+    def terms(self):
+        """((1.0, C),): the state as a one-term list of coefficient tensors."""
+        return ((1.0, coefficient_tensor(self.config, self.tables.orbitals)),)
+
     def domains(self, arity=None):
         return self.config.domains(arity)
 
@@ -155,7 +280,11 @@ class WaveFunction:
                     raise ValueError("coordinate outside the box [0, L]")
 
     def amplitude(self, *coords):
-        """Psi at one point or broadcastable coordinate arrays."""
+        """Psi at one point or broadcastable coordinate arrays.
+
+        The explicit permutation expansion: the reference the coefficient
+        tensor paths are tested against.
+        """
         if len(coords) != self.nparticles:
             raise ValueError(
                 f"expected {self.nparticles} coordinates, got {len(coords)}")
@@ -185,46 +314,18 @@ class WaveFunction:
         return np.abs(a) ** 2 if np.iscomplexobj(a) else np.asarray(a) ** 2
 
     def amplitude_tensor(self, axes):
-        """Psi on the tensor grid spanned by 1D coordinate axes.
-
-        This is the performance path: one outer product per permutation,
-        so an n^3 grid costs six einsum calls for N = 3.
-        """
+        """Psi on the tensor grid spanned by 1D coordinate axes."""
         if len(axes) != self.nparticles:
             raise ValueError("one coordinate axis per particle required")
-        cfg = self.config
-        # vals[k][i]: orbital k on axis i (axes may differ per coordinate)
-        memo = {}
-        for k, n in enumerate(cfg.ns):
-            for i, ax in enumerate(axes):
-                if (n, id(ax)) not in memo:
-                    memo[(n, id(ax))] = np.asarray(
-                        eval_orbital(cfg.params, n, cfg.space, ax))
-        vals = [[memo[(n, id(ax))] for ax in axes] for n in cfg.ns]
-        subs = "i,j" if cfg.nparticles == 2 else "i,j,k"
-        out_sub = subs.replace(",", "")
-        if cfg.symmetry == DISTINGUISHABLE:
-            return np.einsum(f"{subs}->{out_sub}",
-                             *[vals[k][k] for k in range(cfg.nparticles)])
-        dtype = complex if any(np.iscomplexobj(v[0]) for v in vals) else float
-        shape = tuple(len(ax) for ax in axes)
-        out = np.zeros(shape, dtype=dtype)
-        for perm, sign in _PERMUTATIONS[cfg.nparticles]:
-            term = np.einsum(f"{subs}->{out_sub}",
-                             *[vals[perm[i]][i] for i in range(cfg.nparticles)])
-            if cfg.symmetry == ANTISYMMETRIC and sign < 0:
-                out -= term
-            else:
-                out += term
-        out *= self.norm_factor
-        return out
+        return _mode_products(self.terms[0][1], [self.tables(ax) for ax in axes])
 
     def density_tensor(self, axes, weights=None):
         """|Psi|^2 on a tensor grid; ``weights`` is unused (interface parity)."""
-        a = self.amplitude_tensor(axes)
-        if np.iscomplexobj(a):
-            return (a.real**2 + a.imag**2)
-        return a * a
+        return _abs2(self.amplitude_tensor(axes))
+
+    def marginal_values(self, keep, coords):
+        """Reduced density of the kept coordinates at broadcastable points."""
+        return reduced_density(self.terms, keep, [self.tables(c) for c in coords])
 
 
 def build(config):

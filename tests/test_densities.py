@@ -15,7 +15,8 @@ from symcorr import (
     reduce_to_pair,
 )
 from symcorr.orbitals import MOMENTUM, POSITION
-from symcorr.quadrature import gauss_panels
+from symcorr.quadrature import Interval, gauss_panels
+from symcorr.superposition import SuperpositionSpec, build_superposition
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,64 @@ def test_distinguishable_marginals_per_coordinate(box, scheme):
         rho_k = reduce_numerical(wf, 1, scheme, keep=(k,))
         ref = 2.0 * np.sin(n * np.pi * x) ** 2
         assert np.max(np.abs(rho_k(x) - ref)) < 1e-7
+
+
+def _brute_rule(domain):
+    """Far finer than the engine's rules: 640 Gauss-Legendre nodes on the
+    box, or 2000 on the real line mapped by p = 60 tan(theta), which keeps
+    the oscillating 1/p^4 tails of box momentum densities resolved (the
+    engine's own map reaches only ~1e-7 there)."""
+    if isinstance(domain, Interval):
+        return gauss_panels(domain.a, domain.b, 64, 10)
+    theta, w = gauss_panels(-np.pi / 2, np.pi / 2, 200, 10)
+    return 60.0 * np.tan(theta), w * 60.0 / np.cos(theta) ** 2
+
+
+def _brute_marginal(wf, keep, probes, rule):
+    """Marginal at probe points by direct 3D quadrature of wf.density."""
+    x, w = rule
+    away = [i for i in range(3) if i not in keep]
+    out = []
+    for point in zip(*probes):
+        args = [None] * 3
+        for k, v in zip(keep, point):
+            args[k] = v
+        for j, i in enumerate(away):
+            args[i] = x.reshape((-1,) + (1,) * (len(away) - 1 - j))
+        d = wf.density(*args)
+        for _ in away:
+            d = d @ w
+        out.append(float(d))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", ["symmetric-112-momentum",
+                                  "distinguishable-123",
+                                  "antisymmetric-superposition"])
+def test_reduction_matches_brute_force_quadrature(box, case):
+    # reduce_numerical comes from the reduced density matrices of the
+    # coefficient tensor; the oracle integrates the permutation expansion
+    # of |Psi|^2 over the other coordinates, independently of it
+    if case == "symmetric-112-momentum":
+        wf = build(Configuration(box, (1, 1, 2), SYMMETRIC, MOMENTUM))
+        keeps = [(0,), (0, 1)]
+        probes = [-7.3, 0.0, 2.9, 11.0]
+    elif case == "distinguishable-123":
+        wf = build(Configuration(box, (1, 2, 3), DISTINGUISHABLE))
+        keeps = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+        probes = [0.07, 0.31, 0.5, 0.88]
+    else:
+        wf = build_superposition(SuperpositionSpec(
+            Configuration(box, (1, 2, 3), ANTISYMMETRIC),
+            Configuration(box, (1, 2, 4), ANTISYMMETRIC), c1=0.6))
+        keeps = [(0,), (0, 1)]
+        probes = [0.07, 0.31, 0.5, 0.88]
+    rule = _brute_rule(wf.domains(1)[0])
+    for keep in keeps:
+        coords = [np.array(probes), np.array(probes[::-1])][:len(keep)]
+        got = reduce_numerical(wf, len(keep), keep=keep)(*coords)
+        want = _brute_marginal(wf, keep, coords, rule)
+        assert np.max(np.abs(got - want)) < 1e-8, keep
 
 
 def test_reduce_numerical_argument_checks(anti_wf):

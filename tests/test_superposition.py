@@ -115,6 +115,19 @@ def test_scan_endpoints_match_pure_states(box, scheme):
         assert abs(by_c[1.0].entropies.s3 - pure_a.entropies.s3) < 1e-6
 
 
+@pytest.mark.parametrize("interference", [True, False])
+def test_distinguishable_scan_endpoints_are_exact_products(interference, scheme):
+    # at c1^2 = 0 and 1 the state is a Hartree product: every correlation
+    # measure vanishes to round-off, not to the 3D rule's error
+    scan = scan_coefficient(spec_box(DISTINGUISHABLE, 1.0, interference),
+                            (0.0, 0.5, 1.0), scheme)
+    by_c = dict(scan.samples)
+    for end in (0.0, 1.0):
+        e = by_c[end].entropies
+        assert abs(by_c[end].i_higher) <= 1e-12
+        assert abs(e.s3 - 3.0 * e.s1) <= 1e-12
+
+
 def test_pair_mutual_information_insensitive_to_interference(scheme):
     # components differ in all three orbitals, so the cross terms vanish
     # from one- and two-particle marginals; only s3 feels the toggle
