@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import Interval, QuadratureScheme, axis_rule
+from .quadrature import NEGATIVE_NOISE_TOL, Interval, QuadratureScheme, axis_rule
 from .wavefunction import ANTISYMMETRIC, SYMMETRIC
 
 __all__ = [
@@ -160,9 +160,10 @@ def _default_plot_range(domain):
 def export_density_grid(density, n_points=101, bounds=None, out=None):
     """Tabulate a pair density as CSV rows ``x1,x2,value``.
 
-    Row-major over an equispaced grid; 12 significant digits.  ``out``
-    may be a path or a file-like object; with ``out=None`` the CSV text
-    is returned.
+    Row-major over an equispaced grid; 12 significant digits.  Round-off
+    in [-NEGATIVE_NOISE_TOL, 0) is written as 0; a value below that
+    raises ValueError.  ``out`` may be a path or a file-like object;
+    with ``out=None`` the CSV text is returned.
     """
     if density.arity != 2:
         raise ValueError("grid export requires a pair density")
@@ -171,7 +172,10 @@ def export_density_grid(density, n_points=101, bounds=None, out=None):
     (a1, b1), (a2, b2) = bounds
     x1 = np.linspace(a1, b1, n_points)
     x2 = np.linspace(a2, b2, n_points)
-    vals = density(x1[:, None], x2[None, :])
+    vals = np.asarray(density(x1[:, None], x2[None, :]), dtype=float)
+    if np.any(vals < -NEGATIVE_NOISE_TOL):
+        raise ValueError("density value significantly negative")
+    vals = np.where(vals > 0.0, vals, 0.0)
 
     head = "p1,p2,value" if density.space == "momentum" else "x1,x2,value"
     buf = io.StringIO()

@@ -16,9 +16,14 @@ integrand containing a ratio of six densities.
 
 Every state takes one path: s1 and s2 integrate the exact rho and Gamma
 of its coefficient tensor on the scheme's 1D and 2D rules, and s3
-integrates |Psi|^2 on the 3D rule.  For distinguishable (Hartree-type)
-states the marginals differ per coordinate; s1 and s2 are then the
-averages over coordinates/pairs, which reproduces the
+integrates |Psi|^2 on the 3D rule with ``wavefunction.entropy_grid``,
+which builds the density one slab at a time and never holds a 3D array.
+|Psi|^2 of an S/A state, or of any superposition or mixture of S/A
+states, is symmetric under particle exchange, so the kernel then covers
+only the wedge x_j, x_k >= x_i of each slab, with multiplicity weights;
+distinguishable states take the full grid.  For distinguishable
+(Hartree-type) states the marginals differ per coordinate; s1 and s2
+are then the averages over coordinates/pairs, which reproduces the
 distinguishable-system decomposition of I^3 exactly and keeps the
 hierarchy identities intact.  A Hartree product factorizes, so its s2
 and s3 are sums of its 1D entropies and every correlation measure
@@ -36,7 +41,13 @@ import numpy as np
 from .densities import quadrature_marginal, reduce_numerical
 from .orbitals import MOMENTUM, POSITION
 from .quadrature import QuadratureScheme, axis_rule, entropy_from_values
-from .wavefunction import DISTINGUISHABLE, Configuration, WaveFunction, build
+from .wavefunction import (
+    DISTINGUISHABLE,
+    Configuration,
+    WaveFunction,
+    build,
+    entropy_grid,
+)
 
 __all__ = [
     "EntropyTriple",
@@ -121,6 +132,9 @@ def entropy(density, scheme=None):
         wf = density
         n = wf.nparticles
         x, w = _axis(wf, n, scheme)
+        if n == 3:
+            return entropy_grid(wf.terms, wf.tables(x), w,
+                                wf.symmetry != DISTINGUISHABLE)
         vals = wf.density_tensor([x] * n)
         return entropy_from_values(vals, [w] * n)
     if getattr(density, "grid_values", None) is not None:

@@ -9,6 +9,7 @@ Error estimates come from comparing two panel-refinement levels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -162,20 +163,28 @@ def axis_rule(domain, scheme, ndim=1):
     """Nodes and weights along one axis of the given domain.
 
     For RealLine the returned nodes are physical (momentum) coordinates
-    and the weights already carry the map jacobian.
+    and the weights already carry the map jacobian.  Rules are memoised
+    and shared between callers, so both arrays are read-only.
     """
-    panels = scheme.panels_for(domain, ndim)
+    return _rule(domain, scheme.rule, scheme.panels_for(domain, ndim),
+                 scheme.nodes_per_panel)
+
+
+@functools.lru_cache(maxsize=64)
+def _rule(domain, rule, panels, nodes_per_panel):
     if isinstance(domain, Interval):
         a, b = domain.a, domain.b
     else:
         a, b = -1.0, 1.0
-    if scheme.rule == "gauss-legendre":
-        x, w = gauss_panels(a, b, panels, scheme.nodes_per_panel)
+    if rule == "gauss-legendre":
+        x, w = gauss_panels(a, b, panels, nodes_per_panel)
     else:
-        x, w = tanh_sinh_rule(a, b, panels * scheme.nodes_per_panel)
+        x, w = tanh_sinh_rule(a, b, panels * nodes_per_panel)
     if isinstance(domain, RealLine):
         x, jac = momentum_map(x, domain.scale)
         w = w * jac
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w
 
 
@@ -232,8 +241,10 @@ def entropy_from_values(values, weight_axes):
     """Shannon entropy -sum w * d ln d of density values on a tensor grid.
 
     ``weight_axes`` is a sequence of per-axis weight vectors matching the
-    shape of ``values``.  3D grids are consumed slice-wise to bound
-    temporary memory.
+    shape of ``values``.  s1 and s2 come through here; s3 of a
+    three-particle state never builds its 3D grid (see
+    ``wavefunction.entropy_grid``), so the 3D branch is kept as the
+    reference the tests compare that kernel against.
     """
     d = values
     if d.ndim != len(weight_axes):

@@ -8,10 +8,11 @@ orbitals,
     Psi(x1, ..., xN) = sum C_ab.. phi_a(x1) phi_b(x2) ...,
 
 and an interference-free mixture as a weighted list of such tensors.
-|Psi|^2 on a tensor grid is one mode product per axis (BLAS), and the
-reduced densities follow exactly from the reduced density matrices of
-C, by orbital orthonormality, with no quadrature over the integrated
-coordinates.  ``WaveFunction.amplitude`` keeps the explicit permutation
+|Psi|^2 on a tensor grid is one mode product per axis (BLAS); the
+entropy of a three-particle density is built and integrated slab by
+slab, without the 3D grid (``entropy_grid``).  The reduced densities
+follow exactly from the reduced density matrices of C, by orbital
+orthonormality, with no quadrature over the integrated coordinates.  ``WaveFunction.amplitude`` keeps the explicit permutation
 expansion as an independent pointwise reference.  Wavefunctions are
 immutable value objects; evaluation is referentially transparent.
 """
@@ -34,7 +35,7 @@ from .orbitals import (
     momentum_domain_scale,
     position_domain_scale,
 )
-from .quadrature import Interval, RealLine
+from .quadrature import Interval, RealLine, entropy_integrand
 
 __all__ = [
     "SYMMETRIC",
@@ -46,6 +47,7 @@ __all__ = [
     "OrbitalTables",
     "coefficient_tensor",
     "density_grid",
+    "entropy_grid",
     "reduced_density",
     "build",
     "eval_density",
@@ -211,6 +213,39 @@ def density_grid(terms, tables):
             d *= weight
         total = d if total is None else np.add(total, d, out=total)
     return total
+
+
+def entropy_grid(terms, table, weights, symmetric):
+    """-sum w_i w_j w_k d ln d for d = sum_t w_t |Psi_t|^2, N = 3.
+
+    ``table`` holds the orbital values at the nodes of one axis rule,
+    used on all three axes, and ``weights`` its weights.  The density is
+    built and consumed one slab x1 = x_i at a time, so no 3D array
+    exists.  With ``symmetric`` the density must be invariant under
+    particle exchange (S/A states, their superpositions and mixtures);
+    slab i then covers only the wedge j, k >= i, with multiplicity
+    3 / (1 + [j = i] + [k = i]).
+    """
+    slabs = [(w, np.tensordot(table, c, axes=([1], [0]))) for w, c in terms]
+    total = 0.0
+    for i, wi in enumerate(weights):
+        lo = i if symmetric else 0
+        t = table[lo:]
+        d = None
+        for weight, m in slabs:
+            a = _abs2(t @ m[i] @ t.T)
+            if weight != 1.0:
+                a *= weight
+            d = a if d is None else np.add(d, a, out=d)
+        e = entropy_integrand(d)
+        v = weights[lo:]
+        s = v @ e @ v
+        if symmetric:
+            # 3 inside the wedge, 3/2 on its faces j = i and k = i, 1 on the diagonal
+            s = 3.0 * s - 1.5 * v[0] * (e[0] @ v + e[:, 0] @ v) \
+                + v[0] * v[0] * e[0, 0]
+        total += wi * s
+    return float(total)
 
 
 def reduced_density(terms, keep, tables):

@@ -123,6 +123,15 @@ def test_density_grid(capsys):
     assert diag and all(abs(float(l.split(",")[2])) < 1e-10 for l in diag)
 
 
+def test_density_grid_writes_no_negative_density(capsys):
+    # round-off on the Fermi-hole diagonal is written as 0
+    code, out, err = run(capsys, "density-grid", "--n", "1,2,3", "--sym", "a")
+    assert code == 0
+    values = [float(l.split(",")[2]) for l in out.strip().split("\n")[1:]]
+    assert len(values) == 101 * 101 and min(values) == 0.0
+    assert not any(l.endswith(",-0") for l in out.split("\n"))
+
+
 def test_density_grid_momentum_header(capsys):
     code, out, err = run(capsys, "density-grid", "--n", "1,2", "--sym", "s",
                          "--space", "momentum", "--points", "3")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,10 @@ def test_export_density_grid_momentum_header(box):
 def test_export_density_grid_rejects_one_particle(anti_wf):
     with pytest.raises(ValueError):
         export_density_grid(reduce_to_one(anti_wf))
+
+
+def test_export_density_grid_rejects_significantly_negative(anti_wf):
+    gamma = reduce_to_pair(anti_wf)
+    shifted = dataclasses.replace(gamma, func=lambda x1, x2: gamma(x1, x2) - 1e-9)
+    with pytest.raises(ValueError, match="significantly negative"):
+        export_density_grid(shifted, n_points=3)

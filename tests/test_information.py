@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from symcorr import (
     Configuration,
     ModelParams,
     QuadratureScheme,
+    SuperpositionSpec,
+    WaveFunction,
     build,
+    build_superposition,
     compute_report,
     cumulant3,
     entropy,
@@ -21,7 +25,10 @@ from symcorr import (
 )
 from symcorr.densities import reduce_to_one
 from symcorr.orbitals import MOMENTUM, POSITION
+from symcorr.quadrature import axis_rule, entropy_from_values
 from symcorr.reference_tables import BOX_TABLE, OSCILLATOR_TABLE
+from symcorr.superposition import _CachedMixture
+from symcorr.wavefunction import coefficient_tensor
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +157,73 @@ def test_entropy_accepts_wavefunction_and_density(box, scheme):
     assert abs(s3 - BOX_TABLE[("a", 3)]["s3"]) < 2e-3
     s1 = entropy(reduce_to_one(wf), scheme)
     assert abs(s1 - BOX_TABLE[("a", 3)]["s1"]) < 2e-3
+
+
+# odd and even node counts per axis: 3 x 7 = 21 and 4 x 5 = 20
+ODD_EVEN_SCHEMES = [
+    QuadratureScheme(panels_3d=3, line_panels_3d=3, nodes_per_panel=7),
+    QuadratureScheme(panels_3d=4, line_panels_3d=4, nodes_per_panel=5),
+]
+
+
+def _kernel_cases():
+    box, ho = ModelParams.box(1.0), ModelParams.oscillator(1.0)
+    pairs = [
+        ("s-box", Configuration(box, (1, 2, 3), SYMMETRIC)),
+        ("a-box", Configuration(box, (1, 2, 3), ANTISYMMETRIC)),
+        ("s-ho", Configuration(ho, (0, 1, 2), SYMMETRIC)),
+        ("a-ho", Configuration(ho, (0, 1, 2), ANTISYMMETRIC)),
+        ("a-box-momentum", Configuration(box, (1, 2, 3), ANTISYMMETRIC, MOMENTUM)),
+        ("s112-box-momentum", Configuration(box, (1, 1, 2), SYMMETRIC, MOMENTUM)),
+    ]
+    cases = [(name, build(cfg)) for name, cfg in pairs]
+    for name, sym, ns_b, interference in (
+            ("a-interfering", ANTISYMMETRIC, (1, 2, 4), True),
+            ("s-mixture", SYMMETRIC, (4, 5, 6), False),
+            ("d-superposition", DISTINGUISHABLE, (4, 5, 6), True)):
+        spec = SuperpositionSpec(Configuration(box, (1, 2, 3), sym),
+                                 Configuration(box, ns_b, sym), math.sqrt(0.4),
+                                 interference)
+        cases.append((name, build_superposition(spec)))
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("scheme3", ODD_EVEN_SCHEMES, ids=["odd", "even"])
+@pytest.mark.parametrize("name,wf", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_fused_s3_matches_full_grid(name, wf, scheme3):
+    x, w = axis_rule(wf.domains(1)[0], scheme3, 3)
+    want = entropy_from_values(wf.density_tensor([x] * 3), [w] * 3)
+    assert abs(entropy(wf, scheme3) - want) < 1e-12
+
+
+def test_fused_s3_builds_no_3d_grid(box, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a 3D density array was built")
+
+    monkeypatch.setattr(WaveFunction, "density_tensor", forbidden)
+    monkeypatch.setattr(_CachedMixture, "density_tensor", forbidden)
+    rep = compute_report(Configuration(box, (1, 1, 2), SYMMETRIC, MOMENTUM),
+                         ODD_EVEN_SCHEMES[0])
+    assert rep.entropies.error_estimate is not None
+    spec = SuperpositionSpec(Configuration(box, (1, 2, 3), DISTINGUISHABLE),
+                             Configuration(box, (4, 5, 6), DISTINGUISHABLE),
+                             math.sqrt(0.5))
+    compute_report(build_superposition(spec), ODD_EVEN_SCHEMES[1])
+
+
+@pytest.mark.parametrize("sym", [ANTISYMMETRIC, DISTINGUISHABLE])
+def test_fused_s3_rejects_negative_density(box, sym):
+    a = Configuration(box, (1, 2, 3), sym)
+    b = Configuration(box, (4, 5, 6), sym)
+    mix = build_superposition(SuperpositionSpec(a, b, math.sqrt(0.5), False))
+    orbitals = mix.tables.orbitals
+    stub = SimpleNamespace(
+        nparticles=3, symmetry=sym, tables=mix.tables, domains=mix.domains,
+        density_tensor=mix.density_tensor,
+        terms=((1.0, coefficient_tensor(a, orbitals)),
+               (-1.0, coefficient_tensor(b, orbitals))))
+    with pytest.raises(ValueError, match="significantly negative"):
+        entropy(stub, ODD_EVEN_SCHEMES[0])

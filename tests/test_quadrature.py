@@ -80,6 +80,18 @@ def test_axis_rule_integrates_constant_to_domain_measure():
     assert x.min() > 0.25 and x.max() < 0.75
 
 
+def test_axis_rule_is_shared_and_read_only():
+    scheme = QuadratureScheme()
+    line = RealLine(3.0)
+    x, w = axis_rule(line, scheme, 2)
+    # 1D and 2D rules use the same panel count, so they are one rule
+    assert axis_rule(line, scheme, 1)[0] is x
+    assert len(axis_rule(line, scheme, 3)[0]) != len(x)
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_integrate_2d_and_3d_separable():
     val2 = integrate(lambda x, y: np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2,
                      [Interval(0.0, 1.0)] * 2).value
