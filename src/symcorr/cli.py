@@ -135,13 +135,12 @@ def _report_rows_to_text(rows, fmt):
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_CSV_HEADER.split(","))
+        keys = REPORT_CSV_HEADER.split(",")
+        writer.writerow(keys)
         for r in rows:
             writer.writerow(
                 f"{r[k]:.12g}" if isinstance(r[k], float) else str(r[k])
-                for k in ("system", "space", "s1", "s2", "s3", "I_pair", "I3",
-                          "I_rho_gamma", "I_gamma_gamma", "I_higher",
-                          "error_estimate"))
+                for k in keys)
         return buf.getvalue().rstrip("\n")
     # aligned table, one column per row dict, mirrors the benchmark layout
     lines = []
@@ -155,14 +154,7 @@ def _report_rows_to_text(rows, fmt):
 
 
 def _full_report_dict(cfg, scheme):
-    rep = compute_report(cfg, scheme)
-    d = rep.as_dict()
-    if d["error_estimate"] is not None:
-        d["error_estimate"] = float(d["error_estimate"])
-    for k, v in list(d.items()):
-        if hasattr(v, "item"):
-            d[k] = v.item()
-    return d
+    return compute_report(cfg, scheme).as_dict()
 
 
 def cmd_report(args):
@@ -179,7 +171,7 @@ def cmd_report(args):
             wf = build(cfg)
             s2 = entropy(wf, scheme)
             s1 = float(np.mean(
-                [entropy(reduce_numerical(wf, 1, scheme, keep=(k,)), scheme)
+                [entropy(reduce_numerical(wf, 1, scheme, keep=(k,)))
                  for k in range(2)]))
             rows.append({"system": f"{args.model} ns={ns} {sym}",
                          "space": space, "s1": s1, "s2": s2,

@@ -3,8 +3,9 @@
 Every reduced density comes from the reduced density matrix of the
 state's orbital-coefficient tensor (see ``wavefunction``): by orbital
 orthonormality it is exact at any point, with no quadrature over the
-integrated coordinates.  ``reduce_numerical`` also tabulates it on the
-scheme's rule for its arity, which entropy integrals consume.
+integrated coordinates.  A ``ReducedDensity`` also carries its own
+table: the density at the nodes of the scheme's rule for its arity,
+which its integral and entropy consume.
 """
 
 from __future__ import annotations
@@ -26,50 +27,36 @@ __all__ = [
     "export_density_grid",
 ]
 
-REDUCED_DENSITY_MATRIX = "reduced-density-matrix"
-
 
 @dataclass(frozen=True)
 class ReducedDensity:
-    """Evaluatable k-particle probability density (k = 1 or 2)."""
+    """k-particle density (k = 1 or 2): exact calls plus its rule table."""
 
     arity: int
     space: str
-    strategy: str
     domains: tuple
     func: object = field(repr=False)  # callable on physical coordinates
-    grid_axes: tuple | None = field(default=None, repr=False)
-    grid_weights: tuple | None = field(default=None, repr=False)
-    grid_values: np.ndarray | None = field(default=None, repr=False)
+    grid_weights: tuple = field(repr=False)
+    grid_values: np.ndarray = field(repr=False)
 
     def __call__(self, *coords):
         if len(coords) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates")
         return self.func(*coords)
 
-    def integral(self, scheme=None):
-        """Quadrature integral over the full domain (should be ~1)."""
-        if self.grid_values is not None:
-            v = self.grid_values
-            for axis in range(v.ndim - 1, -1, -1):
-                v = np.tensordot(v, self.grid_weights[axis], axes=([axis], [0]))
-            return float(v)
-        scheme = scheme or QuadratureScheme()
-        axes = [axis_rule(d, scheme, self.arity) for d in self.domains]
-        grids = np.meshgrid(*[a[0] for a in axes], indexing="ij", sparse=True)
-        v = np.broadcast_to(np.asarray(self.func(*grids), dtype=float),
-                            tuple(len(a[0]) for a in axes))
+    def integral(self):
+        """Quadrature integral of the table over the full domain (~1)."""
+        v = self.grid_values
         for axis in range(v.ndim - 1, -1, -1):
-            v = np.tensordot(v, axes[axis][1], axes=([axis], [0]))
+            v = np.tensordot(v, self.grid_weights[axis], axes=([axis], [0]))
         return float(v)
 
 
-def quadrature_marginal(wf, keep, scheme=None):
+def quadrature_marginal(wf, keep):
     """Callable marginal density of the kept coordinates.
 
-    Exact from the state's reduced density matrix, so the name's
-    quadrature and ``scheme`` play no part; both are kept for callers.
-    Kept coordinates broadcast; scalars give a float.
+    Exact from the state's reduced density matrix, so no quadrature runs
+    despite the name.  Kept coordinates broadcast; scalars give a float.
     """
 
     def func(*kept_vals):
@@ -89,30 +76,14 @@ def _require_single_distinct(wf):
             "use reduce_numerical for repeated ones")
 
 
-def _reduced(wf, keep, rules=()):
-    """ReducedDensity of the kept coordinates, tabulated on ``rules``."""
-    func = quadrature_marginal(wf, keep)
-    grid = {}
-    if rules:
-        coords = tuple(r[0] for r in rules)
-        values = func(*np.meshgrid(*coords, indexing="ij", sparse=True))
-        grid = dict(grid_axes=coords, grid_weights=tuple(r[1] for r in rules),
-                    grid_values=np.asarray(values, dtype=float))
-    domains = wf.domains(wf.nparticles)
-    return ReducedDensity(arity=len(keep), space=wf.space,
-                          strategy=REDUCED_DENSITY_MATRIX,
-                          domains=tuple(domains[k] for k in keep), func=func,
-                          **grid)
-
-
 def reduce_to_one(wf):
     """One-particle density of an (anti)symmetrized distinct-orbital state.
 
     rho(x) = (1/N) sum_i |psi_{n_i}(x)|^2, identical for symmetric and
-    antisymmetric states with the same quantum numbers.
+    antisymmetric states with the same quantum numbers.  Default scheme.
     """
     _require_single_distinct(wf)
-    return _reduced(wf, (0,))
+    return reduce_numerical(wf, 1)
 
 
 def reduce_to_pair(wf):
@@ -121,18 +92,18 @@ def reduce_to_pair(wf):
     For N = 3 this is the Hartree + exchange form
     (1/6) [ sum_{i != j} |psi_i(x1)|^2 |psi_j(x2)|^2
            +/- sum_{i != j} psi_i*(x1) psi_j*(x2) psi_j(x1) psi_i(x2) ];
-    for N = 2 the pair density is |Psi|^2 itself.
+    for N = 2 the pair density is |Psi|^2 itself.  Default scheme.
     """
     _require_single_distinct(wf)
-    return _reduced(wf, (0, 1))
+    return reduce_numerical(wf, 2)
 
 
 def reduce_numerical(wf, arity, scheme=None, keep=None):
     """k-particle density of any state, tabulated on the scheme's rule.
 
-    The values on the scheme's rule for ``arity`` dimensions feed
-    entropy integrals; pointwise calls are exact.  ``keep`` selects which
-    coordinates survive (defaults to the first ``arity``); it only
+    The table holds the density at the nodes of the scheme's rule for
+    ``arity`` dimensions; pointwise calls are exact.  ``keep`` selects
+    which coordinates survive (defaults to the first ``arity``); it only
     matters for distinguishable states, whose marginals differ per
     coordinate.  For N = 2, arity 2 is |Psi|^2 itself.
     """
@@ -146,8 +117,13 @@ def reduce_numerical(wf, arity, scheme=None, keep=None):
     if (len(keep) != arity or any(k not in range(n_part) for k in keep)
             or list(keep) != sorted(set(keep))):
         raise ValueError(f"invalid kept-coordinate selection {keep}")
-    domains = wf.domains(n_part)
-    return _reduced(wf, keep, [axis_rule(domains[k], scheme, arity) for k in keep])
+    domains = tuple(wf.domains(n_part)[k] for k in keep)
+    rules = [axis_rule(d, scheme, arity) for d in domains]
+    func = quadrature_marginal(wf, keep)
+    values = func(*np.meshgrid(*(r[0] for r in rules), indexing="ij", sparse=True))
+    return ReducedDensity(arity=arity, space=wf.space, domains=domains, func=func,
+                          grid_weights=tuple(r[1] for r in rules),
+                          grid_values=np.asarray(values, dtype=float))
 
 
 def _default_plot_range(domain):

@@ -40,7 +40,7 @@ import numpy as np
 
 from .densities import quadrature_marginal, reduce_numerical
 from .orbitals import MOMENTUM, POSITION
-from .quadrature import QuadratureScheme, axis_rule, entropy_from_values
+from .quadrature import DENSITY_FLOOR, QuadratureScheme, axis_rule, entropy_from_values
 from .wavefunction import (
     DISTINGUISHABLE,
     Configuration,
@@ -62,8 +62,6 @@ __all__ = [
 ]
 
 ENTROPIC_BOUND = 1.0 + math.log(math.pi)
-
-_LOG_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -126,28 +124,20 @@ def _axis(wf, ndim, scheme):
 
 
 def entropy(density, scheme=None):
-    """-integral d ln d for a ReducedDensity, wavefunction, or |Psi|^2 grid."""
+    """-integral d ln d of a ReducedDensity or of a state's |Psi|^2.
+
+    A ReducedDensity carries its own table, which is integrated as it
+    is; ``scheme`` applies to states (anything with coefficient-tensor
+    ``terms``: a WaveFunction or a superposition).
+    """
+    if not hasattr(density, "terms"):
+        return entropy_from_values(density.grid_values, density.grid_weights)
     scheme = scheme or QuadratureScheme()
-    if isinstance(density, WaveFunction) or hasattr(density, "density_tensor"):
-        wf = density
-        n = wf.nparticles
-        x, w = _axis(wf, n, scheme)
-        if n == 3:
-            return entropy_grid(wf.terms, wf.tables(x), w,
-                                wf.symmetry != DISTINGUISHABLE)
-        vals = wf.density_tensor([x] * n)
-        return entropy_from_values(vals, [w] * n)
-    if getattr(density, "grid_values", None) is not None:
-        return entropy_from_values(density.grid_values,
-                                   list(density.grid_weights))
-    rules = [axis_rule(d, scheme, density.arity) for d in density.domains]
-    coords = [r[0] for r in rules]
-    if density.arity == 1:
-        vals = np.asarray(density(coords[0]), dtype=float)
-    else:
-        vals = np.asarray(density(coords[0][:, None], coords[1][None, :]),
-                          dtype=float)
-    return entropy_from_values(vals, [r[1] for r in rules])
+    if density.nparticles == 2:
+        return entropy(reduce_numerical(density, 2, scheme))
+    x, w = _axis(density, 3, scheme)
+    return entropy_grid(density.terms, density.tables(x), w,
+                        density.symmetry != DISTINGUISHABLE)
 
 
 def _keeps(wf):
@@ -160,12 +150,12 @@ def _keeps(wf):
 def _entropies(wf, scheme):
     """(s1, s2, s3) of a three-particle state on the scheme's rules."""
     ones, pairs = _keeps(wf)
-    s1 = float(np.mean([entropy(reduce_numerical(wf, 1, scheme, keep=k), scheme)
+    s1 = float(np.mean([entropy(reduce_numerical(wf, 1, scheme, keep=k))
                         for k in ones]))
     if len(wf.terms) == 1 and np.count_nonzero(wf.terms[0][1]) == 1:
         # a Hartree product: the joint density factorizes
         return s1, 2.0 * s1, 3.0 * s1
-    s2 = float(np.mean([entropy(reduce_numerical(wf, 2, scheme, keep=k), scheme)
+    s2 = float(np.mean([entropy(reduce_numerical(wf, 2, scheme, keep=k))
                         for k in pairs]))
     return s1, s2, entropy(wf, scheme)
 
@@ -243,8 +233,8 @@ def mutual_information_pair_direct(system, scheme=None):
         raise ValueError("direct pair integral assumes indistinguishable marginals")
     x, w = _axis(wf, 2, scheme)
     gamma, rho = _marginals_at(wf, x)
-    mask = gamma > _LOG_FLOOR
-    denom = np.maximum(np.outer(rho, rho), _LOG_FLOOR)
+    mask = gamma > DENSITY_FLOOR
+    denom = np.maximum(np.outer(rho, rho), DENSITY_FLOOR)
     wmat = np.outer(w, w)
     g = gamma[mask]
     return float(np.sum(wmat[mask] * g * (np.log(g) - np.log(denom[mask]))))
@@ -263,15 +253,15 @@ def mutual_information_higher_direct(system, scheme=None):
         raise ValueError("direct higher-order integral assumes "
                          "indistinguishable marginals")
     x, w = _axis(wf, 3, scheme)
-    d3 = wf.density_tensor([x] * 3, [w] * 3)
+    d3 = wf.density_tensor([x] * 3)
     gamma, rho = _marginals_at(wf, x)
-    log_rho = np.log(np.maximum(rho, _LOG_FLOOR))
-    log_gamma = np.log(np.maximum(gamma, _LOG_FLOOR))
+    log_rho = np.log(np.maximum(rho, DENSITY_FLOOR))
+    log_gamma = np.log(np.maximum(gamma, DENSITY_FLOOR))
     w23 = np.outer(w, w)
     total = 0.0
     for i in range(len(x)):
         d = d3[i]
-        mask = d > _LOG_FLOOR
+        mask = d > DENSITY_FLOOR
         if not mask.any():
             continue
         log_arg = (np.log(np.where(mask, d, 1.0))
@@ -290,7 +280,7 @@ def entropy_sum_check(params, ns, symmetry, scheme=None):
     sums = {}
     for space in (POSITION, MOMENTUM):
         cfg = Configuration(params=params, ns=ns, symmetry=symmetry, space=space)
-        sums[space] = entropy(reduce_numerical(build(cfg), 1, scheme), scheme)
+        sums[space] = entropy(reduce_numerical(build(cfg), 1, scheme))
     total = sums[POSITION] + sums[MOMENTUM]
     return total, ENTROPIC_BOUND, bool(total >= ENTROPIC_BOUND - 1e-9)
 
@@ -311,6 +301,6 @@ def cumulant3(system, scheme=None):
     m1 = float(np.mean([wx @ quadrature_marginal(wf, k)(x) for k in ones]))
     m2 = float(np.mean([wx @ quadrature_marginal(wf, k)(x[:, None], x[None, :]) @ wx
                         for k in pairs]))
-    d3 = wf.density_tensor([x] * 3, [w] * 3)
+    d3 = wf.density_tensor([x] * 3)
     m3 = float(np.einsum("i,j,k,ijk->", wx, wx, wx, d3, optimize=True))
     return m3 - 3.0 * m2 * m1 + 2.0 * m1**3

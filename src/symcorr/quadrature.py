@@ -1,16 +1,14 @@
 """Tensor-product quadrature on finite boxes and the real line.
 
-Composite Gauss-Legendre is the workhorse; a truncated tanh-sinh rule is
-available as an alternative for integrands with stronger endpoint
-singularities.  Infinite domains are handled by the algebraic map
-p = S*u/(1 - u^2), so every integral runs over a finite box internally.
-Error estimates come from comparing two panel-refinement levels.
+Every rule is composite Gauss-Legendre.  Infinite domains are handled by
+the algebraic map p = S*u/(1 - u^2), so every integral runs over a
+finite box internally.  Error estimates come from comparing two
+panel-refinement levels.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +21,6 @@ __all__ = [
     "IntegralResult",
     "NonConvergenceError",
     "gauss_panels",
-    "tanh_sinh_rule",
     "axis_rule",
     "momentum_map",
     "integrate",
@@ -70,14 +67,13 @@ class RealLine:
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Rule family and resolution for the integration engine.
+    """Resolution of the composite Gauss-Legendre rules.
 
     ``panels`` applies to 1D and 2D integrals, ``panels_3d`` to 3D ones;
     the ``line_*`` counts are used on mapped infinite axes.  Node count
     per axis is panels * nodes_per_panel.
     """
 
-    rule: str = "gauss-legendre"  # or "tanh-sinh"
     panels: int = 24
     panels_3d: int = 16
     line_panels: int = 32
@@ -86,8 +82,6 @@ class QuadratureScheme:
     target_abs_tol: float = 5e-5
 
     def __post_init__(self):
-        if self.rule not in ("gauss-legendre", "tanh-sinh"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
         for name in ("panels", "panels_3d", "line_panels", "line_panels_3d", "nodes_per_panel"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -132,19 +126,6 @@ def gauss_panels(a, b, panels, nodes_per_panel):
     return x, wts
 
 
-def tanh_sinh_rule(a, b, n_nodes, t_max=3.2):
-    """Truncated tanh-sinh (double-exponential) rule on [a, b]."""
-    t = np.linspace(-t_max, t_max, n_nodes)
-    h = t[1] - t[0]
-    s = np.sinh(t) * (math.pi / 2)
-    g = np.tanh(s)
-    dg = (math.pi / 2) * np.cosh(t) / np.cosh(s) ** 2
-    half = (b - a) / 2.0
-    x = (a + b) / 2.0 + half * g
-    w = half * dg * h
-    return x, w
-
-
 def momentum_map(u, scale):
     """Map u in (-1, 1) to the real line; returns (p, jacobian).
 
@@ -166,20 +147,16 @@ def axis_rule(domain, scheme, ndim=1):
     and the weights already carry the map jacobian.  Rules are memoised
     and shared between callers, so both arrays are read-only.
     """
-    return _rule(domain, scheme.rule, scheme.panels_for(domain, ndim),
-                 scheme.nodes_per_panel)
+    return _rule(domain, scheme.panels_for(domain, ndim), scheme.nodes_per_panel)
 
 
 @functools.lru_cache(maxsize=64)
-def _rule(domain, rule, panels, nodes_per_panel):
+def _rule(domain, panels, nodes_per_panel):
     if isinstance(domain, Interval):
         a, b = domain.a, domain.b
     else:
         a, b = -1.0, 1.0
-    if rule == "gauss-legendre":
-        x, w = gauss_panels(a, b, panels, nodes_per_panel)
-    else:
-        x, w = tanh_sinh_rule(a, b, panels * nodes_per_panel)
+    x, w = gauss_panels(a, b, panels, nodes_per_panel)
     if isinstance(domain, RealLine):
         x, jac = momentum_map(x, domain.scale)
         w = w * jac
@@ -243,20 +220,12 @@ def entropy_from_values(values, weight_axes):
     ``weight_axes`` is a sequence of per-axis weight vectors matching the
     shape of ``values``.  s1 and s2 come through here; s3 of a
     three-particle state never builds its 3D grid (see
-    ``wavefunction.entropy_grid``), so the 3D branch is kept as the
-    reference the tests compare that kernel against.
+    ``wavefunction.entropy_grid``), and the tests use this function on
+    a full 3D grid as that kernel's reference.
     """
-    d = values
-    if d.ndim != len(weight_axes):
+    if values.ndim != len(weight_axes):
         raise ValueError("weight axes do not match value dimensions")
-    if d.ndim == 3:
-        w0 = weight_axes[0]
-        w12 = np.outer(weight_axes[1], weight_axes[2])
-        total = 0.0
-        for i in range(d.shape[0]):
-            total += w0[i] * float(np.sum(w12 * entropy_integrand(d[i])))
-        return total
-    g = entropy_integrand(d)
+    g = entropy_integrand(values)
     for axis in range(g.ndim - 1, -1, -1):
         g = np.tensordot(g, weight_axes[axis], axes=([axis], [0]))
     return float(g)

@@ -11,9 +11,11 @@ interference on and non-orthogonal components the density is divided by
 Both components are written as coefficient tensors on the union of
 their orbitals, so a superposition is one tensor (c1 C_A + c2 C_B) /
 sqrt(norm) and a mixture a weighted pair of tensors; densities and
-reductions then take the same path as a single configuration.
-``scan_coefficient`` builds each sample's tensor afresh and shares one
-set of orbital tables across all samples.
+reductions then take the same path as a single configuration.  The
+integration domain is set by the union of orbitals, so it does not
+depend on which component is named first.  ``scan_coefficient`` builds
+each sample's tensor afresh and shares one set of orbital tables across
+all samples.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .quadrature import QuadratureScheme
 from .wavefunction import (
     Configuration,
     OrbitalTables,
+    axis_domains,
     build,
     coefficient_tensor,
     density_grid,
@@ -87,7 +90,9 @@ class _CachedMixture:
 
     With interference the state is the single tensor (c1 C_A + c2 C_B) /
     sqrt(norm); without, it is the weighted pair (c1^2, C_A), (c2^2, C_B).
-    ``tables`` may be shared, as the samples of a scan do.
+    ``tables`` may be shared, as the samples of a scan do.  Pointwise
+    ``amplitude`` and ``density`` expand the two components directly,
+    independent of the coefficient tensors.
     """
 
     def __init__(self, spec, tables=None):
@@ -111,6 +116,8 @@ class _CachedMixture:
         else:
             self.terms = tuple((w, c) for w, c in ((self.c1**2, ca),
                                                    (self.c2**2, cb)) if w > 0)
+        self.wf_a = build(a)
+        self.wf_b = build(b)
 
     @property
     def nparticles(self):
@@ -132,28 +139,9 @@ class _CachedMixture:
                 f"and ns={s.state_b.ns} ({self.symmetry}{tag})")
 
     def domains(self, arity=None):
-        return self.spec.state_a.domains(arity)
-
-    def density_tensor(self, axes, weights=None):
-        """|Psi|^2 (or the mixture density) on a tensor grid."""
-        return density_grid(self.terms, [self.tables(ax) for ax in axes])
-
-    def marginal_values(self, keep, coords):
-        """Reduced density of the kept coordinates at broadcastable points."""
-        return reduced_density(self.terms, keep, [self.tables(c) for c in coords])
-
-
-class SuperposedWaveFunction(_CachedMixture):
-    """c1*Psi_A + c2*Psi_B with an optional interference toggle.
-
-    Pointwise ``amplitude`` and ``density`` expand the two components
-    directly, independent of the coefficient tensors.
-    """
-
-    def __init__(self, spec):
-        super().__init__(spec)
-        self.wf_a = build(spec.state_a)
-        self.wf_b = build(spec.state_b)
+        a, b = self.spec.state_a, self.spec.state_b
+        return axis_domains(a.params, a.space, _union_orbitals(a, b),
+                            arity or self.nparticles)
 
     def amplitude(self, *coords):
         if not self.interference:
@@ -171,9 +159,20 @@ class SuperposedWaveFunction(_CachedMixture):
             out = (out + 2.0 * self.c1 * self.c2 * cross) / self.norm_sq
         return out
 
+    def density_tensor(self, axes):
+        """|Psi|^2 (or the mixture density) on a tensor grid."""
+        return density_grid(self.terms, [self.tables(ax) for ax in axes])
+
+    def marginal_values(self, keep, coords):
+        """Reduced density of the kept coordinates at broadcastable points."""
+        return reduced_density(self.terms, keep, [self.tables(c) for c in coords])
+
+
+SuperposedWaveFunction = _CachedMixture
+
 
 def build_superposition(spec):
-    return SuperposedWaveFunction(spec)
+    return _CachedMixture(spec)
 
 
 @dataclass(frozen=True)

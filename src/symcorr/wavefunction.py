@@ -12,9 +12,10 @@ and an interference-free mixture as a weighted list of such tensors.
 entropy of a three-particle density is built and integrated slab by
 slab, without the 3D grid (``entropy_grid``).  The reduced densities
 follow exactly from the reduced density matrices of C, by orbital
-orthonormality, with no quadrature over the integrated coordinates.  ``WaveFunction.amplitude`` keeps the explicit permutation
-expansion as an independent pointwise reference.  Wavefunctions are
-immutable value objects; evaluation is referentially transparent.
+orthonormality, with no quadrature over the integrated coordinates.
+``WaveFunction.amplitude`` keeps the explicit permutation expansion as
+an independent pointwise reference.  Wavefunctions are immutable value
+objects; evaluation is referentially transparent.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "DISTINGUISHABLE",
     "parse_symmetry",
     "Configuration",
+    "axis_domains",
     "WaveFunction",
     "OrbitalTables",
     "coefficient_tensor",
@@ -117,18 +119,27 @@ class Configuration:
 
     def domains(self, arity=None):
         """Per-axis integration domains ([0,L] or mapped real line)."""
-        k = arity or self.nparticles
-        if self.params.kind == "box" and self.space == POSITION:
-            axis = Interval(0.0, self.params.L)
-        elif self.space == POSITION:
-            axis = RealLine(position_domain_scale(self.params, self.ns))
-        else:
-            axis = RealLine(momentum_domain_scale(self.params, self.ns))
-        return [axis] * k
+        return axis_domains(self.params, self.space, self.ns,
+                            arity or self.nparticles)
 
     def orbital_values(self, z):
         """Stack of the N orbital values at coordinate(s) z."""
         return [eval_orbital(self.params, n, self.space, z) for n in self.ns]
+
+
+def axis_domains(params, space, orbitals, arity):
+    """``arity`` copies of the integration domain of states over ``orbitals``.
+
+    The box position axis is [0, L]; every other axis is the real line,
+    mapped with a scale set by the highest orbital.
+    """
+    if params.kind == "box" and space == POSITION:
+        axis = Interval(0.0, params.L)
+    elif space == POSITION:
+        axis = RealLine(position_domain_scale(params, orbitals))
+    else:
+        axis = RealLine(momentum_domain_scale(params, orbitals))
+    return [axis] * arity
 
 
 def _norm_factor(config):
@@ -279,7 +290,10 @@ class WaveFunction:
     """Evaluatable N-particle amplitude for one configuration."""
 
     config: Configuration
-    norm_factor: float
+
+    @property
+    def norm_factor(self):
+        return _norm_factor(self.config)
 
     @property
     def nparticles(self):
@@ -354,9 +368,9 @@ class WaveFunction:
             raise ValueError("one coordinate axis per particle required")
         return _mode_products(self.terms[0][1], [self.tables(ax) for ax in axes])
 
-    def density_tensor(self, axes, weights=None):
-        """|Psi|^2 on a tensor grid; ``weights`` is unused (interface parity)."""
-        return _abs2(self.amplitude_tensor(axes))
+    def density_tensor(self, axes):
+        """|Psi|^2 on the tensor grid spanned by 1D coordinate axes."""
+        return density_grid(self.terms, [self.tables(ax) for ax in axes])
 
     def marginal_values(self, keep, coords):
         """Reduced density of the kept coordinates at broadcastable points."""
@@ -365,7 +379,7 @@ class WaveFunction:
 
 def build(config):
     """Construct the normalized wavefunction for a configuration."""
-    return WaveFunction(config=config, norm_factor=_norm_factor(config))
+    return WaveFunction(config=config)
 
 
 def eval_density(wf, point):

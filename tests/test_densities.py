@@ -11,13 +11,14 @@ from symcorr import (
     ModelParams,
     QuadratureScheme,
     build,
+    entropy,
     export_density_grid,
     reduce_numerical,
     reduce_to_one,
     reduce_to_pair,
 )
 from symcorr.orbitals import MOMENTUM, POSITION
-from symcorr.quadrature import Interval, gauss_panels
+from symcorr.quadrature import Interval, axis_rule, gauss_panels
 from symcorr.superposition import SuperpositionSpec, build_superposition
 
 
@@ -244,3 +245,54 @@ def test_export_density_grid_rejects_significantly_negative(anti_wf):
     shifted = dataclasses.replace(gamma, func=lambda x1, x2: gamma(x1, x2) - 1e-9)
     with pytest.raises(ValueError, match="significantly negative"):
         export_density_grid(shifted, n_points=3)
+
+
+def _table_cases():
+    box = ModelParams.box(1.0)
+    a3 = build(Configuration(box, (1, 2, 3), ANTISYMMETRIC))
+    s2 = build(Configuration(box, (1, 2), SYMMETRIC, MOMENTUM))
+    d3 = build(Configuration(box, (1, 2, 3), DISTINGUISHABLE))
+    default, small = QuadratureScheme(), QuadratureScheme(panels=4, nodes_per_panel=8)
+    return {
+        "to-one-n3": (lambda: reduce_to_one(a3), default),
+        "to-pair-n3": (lambda: reduce_to_pair(a3), default),
+        "to-one-n2-momentum": (lambda: reduce_to_one(s2), default),
+        "to-pair-n2-momentum": (lambda: reduce_to_pair(s2), default),
+        "numerical-n3": (lambda: reduce_numerical(a3, 2, small), small),
+        "numerical-n2-momentum": (lambda: reduce_numerical(s2, 2, small), small),
+        "numerical-d-keep-2": (lambda: reduce_numerical(d3, 1, small, keep=(2,)), small),
+        "numerical-d-keep-0-2": (
+            lambda: reduce_numerical(d3, 2, small, keep=(0, 2)), small),
+    }
+
+
+TABLE_CASES = _table_cases()
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_reduced_density_table_holds_its_values_at_the_rule_nodes(name):
+    # every ReducedDensity is tabulated on the scheme's rule for its arity
+    make, scheme = TABLE_CASES[name]
+    rd = make()
+    rules = [axis_rule(d, scheme, rd.arity) for d in rd.domains]
+    assert len(rd.grid_weights) == rd.arity
+    for (_, w), table_w in zip(rules, rd.grid_weights):
+        assert np.array_equal(w, table_w)
+    pointwise = rd(*np.meshgrid(*(x for x, _ in rules), indexing="ij"))
+    assert rd.grid_values.shape == pointwise.shape
+    assert np.allclose(rd.grid_values, pointwise, rtol=1e-13, atol=1e-14)
+    # box momentum densities fall off only as p^-2, so the mapped rule
+    # integrates them to ~1e-5
+    assert rd.integral() == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("ns", [(1, 2, 3), (1, 2)])
+def test_closed_form_wrappers_are_reduce_numerical_on_the_default_scheme(box, ns):
+    wf = build(Configuration(box, ns, ANTISYMMETRIC))
+    rho, gamma = reduce_to_one(wf), reduce_to_pair(wf)
+    assert entropy(rho) == entropy(reduce_numerical(wf, 1))
+    assert entropy(gamma) == entropy(reduce_numerical(wf, 2))
+    # a density integrates its own table; the scheme applies to states only
+    coarse = QuadratureScheme(panels=2, panels_3d=2, nodes_per_panel=8)
+    assert entropy(rho, coarse) == entropy(rho)
+    assert entropy(gamma, coarse) == entropy(gamma)

@@ -227,3 +227,14 @@ def test_fused_s3_rejects_negative_density(box, sym):
                (-1.0, coefficient_tensor(b, orbitals))))
     with pytest.raises(ValueError, match="significantly negative"):
         entropy(stub, ODD_EVEN_SCHEMES[0])
+
+
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+@pytest.mark.parametrize("sym", [SYMMETRIC, ANTISYMMETRIC, DISTINGUISHABLE])
+def test_two_particle_entropy_matches_full_grid(box, ho, sym, space):
+    scheme = ODD_EVEN_SCHEMES[0]
+    for params, ns in ((box, (1, 2)), (ho, (0, 3))):
+        wf = build(Configuration(params, ns, sym, space))
+        x, w = axis_rule(wf.domains(1)[0], scheme, 2)
+        want = entropy_from_values(wf.density_tensor([x] * 2), [w] * 2)
+        assert abs(entropy(wf, scheme) - want) <= 1e-13

@@ -163,6 +163,29 @@ def test_scan_csv_and_extrema(scheme):
     assert scan.argmin_higher() != 0.5
 
 
+@pytest.mark.parametrize("sym", [SYMMETRIC, ANTISYMMETRIC, DISTINGUISHABLE])
+@pytest.mark.parametrize("model,space,ns_a,ns_b", [
+    ("box", "momentum", (1, 2, 3), (4, 5, 6)),
+    ("ho", "position", (0, 1, 2), (3, 4, 5)),
+])
+def test_superposition_does_not_depend_on_component_order(
+        box, ho, model, space, ns_a, ns_b, sym):
+    # c1 Psi_A + c2 Psi_B at c1^2 = 0.3 is c2 Psi_B + c1 Psi_A at c1^2 = 0.7;
+    # the map scale of its axes comes from the orbitals of both components
+    params = box if model == "box" else ho
+    a = Configuration(params, ns_a, sym, space)
+    b = Configuration(params, ns_b, sym, space)
+    ab = build_superposition(SuperpositionSpec(a, b, math.sqrt(0.3)))
+    ba = build_superposition(SuperpositionSpec(b, a, math.sqrt(0.7)))
+    assert ab.domains(3) == ba.domains(3) == b.domains(3)
+    scheme = QuadratureScheme(panels=8, panels_3d=4, line_panels=8,
+                              line_panels_3d=4)
+    e_ab = compute_report(ab, scheme, with_error=False).entropies
+    e_ba = compute_report(ba, scheme, with_error=False).entropies
+    for name in ("s1", "s2", "s3"):
+        assert abs(getattr(e_ab, name) - getattr(e_ba, name)) < 1e-12, name
+
+
 def test_default_grid():
     assert len(DEFAULT_C1SQ_GRID) == 21
     assert DEFAULT_C1SQ_GRID[0] == 0.0
