@@ -41,6 +41,7 @@ NUMERICAL_ERROR = 3
 
 REPORT_CSV_HEADER = ("system,space,s1,s2,s3,I_pair,I3,I_rho_gamma,"
                      "I_gamma_gamma,I_higher,error_estimate")
+PAIR_CSV_HEADER = "system,space,s1,s2,I_pair"
 
 
 def _parse_ns(text):
@@ -129,13 +130,13 @@ def _emit(text, out_path):
         print(text)
 
 
-def _report_rows_to_text(rows, fmt):
+def _report_rows_to_text(rows, fmt, header=REPORT_CSV_HEADER):
     if fmt == "json":
         return json.dumps(rows, indent=2)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        keys = REPORT_CSV_HEADER.split(",")
+        keys = header.split(",")
         writer.writerow(keys)
         for r in rows:
             writer.writerow(
@@ -147,7 +148,8 @@ def _report_rows_to_text(rows, fmt):
     for r in rows:
         lines.append(f"# {r['system']}  [{r['space']}]")
         for key in ROW_KEYS:
-            lines.append(f"{ROW_LABELS[key]:<14} {r[key]:>12.6f}")
+            if key in r:
+                lines.append(f"{ROW_LABELS[key]:<14} {r[key]:>12.6f}")
         if r.get("error_estimate") is not None:
             lines.append(f"{'(est. error)':<14} {r['error_estimate']:>12.2e}")
     return "\n".join(lines)
@@ -155,6 +157,15 @@ def _report_rows_to_text(rows, fmt):
 
 def _full_report_dict(cfg, scheme):
     return compute_report(cfg, scheme).as_dict()
+
+
+def _pair_report_dict(cfg, scheme, system):
+    wf = build(cfg)
+    s2 = entropy(wf, scheme)
+    s1 = float(np.mean([entropy(reduce_numerical(wf, 1, scheme, keep=(k,)))
+                        for k in range(2)]))
+    return {"system": system, "space": cfg.space, "s1": s1, "s2": s2,
+            "I_pair": 2 * s1 - s2}
 
 
 def cmd_report(args):
@@ -168,18 +179,10 @@ def cmd_report(args):
         if len(ns) == 3:
             rows.append(_full_report_dict(cfg, scheme))
         else:
-            wf = build(cfg)
-            s2 = entropy(wf, scheme)
-            s1 = float(np.mean(
-                [entropy(reduce_numerical(wf, 1, scheme, keep=(k,)))
-                 for k in range(2)]))
-            rows.append({"system": f"{args.model} ns={ns} {sym}",
-                         "space": space, "s1": s1, "s2": s2,
-                         "I_pair": 2 * s1 - s2})
-    if len(ns) == 2:
-        _emit(json.dumps(rows, indent=2), args.out)
-    else:
-        _emit(_report_rows_to_text(rows, args.format), args.out)
+            rows.append(_pair_report_dict(cfg, scheme,
+                                          f"{args.model} ns={ns} {sym}"))
+    header = REPORT_CSV_HEADER if len(ns) == 3 else PAIR_CSV_HEADER
+    _emit(_report_rows_to_text(rows, args.format, header), args.out)
     return 0
 
 

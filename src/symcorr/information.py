@@ -18,10 +18,15 @@ Every state takes one path: s1 and s2 integrate the exact rho and Gamma
 of its coefficient tensor on the scheme's 1D and 2D rules, and s3
 integrates |Psi|^2 on the 3D rule with ``wavefunction.entropy_grid``,
 which builds the density one slab at a time and never holds a 3D array.
-|Psi|^2 of an S/A state, or of any superposition or mixture of S/A
-states, is symmetric under particle exchange, so the kernel then covers
-only the wedge x_j, x_k >= x_i of each slab, with multiplicity weights;
-distinguishable states take the full grid.  For distinguishable
+All three apply the one -d ln d, ``quadrature.entropy_integrand``.  The
+kernel evaluates it once per value the state's symmetries leave
+distinct.  |Psi|^2 of an S/A state, or of any superposition or mixture
+of S/A states, is symmetric under particle exchange, so the kernel
+covers only the sorted sector x_i <= x_j <= x_k, with multiplicities
+6, 3 and 1.  For distinguishable states every orbital's parity about the
+domain centre tells which axis reflections leave |Psi|^2 invariant; the
+kernel folds one axis per independent reflection onto its half of the
+mirror-symmetric rule.  For distinguishable
 (Hartree-type) states the marginals differ per coordinate; s1 and s2
 are then the averages over coordinates/pairs, which reproduces the
 distinguishable-system decomposition of I^3 exactly and keeps the
@@ -39,8 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import quadrature_marginal, reduce_numerical
-from .orbitals import MOMENTUM, POSITION
-from .quadrature import DENSITY_FLOOR, QuadratureScheme, axis_rule, entropy_from_values
+from .orbitals import MOMENTUM, POSITION, orbital_parity
+from .quadrature import (
+    DENSITY_FLOOR,
+    QuadratureScheme,
+    axis_rule,
+    entropy_from_values,
+    mirror_symmetric,
+)
 from .wavefunction import (
     DISTINGUISHABLE,
     Configuration,
@@ -135,9 +146,14 @@ def entropy(density, scheme=None):
     scheme = scheme or QuadratureScheme()
     if density.nparticles == 2:
         return entropy(reduce_numerical(density, 2, scheme))
-    x, w = _axis(density, 3, scheme)
-    return entropy_grid(density.terms, density.tables(x), w,
-                        density.symmetry != DISTINGUISHABLE)
+    domain = density.domains(1)[0]
+    x, w = axis_rule(domain, scheme, 3)
+    t = density.tables
+    # parities about the domain centre, usable only on a mirror-symmetric rule
+    parities = [orbital_parity(t.params, n) for n in t.orbitals] \
+        if mirror_symmetric(domain, x, w) else None
+    return entropy_grid(density.terms, t(x), w,
+                        density.symmetry != DISTINGUISHABLE, parities)
 
 
 def _keeps(wf):

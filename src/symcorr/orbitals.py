@@ -21,6 +21,7 @@ __all__ = [
     "eval_box_momentum",
     "eval_ho",
     "eval_orbital",
+    "orbital_parity",
     "hermite_functions",
     "position_domain_scale",
     "momentum_domain_scale",
@@ -158,6 +159,18 @@ def eval_orbital(params, n, space, z):
             return eval_box_momentum(n, params.L, z)
         raise ValueError(f"unknown space {space!r}")
     return eval_ho(n, params.omega, z, space)
+
+
+def orbital_parity(params, n):
+    """Parity +1 or -1 of orbital n under reflection about the domain centre.
+
+    Box: (-1)^(n+1) about L/2 in position; in momentum
+    phi_n(-p) = (-1)^(n+1) e^{ipL} phi_n(p), the same parity up to a phase
+    shared by all orbitals, which cancels in every |Psi|^2.  Oscillator:
+    (-1)^n about 0 in both spaces.
+    """
+    params.validate_quantum_number(n)
+    return (-1) ** (n + 1) if params.kind == "box" else (-1) ** n
 
 
 def position_domain_scale(params, ns):

@@ -22,6 +22,7 @@ __all__ = [
     "NonConvergenceError",
     "gauss_panels",
     "axis_rule",
+    "mirror_symmetric",
     "momentum_map",
     "integrate",
     "entropy_integrand",
@@ -32,6 +33,8 @@ __all__ = [
 DENSITY_FLOOR = 1e-300
 # quadrature round-off can push densities slightly negative
 NEGATIVE_NOISE_TOL = 1e-12
+# relative round-off allowed in the mirror image of a rule
+MIRROR_RTOL = 1e-12
 
 
 class NonConvergenceError(RuntimeError):
@@ -53,6 +56,10 @@ class Interval:
         if not self.b > self.a:
             raise ValueError(f"empty interval [{self.a}, {self.b}]")
 
+    @property
+    def centre(self):
+        return 0.5 * (self.a + self.b)
+
 
 @dataclass(frozen=True)
 class RealLine:
@@ -63,6 +70,10 @@ class RealLine:
     def __post_init__(self):
         if not self.scale > 0:
             raise ValueError("map scale must be positive")
+
+    @property
+    def centre(self):
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -165,6 +176,17 @@ def _rule(domain, panels, nodes_per_panel):
     return x, w
 
 
+def mirror_symmetric(domain, x, w):
+    """True when x[::-1] = 2c - x and w[::-1] = w, c the domain centre.
+
+    Holds to round-off for every ``axis_rule``; a parity fold of an
+    integrand (``wavefunction.entropy_grid``) is exact only on such a rule.
+    """
+    dx = np.abs(x[::-1] + x - 2.0 * domain.centre)
+    return bool(np.max(dx) <= MIRROR_RTOL * np.max(np.abs(x - domain.centre))
+                and np.all(np.abs(w[::-1] - w) <= MIRROR_RTOL * np.abs(w)))
+
+
 def _tensor_integral(f, domains, scheme):
     ndim = len(domains)
     axes = [axis_rule(d, scheme, ndim) for d in domains]
@@ -202,16 +224,29 @@ def integrate(f, domains, scheme=None, require_tol=False):
     return IntegralResult(value=fine, error_estimate=err, nodes_used=nodes)
 
 
-def entropy_integrand(density_value):
+def entropy_integrand(density_value, out=None):
     """-d*ln(d) with the x*ln(x) -> 0 limit at d = 0; never NaN.
 
-    Small negative values (quadrature noise) are clamped to zero;
-    anything below -1e-12 is rejected.
+    Small negative values (quadrature noise) count as zero; anything
+    below -1e-12 is rejected.  Values below the 1e-300 floor give exactly
+    0.  One ``min()`` check, then ``maximum``, ``log``, ``*=`` and negate
+    run in one buffer: ``out`` (shaped like the density, and not the
+    density itself) when given, so a caller such as the s3 slab kernel
+    reuses it, else a new array.
     """
     d = np.asarray(density_value, dtype=float)
-    if np.any(d < -NEGATIVE_NOISE_TOL):
+    lowest = d.min(initial=np.inf)
+    if lowest < -NEGATIVE_NOISE_TOL:
         raise ValueError("density value significantly negative")
-    return -(d * np.log(np.where(d >= DENSITY_FLOOR, d, 1.0)))
+    if out is None:
+        out = np.empty_like(d)
+    np.maximum(d, DENSITY_FLOOR, out=out)
+    np.log(out, out=out)
+    out *= d
+    np.negative(out, out=out)
+    if lowest < DENSITY_FLOOR:
+        out[d < DENSITY_FLOOR] = 0.0
+    return out
 
 
 def entropy_from_values(values, weight_axes):

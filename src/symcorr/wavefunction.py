@@ -10,7 +10,9 @@ orbitals,
 and an interference-free mixture as a weighted list of such tensors.
 |Psi|^2 on a tensor grid is one mode product per axis (BLAS); the
 entropy of a three-particle density is built and integrated slab by
-slab, without the 3D grid (``entropy_grid``).  The reduced densities
+slab, without the 3D grid (``entropy_grid``), over the sorted sector
+i <= j <= k of an exchange-symmetric density and over the parity-folded
+grid of a distinguishable one (``fold_axes``).  The reduced densities
 follow exactly from the reduced density matrices of C, by orbital
 orthonormality, with no quadrature over the integrated coordinates.
 ``WaveFunction.amplitude`` keeps the explicit permutation expansion as
@@ -50,6 +52,7 @@ __all__ = [
     "coefficient_tensor",
     "density_grid",
     "entropy_grid",
+    "fold_axes",
     "reduced_density",
     "build",
     "eval_density",
@@ -226,36 +229,88 @@ def density_grid(terms, tables):
     return total
 
 
-def entropy_grid(terms, table, weights, symmetric):
+def fold_axes(terms, parities):
+    """Axes of a three-particle density that a parity fold halves.
+
+    ``parities`` holds the parity (+1 or -1) of each orbital of the terms'
+    tensors about the domain centre.  Reflecting a set F of axes
+    multiplies each entry C_abc by the product of its orbitals' parities
+    over F, so every |Psi_t|^2 is invariant when that product is the same
+    on all nonzero entries of each C.  The invariant sets form a group G;
+    the fold keeps the lowest axis of each of its elements, which are the
+    pivots of a basis of G: one axis per independent reflection.
+    """
+    p = np.asarray(parities)
+    # per term: the orbitals' parities of each nonzero entry, one column per axis
+    entries = [p[np.argwhere(c)] for _, c in terms]
+    folds = set()
+    for r in (1, 2, 3):
+        for axes in itertools.combinations(range(3), r):
+            if all(np.unique(e[:, axes].prod(axis=1)).size == 1 for e in entries):
+                folds.add(axes[0])
+    return tuple(sorted(folds))
+
+
+def _folded(table, weights):
+    """The first ceil(n/2) nodes, carrying their mirror nodes' weights."""
+    n = len(weights)
+    h = (n + 1) // 2
+    w = weights[:h] + weights[::-1][:h]
+    if n % 2:
+        w[-1] = weights[h - 1]  # the middle node is its own mirror image
+    return table[:h], w
+
+
+def entropy_grid(terms, table, weights, symmetric, parities):
     """-sum w_i w_j w_k d ln d for d = sum_t w_t |Psi_t|^2, N = 3.
 
     ``table`` holds the orbital values at the nodes of one axis rule,
     used on all three axes, and ``weights`` its weights.  The density is
-    built and consumed one slab x1 = x_i at a time, so no 3D array
-    exists.  With ``symmetric`` the density must be invariant under
-    particle exchange (S/A states, their superpositions and mixtures);
-    slab i then covers only the wedge j, k >= i, with multiplicity
-    3 / (1 + [j = i] + [k = i]).
+    built and consumed one slab at a time, so no 3D array exists, and
+    -d ln d is evaluated once per distinct value the state's symmetries
+    leave:
+
+    - ``symmetric``: the density must be invariant under particle
+      exchange (S/A states, their superpositions and mixtures).  Slab j
+      of the middle coordinate covers the sorted sector i <= j <= k, one
+      rectangle of rows i <= j and columns k >= j, with multiplicity 6
+      inside, 3 on the row i = j and the column k = j, and 1 at their
+      corner: n(n+1)(n+2)/6 nodes.
+    - otherwise, with ``parities`` (the orbitals' parities about the
+      centre of a mirror-symmetric rule), every axis of ``fold_axes``
+      keeps its first ceil(n/2) nodes with the mirror nodes' weights
+      added.  ``parities=None``, for a rule without that symmetry,
+      takes the full grid.
     """
-    slabs = [(w, np.tensordot(table, c, axes=([1], [0]))) for w, c in terms]
+    n = len(weights)
+    if symmetric:
+        # M_j[a, c] = sum_b C_abc t[j, b]
+        slabs = [(w, np.tensordot(table, c, axes=([1], [1]))) for w, c in terms]
+        regions = ((j, table[:j + 1], table[j:], weights[:j + 1], weights[j:])
+                   for j in range(n))
+        outer = weights
+    else:
+        folds = fold_axes(terms, parities) if parities is not None else ()
+        (t0, outer), (t1, w1), (t2, w2) = (
+            _folded(table, weights) if ax in folds else (table, weights)
+            for ax in range(3))
+        slabs = [(w, np.tensordot(t0, c, axes=([1], [0]))) for w, c in terms]
+        regions = ((i, t1, t2, w1, w2) for i in range(len(outer)))
+    buf = np.empty(n * n)
     total = 0.0
-    for i, wi in enumerate(weights):
-        lo = i if symmetric else 0
-        t = table[lo:]
+    for i, rows, cols, vr, vc in regions:
         d = None
         for weight, m in slabs:
-            a = _abs2(t @ m[i] @ t.T)
+            a = _abs2(rows @ m[i] @ cols.T)
             if weight != 1.0:
                 a *= weight
             d = a if d is None else np.add(d, a, out=d)
-        e = entropy_integrand(d)
-        v = weights[lo:]
-        s = v @ e @ v
+        e = entropy_integrand(d, out=buf[:d.size].reshape(d.shape))
+        s = vr @ e @ vc
         if symmetric:
-            # 3 inside the wedge, 3/2 on its faces j = i and k = i, 1 on the diagonal
-            s = 3.0 * s - 1.5 * v[0] * (e[0] @ v + e[:, 0] @ v) \
-                + v[0] * v[0] * e[0, 0]
-        total += wi * s
+            s = 6.0 * s - 3.0 * (vr[-1] * (e[-1] @ vc) + vc[0] * (vr @ e[:, 0])) \
+                + vr[-1] * vc[0] * e[-1, 0]
+        total += outer[i] * s
     return float(total)
 
 

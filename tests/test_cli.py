@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from symcorr.cli import REPORT_CSV_HEADER, build_parser, main
+from symcorr.cli import PAIR_CSV_HEADER, REPORT_CSV_HEADER, build_parser, main
 
 
 def run(capsys, *argv):
@@ -49,13 +49,37 @@ def test_report_csv_format(capsys):
 
 def test_report_two_particles(capsys):
     code, out, err = run(capsys, "report", "--n", "1,2", "--sym", "a",
-                         "--panels", "10")
+                         "--panels", "10", "--format", "json")
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 1
     r = rows[0]
     assert r["I_pair"] == pytest.approx(2 * r["s1"] - r["s2"], abs=1e-12)
     assert r["I_pair"] > 0
+
+
+def test_report_two_particles_csv(capsys):
+    code, out, err = run(capsys, "report", "--n", "1,2", "--sym", "s",
+                         "--space", "both", "--panels", "10", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert out.splitlines()[0] == PAIR_CSV_HEADER
+    assert [r["space"] for r in rows] == ["position", "momentum"]
+    for r in rows:
+        assert r["system"] == "box ns=(1, 2) symmetric"
+        s1, s2, i_pair = (float(r[k]) for k in ("s1", "s2", "I_pair"))
+        assert i_pair == pytest.approx(2 * s1 - s2, abs=1e-10)
+
+
+def test_report_two_particles_table(capsys):
+    code, out, err = run(capsys, "report", "--n", "1,2", "--sym", "a",
+                         "--panels", "10", "--format", "table")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# box ns=(1, 2) antisymmetric  [position]"
+    assert [line.split()[0] for line in lines[1:]] == ["s_x", "s_Gamma", "I_x"]
+    s1, s2, i_pair = (float(line.split()[1]) for line in lines[1:])
+    assert i_pair == pytest.approx(2 * s1 - s2, abs=2e-6)
 
 
 def test_tables_pass_and_output(capsys):

@@ -23,12 +23,13 @@ from symcorr import (
     mutual_information_higher_direct,
     mutual_information_pair_direct,
 )
+from symcorr import wavefunction
 from symcorr.densities import reduce_to_one
-from symcorr.orbitals import MOMENTUM, POSITION
-from symcorr.quadrature import axis_rule, entropy_from_values
+from symcorr.orbitals import MOMENTUM, POSITION, orbital_parity
+from symcorr.quadrature import axis_rule, entropy_from_values, entropy_integrand
 from symcorr.reference_tables import BOX_TABLE, OSCILLATOR_TABLE
 from symcorr.superposition import _CachedMixture
-from symcorr.wavefunction import coefficient_tensor
+from symcorr.wavefunction import coefficient_tensor, entropy_grid, fold_axes
 
 
 @pytest.fixture(scope="module")
@@ -177,13 +178,16 @@ def _kernel_cases():
         ("s112-box-momentum", Configuration(box, (1, 1, 2), SYMMETRIC, MOMENTUM)),
     ]
     cases = [(name, build(cfg)) for name, cfg in pairs]
-    for name, sym, ns_b, interference in (
-            ("a-interfering", ANTISYMMETRIC, (1, 2, 4), True),
-            ("s-mixture", SYMMETRIC, (4, 5, 6), False),
-            ("d-superposition", DISTINGUISHABLE, (4, 5, 6), True)):
-        spec = SuperpositionSpec(Configuration(box, (1, 2, 3), sym),
-                                 Configuration(box, ns_b, sym), math.sqrt(0.4),
-                                 interference)
+    for name, params, space, sym, ns_a, ns_b, interference in (
+            ("a-interfering", box, POSITION, ANTISYMMETRIC, (1, 2, 3), (1, 2, 4), True),
+            ("s-mixture", box, POSITION, SYMMETRIC, (1, 2, 3), (4, 5, 6), False),
+            ("d-superposition", box, POSITION, DISTINGUISHABLE, (1, 2, 3), (4, 5, 6), True),
+            ("d-mixture", box, POSITION, DISTINGUISHABLE, (1, 2, 3), (4, 5, 6), False),
+            ("d-ho-momentum", ho, MOMENTUM, DISTINGUISHABLE, (0, 1, 2), (3, 4, 5), True),
+            ("d-parity-mixed", box, POSITION, DISTINGUISHABLE, (1, 2, 3), (1, 2, 4), True)):
+        spec = SuperpositionSpec(Configuration(params, ns_a, sym, space),
+                                 Configuration(params, ns_b, sym, space),
+                                 math.sqrt(0.4), interference)
         cases.append((name, build_superposition(spec)))
     return cases
 
@@ -197,6 +201,71 @@ def test_fused_s3_matches_full_grid(name, wf, scheme3):
     x, w = axis_rule(wf.domains(1)[0], scheme3, 3)
     want = entropy_from_values(wf.density_tensor([x] * 3), [w] * 3)
     assert abs(entropy(wf, scheme3) - want) < 1e-12
+
+
+def _parities(wf):
+    return [orbital_parity(wf.tables.params, n) for n in wf.tables.orbitals]
+
+
+# D states of KERNEL_CASES -> the axes their parities let the kernel fold
+FOLDS = {
+    # (+,-,+) and (-,+,-) interfere: flips of axes {1,2}, {1,3}, {2,3}
+    "d-superposition": (0, 1),
+    "d-ho-momentum": (0, 1),
+    # each term alone is a product: all eight flips
+    "d-mixture": (0, 1, 2),
+    # (+,-,+) and (+,-,-): the third axis must stay whole
+    "d-parity-mixed": (0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDS))
+def test_fold_axes_of_distinguishable_states(name):
+    wf = dict(KERNEL_CASES)[name]
+    assert fold_axes(wf.terms, _parities(wf)) == FOLDS[name]
+
+
+def test_fold_axes_of_single_configurations(box):
+    wf = build(Configuration(box, (1, 2, 3), DISTINGUISHABLE))
+    assert fold_axes(wf.terms, _parities(wf)) == (0, 1, 2)
+    # a permanent mixes the parities over the axes; only the reflection
+    # of all three, a product over all of (1, 2, 3), leaves it invariant
+    wf = build(Configuration(box, (1, 2, 3), SYMMETRIC))
+    assert fold_axes(wf.terms, _parities(wf)) == (0,)
+
+
+@pytest.fixture
+def integrand_nodes(monkeypatch):
+    """Sizes of the density arrays the s3 kernel passes to -d ln d."""
+    counted = []
+
+    def counting(d, out=None):
+        counted.append(np.size(d))
+        return entropy_integrand(d, out)
+
+    monkeypatch.setattr(wavefunction, "entropy_integrand", counting)
+    return counted
+
+
+@pytest.mark.parametrize("scheme3", ODD_EVEN_SCHEMES, ids=["odd", "even"])
+@pytest.mark.parametrize("name,wf", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_fused_s3_evaluates_each_distinct_value_once(name, wf, scheme3, integrand_nodes):
+    entropy(wf, scheme3)
+    n = len(axis_rule(wf.domains(1)[0], scheme3, 3)[1])
+    if wf.symmetry == DISTINGUISHABLE:
+        f = len(FOLDS[name])
+        want = ((n + 1) // 2) ** f * n ** (3 - f)
+    else:
+        want = n * (n + 1) * (n + 2) // 6
+    assert sum(integrand_nodes) == want
+
+
+def test_fused_s3_full_grid_without_parities(integrand_nodes):
+    wf = dict(KERNEL_CASES)["d-mixture"]
+    x, w = axis_rule(wf.domains(1)[0], ODD_EVEN_SCHEMES[0], 3)
+    full = entropy_grid(wf.terms, wf.tables(x), w, False, None)
+    assert sum(integrand_nodes) == len(w) ** 3
+    assert abs(full - entropy(wf, ODD_EVEN_SCHEMES[0])) < 1e-12
 
 
 def test_fused_s3_builds_no_3d_grid(box, monkeypatch):

@@ -14,6 +14,7 @@ from symcorr.orbitals import (
     eval_orbital,
     hermite_functions,
     momentum_domain_scale,
+    orbital_parity,
     position_domain_scale,
 )
 
@@ -106,6 +107,34 @@ def test_ho_parity():
         v_pos = eval_ho(n, 1.0, y)
         v_neg = eval_ho(n, 1.0, -y)
         assert np.allclose(v_neg, (-1.0) ** n * v_pos, atol=1e-13)
+
+
+def test_position_parity_about_domain_centre():
+    box, ho = ModelParams.box(2.5), ModelParams.oscillator(1.7)
+    z = np.linspace(0.0, 1.25, 41)
+    for params, centre in ((box, 1.25), (ho, 0.0)):
+        for n in range(params.min_quantum_number(), 9):
+            pi_n = orbital_parity(params, n)
+            assert pi_n == ((-1) ** (n + 1) if params.kind == "box" else (-1) ** n)
+            left = eval_orbital(params, n, POSITION, centre - z)
+            right = eval_orbital(params, n, POSITION, centre + z)
+            assert np.max(np.abs(left - pi_n * right)) < 1e-13, (params.kind, n)
+
+
+def test_momentum_parity_up_to_a_common_phase():
+    L = 2.5
+    box, ho = ModelParams.box(L), ModelParams.oscillator(1.7)
+    # includes the removable points p L = n pi of the series branch
+    p = np.concatenate([np.linspace(0.0, 30.0, 61), math.pi * np.arange(1, 9) / L])
+    for n in range(1, 9):
+        got = eval_orbital(box, n, MOMENTUM, -p)
+        want = orbital_parity(box, n) * np.exp(1j * p * L) \
+            * eval_orbital(box, n, MOMENTUM, p)
+        assert np.max(np.abs(got - want)) < 1e-13, n
+    for n in range(9):
+        got = eval_orbital(ho, n, MOMENTUM, -p)
+        want = orbital_parity(ho, n) * eval_orbital(ho, n, MOMENTUM, p)
+        assert np.max(np.abs(got - want)) < 1e-13, n
 
 
 def test_ho_ground_state_values():

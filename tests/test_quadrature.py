@@ -13,6 +13,7 @@ from symcorr.quadrature import (
     entropy_integrand,
     gauss_panels,
     integrate,
+    mirror_symmetric,
     momentum_map,
 )
 
@@ -78,6 +79,30 @@ def test_axis_rule_is_shared_and_read_only():
             arr[0] = 0.0
 
 
+@pytest.mark.parametrize("scheme", [QuadratureScheme(), QuadratureScheme().coarsened()],
+                         ids=["default", "coarsened"])
+@pytest.mark.parametrize("domain,centre", [(Interval(0.0, 1.0), 0.5),
+                                           (Interval(-0.3, 2.2), 0.95),
+                                           (RealLine(1.0), 0.0),
+                                           (RealLine(41.4), 0.0)])
+def test_axis_rules_are_mirror_symmetric_about_the_centre(scheme, domain, centre):
+    assert domain.centre == pytest.approx(centre, abs=1e-15)
+    for ndim in (1, 2, 3):
+        x, w = axis_rule(domain, scheme, ndim)
+        assert np.max(np.abs(x[::-1] - (2 * centre - x))) \
+            <= 1e-12 * np.max(np.abs(x - centre))
+        assert np.max(np.abs(w[::-1] - w) / w) <= 1e-12
+        assert mirror_symmetric(domain, x, w)
+
+
+def test_mirror_symmetric_rejects_skewed_rules():
+    x, w = gauss_panels(0.0, 1.0, 4, 5)
+    assert mirror_symmetric(Interval(0.0, 1.0), x, w)
+    assert not mirror_symmetric(Interval(0.0, 2.0), x, w)
+    assert not mirror_symmetric(Interval(0.0, 1.0), x, w * (1.0 + 1e-6 * x))
+    assert not mirror_symmetric(Interval(0.0, 1.0), x ** 1.01, w)
+
+
 def test_integrate_2d_and_3d_separable():
     val2 = integrate(lambda x, y: np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2,
                      [Interval(0.0, 1.0)] * 2).value
@@ -105,6 +130,19 @@ def test_entropy_integrand_limits_and_noise():
     assert entropy_integrand(np.array([-1e-13]))[0] == 0.0
     with pytest.raises(ValueError):
         entropy_integrand(np.array([-1e-9]))
+
+
+def test_entropy_integrand_floor_and_buffer():
+    d = np.array([[0.5, 1e-301, 0.0], [-1e-13, 5e-324, 2.0]])
+    keep = d.copy()
+    buf = np.full_like(d, np.nan)
+    out = entropy_integrand(d, out=buf)
+    assert out is buf
+    assert np.array_equal(d, keep)
+    # below the 1e-300 floor, noise included, the integrand is exactly 0
+    assert np.all(out[d < 1e-300] == 0.0)
+    assert out[0, 0] == pytest.approx(0.5 * math.log(2.0), rel=1e-15)
+    assert out[1, 2] == pytest.approx(-2.0 * math.log(2.0), rel=1e-15)
 
 
 def test_entropy_from_values_matches_direct_sum():
