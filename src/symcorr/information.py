@@ -23,16 +23,19 @@ kernel evaluates it once per value the state's symmetries leave
 distinct.  |Psi|^2 of an S/A state, or of any superposition or mixture
 of S/A states, is symmetric under particle exchange, so the kernel
 covers only the sorted sector x_i <= x_j <= x_k, with multiplicities
-6, 3 and 1.  For distinguishable states every orbital's parity about the
-domain centre tells which axis reflections leave |Psi|^2 invariant; the
-kernel folds one axis per independent reflection onto its half of the
-mirror-symmetric rule.  For distinguishable
-(Hartree-type) states the marginals differ per coordinate; s1 and s2
-are then the averages over coordinates/pairs, which reproduces the
-distinguishable-system decomposition of I^3 exactly and keeps the
-hierarchy identities intact.  A Hartree product factorizes, so its s2
-and s3 are sums of its 1D entropies and every correlation measure
-vanishes to round-off.  All values are in nats.
+6, 3 and 1.  Every orbital's parity about the domain centre tells which
+axis reflections leave |Psi|^2 invariant.  When the inversion of all
+three axes leaves every term invariant, as for every single S/A
+configuration, it maps the sorted sector onto itself, and the kernel
+runs half of it, on the first half of the mirror-symmetric rule's
+middle coordinate.  For distinguishable states the kernel folds one
+axis per independent reflection onto its half of the rule.  For
+distinguishable (Hartree-type) states the marginals differ per
+coordinate; s1 and s2 are then the averages over coordinates/pairs,
+which reproduces the distinguishable-system decomposition of I^3
+exactly and keeps the hierarchy identities intact.  A Hartree product
+factorizes, so its s2 and s3 are sums of its 1D entropies and every
+correlation measure vanishes to round-off.  All values are in nats.
 """
 
 from __future__ import annotations

@@ -11,10 +11,12 @@ and an interference-free mixture as a weighted list of such tensors.
 |Psi|^2 on a tensor grid is one mode product per axis (BLAS); the
 entropy of a three-particle density is built and integrated slab by
 slab, without the 3D grid (``entropy_grid``), over the sorted sector
-i <= j <= k of an exchange-symmetric density and over the parity-folded
-grid of a distinguishable one (``fold_axes``).  The reduced densities
-follow exactly from the reduced density matrices of C, by orbital
-orthonormality, with no quadrature over the integrated coordinates.
+i <= j <= k of an exchange-symmetric density, halved again when the
+inversion of all three axes leaves every term invariant, and over the
+parity-folded grid of a distinguishable one (``fold_axes``).  The
+reduced densities follow exactly from the reduced density matrices of
+C, by orbital orthonormality, with no quadrature over the integrated
+coordinates.
 ``WaveFunction.amplitude`` keeps the explicit permutation expansion as
 an independent pointwise reference.  Wavefunctions are immutable value
 objects; evaluation is referentially transparent.
@@ -53,6 +55,7 @@ __all__ = [
     "density_grid",
     "entropy_grid",
     "fold_axes",
+    "reflection_invariant",
     "reduced_density",
     "build",
     "eval_density",
@@ -229,36 +232,42 @@ def density_grid(terms, tables):
     return total
 
 
-def fold_axes(terms, parities):
-    """Axes of a three-particle density that a parity fold halves.
+def reflection_invariant(terms, parities, axes):
+    """Whether reflecting ``axes`` leaves every term's |Psi_t|^2 invariant.
 
     ``parities`` holds the parity (+1 or -1) of each orbital of the terms'
-    tensors about the domain centre.  Reflecting a set F of axes
-    multiplies each entry C_abc by the product of its orbitals' parities
-    over F, so every |Psi_t|^2 is invariant when that product is the same
-    on all nonzero entries of each C.  The invariant sets form a group G;
-    the fold keeps the lowest axis of each of its elements, which are the
-    pivots of a basis of G: one axis per independent reflection.
+    tensors about the domain centre.  Reflecting the axes multiplies each
+    entry C_abc by the product of its orbitals' parities over them, so
+    |Psi_t|^2 is invariant when that product is the same on all nonzero
+    entries of C_t.
     """
     p = np.asarray(parities)
     # per term: the orbitals' parities of each nonzero entry, one column per axis
-    entries = [p[np.argwhere(c)] for _, c in terms]
-    folds = set()
-    for r in (1, 2, 3):
-        for axes in itertools.combinations(range(3), r):
-            if all(np.unique(e[:, axes].prod(axis=1)).size == 1 for e in entries):
-                folds.add(axes[0])
-    return tuple(sorted(folds))
+    return all(np.unique(p[np.argwhere(c)][:, axes].prod(axis=1)).size == 1
+               for _, c in terms)
 
 
-def _folded(table, weights):
-    """The first ceil(n/2) nodes, carrying their mirror nodes' weights."""
+def fold_axes(terms, parities):
+    """Axes of a three-particle density that a parity fold halves.
+
+    The sets of axes whose reflection leaves the density invariant
+    (``reflection_invariant``) form a group G; the fold keeps the lowest
+    axis of each of its elements, which are the pivots of a basis of G:
+    one axis per independent reflection.
+    """
+    return tuple(sorted({axes[0] for r in (1, 2, 3)
+                         for axes in itertools.combinations(range(3), r)
+                         if reflection_invariant(terms, parities, axes)}))
+
+
+def _folded(weights):
+    """Weights of the first ceil(n/2) nodes, carrying their mirror nodes'."""
     n = len(weights)
     h = (n + 1) // 2
     w = weights[:h] + weights[::-1][:h]
     if n % 2:
         w[-1] = weights[h - 1]  # the middle node is its own mirror image
-    return table[:h], w
+    return w
 
 
 def entropy_grid(terms, table, weights, symmetric, parities):
@@ -275,7 +284,10 @@ def entropy_grid(terms, table, weights, symmetric, parities):
       of the middle coordinate covers the sorted sector i <= j <= k, one
       rectangle of rows i <= j and columns k >= j, with multiplicity 6
       inside, 3 on the row i = j and the column k = j, and 1 at their
-      corner: n(n+1)(n+2)/6 nodes.
+      corner: n(n+1)(n+2)/6 nodes.  With ``parities``, when the
+      inversion of all three axes leaves every term invariant, it maps
+      slab j onto slab n-1-j, so only the first ceil(n/2) slabs run,
+      carrying their mirror slabs' weights: half the sector.
     - otherwise, with ``parities`` (the orbitals' parities about the
       centre of a mirror-symmetric rule), every axis of ``fold_axes``
       keeps its first ceil(n/2) nodes with the mirror nodes' weights
@@ -286,13 +298,16 @@ def entropy_grid(terms, table, weights, symmetric, parities):
     if symmetric:
         # M_j[a, c] = sum_b C_abc t[j, b]
         slabs = [(w, np.tensordot(table, c, axes=([1], [1]))) for w, c in terms]
+        inverted = parities is not None and \
+            reflection_invariant(terms, parities, (0, 1, 2))
+        outer = _folded(weights) if inverted else weights
         regions = ((j, table[:j + 1], table[j:], weights[:j + 1], weights[j:])
-                   for j in range(n))
-        outer = weights
+                   for j in range(len(outer)))
     else:
         folds = fold_axes(terms, parities) if parities is not None else ()
+        half = _folded(weights)
         (t0, outer), (t1, w1), (t2, w2) = (
-            _folded(table, weights) if ax in folds else (table, weights)
+            (table[:len(half)], half) if ax in folds else (table, weights)
             for ax in range(3))
         slabs = [(w, np.tensordot(t0, c, axes=([1], [0]))) for w, c in terms]
         regions = ((i, t1, t2, w1, w2) for i in range(len(outer)))
@@ -319,7 +334,9 @@ def reduced_density(terms, keep, tables):
 
     The reduced density matrix D = sum_t w_t tr_rest(C_t* C_t) is
     contracted with q(x) = conj(phi(x)) (x) phi(x) on each kept axis;
-    ``tables`` holds the orbital values at the kept coordinates.
+    ``tables`` holds the orbital values at the kept coordinates.  Two
+    tables on an outer grid, (n, 1) and (1, m) points, take one matrix
+    product for the second contraction.
     """
     k = len(keep)
     d = 0.0
@@ -334,6 +351,9 @@ def reduced_density(terms, keep, tables):
     qs = [(np.conj(t)[..., :, None] * t[..., None, :]).reshape(t.shape[:-1] + (-1,))
           for t in tables]
     vals = qs[0] @ kmat
+    if k == 2 and vals.ndim == qs[1].ndim == 3 \
+            and vals.shape[1] == qs[1].shape[0] == 1:
+        return (vals[:, 0, :] @ qs[1][0].T).real
     for q in qs[1:]:
         vals = np.einsum("...pq,...p->...q",
                          vals.reshape(vals.shape[:-1] + (r * r, -1)), q)

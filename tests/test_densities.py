@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -252,6 +253,10 @@ def _table_cases():
     a3 = build(Configuration(box, (1, 2, 3), ANTISYMMETRIC))
     s2 = build(Configuration(box, (1, 2), SYMMETRIC, MOMENTUM))
     d3 = build(Configuration(box, (1, 2, 3), DISTINGUISHABLE))
+    # complex tables and an off-diagonal reduced density matrix
+    a_mom = build_superposition(SuperpositionSpec(
+        Configuration(box, (1, 2, 3), ANTISYMMETRIC, MOMENTUM),
+        Configuration(box, (1, 2, 4), ANTISYMMETRIC, MOMENTUM), math.sqrt(0.4)))
     default, small = QuadratureScheme(), QuadratureScheme(panels=4, nodes_per_panel=8)
     return {
         "to-one-n3": (lambda: reduce_to_one(a3), default),
@@ -263,6 +268,8 @@ def _table_cases():
         "numerical-d-keep-2": (lambda: reduce_numerical(d3, 1, small, keep=(2,)), small),
         "numerical-d-keep-0-2": (
             lambda: reduce_numerical(d3, 2, small, keep=(0, 2)), small),
+        "numerical-interfering-momentum": (
+            lambda: reduce_numerical(a_mom, 2, small), small),
     }
 
 

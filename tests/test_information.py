@@ -29,7 +29,12 @@ from symcorr.orbitals import MOMENTUM, POSITION, orbital_parity
 from symcorr.quadrature import axis_rule, entropy_from_values, entropy_integrand
 from symcorr.reference_tables import BOX_TABLE, OSCILLATOR_TABLE
 from symcorr.superposition import _CachedMixture
-from symcorr.wavefunction import coefficient_tensor, entropy_grid, fold_axes
+from symcorr.wavefunction import (
+    coefficient_tensor,
+    entropy_grid,
+    fold_axes,
+    reflection_invariant,
+)
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +239,20 @@ def test_fold_axes_of_single_configurations(box):
     assert fold_axes(wf.terms, _parities(wf)) == (0,)
 
 
+# S/A states of KERNEL_CASES whose every term the inversion of all three
+# axes leaves invariant: the kernel runs the first ceil(n/2) slabs only
+INVERTED = {"s-box", "a-box", "s-ho", "a-ho", "a-box-momentum",
+            "s112-box-momentum", "s-mixture"}
+EXCHANGE_SYMMETRIC = [c for c in KERNEL_CASES if c[1].symmetry != DISTINGUISHABLE]
+
+
+@pytest.mark.parametrize("name,wf", EXCHANGE_SYMMETRIC,
+                         ids=[c[0] for c in EXCHANGE_SYMMETRIC])
+def test_inversion_invariance_of_exchange_symmetric_states(name, wf):
+    assert reflection_invariant(wf.terms, _parities(wf), (0, 1, 2)) == \
+        (name in INVERTED)
+
+
 @pytest.fixture
 def integrand_nodes(monkeypatch):
     """Sizes of the density arrays the s3 kernel passes to -d ln d."""
@@ -255,9 +274,29 @@ def test_fused_s3_evaluates_each_distinct_value_once(name, wf, scheme3, integran
     if wf.symmetry == DISTINGUISHABLE:
         f = len(FOLDS[name])
         want = ((n + 1) // 2) ** f * n ** (3 - f)
+    elif name in INVERTED:
+        # slab j of the sorted sector holds (j + 1)(n - j) nodes
+        want = sum((j + 1) * (n - j) for j in range((n + 1) // 2))
     else:
         want = n * (n + 1) * (n + 2) // 6
     assert sum(integrand_nodes) == want
+
+
+@pytest.mark.parametrize("sym", [SYMMETRIC, ANTISYMMETRIC])
+def test_inversion_halves_only_the_scan_endpoints(box, sym, integrand_nodes):
+    # C_A over (1, 2, 3) and C_B over (4, 5, 6) have opposite inversion
+    # parity, so only the samples made of one of them fold
+    a = Configuration(box, (1, 2, 3), sym)
+    b = Configuration(box, (4, 5, 6), sym)
+    scheme3 = ODD_EVEN_SCHEMES[0]
+    n = len(axis_rule(a.domains(1)[0], scheme3, 3)[1])
+    for c1sq, folds in ((0.0, True), (0.5, False), (1.0, True)):
+        wf = build_superposition(SuperpositionSpec(a, b, math.sqrt(c1sq)))
+        assert reflection_invariant(wf.terms, _parities(wf), (0, 1, 2)) == folds
+        integrand_nodes.clear()
+        entropy(wf, scheme3)
+        slabs = (n + 1) // 2 if folds else n
+        assert sum(integrand_nodes) == sum((j + 1) * (n - j) for j in range(slabs))
 
 
 def test_fused_s3_full_grid_without_parities(integrand_nodes):
