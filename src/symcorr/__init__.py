@@ -48,6 +48,7 @@ from .information import (
     EntropyTriple,
     InformationReport,
     compute_report,
+    compute_reports,
     cumulant3,
     entropy,
     entropy_sum_check,

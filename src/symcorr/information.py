@@ -18,12 +18,12 @@ Every state takes one path: s1 and s2 integrate the exact rho and Gamma
 of its coefficient tensor on the scheme's 1D and 2D rules, and s3
 integrates |Psi|^2 on the 3D rule with ``wavefunction.entropy_grid``,
 which builds the density one slab at a time and never holds a 3D array.
-All three apply the one -d ln d, ``quadrature.entropy_integrand``.  The
-kernel evaluates it once per value the state's symmetries leave
-distinct.  |Psi|^2 of an S/A state, or of any superposition or mixture
-of S/A states, is symmetric under particle exchange, so the kernel
-covers only the sorted sector x_i <= x_j <= x_k, with multiplicities
-6, 3 and 1.  Every orbital's parity about the domain centre tells which
+All three apply the one d ln d, ``quadrature._d_ln_d``, and negate the
+reduced sum.  The kernel evaluates it once per value the state's
+symmetries leave distinct.  |Psi|^2 of an S/A state, or of any
+superposition or mixture of S/A states, is symmetric under particle
+exchange, so the kernel covers only the sorted sector
+x_i <= x_j <= x_k, with multiplicities 6, 3 and 1.  Every orbital's parity about the domain centre tells which
 axis reflections leave |Psi|^2 invariant.  When the inversion of all
 three axes leaves every term invariant, as for every single S/A
 configuration, it maps the sorted sector onto itself, and the kernel
@@ -35,7 +35,11 @@ coordinate; s1 and s2 are then the averages over coordinates/pairs,
 which reproduces the distinguishable-system decomposition of I^3
 exactly and keeps the hierarchy identities intact.  A Hartree product
 factorizes, so its s2 and s3 are sums of its 1D entropies and every
-correlation measure vanishes to round-off.  All values are in nats.
+correlation measure vanishes to round-off.  ``compute_reports`` takes
+many states at once, such as the c1^2 samples of a scan: those on the
+same orbitals whose symmetries leave the same kernel region get their
+s3 from one pass over the slabs, which builds each slab once for all
+of them.  All values are in nats.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .wavefunction import (
     WaveFunction,
     build,
     entropy_grid,
+    slab_folds,
 )
 
 __all__ = [
@@ -68,6 +73,7 @@ __all__ = [
     "InformationReport",
     "entropy",
     "compute_report",
+    "compute_reports",
     "mutual_information_pair_direct",
     "mutual_information_higher_direct",
     "entropy_sum_check",
@@ -149,14 +155,44 @@ def entropy(density, scheme=None):
     scheme = scheme or QuadratureScheme()
     if density.nparticles == 2:
         return entropy(reduce_numerical(density, 2, scheme))
-    domain = density.domains(1)[0]
-    x, w = axis_rule(domain, scheme, 3)
-    t = density.tables
-    # parities about the domain centre, usable only on a mirror-symmetric rule
-    parities = [orbital_parity(t.params, n) for n in t.orbitals] \
-        if mirror_symmetric(domain, x, w) else None
-    return entropy_grid(density.terms, t(x), w,
-                        density.symmetry != DISTINGUISHABLE, parities)
+    return _s3([density], scheme)[0]
+
+
+def _s3(states, scheme):
+    """s3 of three-particle states, one kernel pass per group of them.
+
+    States on the same orbitals and 3D rule, whose symmetries leave the
+    same kernel region (``slab_folds``, tested once per state) and which
+    have as many terms, form a group.  Each term's tensors are stacked
+    along a sample axis, or passed once when every state of the group
+    has the same one, and ``entropy_grid`` runs the group's slabs once.
+    """
+    groups = {}
+    for k, st in enumerate(states):
+        domain = st.domains(1)[0]
+        x, w = axis_rule(domain, scheme, 3)
+        t = st.tables
+        symmetric = st.symmetry != DISTINGUISHABLE
+        # parities about the domain centre, usable only on a mirror-symmetric rule
+        parities = [orbital_parity(t.params, n) for n in t.orbitals] \
+            if mirror_symmetric(domain, x, w) else None
+        key = (t.params, t.space, t.orbitals, domain, symmetric,
+               slab_folds(st.terms, symmetric, parities), len(st.terms))
+        groups.setdefault(key, []).append(k)
+    s3 = [0.0] * len(states)
+    for (*_, domain, symmetric, folds, nterms), members in groups.items():
+        terms = []
+        for j in range(nterms):
+            cs = [states[k].terms[j][1] for k in members]
+            shared = all(np.array_equal(c, cs[0]) for c in cs[1:])
+            terms.append((np.array([states[k].terms[j][0] for k in members]),
+                          cs[0] if shared else np.stack(cs)))
+        x, w = axis_rule(domain, scheme, 3)
+        vals = entropy_grid(terms, states[members[0]].tables(x), w,
+                            symmetric, None, folds)
+        for k, v in zip(members, vals):
+            s3[k] = float(v)
+    return s3
 
 
 def _keeps(wf):
@@ -166,27 +202,25 @@ def _keeps(wf):
     return [(0,)], [(0, 1)]
 
 
-def _entropies(wf, scheme):
-    """(s1, s2, s3) of a three-particle state on the scheme's rules."""
-    ones, pairs = _keeps(wf)
-    s1 = float(np.mean([entropy(reduce_numerical(wf, 1, scheme, keep=k))
-                        for k in ones]))
-    if len(wf.terms) == 1 and np.count_nonzero(wf.terms[0][1]) == 1:
-        # a Hartree product: the joint density factorizes
-        return s1, 2.0 * s1, 3.0 * s1
-    s2 = float(np.mean([entropy(reduce_numerical(wf, 2, scheme, keep=k))
-                        for k in pairs]))
-    return s1, s2, entropy(wf, scheme)
+def _entropies(wfs, scheme):
+    """(s1, s2, s3) of each three-particle state on the scheme's rules."""
+    def mean_entropy(wf, keeps):
+        return float(np.mean([entropy(reduce_numerical(wf, len(k), scheme, keep=k))
+                              for k in keeps]))
 
-
-def _entropy_triple(wf, scheme, with_error=True):
-    s1, s2, s3 = _entropies(wf, scheme)
-    err = None
-    if with_error:
-        c1, c2, c3 = _entropies(wf, scheme.coarsened())
-        err = max(abs(s1 - c1), abs(s2 - c2), abs(s3 - c3))
-    return EntropyTriple(s1=s1, s2=s2, s3=s3, space=wf.space,
-                         error_estimate=err)
+    out = []
+    for wf in wfs:
+        ones, pairs = _keeps(wf)
+        s1 = mean_entropy(wf, ones)
+        if len(wf.terms) == 1 and np.count_nonzero(wf.terms[0][1]) == 1:
+            # a Hartree product: the joint density factorizes
+            out.append((s1, 2.0 * s1, 3.0 * s1))
+        else:
+            out.append((s1, mean_entropy(wf, pairs), None))
+    rest = [k for k, e in enumerate(out) if e[2] is None]
+    for k, s3 in zip(rest, _s3([wfs[k] for k in rest], scheme)):
+        out[k] = out[k][:2] + (s3,)
+    return out
 
 
 def _describe(wf):
@@ -198,20 +232,10 @@ def _describe(wf):
     return getattr(wf, "label", "superposition")
 
 
-def compute_report(system, scheme=None, with_error=True):
-    """Full InformationReport for a three-particle system.
-
-    ``system`` is a Configuration, a WaveFunction, or a superposition
-    (``build_superposition``).  Pair mutual information in
-    [-tol, 0) from quadrature noise is clamped to zero with a warning;
-    larger negative values raise.
-    """
-    scheme = scheme or QuadratureScheme()
-    wf = _as_wavefunction(system)
-    if wf.nparticles != 3:
-        raise ValueError("information reports are defined for 3-particle systems")
-    tri = _entropy_triple(wf, scheme, with_error)
-    s1, s2, s3 = tri.s1, tri.s2, tri.s3
+def _report(wf, fine, coarse, scheme):
+    s1, s2, s3 = fine
+    err = None if coarse is None else \
+        max(abs(s1 - coarse[0]), abs(s2 - coarse[1]), abs(s3 - coarse[2]))
     i_pair = 2 * s1 - s2
     if i_pair < 0:
         if i_pair < -scheme.target_abs_tol:
@@ -223,7 +247,8 @@ def compute_report(system, scheme=None, with_error=True):
                           f"(quadrature noise {i_pair:.3e})")
         i_pair = 0.0
     return InformationReport(
-        entropies=tri,
+        entropies=EntropyTriple(s1=s1, s2=s2, s3=s3, space=wf.space,
+                                error_estimate=err),
         i_pair=i_pair,
         i_total3=3 * s1 - s3,
         i_one_pair=s1 + s2 - s3,
@@ -232,6 +257,33 @@ def compute_report(system, scheme=None, with_error=True):
         space=wf.space,
         system=_describe(wf),
     )
+
+
+def compute_reports(systems, scheme=None, with_error=True):
+    """InformationReports of three-particle systems, their s3 batched.
+
+    Each system is a Configuration, a WaveFunction, or a superposition
+    (``build_superposition``).  s1 and s2 are computed per system; s3 of
+    the systems that share orbitals, rule and kernel region comes from
+    one pass over the slabs (``_s3``), such as the c1^2 samples of a
+    scan.  With ``with_error`` the coarse level runs the same way.  Pair
+    mutual information in [-tol, 0) from quadrature noise is clamped to
+    zero with a warning; larger negative values raise, and so does any
+    failing system, for the whole batch.
+    """
+    scheme = scheme or QuadratureScheme()
+    wfs = [_as_wavefunction(s) for s in systems]
+    if any(wf.nparticles != 3 for wf in wfs):
+        raise ValueError("information reports are defined for 3-particle systems")
+    fine = _entropies(wfs, scheme)
+    coarse = _entropies(wfs, scheme.coarsened()) if with_error \
+        else [None] * len(wfs)
+    return [_report(*args, scheme) for args in zip(wfs, fine, coarse)]
+
+
+def compute_report(system, scheme=None, with_error=True):
+    """Full InformationReport for one system: ``compute_reports([system])[0]``."""
+    return compute_reports([system], scheme, with_error)[0]
 
 
 def _marginals_at(wf, x):

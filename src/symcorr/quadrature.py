@@ -224,29 +224,38 @@ def integrate(f, domains, scheme=None, require_tol=False):
     return IntegralResult(value=fine, error_estimate=err, nodes_used=nodes)
 
 
+def _d_ln_d(d, out):
+    """d*ln(d) of a float array, in ``out``: the one d ln d of s1, s2 and s3.
+
+    The values of ``entropy_integrand``, not negated: callers negate the
+    reduced sum instead, which is exact.  One ``min()`` check rejects
+    values below -1e-12; ``log`` runs on ``d`` itself unless some value is
+    below the 1e-300 floor, in which case the floor is taken first and
+    those nodes are set to exactly 0 afterwards.  ``out`` must not be
+    ``d``: the s3 slab kernel passes its reused buffer.
+    """
+    lowest = d.min(initial=np.inf)
+    if lowest < -NEGATIVE_NOISE_TOL:
+        raise ValueError("density value significantly negative")
+    floored = lowest < DENSITY_FLOOR
+    np.log(np.maximum(d, DENSITY_FLOOR, out=out) if floored else d, out=out)
+    out *= d
+    if floored:
+        out[d < DENSITY_FLOOR] = 0.0
+    return out
+
+
 def entropy_integrand(density_value, out=None):
     """-d*ln(d) with the x*ln(x) -> 0 limit at d = 0; never NaN.
 
     Small negative values (quadrature noise) count as zero; anything
     below -1e-12 is rejected.  Values below the 1e-300 floor give exactly
-    0.  One ``min()`` check, then ``maximum``, ``log``, ``*=`` and negate
-    run in one buffer: ``out`` (shaped like the density, and not the
-    density itself) when given, so a caller such as the s3 slab kernel
-    reuses it, else a new array.
+    0.  The negation of ``_d_ln_d``, in ``out`` (shaped like the density,
+    and not the density itself) when given, else in a new array.
     """
     d = np.asarray(density_value, dtype=float)
-    lowest = d.min(initial=np.inf)
-    if lowest < -NEGATIVE_NOISE_TOL:
-        raise ValueError("density value significantly negative")
-    if out is None:
-        out = np.empty_like(d)
-    np.maximum(d, DENSITY_FLOOR, out=out)
-    np.log(out, out=out)
-    out *= d
-    np.negative(out, out=out)
-    if lowest < DENSITY_FLOOR:
-        out[d < DENSITY_FLOOR] = 0.0
-    return out
+    out = _d_ln_d(d, np.empty_like(d) if out is None else out)
+    return np.negative(out, out=out)
 
 
 def entropy_from_values(values, weight_axes):
@@ -260,7 +269,8 @@ def entropy_from_values(values, weight_axes):
     """
     if values.ndim != len(weight_axes):
         raise ValueError("weight axes do not match value dimensions")
-    g = entropy_integrand(values)
+    values = np.asarray(values, dtype=float)
+    g = _d_ln_d(values, np.empty_like(values))
     for axis in range(g.ndim - 1, -1, -1):
         g = np.tensordot(g, weight_axes[axis], axes=([axis], [0]))
-    return float(g)
+    return -float(g)

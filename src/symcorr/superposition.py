@@ -14,8 +14,10 @@ sqrt(norm) and a mixture a weighted pair of tensors; densities and
 reductions then take the same path as a single configuration.  The
 integration domain is set by the union of orbitals, so it does not
 depend on which component is named first.  ``scan_coefficient`` builds
-each sample's tensor afresh and shares one set of orbital tables across
-all samples.
+each sample's tensor on one set of orbital tables shared by all samples
+and computes the whole curve in one ``compute_reports`` call, so s3 of
+the samples whose symmetries leave the same region comes from one pass
+over the slabs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .information import compute_report
+from .information import compute_report, compute_reports
 from .quadrature import QuadratureScheme
 from .wavefunction import (
     Configuration,
@@ -217,9 +219,10 @@ def scan_coefficient(spec_template, c1sq_samples=DEFAULT_C1SQ_GRID,
     """Scan c1^2 over the given samples, one InformationReport each.
 
     Every sample builds its coefficient tensor from the two components,
-    on one set of orbital tables shared by all samples.  Per-sample
-    failures are collected in ``errors``; the remaining samples are
-    still returned.
+    on one set of orbital tables shared by all samples, and all samples
+    are reported together (``compute_reports``).  If that raises, the
+    samples are rerun one by one: per-sample failures are collected in
+    ``errors``, and the remaining samples are still returned.
     """
     scheme = scheme or QuadratureScheme()
     samples = sorted(float(c) for c in c1sq_samples)
@@ -230,18 +233,21 @@ def scan_coefficient(spec_template, c1sq_samples=DEFAULT_C1SQ_GRID,
 
     a, b = spec_template.state_a, spec_template.state_b
     tables = OrbitalTables(a.params, a.space, _union_orbitals(a, b))
+    mixes = [_CachedMixture(SuperpositionSpec(a, b, math.sqrt(c1sq),
+                                              spec_template.interference), tables)
+             for c1sq in samples]
 
     results = []
     errors = []
-    for c1sq in samples:
-        spec = SuperpositionSpec(a, b, math.sqrt(c1sq),
-                                 spec_template.interference)
-        mix = _CachedMixture(spec, tables)
-        try:
-            rep = compute_report(mix, scheme, with_error=with_error)
-        except Exception as exc:  # keep partial scan results
-            errors.append((c1sq, str(exc)))
-            continue
-        results.append((c1sq, rep))
+    try:
+        results = list(zip(samples, compute_reports(mixes, scheme, with_error)))
+    except Exception:  # a failing sample fails the batch: find it
+        for c1sq, mix in zip(samples, mixes):
+            try:
+                rep = compute_report(mix, scheme, with_error=with_error)
+            except Exception as exc:  # keep partial scan results
+                errors.append((c1sq, str(exc)))
+                continue
+            results.append((c1sq, rep))
     return ScanResult(samples=tuple(results), errors=tuple(errors),
                       spec=spec_template, scheme=scheme)

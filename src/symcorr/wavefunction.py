@@ -9,11 +9,12 @@ orbitals,
 
 and an interference-free mixture as a weighted list of such tensors.
 |Psi|^2 on a tensor grid is one mode product per axis (BLAS); the
-entropy of a three-particle density is built and integrated slab by
-slab, without the 3D grid (``entropy_grid``), over the sorted sector
-i <= j <= k of an exchange-symmetric density, halved again when the
-inversion of all three axes leaves every term invariant, and over the
-parity-folded grid of a distinguishable one (``fold_axes``).  The
+entropy of a three-particle density, or of a stack of them such as the
+samples of a scan, is built and integrated slab by slab, without the
+3D grid (``entropy_grid``), over the sorted sector i <= j <= k of an
+exchange-symmetric density, halved again when the inversion of all
+three axes leaves every term invariant, and over the parity-folded
+grid of a distinguishable one (``fold_axes``).  The
 reduced densities follow exactly from the reduced density matrices of
 C, by orbital orthonormality, with no quadrature over the integrated
 coordinates.
@@ -40,7 +41,7 @@ from .orbitals import (
     momentum_domain_scale,
     position_domain_scale,
 )
-from .quadrature import Interval, RealLine, entropy_integrand
+from .quadrature import Interval, RealLine, _d_ln_d
 
 __all__ = [
     "SYMMETRIC",
@@ -55,6 +56,7 @@ __all__ = [
     "density_grid",
     "entropy_grid",
     "fold_axes",
+    "slab_folds",
     "reflection_invariant",
     "reduced_density",
     "build",
@@ -260,6 +262,25 @@ def fold_axes(terms, parities):
                          if reflection_invariant(terms, parities, axes)}))
 
 
+def slab_folds(terms, symmetric, parities):
+    """Axes that ``entropy_grid`` runs on their first half only.
+
+    Axis 0 is the slab axis.  For the sorted sector of an exchange-
+    symmetric density (``symmetric``) it is (0,) when the inversion of
+    all three axes leaves every term invariant, else ().  Otherwise it is
+    ``fold_axes``.  ``parities=None``, for a rule without mirror symmetry,
+    gives ().  Each sample of a stacked tensor counts as a term of its
+    own, so a fold holds for every sample.
+    """
+    if parities is None:
+        return ()
+    flat = [(None, c) for _, cs in terms
+            for c in np.reshape(cs, (-1,) + np.shape(cs)[-3:])]
+    if symmetric:
+        return (0,) if reflection_invariant(flat, parities, (0, 1, 2)) else ()
+    return fold_axes(flat, parities)
+
+
 def _folded(weights):
     """Weights of the first ceil(n/2) nodes, carrying their mirror nodes'."""
     n = len(weights)
@@ -270,63 +291,102 @@ def _folded(weights):
     return w
 
 
-def entropy_grid(terms, table, weights, symmetric, parities):
+def entropy_grid(terms, table, weights, symmetric, parities, folds=None):
     """-sum w_i w_j w_k d ln d for d = sum_t w_t |Psi_t|^2, N = 3.
 
     ``table`` holds the orbital values at the nodes of one axis rule,
-    used on all three axes, and ``weights`` its weights.  The density is
-    built and consumed one slab at a time, so no 3D array exists, and
+    used on all three axes, and ``weights`` its weights.  A term's C may
+    carry a leading axis of S samples, such as the c1^2 samples of a
+    scan, with its weight then of shape (S,); a C without it is shared by
+    all samples.  The kernel then returns s3 of every sample, (S,), from
+    one pass over the slabs; a plain state returns a float.  The density
+    is built and consumed one slab at a time, so no 3D array exists, and
     -d ln d is evaluated once per distinct value the state's symmetries
-    leave:
+    leave, the region ``folds`` (``slab_folds``, computed here when None)
+    sets:
 
     - ``symmetric``: the density must be invariant under particle
       exchange (S/A states, their superpositions and mixtures).  Slab j
       of the middle coordinate covers the sorted sector i <= j <= k, one
       rectangle of rows i <= j and columns k >= j, with multiplicity 6
       inside, 3 on the row i = j and the column k = j, and 1 at their
-      corner: n(n+1)(n+2)/6 nodes.  With ``parities``, when the
-      inversion of all three axes leaves every term invariant, it maps
-      slab j onto slab n-1-j, so only the first ceil(n/2) slabs run,
-      carrying their mirror slabs' weights: half the sector.
-    - otherwise, with ``parities`` (the orbitals' parities about the
-      centre of a mirror-symmetric rule), every axis of ``fold_axes``
-      keeps its first ceil(n/2) nodes with the mirror nodes' weights
-      added.  ``parities=None``, for a rule without that symmetry,
-      takes the full grid.
+      corner: n(n+1)(n+2)/6 nodes.  With folds (0,), when the inversion
+      of all three axes leaves every term invariant, it maps slab j onto
+      slab n-1-j, so only the first ceil(n/2) slabs run, carrying their
+      mirror slabs' weights: half the sector.
+    - otherwise, every axis in ``folds`` (the orbitals' parities about
+      the centre of a mirror-symmetric rule tell which) keeps its first
+      ceil(n/2) nodes with the mirror nodes' weights added.
+
+    The slab contraction M is built once for all samples.  Each slab runs
+    its samples in blocks of at most n^2 values, laid out as (rows,
+    samples, cols), so that every product is a 2D matrix product and a
+    plain state keeps a rows x cols slab.  d ln d (``_d_ln_d``) is
+    reduced to one value per slab and sample, with the sorted sector's
+    multiplicities in the row and column weights, and the outer weights
+    and the sign are applied once at the end.
     """
     n = len(weights)
+    if folds is None:
+        folds = slab_folds(terms, symmetric, parities)
+    half = _folded(weights)
     if symmetric:
-        # M_j[a, c] = sum_b C_abc t[j, b]
-        slabs = [(w, np.tensordot(table, c, axes=([1], [1]))) for w, c in terms]
-        inverted = parities is not None and \
-            reflection_invariant(terms, parities, (0, 1, 2))
-        outer = _folded(weights) if inverted else weights
-        regions = ((j, table[:j + 1], table[j:], weights[:j + 1], weights[j:])
+        # M_j[a, s, c] = sum_b C_sabc t[j, b]
+        t0, contracted = table, 2
+        outer = half if folds else weights
+        # rows i <= j weigh wr[j], columns k >= j wc[j]: the multiplicities
+        # as (2, ..., 2, 1) x (1.5, 3, ..., 3), which count the corner
+        # i = j = k 1.5 times, so half of it comes off at the end
+        diag = weights[:len(outer)]
+        wr = np.broadcast_to(2.0 * weights, (len(outer), n)).copy()
+        wc = np.broadcast_to(3.0 * weights, (len(outer), n)).copy()
+        np.fill_diagonal(wr, diag)
+        np.fill_diagonal(wc, 1.5 * diag)
+        corner = 0.5 * diag[:, None] ** 2
+        regions = ((j, table[:j + 1], table[j:], wr[j, :j + 1], wc[j, j:])
                    for j in range(len(outer)))
     else:
-        folds = fold_axes(terms, parities) if parities is not None else ()
-        half = _folded(weights)
+        # M_i[b, s, c] = sum_a t[i, a] C_sabc
         (t0, outer), (t1, w1), (t2, w2) = (
             (table[:len(half)], half) if ax in folds else (table, weights)
             for ax in range(3))
-        slabs = [(w, np.tensordot(t0, c, axes=([1], [0]))) for w, c in terms]
+        contracted = 1
         regions = ((i, t1, t2, w1, w2) for i in range(len(outer)))
+    r = table.shape[1]
+    samples = max(np.size(w) for w, _ in terms)
+    slabs = []  # (weights as a column, None when all are 1; M_i[x, (s y)]; S)
+    for w, c in terms:
+        c = np.reshape(c, (-1,) + np.shape(c)[-3:])
+        m = np.tensordot(t0, c, axes=([1], [contracted]))
+        m = np.ascontiguousarray(m.transpose(0, 2, 1, 3)).reshape(len(m), r, -1)
+        w = None if np.all(np.equal(w, 1.0)) else \
+            np.broadcast_to(np.asarray(w, dtype=float), (samples,))[:, None]
+        slabs.append((w, m, len(c)))
+    vals = np.empty((len(outer), samples))
+    corners = np.zeros_like(vals)  # -d ln d at i = j = k, symmetric only
     buf = np.empty(n * n)
-    total = 0.0
     for i, rows, cols, vr, vc in regions:
-        d = None
-        for weight, m in slabs:
-            a = _abs2(rows @ m[i] @ cols.T)
-            if weight != 1.0:
-                a *= weight
-            d = a if d is None else np.add(d, a, out=d)
-        e = entropy_integrand(d, out=buf[:d.size].reshape(d.shape))
-        s = vr @ e @ vc
-        if symmetric:
-            s = 6.0 * s - 3.0 * (vr[-1] * (e[-1] @ vc) + vc[0] * (vr @ e[:, 0])) \
-                + vr[-1] * vc[0] * e[-1, 0]
-        total += outer[i] * s
-    return float(total)
+        nr, nc = len(rows), len(cols)
+        block = max(1, n * n // (nr * nc))
+        for s0 in range(0, samples, block):
+            blk = slice(s0, s0 + block)
+            k = min(block, samples - s0)
+            d = None
+            for w, m, ns in slabs:
+                mi = m[i] if ns == 1 else m[i, :, s0 * r:(s0 + k) * r]
+                a = _abs2((rows @ mi).reshape(-1, r) @ cols.T).reshape(nr, -1, nc)
+                if w is not None:
+                    a = np.multiply(a, w[blk], out=a if a.shape[1] == k else None)
+                d = a if d is None else \
+                    np.add(d, a, out=d if d.shape[1] == k else None)
+            e = _d_ln_d(d, buf[:d.size].reshape(d.shape))
+            vals[i, blk] = (vr @ e.reshape(nr, -1)).reshape(-1, nc) @ vc
+            if symmetric:
+                corners[i, blk] = e[-1, :, 0]
+    if symmetric:
+        vals -= corner * corners
+    s3 = -(outer @ vals)
+    return s3 if any(np.ndim(w) for w, _ in terms) else float(s3[0])
 
 
 def reduced_density(terms, keep, tables):

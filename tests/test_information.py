@@ -16,7 +16,9 @@ from symcorr import (
     WaveFunction,
     build,
     build_superposition,
+    DEFAULT_C1SQ_GRID,
     compute_report,
+    compute_reports,
     cumulant3,
     entropy,
     entropy_sum_check,
@@ -26,7 +28,7 @@ from symcorr import (
 from symcorr import wavefunction
 from symcorr.densities import reduce_to_one
 from symcorr.orbitals import MOMENTUM, POSITION, orbital_parity
-from symcorr.quadrature import axis_rule, entropy_from_values, entropy_integrand
+from symcorr.quadrature import _d_ln_d, axis_rule, entropy_from_values
 from symcorr.reference_tables import BOX_TABLE, OSCILLATOR_TABLE
 from symcorr.superposition import _CachedMixture
 from symcorr.wavefunction import (
@@ -258,11 +260,11 @@ def integrand_nodes(monkeypatch):
     """Sizes of the density arrays the s3 kernel passes to -d ln d."""
     counted = []
 
-    def counting(d, out=None):
+    def counting(d, out):
         counted.append(np.size(d))
-        return entropy_integrand(d, out)
+        return _d_ln_d(d, out)
 
-    monkeypatch.setattr(wavefunction, "entropy_integrand", counting)
+    monkeypatch.setattr(wavefunction, "_d_ln_d", counting)
     return counted
 
 
@@ -297,6 +299,65 @@ def test_inversion_halves_only_the_scan_endpoints(box, sym, integrand_nodes):
         entropy(wf, scheme3)
         slabs = (n + 1) // 2 if folds else n
         assert sum(integrand_nodes) == sum((j + 1) * (n - j) for j in range(slabs))
+
+
+SCAN_CURVES = [(SYMMETRIC, True), (ANTISYMMETRIC, True),
+               (DISTINGUISHABLE, True), (DISTINGUISHABLE, False)]
+
+
+@pytest.mark.parametrize("scheme3", ODD_EVEN_SCHEMES, ids=["odd", "even"])
+@pytest.mark.parametrize("sym,interference", SCAN_CURVES,
+                         ids=["s", "a", "d", "d-no-interference"])
+def test_batched_s3_matches_per_sample_s3(box, sym, interference, scheme3,
+                                          integrand_nodes):
+    a = Configuration(box, (1, 2, 3), sym)
+    b = Configuration(box, (4, 5, 6), sym)
+    mixes = [build_superposition(SuperpositionSpec(a, b, math.sqrt(c1sq),
+                                                   interference))
+             for c1sq in DEFAULT_C1SQ_GRID]
+    reports = compute_reports(mixes, scheme3, with_error=False)
+    batched = list(integrand_nodes)
+    integrand_nodes.clear()
+    for mix, rep in zip(mixes, reports):
+        # a D endpoint is a Hartree product, whose report runs no kernel
+        if len(mix.terms) > 1 or np.count_nonzero(mix.terms[0][1]) > 1:
+            assert abs(rep.entropies.s3 - entropy(mix, scheme3)) <= 1e-13
+    # the same nodes, the endpoints' inversion and parity folds included
+    assert sum(batched) == sum(integrand_nodes)
+    # blocks hold at most n^2 values; no group runs more than n + ceil(n/2)
+    # slabs, so more calls than that means some slab split its samples
+    n = len(axis_rule(a.domains(1)[0], scheme3, 3)[1])
+    assert max(batched) <= n * n
+    assert len(batched) > n + (n + 1) // 2
+    # the kernel alone on every sample: a fold only where all samples keep it
+    x, w = axis_rule(a.domains(1)[0], scheme3, 3)
+    if interference:
+        terms = [(np.ones(len(mixes)), np.stack([m.terms[0][1] for m in mixes]))]
+    else:
+        c1sq = np.array(DEFAULT_C1SQ_GRID)
+        orbitals = mixes[0].tables.orbitals
+        terms = [(c1sq, coefficient_tensor(a, orbitals)),
+                 (1.0 - c1sq, coefficient_tensor(b, orbitals))]
+    s3 = entropy_grid(terms, mixes[0].tables(x), w, sym != DISTINGUISHABLE,
+                      _parities(mixes[0]))
+    for mix, got in zip(mixes, s3):
+        assert abs(got - entropy(mix, scheme3)) <= 1e-13
+
+
+@pytest.mark.parametrize("sym,interference", SCAN_CURVES,
+                         ids=["s", "a", "d", "d-no-interference"])
+def test_batched_error_estimate_matches_per_sample(box, sym, interference):
+    a = Configuration(box, (1, 2, 3), sym)
+    b = Configuration(box, (4, 5, 6), sym)
+    mixes = [build_superposition(SuperpositionSpec(a, b, math.sqrt(c1sq),
+                                                   interference))
+             for c1sq in (0.0, 0.3, 0.5, 1.0)]
+    scheme3 = ODD_EVEN_SCHEMES[1]
+    for mix, rep in zip(mixes, compute_reports(mixes, scheme3)):
+        one = compute_report(mix, scheme3)
+        assert abs(rep.entropies.error_estimate
+                   - one.entropies.error_estimate) <= 1e-13
+        assert rep.system == one.system
 
 
 def test_fused_s3_full_grid_without_parities(integrand_nodes):

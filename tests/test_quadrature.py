@@ -8,6 +8,7 @@ from symcorr.quadrature import (
     NonConvergenceError,
     QuadratureScheme,
     RealLine,
+    _d_ln_d,
     axis_rule,
     entropy_from_values,
     entropy_integrand,
@@ -143,6 +144,14 @@ def test_entropy_integrand_floor_and_buffer():
     assert np.all(out[d < 1e-300] == 0.0)
     assert out[0, 0] == pytest.approx(0.5 * math.log(2.0), rel=1e-15)
     assert out[1, 2] == pytest.approx(-2.0 * math.log(2.0), rel=1e-15)
+    # the kernels' d ln d is its exact negation: exact zeros, values below
+    # the floor and noise down to -1e-12, and (second row) none of them
+    for d in (np.array([0.0, -0.0, 1e-301, 5e-324, -1e-12, -1e-13, 0.25, 3.0]),
+              np.array([1e-300, 0.25, 1.0, 3.0])):
+        lean = _d_ln_d(d, np.empty_like(d))
+        assert lean.tobytes() == (-entropy_integrand(d)).tobytes()
+    with pytest.raises(ValueError, match="significantly negative"):
+        _d_ln_d(np.array([0.0, -1.0001e-12]), np.empty(2))
 
 
 def test_entropy_from_values_matches_direct_sum():

@@ -15,6 +15,7 @@ from symcorr import (
     compute_report,
     scan_coefficient,
 )
+from symcorr import superposition
 from symcorr.quadrature import axis_rule
 from symcorr.superposition import ScanResult, SuperpositionSpec, _component_overlap
 
@@ -184,6 +185,35 @@ def test_superposition_does_not_depend_on_component_order(
     e_ba = compute_report(ba, scheme, with_error=False).entropies
     for name in ("s1", "s2", "s3"):
         assert abs(getattr(e_ab, name) - getattr(e_ba, name)) < 1e-12, name
+
+
+def test_scan_keeps_the_samples_a_failing_one_leaves(monkeypatch):
+    spec = spec_box(SYMMETRIC, 1.0, interference=False)
+    grid = (0.0, 0.5, 1.0)
+    scheme = QuadratureScheme(panels=8, panels_3d=3, nodes_per_panel=7)
+    want = scan_coefficient(spec, grid, scheme)
+    assert not want.errors
+
+    class NegativeAtBalance(superposition._CachedMixture):
+        # c1^2 = 0.5 with the sign of its second term flipped: the density
+        # 0.5 |Psi_A|^2 - 0.5 |Psi_B|^2 is significantly negative
+        def __init__(self, spec, tables=None):
+            super().__init__(spec, tables)
+            if abs(self.c1 ** 2 - 0.5) < 1e-12:
+                (wa, ca), (wb, cb) = self.terms
+                self.terms = ((wa, ca), (-wb, cb))
+
+    monkeypatch.setattr(superposition, "_CachedMixture", NegativeAtBalance)
+    scan = scan_coefficient(spec, grid, scheme)
+    assert [c for c, _ in scan.errors] == [0.5]
+    assert "significantly negative" in scan.errors[0][1]
+    assert [c for c, _ in scan.samples] == [0.0, 1.0]
+    # one by one, to round-off, what the batch gave
+    for (_, got), (_, ref) in zip(scan.samples, want.samples[::2]):
+        assert got.system == ref.system
+        for name in ("s1", "s2", "s3"):
+            assert getattr(got.entropies, name) == \
+                pytest.approx(getattr(ref.entropies, name), abs=1e-13)
 
 
 def test_default_grid():
