@@ -68,19 +68,21 @@ def _load_config_file(path):
     return values
 
 
-def _merge_config(args, parser_defaults):
-    """Fill unset argparse values from the config file, if any."""
+def _merge_config(args, argv):
+    """Fill the options not on the command line (``argv``) from the config file."""
     if not getattr(args, "config", None):
         return args
     file_vals = _load_config_file(args.config)
+    parser, subparsers = build_parser()
+    for action in subparsers[args.command]._actions:
+        action.default = argparse.SUPPRESS
+    given = vars(parser.parse_args(argv))
     for key, raw in file_vals.items():
         if not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
-        current = getattr(args, key)
-        default = parser_defaults.get(key)
-        if current != default:
+        if key in given:
             continue  # explicit flag wins
-        if isinstance(default, bool):
+        if isinstance(getattr(args, key), bool):  # still the default
             setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
             continue
         for conv in (int, float):
@@ -362,12 +364,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser, subparsers = build_parser()
+    parser, _ = build_parser()
     args = parser.parse_args(argv)
-    defaults = {a.dest: a.default
-                for a in subparsers[args.command]._actions}
     try:
-        args = _merge_config(args, defaults)
+        args = _merge_config(args, argv)
         return args.func(args)
     except NonConvergenceError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

@@ -14,32 +14,24 @@ evaluations of I and I^3 exist purely as validation cross-checks; the
 combination form needs one well-conditioned 3D integral instead of a 3D
 integrand containing a ratio of six densities.
 
-Every state takes one path: s1 and s2 integrate the exact rho and Gamma
-of its coefficient tensor on the scheme's 1D and 2D rules, and s3
-integrates |Psi|^2 on the 3D rule with ``wavefunction.entropy_grid``,
-which builds the density one slab at a time and never holds a 3D array.
-All three apply the one d ln d, ``quadrature._d_ln_d``, and negate the
-reduced sum.  The kernel evaluates it once per value the state's
-symmetries leave distinct.  |Psi|^2 of an S/A state, or of any
-superposition or mixture of S/A states, is symmetric under particle
-exchange, so the kernel covers only the sorted sector
-x_i <= x_j <= x_k, with multiplicities 6, 3 and 1.  Every orbital's parity about the domain centre tells which
-axis reflections leave |Psi|^2 invariant.  When the inversion of all
-three axes leaves every term invariant, as for every single S/A
-configuration, it maps the sorted sector onto itself, and the kernel
-runs half of it, on the first half of the mirror-symmetric rule's
-middle coordinate.  For distinguishable states the kernel folds one
-axis per independent reflection onto its half of the rule.  For
-distinguishable (Hartree-type) states the marginals differ per
+Every state takes one path.  ``compute_reports`` groups the states it
+is given, such as the c1^2 samples of a scan, by params, space,
+orbitals, domain, symmetry, kernel region and number of terms, and one
+grouping feeds s1, s2 and s3.  The orbital table of each distinct rule
+is evaluated once per call; the 1D and 2D rules are one rule, so rho
+and Gamma share it.  s1 and s2 integrate each state's exact rho and
+Gamma, from the reduced density matrices of its coefficient tensor.
+For distinguishable (Hartree-type) states the marginals differ per
 coordinate; s1 and s2 are then the averages over coordinates/pairs,
 which reproduces the distinguishable-system decomposition of I^3
 exactly and keeps the hierarchy identities intact.  A Hartree product
-factorizes, so its s2 and s3 are sums of its 1D entropies and every
-correlation measure vanishes to round-off.  ``compute_reports`` takes
-many states at once, such as the c1^2 samples of a scan: those on the
-same orbitals whose symmetries leave the same kernel region get their
-s3 from one pass over the slabs, which builds each slab once for all
-of them.  All values are in nats.
+factorizes, so its s2 and s3 are 2 s1 and 3 s1, and every correlation
+measure vanishes to round-off.  s3 of the other states of a group comes
+from one pass of ``wavefunction.entropy_grid`` over |Psi|^2 on the 3D
+rule, slab by slab, on the region their symmetries leave distinct
+(``wavefunction.slab_folds``).  All three entropies apply the one
+d ln d, ``quadrature._d_ln_d``, and negate the reduced sum.  All values
+are in nats.
 """
 
 from __future__ import annotations
@@ -62,9 +54,11 @@ from .quadrature import (
 from .wavefunction import (
     DISTINGUISHABLE,
     Configuration,
+    OrbitalTables,
     WaveFunction,
     build,
     entropy_grid,
+    reduced_density,
     slab_folds,
 )
 
@@ -148,51 +142,34 @@ def entropy(density, scheme=None):
 
     A ReducedDensity carries its own table, which is integrated as it
     is; ``scheme`` applies to states (anything with coefficient-tensor
-    ``terms``: a WaveFunction or a superposition).
+    ``terms``: a WaveFunction or a superposition).  A three-particle
+    state, a Hartree product too, integrates |Psi|^2 on the 3D rule.
     """
     if not hasattr(density, "terms"):
         return entropy_from_values(density.grid_values, density.grid_weights)
     scheme = scheme or QuadratureScheme()
     if density.nparticles == 2:
         return entropy(reduce_numerical(density, 2, scheme))
-    return _s3([density], scheme)[0]
+    *_, domain, symmetric, folds, _ = _group_key(density, scheme)
+    x, w = axis_rule(domain, scheme, 3)
+    return entropy_grid(density.terms, density.tables(x), w, symmetric, folds)
 
 
-def _s3(states, scheme):
-    """s3 of three-particle states, one kernel pass per group of them.
+def _group_key(st, scheme):
+    """Params, space, orbitals, domain, symmetry, kernel region, term count.
 
-    States on the same orbitals and 3D rule, whose symmetries leave the
-    same kernel region (``slab_folds``, tested once per state) and which
-    have as many terms, form a group.  Each term's tensors are stacked
-    along a sample axis, or passed once when every state of the group
-    has the same one, and ``entropy_grid`` runs the group's slabs once.
+    States with equal keys share their orbital tables and one s3 kernel
+    pass.  The kernel region is ``slab_folds``, tested once per state.
     """
-    groups = {}
-    for k, st in enumerate(states):
-        domain = st.domains(1)[0]
-        x, w = axis_rule(domain, scheme, 3)
-        t = st.tables
-        symmetric = st.symmetry != DISTINGUISHABLE
-        # parities about the domain centre, usable only on a mirror-symmetric rule
-        parities = [orbital_parity(t.params, n) for n in t.orbitals] \
-            if mirror_symmetric(domain, x, w) else None
-        key = (t.params, t.space, t.orbitals, domain, symmetric,
-               slab_folds(st.terms, symmetric, parities), len(st.terms))
-        groups.setdefault(key, []).append(k)
-    s3 = [0.0] * len(states)
-    for (*_, domain, symmetric, folds, nterms), members in groups.items():
-        terms = []
-        for j in range(nterms):
-            cs = [states[k].terms[j][1] for k in members]
-            shared = all(np.array_equal(c, cs[0]) for c in cs[1:])
-            terms.append((np.array([states[k].terms[j][0] for k in members]),
-                          cs[0] if shared else np.stack(cs)))
-        x, w = axis_rule(domain, scheme, 3)
-        vals = entropy_grid(terms, states[members[0]].tables(x), w,
-                            symmetric, None, folds)
-        for k, v in zip(members, vals):
-            s3[k] = float(v)
-    return s3
+    domain = st.domains(1)[0]
+    x, w = axis_rule(domain, scheme, 3)
+    t = st.tables
+    symmetric = st.symmetry != DISTINGUISHABLE
+    # parities about the domain centre, usable only on a mirror-symmetric rule
+    parities = [orbital_parity(t.params, n) for n in t.orbitals] \
+        if mirror_symmetric(domain, x, w) else None
+    return (t.params, t.space, t.orbitals, domain, symmetric,
+            slab_folds(st.terms, symmetric, parities), len(st.terms))
 
 
 def _keeps(wf):
@@ -202,24 +179,60 @@ def _keeps(wf):
     return [(0,)], [(0, 1)]
 
 
-def _entropies(wfs, scheme):
-    """(s1, s2, s3) of each three-particle state on the scheme's rules."""
-    def mean_entropy(wf, keeps):
-        return float(np.mean([entropy(reduce_numerical(wf, len(k), scheme, keep=k))
-                              for k in keeps]))
+def _mean_entropy(terms, keeps, table, w):
+    """Mean entropy of the marginals ``keeps`` on the rule of ``table``."""
+    tables = [table] if len(keeps[0]) == 1 else [table[:, None], table[None, :]]
+    return float(np.mean([
+        entropy_from_values(reduced_density(terms, keep, tables), [w] * len(keep))
+        for keep in keeps]))
 
-    out = []
-    for wf in wfs:
-        ones, pairs = _keeps(wf)
-        s1 = mean_entropy(wf, ones)
-        if len(wf.terms) == 1 and np.count_nonzero(wf.terms[0][1]) == 1:
-            # a Hartree product: the joint density factorizes
-            out.append((s1, 2.0 * s1, 3.0 * s1))
-        else:
-            out.append((s1, mean_entropy(wf, pairs), None))
-    rest = [k for k, e in enumerate(out) if e[2] is None]
-    for k, s3 in zip(rest, _s3([wfs[k] for k in rest], scheme)):
-        out[k] = out[k][:2] + (s3,)
+
+def _entropies(states, scheme):
+    """(s1, s2, s3) of each three-particle state, grouped by ``_group_key``.
+
+    Each orbital table is evaluated once per call and rule.  The members
+    of a group that are not Hartree products stack each term's tensors
+    along a sample axis, or pass it once when all have the same one, for
+    one ``entropy_grid`` pass.
+    """
+    groups = {}
+    for k, st in enumerate(states):
+        groups.setdefault(_group_key(st, scheme), []).append(k)
+    tables = {}
+
+    def rule(key, ndim):
+        x, w = axis_rule(key[3], scheme, ndim)
+        tk = key[:4] + (scheme.panels_for(key[3], ndim),)
+        if tk not in tables:
+            tables[tk] = OrbitalTables(*key[:3])(x)
+        return tables[tk], w
+
+    out = [None] * len(states)
+    for key, members in groups.items():
+        *_, symmetric, folds, nterms = key
+        ones, pairs = _keeps(states[members[0]])
+        rho, gamma = rule(key, 1), rule(key, 2)
+        rest = []
+        for k in members:
+            terms = states[k].terms
+            s1 = _mean_entropy(terms, ones, *rho)
+            if nterms == 1 and np.count_nonzero(terms[0][1]) == 1:
+                # a Hartree product: the joint density factorizes
+                out[k] = (s1, 2.0 * s1, 3.0 * s1)
+            else:
+                out[k] = (s1, _mean_entropy(terms, pairs, *gamma), None)
+                rest.append(k)
+        if not rest:
+            continue
+        stacked = []
+        for j in range(nterms):
+            cs = [states[k].terms[j][1] for k in rest]
+            shared = all(np.array_equal(c, cs[0]) for c in cs[1:])
+            stacked.append((np.array([states[k].terms[j][0] for k in rest]),
+                            cs[0] if shared else np.stack(cs)))
+        s3 = entropy_grid(stacked, *rule(key, 3), symmetric, folds)
+        for k, v in zip(rest, s3):
+            out[k] = out[k][:2] + (float(v),)
     return out
 
 
@@ -260,13 +273,14 @@ def _report(wf, fine, coarse, scheme):
 
 
 def compute_reports(systems, scheme=None, with_error=True):
-    """InformationReports of three-particle systems, their s3 batched.
+    """InformationReports of three-particle systems, computed together.
 
     Each system is a Configuration, a WaveFunction, or a superposition
-    (``build_superposition``).  s1 and s2 are computed per system; s3 of
-    the systems that share orbitals, rule and kernel region comes from
-    one pass over the slabs (``_s3``), such as the c1^2 samples of a
-    scan.  With ``with_error`` the coarse level runs the same way.  Pair
+    (``build_superposition``).  The systems that share orbitals, rule
+    and kernel region, such as the c1^2 samples of a scan, share their
+    orbital tables, and their s3 comes from one pass over the slabs
+    (``_entropies``).  With ``with_error`` the coarse level runs the
+    same way.  Pair
     mutual information in [-tol, 0) from quadrature noise is clamped to
     zero with a warning; larger negative values raise, and so does any
     failing system, for the whole batch.

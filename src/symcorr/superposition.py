@@ -13,11 +13,11 @@ their orbitals, so a superposition is one tensor (c1 C_A + c2 C_B) /
 sqrt(norm) and a mixture a weighted pair of tensors; densities and
 reductions then take the same path as a single configuration.  The
 integration domain is set by the union of orbitals, so it does not
-depend on which component is named first.  ``scan_coefficient`` builds
-each sample's tensor on one set of orbital tables shared by all samples
-and computes the whole curve in one ``compute_reports`` call, so s3 of
-the samples whose symmetries leave the same region comes from one pass
-over the slabs.
+depend on which component is named first.  ``scan_coefficient``
+computes the whole curve in one ``compute_reports`` call: s1, s2 and s3
+of every sample take the orbital tables evaluated once per rule for the
+curve, and s3 of the samples whose symmetries leave the same region
+comes from one pass over the slabs.
 """
 
 from __future__ import annotations
@@ -88,16 +88,15 @@ def _component_overlap(cfg_a, cfg_b):
 
 
 class _CachedMixture:
-    """c1*Psi_A + c2*Psi_B as coefficient tensors on cached orbital tables.
+    """c1*Psi_A + c2*Psi_B as coefficient tensors over the union orbitals.
 
     With interference the state is the single tensor (c1 C_A + c2 C_B) /
     sqrt(norm); without, it is the weighted pair (c1^2, C_A), (c2^2, C_B).
-    ``tables`` may be shared, as the samples of a scan do.  Pointwise
-    ``amplitude`` and ``density`` expand the two components directly,
-    independent of the coefficient tensors.
+    Pointwise ``amplitude`` and ``density`` expand the two components
+    directly, independent of the coefficient tensors.
     """
 
-    def __init__(self, spec, tables=None):
+    def __init__(self, spec):
         self.spec = spec
         a, b = spec.state_a, spec.state_b
         self.c1 = float(spec.c1)
@@ -108,8 +107,7 @@ class _CachedMixture:
             if self.interference else 1.0
         if self.norm_sq <= 0:
             raise ValueError("superposition has vanishing norm")
-        self.tables = tables or OrbitalTables(a.params, a.space,
-                                              _union_orbitals(a, b))
+        self.tables = OrbitalTables(a.params, a.space, _union_orbitals(a, b))
         ca = coefficient_tensor(a, self.tables.orbitals)
         cb = coefficient_tensor(b, self.tables.orbitals)
         if self.interference:
@@ -219,10 +217,11 @@ def scan_coefficient(spec_template, c1sq_samples=DEFAULT_C1SQ_GRID,
     """Scan c1^2 over the given samples, one InformationReport each.
 
     Every sample builds its coefficient tensor from the two components,
-    on one set of orbital tables shared by all samples, and all samples
-    are reported together (``compute_reports``).  If that raises, the
-    samples are rerun one by one: per-sample failures are collected in
-    ``errors``, and the remaining samples are still returned.
+    and all samples are reported together (``compute_reports``), so the
+    orbital table of each rule is evaluated once for the whole curve,
+    whatever the number of samples.  If that raises, the samples are
+    rerun one by one: per-sample failures are collected in ``errors``,
+    and the remaining samples are still returned.
     """
     scheme = scheme or QuadratureScheme()
     samples = sorted(float(c) for c in c1sq_samples)
@@ -232,9 +231,8 @@ def scan_coefficient(spec_template, c1sq_samples=DEFAULT_C1SQ_GRID,
         raise ValueError("c1^2 samples must be distinct values in [0, 1]")
 
     a, b = spec_template.state_a, spec_template.state_b
-    tables = OrbitalTables(a.params, a.space, _union_orbitals(a, b))
     mixes = [_CachedMixture(SuperpositionSpec(a, b, math.sqrt(c1sq),
-                                              spec_template.interference), tables)
+                                              spec_template.interference))
              for c1sq in samples]
 
     results = []

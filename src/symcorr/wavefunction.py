@@ -175,34 +175,20 @@ def coefficient_tensor(config, orbitals):
 class OrbitalTables:
     """Orbital values at coordinate arrays, orbital index last.
 
-    Tables of coordinate axes (arrays with at most one non-singleton
-    dimension, such as quadrature rules) are kept in a bounded memo, so
-    states built on one instance, such as the samples of a scan, share
-    them.
+    Every call evaluates the orbitals afresh.  Callers that use one rule
+    many times evaluate its table once and reuse it: ``information``
+    does so for each rule of one ``compute_reports`` call.
     """
-
-    MEMO_SIZE = 16
 
     def __init__(self, params, space, orbitals):
         self.params = params
         self.space = space
         self.orbitals = tuple(orbitals)
-        self._memo = {}
-
-    def _eval(self, x):
-        return np.stack([np.asarray(eval_orbital(self.params, n, self.space, x))
-                         for n in self.orbitals], axis=-1)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if x.size != max(x.shape, default=1):
-            return self._eval(x)
-        key = x.tobytes()
-        if key not in self._memo:
-            if len(self._memo) >= self.MEMO_SIZE:
-                self._memo.clear()
-            self._memo[key] = self._eval(x.ravel())
-        return self._memo[key].reshape(x.shape + (len(self.orbitals),))
+        return np.stack([np.asarray(eval_orbital(self.params, n, self.space, x))
+                         for n in self.orbitals], axis=-1)
 
 
 def _mode_products(c, tables):
@@ -291,7 +277,7 @@ def _folded(weights):
     return w
 
 
-def entropy_grid(terms, table, weights, symmetric, parities, folds=None):
+def entropy_grid(terms, table, weights, symmetric, folds):
     """-sum w_i w_j w_k d ln d for d = sum_t w_t |Psi_t|^2, N = 3.
 
     ``table`` holds the orbital values at the nodes of one axis rule,
@@ -302,7 +288,7 @@ def entropy_grid(terms, table, weights, symmetric, parities, folds=None):
     one pass over the slabs; a plain state returns a float.  The density
     is built and consumed one slab at a time, so no 3D array exists, and
     -d ln d is evaluated once per distinct value the state's symmetries
-    leave, the region ``folds`` (``slab_folds``, computed here when None)
+    leave, the region ``folds`` (``slab_folds``; () for the whole grid)
     sets:
 
     - ``symmetric``: the density must be invariant under particle
@@ -327,8 +313,6 @@ def entropy_grid(terms, table, weights, symmetric, parities, folds=None):
     and the sign are applied once at the end.
     """
     n = len(weights)
-    if folds is None:
-        folds = slab_folds(terms, symmetric, parities)
     half = _folded(weights)
     if symmetric:
         # M_j[a, s, c] = sum_b C_sabc t[j, b]

@@ -195,6 +195,20 @@ def test_config_flag_precedence(tmp_path, capsys):
     assert "distinguishable" in json.loads(out)[0]["system"]
 
 
+def test_config_flag_at_its_default_still_wins(tmp_path, capsys):
+    # --format table is the default, and the config file says csv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = csv\n")
+    code, out, err = run(capsys, "report", "--n", "1,2", "--sym", "a",
+                         "--format", "table", "--config", str(cfg))
+    assert code == 0
+    assert out.startswith("# box ns=(1, 2) antisymmetric  [position]")
+    code, out, err = run(capsys, "report", "--n", "1,2", "--sym", "a",
+                         "--config", str(cfg))
+    assert code == 0
+    assert out.startswith(PAIR_CSV_HEADER + "\n")
+
+
 def test_config_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("no_such_option = 1\n")

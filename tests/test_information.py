@@ -36,6 +36,7 @@ from symcorr.wavefunction import (
     entropy_grid,
     fold_axes,
     reflection_invariant,
+    slab_folds,
 )
 
 
@@ -183,6 +184,8 @@ def _kernel_cases():
         ("a-ho", Configuration(ho, (0, 1, 2), ANTISYMMETRIC)),
         ("a-box-momentum", Configuration(box, (1, 2, 3), ANTISYMMETRIC, MOMENTUM)),
         ("s112-box-momentum", Configuration(box, (1, 1, 2), SYMMETRIC, MOMENTUM)),
+        # a Hartree product, whose entropy() integrates |Psi|^2 on the 3D rule too
+        ("d-box", Configuration(box, (1, 2, 3), DISTINGUISHABLE)),
     ]
     cases = [(name, build(cfg)) for name, cfg in pairs]
     for name, params, space, sym, ns_a, ns_b, interference in (
@@ -223,6 +226,8 @@ FOLDS = {
     "d-mixture": (0, 1, 2),
     # (+,-,+) and (+,-,-): the third axis must stay whole
     "d-parity-mixed": (0, 1),
+    # one product: all eight flips
+    "d-box": (0, 1, 2),
 }
 
 
@@ -338,8 +343,9 @@ def test_batched_s3_matches_per_sample_s3(box, sym, interference, scheme3,
         orbitals = mixes[0].tables.orbitals
         terms = [(c1sq, coefficient_tensor(a, orbitals)),
                  (1.0 - c1sq, coefficient_tensor(b, orbitals))]
-    s3 = entropy_grid(terms, mixes[0].tables(x), w, sym != DISTINGUISHABLE,
-                      _parities(mixes[0]))
+    symmetric = sym != DISTINGUISHABLE
+    s3 = entropy_grid(terms, mixes[0].tables(x), w, symmetric,
+                      slab_folds(terms, symmetric, _parities(mixes[0])))
     for mix, got in zip(mixes, s3):
         assert abs(got - entropy(mix, scheme3)) <= 1e-13
 
@@ -363,7 +369,9 @@ def test_batched_error_estimate_matches_per_sample(box, sym, interference):
 def test_fused_s3_full_grid_without_parities(integrand_nodes):
     wf = dict(KERNEL_CASES)["d-mixture"]
     x, w = axis_rule(wf.domains(1)[0], ODD_EVEN_SCHEMES[0], 3)
-    full = entropy_grid(wf.terms, wf.tables(x), w, False, None)
+    # a rule without mirror symmetry has no parities: nothing folds
+    assert slab_folds(wf.terms, False, None) == ()
+    full = entropy_grid(wf.terms, wf.tables(x), w, False, ())
     assert sum(integrand_nodes) == len(w) ** 3
     assert abs(full - entropy(wf, ODD_EVEN_SCHEMES[0])) < 1e-12
 

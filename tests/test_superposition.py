@@ -15,7 +15,8 @@ from symcorr import (
     compute_report,
     scan_coefficient,
 )
-from symcorr import superposition
+from symcorr import superposition, wavefunction
+from symcorr.orbitals import eval_orbital
 from symcorr.quadrature import axis_rule
 from symcorr.superposition import ScanResult, SuperpositionSpec, _component_overlap
 
@@ -197,8 +198,8 @@ def test_scan_keeps_the_samples_a_failing_one_leaves(monkeypatch):
     class NegativeAtBalance(superposition._CachedMixture):
         # c1^2 = 0.5 with the sign of its second term flipped: the density
         # 0.5 |Psi_A|^2 - 0.5 |Psi_B|^2 is significantly negative
-        def __init__(self, spec, tables=None):
-            super().__init__(spec, tables)
+        def __init__(self, spec):
+            super().__init__(spec)
             if abs(self.c1 ** 2 - 0.5) < 1e-12:
                 (wa, ca), (wb, cb) = self.terms
                 self.terms = ((wa, ca), (-wb, cb))
@@ -214,6 +215,30 @@ def test_scan_keeps_the_samples_a_failing_one_leaves(monkeypatch):
         for name in ("s1", "s2", "s3"):
             assert getattr(got.entropies, name) == \
                 pytest.approx(getattr(ref.entropies, name), abs=1e-13)
+
+
+@pytest.mark.parametrize("sym,interference", [
+    (SYMMETRIC, True), (ANTISYMMETRIC, True),
+    (DISTINGUISHABLE, True), (DISTINGUISHABLE, False)])
+def test_scan_evaluates_orbital_tables_once_per_curve(sym, interference,
+                                                      monkeypatch):
+    # every sample shares the tables of each rule, so more samples must
+    # not mean more orbital evaluations
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return eval_orbital(*args)
+
+    monkeypatch.setattr(wavefunction, "eval_orbital", counting)
+    spec = spec_box(sym, 1.0, interference)
+    scheme = QuadratureScheme(panels=8, panels_3d=3, nodes_per_panel=7)
+    counts = []
+    for grid in ((0.0, 0.5, 1.0), DEFAULT_C1SQ_GRID):
+        calls.clear()
+        assert not scan_coefficient(spec, grid, scheme).errors
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_default_grid():
