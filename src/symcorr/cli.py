@@ -10,8 +10,8 @@ Subcommands:
   density-grid        export a pair density on a grid as CSV
 
 Options may also come from a flat ``key = value`` config file
-(``--config``); explicit command-line flags win.  Exit codes: 0 ok,
-1 reproduction mismatch, 2 usage error, 3 numerical failure.
+(``--config``), checked as flags; explicit flags win.  Exit codes: 0
+ok, 1 reproduction mismatch, 2 usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -54,8 +54,10 @@ def _parse_ns(text):
     return ns
 
 
-def _load_config_file(path):
-    values = {}
+def _config_tokens(path, subparser):
+    """A flat ``key = value`` file as ``--option=value`` tokens of ``subparser``."""
+    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
+    tokens = []
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -63,37 +65,15 @@ def _load_config_file(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
-def _merge_config(args, argv):
-    """Fill the options not on the command line (``argv``) from the config file."""
-    if not getattr(args, "config", None):
-        return args
-    file_vals = _load_config_file(args.config)
-    parser, subparsers = build_parser()
-    for action in subparsers[args.command]._actions:
-        action.default = argparse.SUPPRESS
-    given = vars(parser.parse_args(argv))
-    for key, raw in file_vals.items():
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key {key!r}")
-        if key in given:
-            continue  # explicit flag wins
-        if isinstance(getattr(args, key), bool):  # still the default
-            setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
-            continue
-        for conv in (int, float):
-            try:
-                setattr(args, key, conv(raw))
-                break
-            except ValueError:
-                continue
-        else:
-            setattr(args, key, raw)
-    return args
+            key, _, val = (part.strip() for part in line.partition("="))
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
+                raise ValueError(f"unknown config key {key!r}")
+            if action.nargs != 0:
+                tokens.append(f"{action.option_strings[0]}={val}")
+            elif val.lower() in ("1", "true", "yes", "on"):
+                tokens.append(action.option_strings[0])
+    return tokens
 
 
 def _model_params(args):
@@ -195,6 +175,8 @@ def cmd_scan_n3(args):
         raise ValueError("scan-n3 expects --n with the two fixed quantum numbers")
     lo, _, hi = args.n3_range.partition(":")
     n3_values = range(int(lo), int(hi) + 1)
+    if not n3_values:
+        raise ValueError(f"--n3-range {args.n3_range!r} is empty: need lo <= hi")
     scheme = _scheme(args)
     rows = []
     for space in _spaces(args):
@@ -364,10 +346,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser, _ = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, argv)
+        if args.config:  # ahead of argv: argparse checks each value, flags win
+            tokens = _config_tokens(args.config, subparsers[args.command])
+            args = parser.parse_args(argv[:1] + tokens + argv[1:])
         return args.func(args)
     except NonConvergenceError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

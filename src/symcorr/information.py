@@ -12,7 +12,9 @@ Consecutive hierarchy differences all equal the pair mutual information,
 which makes the hierarchy an algebraic identity here.  Direct-integral
 evaluations of I and I^3 exist purely as validation cross-checks; the
 combination form needs one well-conditioned 3D integral instead of a 3D
-integrand containing a ratio of six densities.
+integrand containing a ratio of six densities.  Neither check, nor
+``cumulant3``, builds a 3D array: the I^3 integrand runs slab by slab,
+and the moments contract C with a one-axis moment matrix.
 
 Every state takes one path.  ``compute_reports`` groups the states it
 is given, such as the c1^2 samples of a scan, by params, space,
@@ -57,6 +59,7 @@ from .wavefunction import (
     OrbitalTables,
     WaveFunction,
     build,
+    density_grid,
     entropy_grid,
     reduced_density,
     slab_folds,
@@ -330,7 +333,8 @@ def mutual_information_higher_direct(system, scheme=None):
 
     integral |Psi|^2 ln[ |Psi|^2 rho(x1) rho(x2) rho(x3)
                          / (Gamma(x1,x2) Gamma(x1,x3) Gamma(x2,x3)) ].
-    Validation mode; indistinguishable systems only.
+    Validation mode; indistinguishable systems only.  |Psi|^2 is built
+    one slab of x1 at a time, so no 3D array exists.
     """
     scheme = scheme or QuadratureScheme()
     wf = _as_wavefunction(system)
@@ -338,14 +342,14 @@ def mutual_information_higher_direct(system, scheme=None):
         raise ValueError("direct higher-order integral assumes "
                          "indistinguishable marginals")
     x, w = _axis(wf, 3, scheme)
-    d3 = wf.density_tensor([x] * 3)
+    t = wf.tables(x)
     gamma, rho = _marginals_at(wf, x)
     log_rho = np.log(np.maximum(rho, DENSITY_FLOOR))
     log_gamma = np.log(np.maximum(gamma, DENSITY_FLOOR))
     w23 = np.outer(w, w)
     total = 0.0
     for i in range(len(x)):
-        d = d3[i]
+        d = density_grid(wf.terms, [t[i:i + 1], t, t])[0]  # slab x1 = x[i]
         mask = d > DENSITY_FLOOR
         if not mask.any():
             continue
@@ -376,16 +380,25 @@ def cumulant3(system, scheme=None):
     Moments are taken over rho, Gamma and |Psi|^2; the cumulant vanishes
     identically for indistinguishable particles.  For distinguishable
     systems the value is reported with coordinate-averaged moments and no
-    zero assertion applies.
+    zero assertion applies.  Each moment is the 3D rule's finite sum
+    rearranged onto C: sum_t w_t sum conj(C_abc) C_a'b'c' X_aa' X_bb' X_cc'
+    for <x1 x2 x3>, X[a, b] = sum_i w_i x_i conj(phi_a(x_i)) phi_b(x_i),
+    with the identity for X on each axis a lower moment leaves out.
     """
     scheme = scheme or QuadratureScheme()
     wf = _as_wavefunction(system)
     x, w = _axis(wf, 3, scheme)
-    wx = w * x
+    t = wf.tables(x)
+    xmat = (np.conj(t).T * (w * x)) @ t
+    eye = np.eye(len(xmat))
+
+    def moment(keep):
+        mats = [xmat if k in keep else eye for k in range(3)]
+        return sum(weight * np.einsum("abc,ad,be,cf,def->", np.conj(c), *mats, c)
+                   for weight, c in wf.terms).real
+
     ones, pairs = _keeps(wf)
-    m1 = float(np.mean([wx @ quadrature_marginal(wf, k)(x) for k in ones]))
-    m2 = float(np.mean([wx @ quadrature_marginal(wf, k)(x[:, None], x[None, :]) @ wx
-                        for k in pairs]))
-    d3 = wf.density_tensor([x] * 3)
-    m3 = float(np.einsum("i,j,k,ijk->", wx, wx, wx, d3, optimize=True))
+    m1 = float(np.mean([moment(k) for k in ones]))
+    m2 = float(np.mean([moment(k) for k in pairs]))
+    m3 = float(moment((0, 1, 2)))
     return m3 - 3.0 * m2 * m1 + 2.0 * m1**3

@@ -1,8 +1,18 @@
+import resource
+import sys
+
 import numpy as np
 import pytest
 
 from symcorr import ModelParams, QuadratureScheme
 from symcorr.quadrature import gauss_panels
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Report the suite's peak resident set size after the test summary."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    mib = peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes / KiB
+    terminalreporter.write_line(f"peak RSS of the test process: {mib:.0f} MiB")
 
 
 @pytest.fixture(scope="session")

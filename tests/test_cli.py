@@ -209,6 +209,47 @@ def test_config_flag_at_its_default_still_wins(tmp_path, capsys):
     assert out.startswith(PAIR_CSV_HEADER + "\n")
 
 
+def exit_code(*argv):
+    """main's exit code, also when argparse rejects the arguments."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_config_values_pass_the_flags_checks(tmp_path, capsys):
+    # as flags both are usage errors; from the config file they raised
+    # AttributeError and TypeError
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c1sq_grid = 0.5\n")
+    assert exit_code("scan-superposition", "--config", str(cfg)) == 2
+    assert "at least 3 samples" in capsys.readouterr().err
+    cfg.write_text("panels = 2.5\n")
+    assert exit_code("report", "--n", "1,2,3", "--config", str(cfg)) == 2
+    assert "invalid int value" in capsys.readouterr().err
+    cfg.write_text("format = xml\n")
+    assert exit_code("report", "--n", "1,2,3", "--config", str(cfg)) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_config_switch_and_dashed_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("no-interference = yes\nc1sq-grid = 0.0,0.5,1.0\npanels = 10\n")
+    code, out, err = run(capsys, "scan-superposition", "--config", str(cfg))
+    want = run(capsys, "scan-superposition", "--no-interference",
+               "--c1sq-grid", "0.0,0.5,1.0", "--panels", "10")
+    assert code == 0 and (code, out, err) == want
+
+
+def test_scan_n3_rejects_empty_or_malformed_range(capsys):
+    # 6:3 printed only the CSV header and exited 0
+    for text in ("6:3", "3", "3:x"):
+        code, out, err = run(capsys, "scan-n3", "--panels", "10",
+                             "--n3-range", text, "--format", "csv")
+        assert code == 2 and out == "", text
+        assert "is empty" in err if text == "6:3" else "invalid literal" in err
+
+
 def test_config_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("no_such_option = 1\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +27,7 @@ from symcorr import (
     mutual_information_pair_direct,
 )
 from symcorr import wavefunction
-from symcorr.densities import reduce_to_one
+from symcorr.densities import quadrature_marginal, reduce_to_one
 from symcorr.orbitals import MOMENTUM, POSITION, orbital_parity
 from symcorr.quadrature import _d_ln_d, axis_rule, entropy_from_values
 from symcorr.reference_tables import BOX_TABLE, OSCILLATOR_TABLE
@@ -389,6 +390,66 @@ def test_fused_s3_builds_no_3d_grid(box, monkeypatch):
                              Configuration(box, (4, 5, 6), DISTINGUISHABLE),
                              math.sqrt(0.5))
     compute_report(build_superposition(spec), ODD_EVEN_SCHEMES[1])
+    # the validation integrals build none either
+    for _, wf in KERNEL_CASES:
+        cumulant3(wf, ODD_EVEN_SCHEMES[0])
+        if wf.symmetry != DISTINGUISHABLE:
+            mutual_information_higher_direct(wf, ODD_EVEN_SCHEMES[0])
+
+
+def _cumulant3_full_grid(wf, scheme):
+    """cumulant3 with <x1 x2 x3> summed over |Psi|^2 on the full 3D grid."""
+    x, w = axis_rule(wf.domains(1)[0], scheme, 3)
+    wx = w * x
+    if wf.symmetry == DISTINGUISHABLE:
+        ones, pairs = [(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]
+    else:
+        ones, pairs = [(0,)], [(0, 1)]
+    m1 = float(np.mean([wx @ quadrature_marginal(wf, k)(x) for k in ones]))
+    m2 = float(np.mean([wx @ quadrature_marginal(wf, k)(x[:, None], x[None, :]) @ wx
+                        for k in pairs]))
+    d3 = wf.density_tensor([x] * 3)
+    m3 = float(np.einsum("i,j,k,ijk->", wx, wx, wx, d3, optimize=True))
+    return m3 - 3.0 * m2 * m1 + 2.0 * m1**3
+
+
+def _cumulant_cases():
+    box = ModelParams.box(1.0)
+    cases = [(f"{sym[0]}-{space}", build(Configuration(box, (1, 2, 3), sym, space)))
+             for sym in (SYMMETRIC, ANTISYMMETRIC, DISTINGUISHABLE)
+             for space in (POSITION, MOMENTUM)]
+    # interference leaves a nonzero cumulant: about -1.8e-5 (S), -4.9e-6 (D)
+    for sym in (SYMMETRIC, DISTINGUISHABLE):
+        spec = SuperpositionSpec(Configuration(box, (1, 2, 3), sym),
+                                 Configuration(box, (4, 5, 6), sym), math.sqrt(0.3))
+        cases.append((f"{sym[0]}-superposition", build_superposition(spec)))
+    return cases
+
+
+CUMULANT_CASES = _cumulant_cases()
+
+
+@pytest.mark.parametrize("scheme3", ODD_EVEN_SCHEMES, ids=["odd", "even"])
+@pytest.mark.parametrize("name,wf", CUMULANT_CASES, ids=[c[0] for c in CUMULANT_CASES])
+def test_cumulant3_matches_full_grid(name, wf, scheme3):
+    want = _cumulant3_full_grid(wf, scheme3)
+    if name.endswith("superposition"):
+        assert abs(want) > 1e-6  # a wrong contraction cannot hide behind zero
+    assert abs(cumulant3(wf, scheme3) - want) <= 1e-12
+
+
+def test_validation_integrals_stay_below_the_3d_grid():
+    # box momentum A(1,2,3), default scheme: 240 nodes per axis, so the
+    # full float grid alone is 110 MB
+    cfg = Configuration(ModelParams.box(1.0), (1, 2, 3), ANTISYMMETRIC, MOMENTUM)
+    for f, bound_mb in ((mutual_information_higher_direct, 64), (cumulant3, 16)):
+        tracemalloc.start()
+        try:
+            f(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6, (f.__name__, peak)
 
 
 @pytest.mark.parametrize("sym", [ANTISYMMETRIC, DISTINGUISHABLE])
