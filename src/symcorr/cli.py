@@ -9,9 +9,12 @@ Subcommands:
                       reference values (pass/fail per cell)
   density-grid        export a pair density on a grid as CSV
 
+Each subcommand takes only the options its ``cmd_*`` function reads
+(``_option_groups``); ``--config`` and ``--out`` go with every one.
 Options may also come from a flat ``key = value`` config file
-(``--config``), checked as flags; explicit flags win.  Exit codes: 0
-ok, 1 reproduction mismatch, 2 usage error, 3 numerical failure.
+(``--config``): each key must be an option of the subcommand, and is
+checked as that flag; explicit flags win.  Exit codes: 0 ok, 1
+reproduction mismatch, 2 usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -73,6 +76,9 @@ def _config_tokens(path, subparser):
                 tokens.append(f"{action.option_strings[0]}={val}")
             elif val.lower() in ("1", "true", "yes", "on"):
                 tokens.append(action.option_strings[0])
+            elif val.lower() not in ("0", "false", "no", "off"):
+                raise ValueError(f"config key {key!r} is a switch: expected "
+                                 f"1/true/yes/on or 0/false/no/off, got {val!r}")
     return tokens
 
 
@@ -270,57 +276,59 @@ def cmd_density_grid(args):
     space = args.space
     if space == "both":
         raise ValueError("density-grid needs a single space")
-    scheme = _scheme(args)
     wf = build(Configuration(params, ns, sym, space))
     # for two particles the pair density is |Psi|^2 itself
-    text = export_density_grid(reduce_numerical(wf, 2, scheme),
-                               n_points=args.points)
+    text = export_density_grid(reduce_numerical(wf, 2), n_points=args.points)
     _emit(text.rstrip("\n"), args.out)
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--model", choices=["box", "ho"], default="box")
-    p.add_argument("--L", type=float, default=1.0, help="box length")
-    p.add_argument("--omega", type=float, default=1.0, help="trap strength")
-    p.add_argument("--sym", default="a",
-                   help="s (symmetric) | a (antisymmetric) | d (distinguishable)")
-    p.add_argument("--space", default="position",
-                   choices=["position", "momentum", "both"])
-    p.add_argument("--panels", type=int, default=None,
-                   help="panels per axis (overrides all defaults)")
-    p.add_argument("--nodes", type=int, default=None, help="nodes per panel")
-    p.add_argument("--tol", type=float, default=None,
-                   help="target absolute tolerance")
-    p.add_argument("--format", choices=["json", "csv", "table"],
-                   default="table")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+def _option_groups():
+    """Parent parsers: a subcommand takes the groups its ``cmd_*`` reads."""
+    common, model, sym, space, scheme, fmt = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    common.add_argument("--config", help="flat key = value config file")
+    common.add_argument("--out", default=None, help="output path (default stdout)")
+    model.add_argument("--model", choices=["box", "ho"], default="box")
+    model.add_argument("--L", type=float, default=1.0, help="box length")
+    model.add_argument("--omega", type=float, default=1.0, help="trap strength")
+    sym.add_argument("--sym", default="a",
+                     help="s (symmetric) | a (antisymmetric) | d (distinguishable)")
+    space.add_argument("--space", default="position",
+                       choices=["position", "momentum", "both"])
+    scheme.add_argument("--panels", type=int, default=None,
+                        help="panels per axis (overrides all defaults)")
+    scheme.add_argument("--nodes", type=int, default=None, help="nodes per panel")
+    scheme.add_argument("--tol", type=float, default=None,
+                        help="target absolute tolerance")
+    fmt.add_argument("--format", choices=["json", "csv", "table"],
+                     default="table")
+    return common, model, sym, space, scheme, fmt
 
 
 def build_parser():
     """Returns (parser, {command: subparser}) for default-value lookups."""
-    subparsers = {}
     parser = argparse.ArgumentParser(
         prog="symcorr",
         description="Entropies and mutual-information hierarchy for "
                     "few-particle model systems")
     sub = parser.add_subparsers(dest="command", required=True)
+    common, model, sym, space, scheme, fmt = _option_groups()
 
-    p = sub.add_parser("report", help="one system, all measures")
-    _add_common(p)
+    p = sub.add_parser("report", help="one system, all measures",
+                       parents=[common, model, sym, space, scheme, fmt])
     p.add_argument("--n", required=True, help="comma-separated quantum numbers")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("scan-n3", help="sweep the third quantum number")
-    _add_common(p)
+    p = sub.add_parser("scan-n3", help="sweep the third quantum number",
+                       parents=[common, model, space, scheme, fmt])
     p.add_argument("--n", default="1,2", help="the two fixed quantum numbers")
     p.add_argument("--n3-range", default="3:6", help="inclusive range lo:hi")
     p.set_defaults(func=cmd_scan_n3)
 
     p = sub.add_parser("scan-superposition",
-                       help="sweep the superposition coefficient")
-    _add_common(p)
+                       help="sweep the superposition coefficient",
+                       parents=[common, model, sym, space, scheme])
     p.add_argument("--n", default="1,2,3", help="first configuration")
     p.add_argument("--n-second", default="4,5,6", help="second configuration")
     p.add_argument("--no-interference", action="store_true",
@@ -329,20 +337,18 @@ def build_parser():
                    help="comma-separated c1^2 samples")
     p.set_defaults(func=cmd_scan_superposition)
 
-    p = sub.add_parser("tables", help="reproduce a benchmark table")
-    _add_common(p)
+    p = sub.add_parser("tables", help="reproduce a benchmark table",
+                       parents=[common, scheme])
     p.add_argument("--which", type=int, choices=[1, 2], required=True)
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("density-grid", help="export a pair density grid")
-    _add_common(p)
+    p = sub.add_parser("density-grid", help="export a pair density grid",
+                       parents=[common, model, sym, space])
     p.add_argument("--n", required=True, help="comma-separated quantum numbers")
     p.add_argument("--points", type=int, default=101, help="grid points per axis")
     p.set_defaults(func=cmd_density_grid)
 
-    for name, sp in sub.choices.items():
-        subparsers[name] = sp
-    return parser, subparsers
+    return parser, dict(sub.choices)
 
 
 def main(argv=None):

@@ -133,19 +133,19 @@ def _default_plot_range(domain):
     return -0.75 * domain.scale, 0.75 * domain.scale
 
 
-def export_density_grid(density, n_points=101, bounds=None, out=None):
-    """Tabulate a pair density as CSV rows ``x1,x2,value``.
+def export_density_grid(density, n_points=101):
+    """The CSV text of a pair density, rows ``x1,x2,value``.
 
-    Row-major over an equispaced grid; 12 significant digits.  Round-off
-    in [-NEGATIVE_NOISE_TOL, 0) is written as 0; a value below that
-    raises ValueError.  ``out`` may be a path or a file-like object;
-    with ``out=None`` the CSV text is returned.
+    Row-major over ``n_points`` (at least 1) equispaced points per axis,
+    spanning a box axis or the bulk of a mapped one; 12 significant
+    digits.  Round-off in [-NEGATIVE_NOISE_TOL, 0) is written as 0; a
+    value below that raises ValueError.
     """
     if density.arity != 2:
         raise ValueError("grid export requires a pair density")
-    if bounds is None:
-        bounds = tuple(_default_plot_range(d) for d in density.domains)
-    (a1, b1), (a2, b2) = bounds
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
+    (a1, b1), (a2, b2) = (_default_plot_range(d) for d in density.domains)
     x1 = np.linspace(a1, b1, n_points)
     x2 = np.linspace(a2, b2, n_points)
     vals = np.asarray(density(x1[:, None], x2[None, :]), dtype=float)
@@ -159,12 +159,4 @@ def export_density_grid(density, n_points=101, bounds=None, out=None):
     for i in range(n_points):
         for j in range(n_points):
             buf.write(f"{x1[i]:.12g},{x2[j]:.12g},{vals[i, j]:.12g}\n")
-    text = buf.getvalue()
-    if out is None:
-        return text
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-    return None
+    return buf.getvalue()

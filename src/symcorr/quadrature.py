@@ -245,16 +245,15 @@ def _d_ln_d(d, out):
     return out
 
 
-def entropy_integrand(density_value, out=None):
+def entropy_integrand(density_value):
     """-d*ln(d) with the x*ln(x) -> 0 limit at d = 0; never NaN.
 
     Small negative values (quadrature noise) count as zero; anything
     below -1e-12 is rejected.  Values below the 1e-300 floor give exactly
-    0.  The negation of ``_d_ln_d``, in ``out`` (shaped like the density,
-    and not the density itself) when given, else in a new array.
+    0.  The negation of ``_d_ln_d``, in a new array.
     """
     d = np.asarray(density_value, dtype=float)
-    out = _d_ln_d(d, np.empty_like(d) if out is None else out)
+    out = _d_ln_d(d, np.empty_like(d))
     return np.negative(out, out=out)
 
 

@@ -213,7 +213,7 @@ class ScanResult:
 
 
 def scan_coefficient(spec_template, c1sq_samples=DEFAULT_C1SQ_GRID,
-                     scheme=None, with_error=False):
+                     scheme=None):
     """Scan c1^2 over the given samples, one InformationReport each.
 
     Every sample builds its coefficient tensor from the two components,
@@ -221,7 +221,8 @@ def scan_coefficient(spec_template, c1sq_samples=DEFAULT_C1SQ_GRID,
     orbital table of each rule is evaluated once for the whole curve,
     whatever the number of samples.  If that raises, the samples are
     rerun one by one: per-sample failures are collected in ``errors``,
-    and the remaining samples are still returned.
+    and the remaining samples are still returned.  No coarse error run:
+    each report's ``error_estimate`` is None.
     """
     scheme = scheme or QuadratureScheme()
     samples = sorted(float(c) for c in c1sq_samples)
@@ -238,11 +239,12 @@ def scan_coefficient(spec_template, c1sq_samples=DEFAULT_C1SQ_GRID,
     results = []
     errors = []
     try:
-        results = list(zip(samples, compute_reports(mixes, scheme, with_error)))
+        reports = compute_reports(mixes, scheme, with_error=False)
+        results = list(zip(samples, reports))
     except Exception:  # a failing sample fails the batch: find it
         for c1sq, mix in zip(samples, mixes):
             try:
-                rep = compute_report(mix, scheme, with_error=with_error)
+                rep = compute_report(mix, scheme, with_error=False)
             except Exception as exc:  # keep partial scan results
                 errors.append((c1sq, str(exc)))
                 continue

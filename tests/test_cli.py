@@ -241,6 +241,57 @@ def test_config_switch_and_dashed_key(tmp_path, capsys):
     assert code == 0 and (code, out, err) == want
 
 
+def test_config_switch_takes_only_true_or_false_words(tmp_path, capsys):
+    # "ture" was read as off: the scan ran with interference and exited 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("no_interference = ture\n")
+    assert exit_code("scan-superposition", "--config", str(cfg)) == 2
+    assert "'no_interference'" in capsys.readouterr().err
+    cfg.write_text("no_interference = Off\nc1sq_grid = 0.0,0.5,1.0\n")
+    code, out, err = run(capsys, "scan-superposition", "--config", str(cfg),
+                         "--panels", "10")
+    assert code == 0 and (code, out, err) == run(
+        capsys, "scan-superposition", "--c1sq-grid", "0.0,0.5,1.0",
+        "--panels", "10")
+
+
+# each subcommand takes only the options it reads: (subcommand, its
+# required arguments, an option it does not take, a value)
+NOT_TAKEN = [
+    ("tables", ["--which", "1"], "--model", "ho"),
+    ("tables", ["--which", "1"], "--L", "2"),
+    ("tables", ["--which", "1"], "--omega", "2"),
+    ("tables", ["--which", "1"], "--sym", "s"),
+    ("tables", ["--which", "1"], "--space", "momentum"),
+    ("tables", ["--which", "1"], "--format", "csv"),
+    ("scan-n3", [], "--sym", "d"),
+    ("scan-superposition", [], "--format", "json"),
+    ("density-grid", ["--n", "1,2"], "--panels", "10"),
+    ("density-grid", ["--n", "1,2"], "--nodes", "5"),
+    ("density-grid", ["--n", "1,2"], "--tol", "1e-6"),
+    ("density-grid", ["--n", "1,2"], "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("command,required,option,value", NOT_TAKEN,
+                         ids=[f"{c} {o}" for c, _, o, _ in NOT_TAKEN])
+def test_option_not_taken_is_a_usage_error(tmp_path, capsys, command,
+                                           required, option, value):
+    # tables --which 1 --space momentum printed the position-space tables
+    assert exit_code(command, *required, option, value) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option[2:]} = {value}\n")
+    assert exit_code(command, *required, "--config", str(cfg)) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_density_grid_rejects_empty_grid(capsys):
+    code, out, err = run(capsys, "density-grid", "--n", "1,2", "--points", "0")
+    assert code == 2 and out == ""
+    assert "n_points must be at least 1" in err
+
+
 def test_scan_n3_rejects_empty_or_malformed_range(capsys):
     # 6:3 printed only the CSV header and exited 0
     for text in ("6:3", "3", "3:x"):
@@ -277,4 +328,5 @@ def test_parser_defaults_exposed():
     assert set(subparsers) == {"report", "scan-n3", "scan-superposition",
                                "tables", "density-grid"}
     args = parser.parse_args(["tables", "--which", "2"])
-    assert args.which == 2 and args.model == "box"
+    assert args.which == 2
+    assert parser.parse_args(["report", "--n", "1,2,3"]).model == "box"

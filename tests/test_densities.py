@@ -215,7 +215,7 @@ def test_riemann_normalization_of_numerical_grid(box, scheme):
     assert gamma.integral() == pytest.approx(1.0, abs=1e-3)
 
 
-def test_export_density_grid_format(anti_wf, tmp_path):
+def test_export_density_grid_format(anti_wf):
     gamma = reduce_to_pair(anti_wf)
     text = export_density_grid(gamma, n_points=7)
     lines = text.strip().split("\n")
@@ -225,9 +225,6 @@ def test_export_density_grid_format(anti_wf, tmp_path):
     assert float(v) == pytest.approx(gamma(float(x1), float(x2)), rel=1e-10)
     # 12 significant digits survive the round trip
     assert abs(float(v) - gamma(float(x1), float(x2))) < 1e-12 * max(1.0, float(v))
-    path = tmp_path / "grid.csv"
-    assert export_density_grid(gamma, n_points=3, out=str(path)) is None
-    assert path.read_text().startswith("x1,x2,value\n")
 
 
 def test_export_density_grid_momentum_header(box):
@@ -239,6 +236,13 @@ def test_export_density_grid_momentum_header(box):
 def test_export_density_grid_rejects_one_particle(anti_wf):
     with pytest.raises(ValueError):
         export_density_grid(reduce_to_one(anti_wf))
+
+
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_export_density_grid_rejects_empty_grid(anti_wf, n_points):
+    # 0 failed inside numpy's reshape, -3 inside linspace
+    with pytest.raises(ValueError, match="n_points must be at least 1"):
+        export_density_grid(reduce_to_pair(anti_wf), n_points=n_points)
 
 
 def test_export_density_grid_rejects_significantly_negative(anti_wf):
