@@ -354,11 +354,19 @@ def build_parser():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
+
+    def parse(tokens):
+        args, extra = parser.parse_known_args(tokens)
+        if extra:  # with the subcommand's usage, which lists what it takes
+            subparsers[args.command].error(
+                f"unrecognized arguments: {' '.join(extra)}")
+        return args
+
+    args = parse(argv)
     try:
         if args.config:  # ahead of argv: argparse checks each value, flags win
             tokens = _config_tokens(args.config, subparsers[args.command])
-            args = parser.parse_args(argv[:1] + tokens + argv[1:])
+            args = parse(argv[:1] + tokens + argv[1:])
         return args.func(args)
     except NonConvergenceError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

@@ -31,9 +31,15 @@ factorizes, so its s2 and s3 are 2 s1 and 3 s1, and every correlation
 measure vanishes to round-off.  s3 of the other states of a group comes
 from one pass of ``wavefunction.entropy_grid`` over |Psi|^2 on the 3D
 rule, slab by slab, on the region their symmetries leave distinct
-(``wavefunction.slab_folds``).  All three entropies apply the one
-d ln d, ``quadrature._d_ln_d``, and negate the reduced sum.  All values
-are in nats.
+(``wavefunction.slab_folds``).  Each entropy of k coordinates, s3 of
+``entropy`` too, runs on the nodes ``wavefunction.trim_rule`` keeps for
+k: it drops the end nodes of a rule where every orbital is so small
+that, for any state over them, their whole contribution is at most
+1e-17 nats.  That cuts the mapped oscillator rules (240 -> 148-152
+nodes per axis in 3D for table 2) and no box rule.
+``reduce_numerical`` and the validation integrals keep the full rule.
+All three entropies apply the one d ln d, ``quadrature._d_ln_d``, and
+negate the reduced sum.  All values are in nats.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from .wavefunction import (
     entropy_grid,
     reduced_density,
     slab_folds,
+    trim_rule,
 )
 
 __all__ = [
@@ -146,33 +153,42 @@ def entropy(density, scheme=None):
     A ReducedDensity carries its own table, which is integrated as it
     is; ``scheme`` applies to states (anything with coefficient-tensor
     ``terms``: a WaveFunction or a superposition).  A three-particle
-    state, a Hartree product too, integrates |Psi|^2 on the 3D rule.
+    state, a Hartree product too, integrates |Psi|^2 on the 3D rule,
+    trimmed by ``trim_rule``.
     """
     if not hasattr(density, "terms"):
         return entropy_from_values(density.grid_values, density.grid_weights)
     scheme = scheme or QuadratureScheme()
     if density.nparticles == 2:
         return entropy(reduce_numerical(density, 2, scheme))
-    *_, domain, symmetric, folds, _ = _group_key(density, scheme)
+    *_, domain, symmetric, folds, _ = _group_key(density, scheme, {})
     x, w = axis_rule(domain, scheme, 3)
-    return entropy_grid(density.terms, density.tables(x), w, symmetric, folds)
+    return entropy_grid(density.terms, *trim_rule(density.tables(x), w, 3)[:2],
+                        symmetric, folds)
 
 
-def _group_key(st, scheme):
+def _group_key(st, scheme, folds):
     """Params, space, orbitals, domain, symmetry, kernel region, term count.
 
     States with equal keys share their orbital tables and one s3 kernel
-    pass.  The kernel region is ``slab_folds``, tested once per state.
+    pass.  The kernel region is ``slab_folds``, which depends on a state
+    only through its symmetry, its orbitals' parities and where its
+    tensors are nonzero; ``folds`` memoizes it on those, so the samples
+    of a curve, which share one nonzero pattern, test it once.
     """
     domain = st.domains(1)[0]
     x, w = axis_rule(domain, scheme, 3)
     t = st.tables
     symmetric = st.symmetry != DISTINGUISHABLE
     # parities about the domain centre, usable only on a mirror-symmetric rule
-    parities = [orbital_parity(t.params, n) for n in t.orbitals] \
+    parities = tuple(orbital_parity(t.params, n) for n in t.orbitals) \
         if mirror_symmetric(domain, x, w) else None
-    return (t.params, t.space, t.orbitals, domain, symmetric,
-            slab_folds(st.terms, symmetric, parities), len(st.terms))
+    memo = (symmetric, parities) + tuple(np.not_equal(c, 0).tobytes()
+                                         for _, c in st.terms)
+    if memo not in folds:
+        folds[memo] = slab_folds(st.terms, symmetric, parities)
+    return (t.params, t.space, t.orbitals, domain, symmetric, folds[memo],
+            len(st.terms))
 
 
 def _keeps(wf):
@@ -190,17 +206,19 @@ def _mean_entropy(terms, keeps, table, w):
         for keep in keeps]))
 
 
-def _entropies(states, scheme):
+def _entropies(states, scheme, folds):
     """(s1, s2, s3) of each three-particle state, grouped by ``_group_key``.
 
-    Each orbital table is evaluated once per call and rule.  The members
-    of a group that are not Hartree products stack each term's tensors
-    along a sample axis, or pass it once when all have the same one, for
-    one ``entropy_grid`` pass.
+    Each orbital table is evaluated once per call and rule, and each
+    entropy of k coordinates runs on the nodes ``trim_rule`` keeps for k.
+    The members of a group that are not Hartree products stack each
+    term's tensors along a sample axis, or pass it once when all have the
+    same one, for one ``entropy_grid`` pass.  ``folds`` is
+    ``_group_key``'s memo.
     """
     groups = {}
     for k, st in enumerate(states):
-        groups.setdefault(_group_key(st, scheme), []).append(k)
+        groups.setdefault(_group_key(st, scheme, folds), []).append(k)
     tables = {}
 
     def rule(key, ndim):
@@ -208,7 +226,7 @@ def _entropies(states, scheme):
         tk = key[:4] + (scheme.panels_for(key[3], ndim),)
         if tk not in tables:
             tables[tk] = OrbitalTables(*key[:3])(x)
-        return tables[tk], w
+        return trim_rule(tables[tk], w, ndim)[:2]
 
     out = [None] * len(states)
     for key, members in groups.items():
@@ -292,8 +310,9 @@ def compute_reports(systems, scheme=None, with_error=True):
     wfs = [_as_wavefunction(s) for s in systems]
     if any(wf.nparticles != 3 for wf in wfs):
         raise ValueError("information reports are defined for 3-particle systems")
-    fine = _entropies(wfs, scheme)
-    coarse = _entropies(wfs, scheme.coarsened()) if with_error \
+    folds = {}
+    fine = _entropies(wfs, scheme, folds)
+    coarse = _entropies(wfs, scheme.coarsened(), folds) if with_error \
         else [None] * len(wfs)
     return [_report(*args, scheme) for args in zip(wfs, fine, coarse)]
 
@@ -333,8 +352,12 @@ def mutual_information_higher_direct(system, scheme=None):
 
     integral |Psi|^2 ln[ |Psi|^2 rho(x1) rho(x2) rho(x3)
                          / (Gamma(x1,x2) Gamma(x1,x3) Gamma(x2,x3)) ].
-    Validation mode; indistinguishable systems only.  |Psi|^2 is built
-    one slab of x1 at a time, so no 3D array exists.
+    Validation mode; indistinguishable systems only.  The integrand is
+    then exchange-symmetric, so it runs over the sorted sector
+    i <= j <= k of the full 3D rule with multiplicities 6, 3 and 1, one
+    slab of the middle coordinate x2 at a time (rows i <= j, columns
+    k >= j), so no 3D array exists.  The rule is never trimmed: the
+    check shares no region or node choice with the s3 kernel.
     """
     scheme = scheme or QuadratureScheme()
     wf = _as_wavefunction(system)
@@ -346,17 +369,21 @@ def mutual_information_higher_direct(system, scheme=None):
     gamma, rho = _marginals_at(wf, x)
     log_rho = np.log(np.maximum(rho, DENSITY_FLOOR))
     log_gamma = np.log(np.maximum(gamma, DENSITY_FLOOR))
-    w23 = np.outer(w, w)
     total = 0.0
-    for i in range(len(x)):
-        d = density_grid(wf.terms, [t[i:i + 1], t, t])[0]  # slab x1 = x[i]
+    for j in range(len(x)):
+        d = density_grid(wf.terms, [t[:j + 1], t[j:j + 1], t[j:]])[:, 0]
         mask = d > DENSITY_FLOOR
         if not mask.any():
             continue
         log_arg = (np.log(np.where(mask, d, 1.0))
-                   + log_rho[i] + log_rho[:, None] + log_rho[None, :]
-                   - log_gamma[i][:, None] - log_gamma[i][None, :] - log_gamma)
-        total += w[i] * float(np.sum((w23 * d * log_arg)[mask]))
+                   + log_rho[:j + 1, None] + log_rho[j] + log_rho[None, j:]
+                   - log_gamma[:j + 1, j, None] - log_gamma[None, j, j:]
+                   - log_gamma[:j + 1, j:])
+        mult = np.full(d.shape, 6.0)
+        mult[-1, :] = mult[:, 0] = 3.0  # i = j or k = j
+        mult[-1, 0] = 1.0  # i = j = k
+        wmat = mult * np.outer(w[:j + 1], w[j:])
+        total += w[j] * float(np.sum((wmat * d * log_arg)[mask]))
     return total
 
 

@@ -14,7 +14,11 @@ samples of a scan, is built and integrated slab by slab, without the
 3D grid (``entropy_grid``), over the sorted sector i <= j <= k of an
 exchange-symmetric density, halved again when the inversion of all
 three axes leaves every term invariant, and over the parity-folded
-grid of a distinguishable one (``fold_axes``).  The
+grid of a distinguishable one (``fold_axes``).  On a mapped axis a
+rule reaches far past where any orbital of the state is non-negligible;
+``trim_rule`` drops the nodes at each end whose total contribution to
+the entropy it bounds below 1e-17 nats, for every state over the
+orbitals.  The
 reduced densities follow exactly from the reduced density matrices of
 C, by orbital orthonormality, with no quadrature over the integrated
 coordinates.
@@ -57,6 +61,8 @@ __all__ = [
     "entropy_grid",
     "fold_axes",
     "slab_folds",
+    "trim_rule",
+    "TRIM_BOUND",
     "reflection_invariant",
     "reduced_density",
     "build",
@@ -73,6 +79,10 @@ _SYMMETRY_ALIASES = {
     "a": ANTISYMMETRIC, ANTISYMMETRIC: ANTISYMMETRIC,
     "d": DISTINGUISHABLE, DISTINGUISHABLE: DISTINGUISHABLE,
 }
+
+# nats a trimmed rule may change an entropy by: below the round-off of
+# any entropy summed here, which is at least eps * |s| ~ 1e-16
+TRIM_BOUND = 1e-17
 
 _PERMUTATIONS = {
     2: [((0, 1), 1), ((1, 0), -1)],
@@ -265,6 +275,38 @@ def slab_folds(terms, symmetric, parities):
     if symmetric:
         return (0,) if reflection_invariant(flat, parities, (0, 1, 2)) else ()
     return fold_axes(flat, parities)
+
+
+def trim_rule(table, weights, arity):
+    """The rule without the end nodes that no entropy of ``arity`` needs.
+
+    ``table`` holds the values of r orthonormal orbitals at the nodes of a
+    rule with ``weights``.  A k-particle density (k = ``arity``) of any
+    normalized state over them, or of any mixture of such states, is at
+    most delta(x) = r^k B(x)^2 B_max^(2(k-1)) at a node with one
+    coordinate x, by Cauchy-Schwarz on C (sum |C|^2 = 1): here
+    B(x) = max_a |phi_a(x)| and B_max is the largest B at the nodes.
+    While delta <= 1/e, -d ln d <= -delta ln delta, so leaving out the
+    nodes D of the rule changes the entropy on the k-fold tensor rule by
+    at most k W^(k-1) sum_{i in D} w_i (-delta_i ln delta_i), W = sum w.
+    Returns the table and weights without the largest equal number of
+    nodes at each end that keeps this bound at or below ``TRIM_BOUND``,
+    and the bound; at least one node stays.  Slices of a mirror-symmetric
+    rule stay mirror-symmetric, so ``slab_folds`` holds on them.
+    """
+    b2 = np.max(np.abs(table), axis=1) ** 2
+    delta = table.shape[1] ** arity * b2 * b2.max() ** (arity - 1)
+    # -delta ln delta per node, infinite where it would not bound -d ln d
+    g = np.full(len(delta), np.inf)
+    small = delta <= 1.0 / math.e
+    d = delta[small]
+    g[small] = -d * np.log(np.where(d > 0.0, d, 1.0))
+    g *= weights
+    n = len(weights)
+    bounds = arity * np.sum(weights) ** (arity - 1) \
+        * np.cumsum((g + g[::-1])[:(n - 1) // 2])
+    m = int(np.searchsorted(bounds, TRIM_BOUND, side="right"))
+    return table[m:n - m], weights[m:n - m], float(bounds[m - 1]) if m else 0.0
 
 
 def _folded(weights):

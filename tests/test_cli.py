@@ -279,7 +279,10 @@ def test_option_not_taken_is_a_usage_error(tmp_path, capsys, command,
                                            required, option, value):
     # tables --which 1 --space momentum printed the position-space tables
     assert exit_code(command, *required, option, value) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    # the subcommand's usage line, not the top-level one
+    assert err.startswith(f"usage: symcorr {command} ")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{option[2:]} = {value}\n")
     assert exit_code(command, *required, "--config", str(cfg)) == 2

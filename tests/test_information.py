@@ -26,18 +26,22 @@ from symcorr import (
     mutual_information_higher_direct,
     mutual_information_pair_direct,
 )
-from symcorr import wavefunction
+from symcorr import information, wavefunction
 from symcorr.densities import quadrature_marginal, reduce_to_one
 from symcorr.orbitals import MOMENTUM, POSITION, orbital_parity
 from symcorr.quadrature import _d_ln_d, axis_rule, entropy_from_values
 from symcorr.reference_tables import BOX_TABLE, OSCILLATOR_TABLE
 from symcorr.superposition import _CachedMixture
 from symcorr.wavefunction import (
+    TRIM_BOUND,
     coefficient_tensor,
+    density_grid,
     entropy_grid,
     fold_axes,
+    reduced_density,
     reflection_invariant,
     slab_folds,
+    trim_rule,
 )
 
 
@@ -278,7 +282,9 @@ def integrand_nodes(monkeypatch):
 @pytest.mark.parametrize("name,wf", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_fused_s3_evaluates_each_distinct_value_once(name, wf, scheme3, integrand_nodes):
     entropy(wf, scheme3)
-    n = len(axis_rule(wf.domains(1)[0], scheme3, 3)[1])
+    # the nodes of the rule the kernel runs on: trim_rule drops oscillator tails
+    x, w = axis_rule(wf.domains(1)[0], scheme3, 3)
+    n = len(trim_rule(wf.tables(x), w, 3)[1])
     if wf.symmetry == DISTINGUISHABLE:
         f = len(FOLDS[name])
         want = ((n + 1) // 2) ** f * n ** (3 - f)
@@ -476,3 +482,94 @@ def test_two_particle_entropy_matches_full_grid(box, ho, sym, space):
         x, w = axis_rule(wf.domains(1)[0], scheme, 2)
         want = entropy_from_values(wf.density_tensor([x] * 2), [w] * 2)
         assert abs(entropy(wf, scheme) - want) <= 1e-13
+
+
+def _trim_cases():
+    """Oscillator states on rules that trim_rule cuts at both ends."""
+    ho = ModelParams.oscillator(1.0)
+    cases = [(f"{sym[0]}-{space}", build(Configuration(ho, (0, 1, 2), sym, space)))
+             for sym in (SYMMETRIC, ANTISYMMETRIC, DISTINGUISHABLE)
+             for space in (POSITION, MOMENTUM)]
+    for name, sym, interference in (("s-superposition", SYMMETRIC, True),
+                                    ("d-mixture", DISTINGUISHABLE, False)):
+        spec = SuperpositionSpec(Configuration(ho, (0, 1, 2), sym),
+                                 Configuration(ho, (3, 4, 5), sym),
+                                 math.sqrt(0.4), interference)
+        cases.append((name, build_superposition(spec)))
+    return cases
+
+
+TRIM_CASES = _trim_cases()
+TRIM_SCHEMES = [QuadratureScheme(), QuadratureScheme().coarsened()]
+
+
+@pytest.mark.parametrize("scheme", TRIM_SCHEMES, ids=["default", "coarse"])
+def test_trimmed_rules_keep_every_entropy(scheme, monkeypatch):
+    states = [wf for _, wf in TRIM_CASES]
+    for wf in states:
+        x, w = axis_rule(wf.domains(1)[0], scheme, 3)
+        assert len(trim_rule(wf.tables(x), w, 3)[1]) < len(w)
+    trimmed = compute_reports(states, scheme, with_error=False)
+    monkeypatch.setattr(information, "trim_rule", lambda t, w, k: (t, w, 0.0))
+    full = compute_reports(states, scheme, with_error=False)
+    for (name, _), a, b in zip(TRIM_CASES, trimmed, full):
+        for key in ("s1", "s2", "s3"):
+            assert abs(getattr(a.entropies, key) - getattr(b.entropies, key)) \
+                <= 1e-14, (name, key)
+
+
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+def test_box_rules_keep_every_node(box, space):
+    # sin tails at the walls, 1/p^2 tails in momentum: no end node is idle
+    for ns in ((1, 2, 3), (1, 1, 2), (4, 5, 6)):
+        wf = build(Configuration(box, ns, SYMMETRIC, space))
+        for scheme in TRIM_SCHEMES:
+            for k in (1, 2, 3):
+                x, w = axis_rule(wf.domains(1)[0], scheme, k)
+                t, kept, bound = trim_rule(wf.tables(x), w, k)
+                assert len(kept) == len(w) == len(t) and bound == 0.0
+
+
+def _dropped_entropy(terms, t, w, m, k):
+    """Largest -sum w.. d ln d over the nodes of the k-fold rule outside
+    the kept block (a coordinate among the m first or last nodes), over
+    every k-particle marginal; |Psi|^2 one slab at a time for k = 3."""
+    inner = np.zeros(len(w), bool)
+    inner[m:len(w) - m] = True
+    if k == 3:
+        total = 0.0
+        for i in range(len(w)):
+            d = density_grid(terms, [t[i:i + 1], t, t])[0]
+            e = -w[i] * np.outer(w, w) * _d_ln_d(d, np.empty_like(d))
+            total += float(np.sum(e if not inner[i] else
+                                  e[~np.outer(inner, inner)]))
+        return total
+    keeps = [(0,), (1,), (2,)] if k == 1 else [(0, 1), (0, 2), (1, 2)]
+    tables = [t] if k == 1 else [t[:, None], t[None, :]]
+    worst = 0.0
+    for keep in keeps:
+        d = reduced_density(terms, keep, tables)
+        e = -_d_ln_d(d, np.empty_like(d)) * (w if k == 1 else np.outer(w, w))
+        mask = ~inner if k == 1 else ~np.outer(inner, inner)
+        worst = max(worst, float(np.sum(e[mask])))
+    return worst
+
+
+@pytest.mark.parametrize("name,wf", TRIM_CASES, ids=[c[0] for c in TRIM_CASES])
+def test_trim_bound_covers_the_dropped_nodes(name, wf):
+    # on the coarse rules, where the dropped 3D nodes can be summed here
+    scheme = TRIM_SCHEMES[1]
+    for k in (1, 2, 3):
+        x, w = axis_rule(wf.domains(1)[0], scheme, k)
+        t = wf.tables(x)
+        kept, bound = trim_rule(t, w, k)[1:]
+        m = (len(w) - len(kept)) // 2
+        assert m > 0 and np.array_equal(kept, w[m:len(w) - m])
+        assert _dropped_entropy(wf.terms, t, w, m, k) <= bound <= TRIM_BOUND
+
+
+def test_trimmed_s3_nodes_of_oscillator_a012(ho, integrand_nodes):
+    # 240 nodes per axis, 152 kept: the inverted sorted sector falls from
+    # 1,166,440 to 298,452 nodes
+    compute_report(Configuration(ho, (0, 1, 2), ANTISYMMETRIC), with_error=False)
+    assert sum(integrand_nodes) == 298_452
