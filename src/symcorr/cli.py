@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from .densities import export_density_grid, reduce_numerical
-from .information import compute_report, entropy
+from .information import compute_report, compute_reports, entropy
 from .orbitals import MOMENTUM, POSITION, ModelParams
 from .quadrature import NonConvergenceError, QuadratureScheme
 from .reference_tables import ROW_KEYS, ROW_LABELS, TABLE_TOLERANCE, table_spec
@@ -143,10 +143,6 @@ def _report_rows_to_text(rows, fmt, header=REPORT_CSV_HEADER):
     return "\n".join(lines)
 
 
-def _full_report_dict(cfg, scheme):
-    return compute_report(cfg, scheme).as_dict()
-
-
 def _pair_report_dict(cfg, scheme, system):
     wf = build(cfg)
     s2 = entropy(wf, scheme)
@@ -165,7 +161,7 @@ def cmd_report(args):
     for space in _spaces(args):
         cfg = Configuration(params=params, ns=ns, symmetry=sym, space=space)
         if len(ns) == 3:
-            rows.append(_full_report_dict(cfg, scheme))
+            rows.append(compute_report(cfg, scheme).as_dict())
         else:
             rows.append(_pair_report_dict(cfg, scheme,
                                           f"{args.model} ns={ns} {sym}"))
@@ -183,17 +179,12 @@ def cmd_scan_n3(args):
     n3_values = range(int(lo), int(hi) + 1)
     if not n3_values:
         raise ValueError(f"--n3-range {args.n3_range!r} is empty: need lo <= hi")
-    scheme = _scheme(args)
-    rows = []
-    for space in _spaces(args):
-        for n3 in n3_values:
-            for sym_tag in ("a", "s"):
-                sym = parse_symmetry(sym_tag)
-                if n3 in base and sym_tag == "a":
-                    continue  # determinant vanishes
-                cfg = Configuration(params=params, ns=base + (n3,),
-                                    symmetry=sym, space=space)
-                rows.append(_full_report_dict(cfg, scheme))
+    # one batch, so each S/A pair shares its orbital tables and s3 pass
+    configs = [Configuration(params, base + (n3,), parse_symmetry(sym_tag), space)
+               for space in _spaces(args) for n3 in n3_values
+               for sym_tag in ("a", "s")
+               if not (n3 in base and sym_tag == "a")]  # determinant vanishes
+    rows = [rep.as_dict() for rep in compute_reports(configs, _scheme(args))]
     _emit(_report_rows_to_text(rows, args.format), args.out)
     return 0
 

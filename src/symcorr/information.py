@@ -17,27 +17,31 @@ integrand containing a ratio of six densities.  Neither check, nor
 and the moments contract C with a one-axis moment matrix.
 
 Every state takes one path.  ``compute_reports`` groups the states it
-is given, such as the c1^2 samples of a scan, by params, space,
-orbitals, domain, symmetry, kernel region and number of terms, and one
-grouping feeds s1, s2 and s3.  The orbital table of each distinct rule
-is evaluated once per call; the 1D and 2D rules are one rule, so rho
-and Gamma share it.  s1 and s2 integrate each state's exact rho and
-Gamma, from the reduced density matrices of its coefficient tensor.
-For distinguishable (Hartree-type) states the marginals differ per
-coordinate; s1 and s2 are then the averages over coordinates/pairs,
-which reproduces the distinguishable-system decomposition of I^3
-exactly and keeps the hierarchy identities intact.  A Hartree product
-factorizes, so its s2 and s3 are 2 s1 and 3 s1, and every correlation
-measure vanishes to round-off.  s3 of the other states of a group comes
-from one pass of ``wavefunction.entropy_grid`` over |Psi|^2 on the 3D
-rule, slab by slab, on the region their symmetries leave distinct
-(``wavefunction.slab_folds``).  Each entropy of k coordinates, s3 of
-``entropy`` too, runs on the nodes ``wavefunction.trim_rule`` keeps for
-k: it drops the end nodes of a rule where every orbital is so small
-that, for any state over them, their whole contribution is at most
-1e-17 nats.  That cuts the mapped oscillator rules (240 -> 148-152
-nodes per axis in 3D for table 2) and no box rule.
-``reduce_numerical`` and the validation integrals keep the full rule.
+is given, such as the c1^2 samples of a scan, once, by params, space,
+orbitals, exchange symmetry and the nonzero mask of each term's C;
+those fix the domain, the kernel region and whether a state is a
+Hartree product.  That one grouping feeds s1, s2 and s3 at the fine
+and the coarse level.  The endpoints of an S/A scan curve are each a
+group of their own, on the inverted half sector.  The orbital table of
+each distinct rule is evaluated once per level; the 1D and 2D rules are
+one rule, so rho and Gamma share it.  s1 and s2 integrate each state's
+exact rho and Gamma, from the reduced density matrices of its
+coefficient tensor.  For distinguishable (Hartree-type) states the
+marginals differ per coordinate; s1 and s2 are then the averages over
+coordinates/pairs, which reproduces the distinguishable-system
+decomposition of I^3 exactly and keeps the hierarchy identities intact.
+A Hartree product factorizes, so its s2 and s3 are 2 s1 and 3 s1, and
+every correlation measure vanishes to round-off.  s3 of the other
+groups comes from one pass of ``wavefunction.entropy_grid`` per group
+over |Psi|^2 on the 3D rule, slab by slab, on the region their
+symmetries leave distinct (``wavefunction.slab_folds``).  Each entropy
+of k coordinates, s3 of ``entropy`` too, runs on the nodes
+``wavefunction.trim_rule`` keeps for k: it drops the end nodes of a
+rule where every orbital is so small that, for any state over them,
+their whole contribution is at most 1e-17 nats.  That cuts the mapped
+oscillator rules (240 -> 148-152 nodes per axis in 3D for table 2) and
+no box rule.  ``reduce_numerical`` and the validation integrals keep
+the full rule.
 All three entropies apply the one d ln d, ``quadrature._d_ln_d``, and
 negate the reduced sum.  All values are in nats.
 """
@@ -62,7 +66,6 @@ from .quadrature import (
 from .wavefunction import (
     DISTINGUISHABLE,
     Configuration,
-    OrbitalTables,
     WaveFunction,
     build,
     density_grid,
@@ -161,34 +164,45 @@ def entropy(density, scheme=None):
     scheme = scheme or QuadratureScheme()
     if density.nparticles == 2:
         return entropy(reduce_numerical(density, 2, scheme))
-    *_, domain, symmetric, folds, _ = _group_key(density, scheme, {})
-    x, w = axis_rule(domain, scheme, 3)
-    return entropy_grid(density.terms, *trim_rule(density.tables(x), w, 3)[:2],
-                        symmetric, folds)
+    rule, symmetric, folds = _rules(density, scheme, {})
+    return entropy_grid(density.terms, *rule(3), symmetric, folds)
 
 
-def _group_key(st, scheme, folds):
-    """Params, space, orbitals, domain, symmetry, kernel region, term count.
+def _group_key(st):
+    """Params, space, orbitals, exchange symmetry, nonzero mask of each C.
 
-    States with equal keys share their orbital tables and one s3 kernel
-    pass.  The kernel region is ``slab_folds``, which depends on a state
-    only through its symmetry, its orbitals' parities and where its
-    tensors are nonzero; ``folds`` memoizes it on those, so the samples
-    of a curve, which share one nonzero pattern, test it once.
+    States with equal keys share their domain, orbital tables, kernel
+    region and one s3 kernel pass: the region (``slab_folds``) depends on
+    a state only through its symmetry, its orbitals' parities and where
+    its tensors are nonzero.  So does whether it is a Hartree product.
     """
-    domain = st.domains(1)[0]
-    x, w = axis_rule(domain, scheme, 3)
     t = st.tables
+    return (t.params, t.space, t.orbitals, st.symmetry != DISTINGUISHABLE) \
+        + tuple(np.not_equal(c, 0).tobytes() for _, c in st.terms)
+
+
+def _rules(st, scheme, tables):
+    """(rule, symmetric, folds) of a three-particle state on ``scheme``.
+
+    ``rule(k)`` is the orbital table and weights ``trim_rule`` keeps for
+    an entropy of k coordinates; ``tables`` holds the table of each rule,
+    evaluated once.  ``folds`` is the s3 kernel region, ``slab_folds``.
+    """
+    t = st.tables
+    domain = st.domains(1)[0]
+
+    def rule(k):
+        x, w = axis_rule(domain, scheme, k)
+        tk = (t.params, t.space, t.orbitals, scheme.panels_for(domain, k))
+        if tk not in tables:
+            tables[tk] = t(x)
+        return trim_rule(tables[tk], w, k)[:2]
+
     symmetric = st.symmetry != DISTINGUISHABLE
     # parities about the domain centre, usable only on a mirror-symmetric rule
     parities = tuple(orbital_parity(t.params, n) for n in t.orbitals) \
-        if mirror_symmetric(domain, x, w) else None
-    memo = (symmetric, parities) + tuple(np.not_equal(c, 0).tobytes()
-                                         for _, c in st.terms)
-    if memo not in folds:
-        folds[memo] = slab_folds(st.terms, symmetric, parities)
-    return (t.params, t.space, t.orbitals, domain, symmetric, folds[memo],
-            len(st.terms))
+        if mirror_symmetric(domain, *axis_rule(domain, scheme, 3)) else None
+    return rule, symmetric, slab_folds(st.terms, symmetric, parities)
 
 
 def _keeps(wf):
@@ -206,54 +220,39 @@ def _mean_entropy(terms, keeps, table, w):
         for keep in keeps]))
 
 
-def _entropies(states, scheme, folds):
-    """(s1, s2, s3) of each three-particle state, grouped by ``_group_key``.
+def _entropies(states, groups, scheme):
+    """(s1, s2, s3) of each three-particle state, per group of ``_group_key``.
 
     Each orbital table is evaluated once per call and rule, and each
     entropy of k coordinates runs on the nodes ``trim_rule`` keeps for k.
-    The members of a group that are not Hartree products stack each
-    term's tensors along a sample axis, or pass it once when all have the
-    same one, for one ``entropy_grid`` pass.  ``folds`` is
-    ``_group_key``'s memo.
+    A group is all Hartree products, whose joint density factorizes, or
+    none; the members of the others stack each term's tensors along a
+    sample axis, or pass it once when all have the same one, for one
+    ``entropy_grid`` pass.
     """
-    groups = {}
-    for k, st in enumerate(states):
-        groups.setdefault(_group_key(st, scheme, folds), []).append(k)
     tables = {}
-
-    def rule(key, ndim):
-        x, w = axis_rule(key[3], scheme, ndim)
-        tk = key[:4] + (scheme.panels_for(key[3], ndim),)
-        if tk not in tables:
-            tables[tk] = OrbitalTables(*key[:3])(x)
-        return trim_rule(tables[tk], w, ndim)[:2]
-
     out = [None] * len(states)
-    for key, members in groups.items():
-        *_, symmetric, folds, nterms = key
-        ones, pairs = _keeps(states[members[0]])
-        rho, gamma = rule(key, 1), rule(key, 2)
-        rest = []
-        for k in members:
-            terms = states[k].terms
-            s1 = _mean_entropy(terms, ones, *rho)
-            if nterms == 1 and np.count_nonzero(terms[0][1]) == 1:
-                # a Hartree product: the joint density factorizes
-                out[k] = (s1, 2.0 * s1, 3.0 * s1)
-            else:
-                out[k] = (s1, _mean_entropy(terms, pairs, *gamma), None)
-                rest.append(k)
-        if not rest:
-            continue
-        stacked = []
-        for j in range(nterms):
-            cs = [states[k].terms[j][1] for k in rest]
-            shared = all(np.array_equal(c, cs[0]) for c in cs[1:])
-            stacked.append((np.array([states[k].terms[j][0] for k in rest]),
-                            cs[0] if shared else np.stack(cs)))
-        s3 = entropy_grid(stacked, *rule(key, 3), symmetric, folds)
-        for k, v in zip(rest, s3):
-            out[k] = out[k][:2] + (float(v),)
+    for members in groups:
+        first = states[members[0]]
+        rule, symmetric, folds = _rules(first, scheme, tables)
+        ones, pairs = _keeps(first)
+        rho = rule(1)
+        s1 = [_mean_entropy(states[k].terms, ones, *rho) for k in members]
+        if len(first.terms) == 1 and np.count_nonzero(first.terms[0][1]) == 1:
+            # Hartree products: the joint density factorizes
+            s2, s3 = np.multiply(2.0, s1), np.multiply(3.0, s1)
+        else:
+            gamma = rule(2)
+            s2 = [_mean_entropy(states[k].terms, pairs, *gamma) for k in members]
+            stacked = []
+            for j in range(len(first.terms)):
+                cs = [states[k].terms[j][1] for k in members]
+                shared = all(np.array_equal(c, cs[0]) for c in cs[1:])
+                stacked.append((np.array([states[k].terms[j][0] for k in members]),
+                                cs[0] if shared else np.stack(cs)))
+            s3 = entropy_grid(stacked, *rule(3), symmetric, folds)
+        for k, *v in zip(members, s1, s2, s3):
+            out[k] = tuple(map(float, v))
     return out
 
 
@@ -297,22 +296,24 @@ def compute_reports(systems, scheme=None, with_error=True):
     """InformationReports of three-particle systems, computed together.
 
     Each system is a Configuration, a WaveFunction, or a superposition
-    (``build_superposition``).  The systems that share orbitals, rule
-    and kernel region, such as the c1^2 samples of a scan, share their
-    orbital tables, and their s3 comes from one pass over the slabs
-    (``_entropies``).  With ``with_error`` the coarse level runs the
-    same way.  Pair
-    mutual information in [-tol, 0) from quadrature noise is clamped to
-    zero with a warning; larger negative values raise, and so does any
-    failing system, for the whole batch.
+    (``build_superposition``).  The systems are grouped once
+    (``_group_key``): the members of a group, such as the interior c1^2
+    samples of a scan, share their orbital tables, and their s3 comes
+    from one pass over the slabs (``_entropies``).  With ``with_error``
+    the coarse level runs on the same groups.  Pair mutual information
+    in [-tol, 0) from quadrature noise is clamped to zero with a
+    warning; larger negative values raise, and so does any failing
+    system, for the whole batch.
     """
     scheme = scheme or QuadratureScheme()
     wfs = [_as_wavefunction(s) for s in systems]
     if any(wf.nparticles != 3 for wf in wfs):
         raise ValueError("information reports are defined for 3-particle systems")
-    folds = {}
-    fine = _entropies(wfs, scheme, folds)
-    coarse = _entropies(wfs, scheme.coarsened(), folds) if with_error \
+    groups = {}
+    for k, wf in enumerate(wfs):
+        groups.setdefault(_group_key(wf), []).append(k)
+    fine = _entropies(wfs, groups.values(), scheme)
+    coarse = _entropies(wfs, groups.values(), scheme.coarsened()) if with_error \
         else [None] * len(wfs)
     return [_report(*args, scheme) for args in zip(wfs, fine, coarse)]
 

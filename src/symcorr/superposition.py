@@ -16,8 +16,8 @@ integration domain is set by the union of orbitals, so it does not
 depend on which component is named first.  ``scan_coefficient``
 computes the whole curve in one ``compute_reports`` call: s1, s2 and s3
 of every sample take the orbital tables evaluated once per rule for the
-curve, and s3 of the samples whose symmetries leave the same region
-comes from one pass over the slabs.
+curve, and s3 of the samples with one nonzero pattern of C, all but the
+endpoints, comes from one pass over the slabs.
 """
 
 from __future__ import annotations
@@ -76,22 +76,12 @@ class SuperpositionSpec:
         return math.sqrt(max(0.0, 1.0 - self.c1 * self.c1))
 
 
-def _union_orbitals(cfg_a, cfg_b):
-    return tuple(sorted(set(cfg_a.ns) | set(cfg_b.ns)))
-
-
-def _component_overlap(cfg_a, cfg_b):
-    """<Psi_A|Psi_B>, exact from the coefficient tensors on the union basis."""
-    orbitals = _union_orbitals(cfg_a, cfg_b)
-    return float(np.vdot(coefficient_tensor(cfg_a, orbitals),
-                         coefficient_tensor(cfg_b, orbitals)))
-
-
 class _CachedMixture:
     """c1*Psi_A + c2*Psi_B as coefficient tensors over the union orbitals.
 
     With interference the state is the single tensor (c1 C_A + c2 C_B) /
     sqrt(norm); without, it is the weighted pair (c1^2, C_A), (c2^2, C_B).
+    ``overlap`` is <Psi_A|Psi_B>, exact from the two tensors.
     Pointwise ``amplitude`` and ``density`` expand the two components
     directly, independent of the coefficient tensors.
     """
@@ -102,14 +92,14 @@ class _CachedMixture:
         self.c1 = float(spec.c1)
         self.c2 = float(spec.c2)
         self.interference = bool(spec.interference)
-        self.overlap = _component_overlap(a, b)
+        self.tables = OrbitalTables(a.params, a.space, sorted(set(a.ns) | set(b.ns)))
+        ca = coefficient_tensor(a, self.tables.orbitals)
+        cb = coefficient_tensor(b, self.tables.orbitals)
+        self.overlap = float(np.vdot(ca, cb))
         self.norm_sq = 1.0 + 2.0 * self.c1 * self.c2 * self.overlap \
             if self.interference else 1.0
         if self.norm_sq <= 0:
             raise ValueError("superposition has vanishing norm")
-        self.tables = OrbitalTables(a.params, a.space, _union_orbitals(a, b))
-        ca = coefficient_tensor(a, self.tables.orbitals)
-        cb = coefficient_tensor(b, self.tables.orbitals)
         if self.interference:
             c = (self.c1 * ca + self.c2 * cb) / math.sqrt(self.norm_sq)
             self.terms = ((1.0, c),)
@@ -139,9 +129,8 @@ class _CachedMixture:
                 f"and ns={s.state_b.ns} ({self.symmetry}{tag})")
 
     def domains(self, arity=None):
-        a, b = self.spec.state_a, self.spec.state_b
-        return axis_domains(a.params, a.space, _union_orbitals(a, b),
-                            arity or self.nparticles)
+        t = self.tables
+        return axis_domains(t.params, t.space, t.orbitals, arity or self.nparticles)
 
     def amplitude(self, *coords):
         if not self.interference:

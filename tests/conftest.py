@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from symcorr import ModelParams, QuadratureScheme
+from symcorr import ModelParams, QuadratureScheme, superposition
 from symcorr.quadrature import gauss_panels
 
 
@@ -28,6 +28,26 @@ def ho():
 @pytest.fixture(scope="session")
 def scheme():
     return QuadratureScheme()
+
+
+@pytest.fixture
+def negative_at_balance():
+    """A ``superposition._CachedMixture`` whose c1^2 = 0.5 mixture fails.
+
+    Set it in place of the class to make that sample of an
+    interference-free scan raise.
+    """
+
+    class NegativeAtBalance(superposition._CachedMixture):
+        # c1^2 = 0.5 with the sign of its second term flipped: the density
+        # 0.5 |Psi_A|^2 - 0.5 |Psi_B|^2 is significantly negative
+        def __init__(self, spec):
+            super().__init__(spec)
+            if abs(self.c1 ** 2 - 0.5) < 1e-12:
+                (wa, ca), (wb, cb) = self.terms
+                self.terms = ((wa, ca), (-wb, cb))
+
+    return NegativeAtBalance
 
 
 def dense_rule(a, b, panel_width=0.5, nodes=10):

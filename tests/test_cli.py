@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from symcorr import Configuration, ModelParams, compute_report, superposition
 from symcorr.cli import PAIR_CSV_HEADER, REPORT_CSV_HEADER, build_parser, main
+from symcorr.quadrature import QuadratureScheme
+from symcorr.wavefunction import parse_symmetry
 
 
 def run(capsys, *argv):
@@ -126,6 +129,17 @@ def test_scan_superposition_no_interference(capsys):
     assert abs(float(mid_on[3]) - float(mid_off[3])) > 1e-3
 
 
+def test_scan_superposition_failing_sample_exits_3(capsys, monkeypatch,
+                                                   negative_at_balance):
+    monkeypatch.setattr(superposition, "_CachedMixture", negative_at_balance)
+    code, out, err = run(capsys, "scan-superposition", "--sym", "s",
+                         "--no-interference", "--panels", "3", "--nodes", "7",
+                         "--c1sq-grid", "0.0,0.5,1.0")
+    assert code == 3
+    assert out == ""
+    assert "1 scan samples failed" in err and "significantly negative" in err
+
+
 def test_scan_n3(capsys):
     code, out, err = run(capsys, "scan-n3", "--panels", "10",
                          "--n3-range", "3:4", "--format", "csv")
@@ -133,6 +147,28 @@ def test_scan_n3(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert ",".join(rows[0]) == REPORT_CSV_HEADER
     assert len(rows) == 1 + 4  # (a, s) x (n3 = 3, 4)
+
+
+def test_scan_n3_batch_matches_single_reports(capsys):
+    # one compute_reports batch: S and A of each n3 share a kernel pass,
+    # n3 = 2 repeats a quantum number, and the spaces run side by side
+    code, out, err = run(capsys, "scan-n3", "--panels", "8", "--n3-range",
+                         "2:3", "--space", "both", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    want = [(space, n3, sym) for space in ("position", "momentum")
+            for n3, syms in ((2, "s"), (3, "as")) for sym in syms]
+    assert len(rows) == len(want)
+    scheme = QuadratureScheme(panels=8, panels_3d=8, line_panels=8,
+                              line_panels_3d=8)
+    for row, (space, n3, sym) in zip(rows, want):
+        cfg = Configuration(ModelParams.box(1.0), (1, 2, n3),
+                            parse_symmetry(sym), space)
+        ref = compute_report(cfg, scheme).as_dict()
+        assert row["system"] == ref["system"] and row["space"] == space
+        for key, value in ref.items():
+            if isinstance(value, float):
+                assert abs(row[key] - value) <= 1e-13, key
 
 
 def test_density_grid(capsys):

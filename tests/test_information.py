@@ -313,6 +313,21 @@ def test_inversion_halves_only_the_scan_endpoints(box, sym, integrand_nodes):
         assert sum(integrand_nodes) == sum((j + 1) * (n - j) for j in range(slabs))
 
 
+@pytest.mark.parametrize("scheme3", ODD_EVEN_SCHEMES, ids=["odd", "even"])
+def test_batched_scan_endpoints_run_the_inverted_half_sector(box, scheme3,
+                                                             integrand_nodes):
+    # in one compute_reports batch too, each endpoint is its own group and
+    # keeps the inversion the interior sample lacks
+    a = Configuration(box, (1, 2, 3), SYMMETRIC)
+    b = Configuration(box, (4, 5, 6), SYMMETRIC)
+    mixes = [build_superposition(SuperpositionSpec(a, b, math.sqrt(c1sq)))
+             for c1sq in (0.0, 0.5, 1.0)]
+    compute_reports(mixes, scheme3, with_error=False)
+    n = len(axis_rule(a.domains(1)[0], scheme3, 3)[1])
+    sector = [(j + 1) * (n - j) for j in range(n)]
+    assert sum(integrand_nodes) == 2 * sum(sector[:(n + 1) // 2]) + sum(sector)
+
+
 SCAN_CURVES = [(SYMMETRIC, True), (ANTISYMMETRIC, True),
                (DISTINGUISHABLE, True), (DISTINGUISHABLE, False)]
 
@@ -336,11 +351,6 @@ def test_batched_s3_matches_per_sample_s3(box, sym, interference, scheme3,
             assert abs(rep.entropies.s3 - entropy(mix, scheme3)) <= 1e-13
     # the same nodes, the endpoints' inversion and parity folds included
     assert sum(batched) == sum(integrand_nodes)
-    # blocks hold at most n^2 values; no group runs more than n + ceil(n/2)
-    # slabs, so more calls than that means some slab split its samples
-    n = len(axis_rule(a.domains(1)[0], scheme3, 3)[1])
-    assert max(batched) <= n * n
-    assert len(batched) > n + (n + 1) // 2
     # the kernel alone on every sample: a fold only where all samples keep it
     x, w = axis_rule(a.domains(1)[0], scheme3, 3)
     if interference:
@@ -351,8 +361,18 @@ def test_batched_s3_matches_per_sample_s3(box, sym, interference, scheme3,
         terms = [(c1sq, coefficient_tensor(a, orbitals)),
                  (1.0 - c1sq, coefficient_tensor(b, orbitals))]
     symmetric = sym != DISTINGUISHABLE
-    s3 = entropy_grid(terms, mixes[0].tables(x), w, symmetric,
-                      slab_folds(terms, symmetric, _parities(mixes[0])))
+    folds = slab_folds(terms, symmetric, _parities(mixes[0]))
+    # blocks hold at most n^2 values, so more calls than the slabs of the
+    # groups the batch forms means some slab split its samples: the
+    # interior samples run the slabs of the folds all samples keep, and an
+    # S/A endpoint, grouped on its own nonzero pattern, half the sector
+    # (a D endpoint runs none)
+    n = len(w)
+    h = (n + 1) // 2
+    slabs = (h if 0 in folds else n) + (2 * h if symmetric else 0)
+    assert max(batched) <= n * n
+    assert len(batched) > slabs
+    s3 = entropy_grid(terms, mixes[0].tables(x), w, symmetric, folds)
     for mix, got in zip(mixes, s3):
         assert abs(got - entropy(mix, scheme3)) <= 1e-13
 

@@ -18,7 +18,7 @@ from symcorr import (
 from symcorr import superposition, wavefunction
 from symcorr.orbitals import eval_orbital
 from symcorr.quadrature import axis_rule
-from symcorr.superposition import ScanResult, SuperpositionSpec, _component_overlap
+from symcorr.superposition import ScanResult, SuperpositionSpec
 
 
 def spec_box(sym, c1, interference=True, ns_b=(4, 5, 6), box=None):
@@ -49,17 +49,20 @@ def test_spec_validation(box, ho):
 
 
 def test_component_overlap(box):
+    def overlap(cfg_a, cfg_b):
+        return build_superposition(SuperpositionSpec(cfg_a, cfg_b, 0.6)).overlap
+
     a = Configuration(box, (1, 2, 3), ANTISYMMETRIC)
-    assert _component_overlap(a, Configuration(box, (4, 5, 6), ANTISYMMETRIC)) == 0.0
-    assert _component_overlap(a, a) == pytest.approx(1.0)
+    assert overlap(a, Configuration(box, (4, 5, 6), ANTISYMMETRIC)) == 0.0
+    assert overlap(a, a) == pytest.approx(1.0)
     # one shared orbital is not enough for a nonzero determinant overlap
-    assert _component_overlap(a, Configuration(box, (1, 4, 5), ANTISYMMETRIC)) == 0.0
+    assert overlap(a, Configuration(box, (1, 4, 5), ANTISYMMETRIC)) == 0.0
     s = Configuration(box, (1, 2, 3), SYMMETRIC)
-    assert _component_overlap(s, s) == pytest.approx(1.0)
-    assert _component_overlap(s, Configuration(box, (1, 2, 4), SYMMETRIC)) == 0.0
+    assert overlap(s, s) == pytest.approx(1.0)
+    assert overlap(s, Configuration(box, (1, 2, 4), SYMMETRIC)) == 0.0
     d = Configuration(box, (1, 2, 3), DISTINGUISHABLE)
-    assert _component_overlap(d, d) == 1.0
-    assert _component_overlap(d, Configuration(box, (1, 2, 4), DISTINGUISHABLE)) == 0.0
+    assert overlap(d, d) == 1.0
+    assert overlap(d, Configuration(box, (1, 2, 4), DISTINGUISHABLE)) == 0.0
 
 
 @pytest.mark.parametrize("interference", [True, False])
@@ -188,23 +191,15 @@ def test_superposition_does_not_depend_on_component_order(
         assert abs(getattr(e_ab, name) - getattr(e_ba, name)) < 1e-12, name
 
 
-def test_scan_keeps_the_samples_a_failing_one_leaves(monkeypatch):
+def test_scan_keeps_the_samples_a_failing_one_leaves(monkeypatch,
+                                                    negative_at_balance):
     spec = spec_box(SYMMETRIC, 1.0, interference=False)
     grid = (0.0, 0.5, 1.0)
     scheme = QuadratureScheme(panels=8, panels_3d=3, nodes_per_panel=7)
     want = scan_coefficient(spec, grid, scheme)
     assert not want.errors
 
-    class NegativeAtBalance(superposition._CachedMixture):
-        # c1^2 = 0.5 with the sign of its second term flipped: the density
-        # 0.5 |Psi_A|^2 - 0.5 |Psi_B|^2 is significantly negative
-        def __init__(self, spec):
-            super().__init__(spec)
-            if abs(self.c1 ** 2 - 0.5) < 1e-12:
-                (wa, ca), (wb, cb) = self.terms
-                self.terms = ((wa, ca), (-wb, cb))
-
-    monkeypatch.setattr(superposition, "_CachedMixture", NegativeAtBalance)
+    monkeypatch.setattr(superposition, "_CachedMixture", negative_at_balance)
     scan = scan_coefficient(spec, grid, scheme)
     assert [c for c, _ in scan.errors] == [0.5]
     assert "significantly negative" in scan.errors[0][1]
