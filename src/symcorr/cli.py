@@ -85,9 +85,7 @@ def _config_tokens(path, subparser):
 def _model_params(args):
     if args.model == "box":
         return ModelParams.box(args.L)
-    if args.model == "ho":
-        return ModelParams.oscillator(args.omega)
-    raise ValueError(f"unknown model {args.model!r}")
+    return ModelParams.oscillator(args.omega)
 
 
 def _scheme(args):
@@ -103,11 +101,7 @@ def _scheme(args):
 
 
 def _spaces(args):
-    if args.space == "both":
-        return [POSITION, MOMENTUM]
-    if args.space in (POSITION, MOMENTUM):
-        return [args.space]
-    raise ValueError(f"unknown space {args.space!r}")
+    return [POSITION, MOMENTUM] if args.space == "both" else [args.space]
 
 
 def _emit(text, out_path):

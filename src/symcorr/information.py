@@ -34,7 +34,10 @@ A Hartree product factorizes, so its s2 and s3 are 2 s1 and 3 s1, and
 every correlation measure vanishes to round-off.  s3 of the other
 groups comes from one pass of ``wavefunction.entropy_grid`` per group
 over |Psi|^2 on the 3D rule, slab by slab, on the region their
-symmetries leave distinct (``wavefunction.slab_folds``).  Each entropy
+symmetries leave distinct: ``wavefunction.slab_folds`` decides it from
+the orbitals' parities about the domain centre, which every rule is
+mirror-symmetric about, as ``quadrature.axis_rule`` checks where it
+builds the rule.  Each entropy
 of k coordinates, s3 of ``entropy`` too, runs on the nodes
 ``wavefunction.trim_rule`` keeps for k: it drops the end nodes of a
 rule where every orbital is so small that, for any state over them,
@@ -61,12 +64,10 @@ from .quadrature import (
     QuadratureScheme,
     axis_rule,
     entropy_from_values,
-    mirror_symmetric,
 )
 from .wavefunction import (
     DISTINGUISHABLE,
     Configuration,
-    WaveFunction,
     build,
     density_grid,
     entropy_grid,
@@ -199,9 +200,8 @@ def _rules(st, scheme, tables):
         return trim_rule(tables[tk], w, k)[:2]
 
     symmetric = st.symmetry != DISTINGUISHABLE
-    # parities about the domain centre, usable only on a mirror-symmetric rule
-    parities = tuple(orbital_parity(t.params, n) for n in t.orbitals) \
-        if mirror_symmetric(domain, *axis_rule(domain, scheme, 3)) else None
+    # parities about the domain centre, which every rule is mirror-symmetric about
+    parities = [orbital_parity(t.params, n) for n in t.orbitals]
     return rule, symmetric, slab_folds(st.terms, symmetric, parities)
 
 
@@ -256,15 +256,6 @@ def _entropies(states, groups, scheme):
     return out
 
 
-def _describe(wf):
-    if isinstance(wf, WaveFunction):
-        cfg = wf.config
-        p = cfg.params
-        model = f"box L={p.L:g}" if p.kind == "box" else f"ho omega={p.omega:g}"
-        return f"{model} ns={cfg.ns} {cfg.symmetry}"
-    return getattr(wf, "label", "superposition")
-
-
 def _report(wf, fine, coarse, scheme):
     s1, s2, s3 = fine
     err = None if coarse is None else \
@@ -288,7 +279,7 @@ def _report(wf, fine, coarse, scheme):
         i_pair_pair=2 * s2 - s1 - s3,
         i_higher=3 * s2 - 3 * s1 - s3,
         space=wf.space,
-        system=_describe(wf),
+        system=wf.label,
     )
 
 

@@ -9,6 +9,7 @@ panel-refinement levels.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -171,6 +172,10 @@ def _rule(domain, panels, nodes_per_panel):
     if isinstance(domain, RealLine):
         x, jac = momentum_map(x, domain.scale)
         w = w * jac
+    # the s3 kernel folds and inverts axes by the orbitals' parities
+    if not mirror_symmetric(domain, x, w):
+        raise RuntimeError(f"the rule on {domain} is not mirror-symmetric "
+                           f"about {domain.centre:g}")
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -179,33 +184,16 @@ def _rule(domain, panels, nodes_per_panel):
 def mirror_symmetric(domain, x, w):
     """True when x[::-1] = 2c - x and w[::-1] = w, c the domain centre.
 
-    Holds to round-off for every ``axis_rule``; a parity fold of an
-    integrand (``wavefunction.entropy_grid``) is exact only on such a rule.
+    A parity fold of an integrand (``wavefunction.entropy_grid``) is
+    exact only on such a rule, so ``axis_rule`` checks every rule it
+    builds and raises on one that fails.
     """
     dx = np.abs(x[::-1] + x - 2.0 * domain.centre)
     return bool(np.max(dx) <= MIRROR_RTOL * np.max(np.abs(x - domain.centre))
                 and np.all(np.abs(w[::-1] - w) <= MIRROR_RTOL * np.abs(w)))
 
 
-def _tensor_integral(f, domains, scheme):
-    ndim = len(domains)
-    axes = [axis_rule(d, scheme, ndim) for d in domains]
-    coords = [a[0] for a in axes]
-    weights = [a[1] for a in axes]
-    nodes_used = 1
-    for c in coords:
-        nodes_used *= len(c)
-    grids = np.meshgrid(*coords, indexing="ij", sparse=True)
-    vals = np.asarray(f(*grids), dtype=float)
-    # broadcast f over sparse grids if it returned a scalar or partial shape
-    full_shape = tuple(len(c) for c in coords)
-    vals = np.broadcast_to(vals, full_shape)
-    for axis in range(ndim - 1, -1, -1):
-        vals = np.tensordot(vals, weights[axis], axes=([axis], [0]))
-    return float(vals), nodes_used
-
-
-def integrate(f, domains, scheme=None, require_tol=False):
+def integrate(f, domains, scheme=None):
     """Integrate f over a 1-3 dimensional product domain.
 
     ``f`` must accept one broadcastable array argument per coordinate and
@@ -213,15 +201,22 @@ def integrate(f, domains, scheme=None, require_tol=False):
     difference against a run with half the panels per axis.
     """
     scheme = scheme or QuadratureScheme()
-    if not 1 <= len(domains) <= 3:
+    ndim = len(domains)
+    if not 1 <= ndim <= 3:
         raise ValueError("only 1-3 dimensional integrals are supported")
-    fine, nodes = _tensor_integral(f, domains, scheme)
-    coarse, _ = _tensor_integral(f, domains, scheme.coarsened())
-    err = abs(fine - coarse)
-    if require_tol and err > scheme.target_abs_tol:
-        raise NonConvergenceError(
-            "integral did not reach the target tolerance", err)
-    return IntegralResult(value=fine, error_estimate=err, nodes_used=nodes)
+    runs = []
+    for level in (scheme, scheme.coarsened()):
+        rules = [axis_rule(d, level, ndim) for d in domains]
+        shape = tuple(len(x) for x, _ in rules)
+        grids = np.meshgrid(*(x for x, _ in rules), indexing="ij", sparse=True)
+        # broadcast f over sparse grids if it returned a scalar or partial shape
+        vals = np.broadcast_to(np.asarray(f(*grids), dtype=float), shape)
+        for axis in range(ndim - 1, -1, -1):
+            vals = np.tensordot(vals, rules[axis][1], axes=([axis], [0]))
+        runs.append((float(vals), math.prod(shape)))
+    (fine, nodes), (coarse, _) = runs
+    return IntegralResult(value=fine, error_estimate=abs(fine - coarse),
+                          nodes_used=nodes)
 
 
 def _d_ln_d(d, out):

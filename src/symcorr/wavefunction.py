@@ -14,7 +14,9 @@ samples of a scan, is built and integrated slab by slab, without the
 3D grid (``entropy_grid``), over the sorted sector i <= j <= k of an
 exchange-symmetric density, halved again when the inversion of all
 three axes leaves every term invariant, and over the parity-folded
-grid of a distinguishable one (``fold_axes``).  On a mapped axis a
+grid of a distinguishable one; ``slab_folds`` decides that region from
+the orbitals' parities, which hold on every rule since each is checked
+mirror-symmetric where it is built.  On a mapped axis a
 rule reaches far past where any orbital of the state is non-negligible;
 ``trim_rule`` drops the nodes at each end whose total contribution to
 the entropy it bounds below 1e-17 nats, for every state over the
@@ -59,11 +61,9 @@ __all__ = [
     "coefficient_tensor",
     "density_grid",
     "entropy_grid",
-    "fold_axes",
     "slab_folds",
     "trim_rule",
     "TRIM_BOUND",
-    "reflection_invariant",
     "reduced_density",
     "build",
     "eval_density",
@@ -230,51 +230,35 @@ def density_grid(terms, tables):
     return total
 
 
-def reflection_invariant(terms, parities, axes):
-    """Whether reflecting ``axes`` leaves every term's |Psi_t|^2 invariant.
-
-    ``parities`` holds the parity (+1 or -1) of each orbital of the terms'
-    tensors about the domain centre.  Reflecting the axes multiplies each
-    entry C_abc by the product of its orbitals' parities over them, so
-    |Psi_t|^2 is invariant when that product is the same on all nonzero
-    entries of C_t.
-    """
-    p = np.asarray(parities)
-    # per term: the orbitals' parities of each nonzero entry, one column per axis
-    return all(np.unique(p[np.argwhere(c)][:, axes].prod(axis=1)).size == 1
-               for _, c in terms)
-
-
-def fold_axes(terms, parities):
-    """Axes of a three-particle density that a parity fold halves.
-
-    The sets of axes whose reflection leaves the density invariant
-    (``reflection_invariant``) form a group G; the fold keeps the lowest
-    axis of each of its elements, which are the pivots of a basis of G:
-    one axis per independent reflection.
-    """
-    return tuple(sorted({axes[0] for r in (1, 2, 3)
-                         for axes in itertools.combinations(range(3), r)
-                         if reflection_invariant(terms, parities, axes)}))
-
-
 def slab_folds(terms, symmetric, parities):
     """Axes that ``entropy_grid`` runs on their first half only.
 
-    Axis 0 is the slab axis.  For the sorted sector of an exchange-
-    symmetric density (``symmetric``) it is (0,) when the inversion of
-    all three axes leaves every term invariant, else ().  Otherwise it is
-    ``fold_axes``.  ``parities=None``, for a rule without mirror symmetry,
-    gives ().  Each sample of a stacked tensor counts as a term of its
-    own, so a fold holds for every sample.
+    ``parities`` holds the parity (+1 or -1) of each orbital of the terms'
+    tensors about the domain centre.  Reflecting a set of axes multiplies
+    each entry C_abc by the product of its orbitals' parities over them,
+    so it leaves |Psi_t|^2 invariant when that product is the same on all
+    nonzero entries of C_t; each sample of a stacked tensor counts as a
+    term of its own, so a fold holds for every sample.  Axis 0 is the slab
+    axis.  For the sorted sector of an exchange-symmetric density
+    (``symmetric``) the region is (0,) when the inversion of all three
+    axes is such a reflection, else ().  Otherwise the invariant sets of
+    axes form a group G, and the fold keeps the lowest axis of each of its
+    elements, which are the pivots of a basis of G: one axis per
+    independent reflection.
     """
-    if parities is None:
-        return ()
-    flat = [(None, c) for _, cs in terms
+    p = np.asarray(parities)
+    # per sample: the orbitals' parities of each nonzero entry, one column per axis
+    rows = [p[np.argwhere(c)] for _, cs in terms
             for c in np.reshape(cs, (-1,) + np.shape(cs)[-3:])]
+
+    def invariant(axes):
+        return all(np.unique(r[:, axes].prod(axis=1)).size == 1 for r in rows)
+
     if symmetric:
-        return (0,) if reflection_invariant(flat, parities, (0, 1, 2)) else ()
-    return fold_axes(flat, parities)
+        return (0,) if invariant((0, 1, 2)) else ()
+    return tuple(sorted({axes[0] for k in (1, 2, 3)
+                         for axes in itertools.combinations(range(3), k)
+                         if invariant(axes)}))
 
 
 def trim_rule(table, weights, arity):
@@ -467,6 +451,13 @@ class WaveFunction:
     @property
     def symmetry(self):
         return self.config.symmetry
+
+    @property
+    def label(self):
+        cfg = self.config
+        p = cfg.params
+        model = f"box L={p.L:g}" if p.kind == "box" else f"ho omega={p.omega:g}"
+        return f"{model} ns={cfg.ns} {cfg.symmetry}"
 
     @cached_property
     def tables(self):

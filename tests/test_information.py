@@ -37,9 +37,7 @@ from symcorr.wavefunction import (
     coefficient_tensor,
     density_grid,
     entropy_grid,
-    fold_axes,
     reduced_density,
-    reflection_invariant,
     slab_folds,
     trim_rule,
 )
@@ -239,16 +237,16 @@ FOLDS = {
 @pytest.mark.parametrize("name", sorted(FOLDS))
 def test_fold_axes_of_distinguishable_states(name):
     wf = dict(KERNEL_CASES)[name]
-    assert fold_axes(wf.terms, _parities(wf)) == FOLDS[name]
+    assert slab_folds(wf.terms, False, _parities(wf)) == FOLDS[name]
 
 
 def test_fold_axes_of_single_configurations(box):
     wf = build(Configuration(box, (1, 2, 3), DISTINGUISHABLE))
-    assert fold_axes(wf.terms, _parities(wf)) == (0, 1, 2)
+    assert slab_folds(wf.terms, False, _parities(wf)) == (0, 1, 2)
     # a permanent mixes the parities over the axes; only the reflection
     # of all three, a product over all of (1, 2, 3), leaves it invariant
     wf = build(Configuration(box, (1, 2, 3), SYMMETRIC))
-    assert fold_axes(wf.terms, _parities(wf)) == (0,)
+    assert slab_folds(wf.terms, False, _parities(wf)) == (0,)
 
 
 # S/A states of KERNEL_CASES whose every term the inversion of all three
@@ -261,8 +259,8 @@ EXCHANGE_SYMMETRIC = [c for c in KERNEL_CASES if c[1].symmetry != DISTINGUISHABL
 @pytest.mark.parametrize("name,wf", EXCHANGE_SYMMETRIC,
                          ids=[c[0] for c in EXCHANGE_SYMMETRIC])
 def test_inversion_invariance_of_exchange_symmetric_states(name, wf):
-    assert reflection_invariant(wf.terms, _parities(wf), (0, 1, 2)) == \
-        (name in INVERTED)
+    assert slab_folds(wf.terms, True, _parities(wf)) == \
+        ((0,) if name in INVERTED else ())
 
 
 @pytest.fixture
@@ -306,7 +304,7 @@ def test_inversion_halves_only_the_scan_endpoints(box, sym, integrand_nodes):
     n = len(axis_rule(a.domains(1)[0], scheme3, 3)[1])
     for c1sq, folds in ((0.0, True), (0.5, False), (1.0, True)):
         wf = build_superposition(SuperpositionSpec(a, b, math.sqrt(c1sq)))
-        assert reflection_invariant(wf.terms, _parities(wf), (0, 1, 2)) == folds
+        assert slab_folds(wf.terms, True, _parities(wf)) == ((0,) if folds else ())
         integrand_nodes.clear()
         entropy(wf, scheme3)
         slabs = (n + 1) // 2 if folds else n
@@ -396,8 +394,7 @@ def test_batched_error_estimate_matches_per_sample(box, sym, interference):
 def test_fused_s3_full_grid_without_parities(integrand_nodes):
     wf = dict(KERNEL_CASES)["d-mixture"]
     x, w = axis_rule(wf.domains(1)[0], ODD_EVEN_SCHEMES[0], 3)
-    # a rule without mirror symmetry has no parities: nothing folds
-    assert slab_folds(wf.terms, False, None) == ()
+    # no folds: the kernel runs the whole grid, to the folded value
     full = entropy_grid(wf.terms, wf.tables(x), w, False, ())
     assert sum(integrand_nodes) == len(w) ** 3
     assert abs(full - entropy(wf, ODD_EVEN_SCHEMES[0])) < 1e-12

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from symcorr import quadrature
 from symcorr.quadrature import (
     Interval,
-    NonConvergenceError,
     QuadratureScheme,
     RealLine,
     _d_ln_d,
@@ -104,6 +104,21 @@ def test_mirror_symmetric_rejects_skewed_rules():
     assert not mirror_symmetric(Interval(0.0, 1.0), x ** 1.01, w)
 
 
+def test_axis_rule_rejects_a_rule_without_mirror_symmetry(monkeypatch):
+    # the s3 kernel folds by parities, so a skewed rule must not get through
+    def skewed(a, b, panels, nodes_per_panel):
+        x, w = gauss_panels(a, b, panels, nodes_per_panel)
+        return a + (b - a) * ((x - a) / (b - a)) ** 1.01, w
+
+    quadrature._rule.cache_clear()
+    monkeypatch.setattr(quadrature, "gauss_panels", skewed)
+    try:
+        with pytest.raises(RuntimeError, match="not mirror-symmetric"):
+            axis_rule(Interval(0.0, 1.0), QuadratureScheme(), 3)
+    finally:
+        quadrature._rule.cache_clear()
+
+
 def test_integrate_2d_and_3d_separable():
     val2 = integrate(lambda x, y: np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2,
                      [Interval(0.0, 1.0)] * 2).value
@@ -115,14 +130,6 @@ def test_integrate_2d_and_3d_separable():
 def test_integrate_rejects_bad_dimension():
     with pytest.raises(ValueError):
         integrate(lambda *a: 1.0, [Interval(0.0, 1.0)] * 4)
-
-
-def test_integrate_require_tol_raises_on_rough_integrand():
-    scheme = QuadratureScheme(panels=4, nodes_per_panel=10, target_abs_tol=1e-12)
-    with pytest.raises(NonConvergenceError) as err:
-        integrate(lambda x: np.cos(200.0 * x) ** 2, [Interval(0.0, 1.0)],
-                  scheme, require_tol=True)
-    assert err.value.achieved_error > 1e-12
 
 
 def test_entropy_integrand_limits_and_noise():
