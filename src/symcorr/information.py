@@ -71,6 +71,7 @@ from .wavefunction import (
     build,
     density_grid,
     entropy_grid,
+    orbital_products,
     reduced_density,
     slab_folds,
     trim_rule,
@@ -186,18 +187,23 @@ def _rules(st, scheme, tables):
     """(rule, symmetric, folds) of a three-particle state on ``scheme``.
 
     ``rule(k)`` is the orbital table and weights ``trim_rule`` keeps for
-    an entropy of k coordinates; ``tables`` holds the table of each rule,
-    evaluated once.  ``folds`` is the s3 kernel region, ``slab_folds``.
+    an entropy of k coordinates, with the table's ``orbital_products`` in
+    place of the table for k < 3, which ``reduced_density`` takes.
+    ``tables`` holds the table of each rule and each of these, evaluated
+    once.  ``folds`` is the s3 kernel region, ``slab_folds``.
     """
     t = st.tables
     domain = st.domains(1)[0]
 
     def rule(k):
-        x, w = axis_rule(domain, scheme, k)
         tk = (t.params, t.space, t.orbitals, scheme.panels_for(domain, k))
-        if tk not in tables:
-            tables[tk] = t(x)
-        return trim_rule(tables[tk], w, k)[:2]
+        if (tk, k) not in tables:
+            x, w = axis_rule(domain, scheme, k)
+            if tk not in tables:
+                tables[tk] = t(x)
+            table, w = trim_rule(tables[tk], w, k)[:2]
+            tables[tk, k] = table if k == 3 else orbital_products(table), w
+        return tables[tk, k]
 
     symmetric = st.symmetry != DISTINGUISHABLE
     # parities about the domain centre, which every rule is mirror-symmetric about
@@ -212,19 +218,20 @@ def _keeps(wf):
     return [(0,)], [(0, 1)]
 
 
-def _mean_entropy(terms, keeps, table, w):
-    """Mean entropy of the marginals ``keeps`` on the rule of ``table``."""
-    tables = [table] if len(keeps[0]) == 1 else [table[:, None], table[None, :]]
+def _mean_entropy(terms, keeps, q, w):
+    """Mean entropy of the marginals ``keeps`` on the rule of products ``q``."""
+    products = [q] if len(keeps[0]) == 1 else [q[:, None], q[None, :]]
     return float(np.mean([
-        entropy_from_values(reduced_density(terms, keep, tables), [w] * len(keep))
+        entropy_from_values(reduced_density(terms, keep, products), [w] * len(keep))
         for keep in keeps]))
 
 
 def _entropies(states, groups, scheme):
     """(s1, s2, s3) of each three-particle state, per group of ``_group_key``.
 
-    Each orbital table is evaluated once per call and rule, and each
-    entropy of k coordinates runs on the nodes ``trim_rule`` keeps for k.
+    Each orbital table, and the orbital products of each trimmed one, is
+    evaluated once per call and rule, and each entropy of k coordinates
+    runs on the nodes ``trim_rule`` keeps for k.
     A group is all Hartree products, whose joint density factorizes, or
     none; the members of the others stack each term's tensors along a
     sample axis, or pass it once when all have the same one, for one
@@ -400,21 +407,22 @@ def cumulant3(system, scheme=None):
     identically for indistinguishable particles.  For distinguishable
     systems the value is reported with coordinate-averaged moments and no
     zero assertion applies.  Each moment is the 3D rule's finite sum
-    rearranged onto C: sum_t w_t sum conj(C_abc) C_a'b'c' X_aa' X_bb' X_cc'
-    for <x1 x2 x3>, X[a, b] = sum_i w_i x_i conj(phi_a(x_i)) phi_b(x_i),
-    with the identity for X on each axis a lower moment leaves out.
+    rearranged onto the real terms: sum_t w_t sum C_abc C_a'b'c' X_aa'
+    X_bb' X_cc' for <x1 x2 x3>, X[a, b] = sum_i w_i x_i phi_a(x_i)
+    phi_b(x_i) over the real orbital factors, with the identity for X on
+    each axis a lower moment leaves out.
     """
     scheme = scheme or QuadratureScheme()
     wf = _as_wavefunction(system)
     x, w = _axis(wf, 3, scheme)
     t = wf.tables(x)
-    xmat = (np.conj(t).T * (w * x)) @ t
+    xmat = (t.T * (w * x)) @ t
     eye = np.eye(len(xmat))
 
     def moment(keep):
         mats = [xmat if k in keep else eye for k in range(3)]
-        return sum(weight * np.einsum("abc,ad,be,cf,def->", np.conj(c), *mats, c)
-                   for weight, c in wf.terms).real
+        return sum(weight * np.einsum("abc,ad,be,cf,def->", c, *mats, c)
+                   for weight, c in wf.terms)
 
     ones, pairs = _keeps(wf)
     m1 = float(np.mean([moment(k) for k in ones]))

@@ -5,6 +5,9 @@ Box momentum orbitals use the closed form of the Fourier transform of
 sin(n*pi*x/L), with a series branch resolving the removable singularities
 at p*L = +/- n*pi.  Oscillator orbitals are built from the stable
 Hermite-function recurrence, which keeps values finite for n up to ~50.
+Every orbital is a constant phase (``orbital_phase``, a power of i) times
+a real factor (``orbital_factor``), times e^{-ipL/2} for a box momentum
+orbital, a phase that all box orbitals share at a given p.
 All evaluators are pure and vectorized over numpy arrays.
 """
 
@@ -18,9 +21,12 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "eval_box_position",
+    "box_momentum_factor",
     "eval_box_momentum",
     "eval_ho",
     "eval_orbital",
+    "orbital_factor",
+    "orbital_phase",
     "orbital_parity",
     "hermite_functions",
     "position_domain_scale",
@@ -32,6 +38,9 @@ SINC_SERIES_THRESHOLD = 1e-4
 
 POSITION = "position"
 MOMENTUM = "momentum"
+
+# i^k for k = 0..3, exact
+_I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
 @dataclass(frozen=True)
@@ -91,11 +100,10 @@ def _sinc_half(z):
     return out
 
 
-def eval_box_momentum(n, L, p):
-    """Momentum-space box orbital (complex), entire in p.
+def box_momentum_factor(n, L, p):
+    """Real factor g_n of the momentum-space box orbital, entire in p.
 
-    phi_n(p) = -i sqrt(L/pi) e^{-ipL/2} [ e^{i n pi/2} sin(z-)/(2 z-)
-                                        - e^{-i n pi/2} sin(z+)/(2 z+) ]
+    g_n(p) = sqrt(L/pi) [ sin(z-)/(2 z-) - (-1)^n sin(z+)/(2 z+) ]
     with z-+ = (pL -+ n pi)/2; the removable points pL = +/- n pi go
     through the series branch.
     """
@@ -104,9 +112,22 @@ def eval_box_momentum(n, L, p):
     p = np.asarray(p, dtype=float)
     z_minus = (p * L - n * math.pi) / 2.0
     z_plus = (p * L + n * math.pi) / 2.0
-    phase_n = np.exp(1j * n * math.pi / 2.0)
-    bracket = phase_n * _sinc_half(z_minus) - np.conj(phase_n) * _sinc_half(z_plus)
-    return -1j * math.sqrt(L / math.pi) * np.exp(-1j * p * L / 2.0) * bracket
+    return math.sqrt(L / math.pi) \
+        * (_sinc_half(z_minus) - (-1) ** n * _sinc_half(z_plus))
+
+
+def eval_box_momentum(n, L, p):
+    """Momentum-space box orbital (complex), entire in p.
+
+    phi_n(p) = -i sqrt(L/pi) e^{-ipL/2} [ e^{i n pi/2} sin(z-)/(2 z-)
+                                        - e^{-i n pi/2} sin(z+)/(2 z+) ]
+    with z-+ = (pL -+ n pi)/2.  Since e^{-i n pi/2} = (-1)^n e^{i n pi/2},
+    it factors as phi_n(p) = -i^(n+1) e^{-ipL/2} g_n(p): a constant phase,
+    a phase that does not depend on n, and the real ``box_momentum_factor``.
+    """
+    p = np.asarray(p, dtype=float)
+    return _I_POWERS[(n + 3) % 4] * np.exp(-0.5j * p * L) \
+        * box_momentum_factor(n, L, p)
 
 
 def hermite_functions(n_max, y):
@@ -126,11 +147,10 @@ def hermite_functions(n_max, y):
     return h
 
 
-def eval_ho(n, omega, z, space=POSITION):
-    """Harmonic-trap orbital at coordinate z in either space.
+def ho_factor(n, omega, z, space=POSITION):
+    """Real factor of the harmonic-trap orbital: w^{1/4} h_n(sqrt(w) z).
 
-    Position: omega^{1/4} h_n(sqrt(omega) x).  Momentum: the Fourier
-    transform, (-i)^n times the same functional form with omega -> 1/omega.
+    w = omega in position space and 1/omega in momentum space.
     """
     if n < 0 or int(n) != n:
         raise ValueError("oscillator quantum number must be a non-negative integer")
@@ -138,15 +158,22 @@ def eval_ho(n, omega, z, space=POSITION):
         raise ValueError("omega must be positive")
     if space == POSITION:
         w = omega
-        phase = 1.0
     elif space == MOMENTUM:
         w = 1.0 / omega
-        phase = (-1j) ** n
     else:
         raise ValueError(f"unknown space {space!r}")
     z = np.asarray(z, dtype=float)
-    val = w**0.25 * hermite_functions(n, math.sqrt(w) * z)[n]
-    return phase * val
+    return w**0.25 * hermite_functions(n, math.sqrt(w) * z)[n]
+
+
+def eval_ho(n, omega, z, space=POSITION):
+    """Harmonic-trap orbital at coordinate z in either space.
+
+    Position: omega^{1/4} h_n(sqrt(omega) x).  Momentum: the Fourier
+    transform, (-i)^n times the same functional form with omega -> 1/omega.
+    """
+    val = ho_factor(n, omega, z, space)
+    return val if space == POSITION else _I_POWERS[(3 * n) % 4] * val
 
 
 def eval_orbital(params, n, space, z):
@@ -161,13 +188,45 @@ def eval_orbital(params, n, space, z):
     return eval_ho(n, params.omega, z, space)
 
 
+def orbital_phase(params, n, space):
+    """Constant phase c_n of orbital n: a power of i, 1 in position space.
+
+    phi_n = c_n * ``orbital_factor``, times e^{-ipL/2} for a box momentum
+    orbital: c_n = -i^(n+1) there, and (-i)^n for an oscillator momentum
+    orbital.
+    """
+    params.validate_quantum_number(n)
+    if space == POSITION:
+        return 1.0
+    return _I_POWERS[(n + 3) % 4 if params.kind == "box" else (3 * n) % 4]
+
+
+def orbital_factor(params, n, space, z):
+    """Real factor of orbital n at z: phi_n without its phases.
+
+    A position orbital is its own factor.  A box momentum orbital is
+    ``orbital_phase`` times e^{-ipL/2} times g_n (``box_momentum_factor``);
+    the middle phase is the same for every orbital at p, so it cancels in
+    every density.  An oscillator momentum orbital is (-i)^n times its
+    factor.
+    """
+    params.validate_quantum_number(n)
+    if params.kind != "box":
+        return ho_factor(n, params.omega, z, space)
+    if space == POSITION:
+        return eval_box_position(n, params.L, z)
+    if space == MOMENTUM:
+        return box_momentum_factor(n, params.L, z)
+    raise ValueError(f"unknown space {space!r}")
+
+
 def orbital_parity(params, n):
     """Parity +1 or -1 of orbital n under reflection about the domain centre.
 
-    Box: (-1)^(n+1) about L/2 in position; in momentum
-    phi_n(-p) = (-1)^(n+1) e^{ipL} phi_n(p), the same parity up to a phase
-    shared by all orbitals, which cancels in every |Psi|^2.  Oscillator:
-    (-1)^n about 0 in both spaces.
+    The parity of the real factor (``orbital_factor``), which is what the
+    tables of every density hold.  Box: (-1)^(n+1) about L/2 in position,
+    and g_n(-p) = (-1)^(n+1) g_n(p) exactly in momentum, with no shared
+    phase left.  Oscillator: (-1)^n about 0 in both spaces.
     """
     params.validate_quantum_number(n)
     return (-1) ** (n + 1) if params.kind == "box" else (-1) ** n

@@ -11,7 +11,11 @@ interference on and non-orthogonal components the density is divided by
 Both components are written as coefficient tensors on the union of
 their orbitals, so a superposition is one tensor (c1 C_A + c2 C_B) /
 sqrt(norm) and a mixture a weighted pair of tensors; densities and
-reductions then take the same path as a single configuration.  The
+reductions then take the same path as a single configuration.  In
+momentum space each tensor first takes its orbitals' phases
+(``OrbitalTables.phased``) and is split into real terms only after the
+superposition (``real_terms``): split first, each component would lose
+its global phase, and with it the relative phase of the two.  The
 integration domain is set by the union of orbitals, so it does not
 depend on which component is named first.  ``scan_coefficient``
 computes the whole curve in one ``compute_reports`` call: s1, s2 and s3
@@ -36,6 +40,8 @@ from .wavefunction import (
     build,
     coefficient_tensor,
     density_grid,
+    orbital_products,
+    real_terms,
     reduced_density,
 )
 
@@ -81,7 +87,10 @@ class _CachedMixture:
 
     With interference the state is the single tensor (c1 C_A + c2 C_B) /
     sqrt(norm); without, it is the weighted pair (c1^2, C_A), (c2^2, C_B).
-    ``overlap`` is <Psi_A|Psi_B>, exact from the two tensors.
+    Both carry their orbitals' phases, and ``terms`` holds their real
+    parts (``real_terms``).  ``overlap`` is <Psi_A|Psi_B>, exact from the
+    two tensors, which the phases leave unchanged: an entry of C_A and
+    one of C_B over the same orbitals carry the same phase product.
     Pointwise ``amplitude`` and ``density`` expand the two components
     directly, independent of the coefficient tensors.
     """
@@ -100,12 +109,13 @@ class _CachedMixture:
             if self.interference else 1.0
         if self.norm_sq <= 0:
             raise ValueError("superposition has vanishing norm")
+        ca, cb = self.tables.phased(ca), self.tables.phased(cb)
         if self.interference:
             c = (self.c1 * ca + self.c2 * cb) / math.sqrt(self.norm_sq)
-            self.terms = ((1.0, c),)
+            self.terms = real_terms(((1.0, c),))
         else:
-            self.terms = tuple((w, c) for w, c in ((self.c1**2, ca),
-                                                   (self.c2**2, cb)) if w > 0)
+            self.terms = real_terms(tuple(
+                (w, c) for w, c in ((self.c1**2, ca), (self.c2**2, cb)) if w > 0))
         self.wf_a = build(a)
         self.wf_b = build(b)
 
@@ -154,7 +164,8 @@ class _CachedMixture:
 
     def marginal_values(self, keep, coords):
         """Reduced density of the kept coordinates at broadcastable points."""
-        return reduced_density(self.terms, keep, [self.tables(c) for c in coords])
+        return reduced_density(self.terms, keep,
+                               [orbital_products(self.tables(c)) for c in coords])
 
 
 SuperposedWaveFunction = _CachedMixture

@@ -8,6 +8,18 @@ orbitals,
     Psi(x1, ..., xN) = sum C_ab.. phi_a(x1) phi_b(x2) ...,
 
 and an interference-free mixture as a weighted list of such tensors.
+Every path from C to a density runs in real arithmetic.  The orbital
+tables hold each orbital's real factor (``orbitals.orbital_factor``);
+its constant phase c_n, a power of i that is 1 in position space, moves
+into C (``OrbitalTables.phased``), and the factor e^{-ipL/2} that all
+box momentum orbitals share is dropped, since the product over the
+particles has modulus 1 in every |Psi|^2 and reduced density.  A C that
+is complex after that is carried as the two real terms (w, Re C) and
+(w, Im C) (``real_terms``): on real tables the cross terms of the two
+parts cancel in |Psi|^2, in the reduced densities and in every moment.
+A single configuration's phase product is the same on all its nonzero
+entries, so its C stays one real tensor; a position state keeps its C
+as it is.
 |Psi|^2 on a tensor grid is one mode product per axis (BLAS); the
 entropy of a three-particle density, or of a stack of them such as the
 samples of a scan, is built and integrated slab by slab, without the
@@ -24,13 +36,15 @@ orbitals.  The
 reduced densities follow exactly from the reduced density matrices of
 C, by orbital orthonormality, with no quadrature over the integrated
 coordinates.
-``WaveFunction.amplitude`` keeps the explicit permutation expansion as
-an independent pointwise reference.  Wavefunctions are immutable value
+``WaveFunction.amplitude`` keeps the explicit permutation expansion of
+the complex orbitals (``orbitals.eval_orbital``) as an independent
+pointwise reference.  Wavefunctions are immutable value
 objects; evaluation is referentially transparent.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -45,6 +59,8 @@ from .orbitals import (
     ModelParams,
     eval_orbital,
     momentum_domain_scale,
+    orbital_factor,
+    orbital_phase,
     position_domain_scale,
 )
 from .quadrature import Interval, RealLine, _d_ln_d
@@ -59,11 +75,13 @@ __all__ = [
     "WaveFunction",
     "OrbitalTables",
     "coefficient_tensor",
+    "real_terms",
     "density_grid",
     "entropy_grid",
     "slab_folds",
     "trim_rule",
     "TRIM_BOUND",
+    "orbital_products",
     "reduced_density",
     "build",
     "eval_density",
@@ -183,22 +201,55 @@ def coefficient_tensor(config, orbitals):
 
 
 class OrbitalTables:
-    """Orbital values at coordinate arrays, orbital index last.
+    """Real orbital factors at coordinate arrays, orbital index last.
 
     Every call evaluates the orbitals afresh.  Callers that use one rule
     many times evaluate its table once and reuse it: ``information``
-    does so for each rule of one ``compute_reports`` call.
+    does so for each rule of one ``compute_reports`` call.  ``phases``
+    holds each orbital's constant phase, None in position space, where
+    every phase is 1; a C over the tables carries them (``phased``).
     """
 
     def __init__(self, params, space, orbitals):
         self.params = params
         self.space = space
         self.orbitals = tuple(orbitals)
+        self.phases = None if space == POSITION else \
+            np.array([orbital_phase(params, n, space) for n in self.orbitals])
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return np.stack([np.asarray(eval_orbital(self.params, n, self.space, x))
+        return np.stack([np.asarray(orbital_factor(self.params, n, self.space, x))
                          for n in self.orbitals], axis=-1)
+
+    def phased(self, c):
+        """C_ab.. c_a c_b ..: the orbitals' phases moved into C (exact).
+
+        C itself, not a copy, in position space.
+        """
+        if self.phases is None:
+            return c
+        return c * functools.reduce(np.multiply.outer, [self.phases] * c.ndim)
+
+
+def real_terms(terms):
+    """Real (weight, C) terms with the densities of ``terms`` on real tables.
+
+    A complex C becomes (w, Re C) and (w, Im C): for real tables
+    |sum C t..|^2 = |sum Re C t..|^2 + |sum Im C t..|^2, and in a reduced
+    density the cross part i (Re C (x) Im C - Im C (x) Re C) is
+    antisymmetric in the kept orbital indices while the table products
+    are symmetric, so it contracts to 0.  A part that is all zero is left
+    out; a real C passes as it is.
+    """
+    out = []
+    for w, c in terms:
+        if np.iscomplexobj(c):
+            out.extend((w, np.ascontiguousarray(part))
+                       for part in (c.real, c.imag) if part.any())
+        else:
+            out.append((w, c))
+    return tuple(out)
 
 
 def _mode_products(c, tables):
@@ -210,17 +261,13 @@ def _mode_products(c, tables):
 
 
 def _abs2(a):
-    """|a|^2 of a fresh array (squared in place when real)."""
-    if np.iscomplexobj(a):
-        d = a.real ** 2
-        d += a.imag ** 2
-        return d
+    """a^2 of a fresh real array, squared in place."""
     a *= a
     return a
 
 
 def density_grid(terms, tables):
-    """sum_t w_t |Psi_t|^2 on the tensor grid of per-axis orbital tables."""
+    """sum_t w_t Psi_t^2 on the tensor grid of real per-axis orbital tables."""
     total = None
     for weight, c in terms:
         d = _abs2(_mode_products(c, tables))
@@ -304,13 +351,14 @@ def _folded(weights):
 
 
 def entropy_grid(terms, table, weights, symmetric, folds):
-    """-sum w_i w_j w_k d ln d for d = sum_t w_t |Psi_t|^2, N = 3.
+    """-sum w_i w_j w_k d ln d for d = sum_t w_t Psi_t^2, N = 3.
 
-    ``table`` holds the orbital values at the nodes of one axis rule,
-    used on all three axes, and ``weights`` its weights.  A term's C may
-    carry a leading axis of S samples, such as the c1^2 samples of a
-    scan, with its weight then of shape (S,); a C without it is shared by
-    all samples.  The kernel then returns s3 of every sample, (S,), from
+    Real only: ``table`` holds the real orbital factors at the nodes of
+    one axis rule, used on all three axes, ``weights`` its weights, and
+    every C is real (``real_terms``), so each slab product is real and
+    squared in place.  A term's C may carry a leading axis of S samples,
+    such as the c1^2 samples of a scan, with its weight then of shape
+    (S,); a C without it is shared by all samples.  The kernel then returns s3 of every sample, (S,), from
     one pass over the slabs; a plain state returns a float.  The density
     is built and consumed one slab at a time, so no 3D array exists, and
     -d ln d is evaluated once per distinct value the state's symmetries
@@ -399,12 +447,18 @@ def entropy_grid(terms, table, weights, symmetric, folds):
     return s3 if any(np.ndim(w) for w, _ in terms) else float(s3[0])
 
 
-def reduced_density(terms, keep, tables):
+def orbital_products(table):
+    """q(x) = phi(x) (x) phi(x) of a real orbital table, (..., r * r)."""
+    return (table[..., :, None] * table[..., None, :]).reshape(table.shape[:-1] + (-1,))
+
+
+def reduced_density(terms, keep, products):
     """Marginal density of the kept coordinates at broadcastable points.
 
-    The reduced density matrix D = sum_t w_t tr_rest(C_t* C_t) is
-    contracted with q(x) = conj(phi(x)) (x) phi(x) on each kept axis;
-    ``tables`` holds the orbital values at the kept coordinates.  Two
+    The reduced density matrix D = sum_t w_t tr_rest(C_t C_t) of the real
+    terms is contracted with q(x) on each kept axis; ``products`` holds
+    ``orbital_products`` of the tables at the kept coordinates, so a
+    caller that reduces many states on one table builds q once.  Two
     tables on an outer grid, (n, 1) and (1, m) points, take one matrix
     product for the second contraction.
     """
@@ -413,21 +467,19 @@ def reduced_density(terms, keep, tables):
     for weight, c in terms:
         ck = np.moveaxis(c, keep, range(k))
         rest = list(range(k, c.ndim))
-        d = d + weight * np.tensordot(np.conj(ck), ck, (rest, rest))
+        d = d + weight * np.tensordot(ck, ck, (rest, rest))
     r = d.shape[0]
     # D[a1.., c1..] -> K[(a1 c1), (a2 c2), ...], matching q(x1), q(x2), ...
     order = [i for pair in zip(range(k), range(k, 2 * k)) for i in pair]
     kmat = d.transpose(order).reshape(r * r, -1)
-    qs = [(np.conj(t)[..., :, None] * t[..., None, :]).reshape(t.shape[:-1] + (-1,))
-          for t in tables]
-    vals = qs[0] @ kmat
-    if k == 2 and vals.ndim == qs[1].ndim == 3 \
-            and vals.shape[1] == qs[1].shape[0] == 1:
-        return (vals[:, 0, :] @ qs[1][0].T).real
-    for q in qs[1:]:
+    vals = products[0] @ kmat
+    if k == 2 and vals.ndim == products[1].ndim == 3 \
+            and vals.shape[1] == products[1].shape[0] == 1:
+        return vals[:, 0, :] @ products[1][0].T
+    for q in products[1:]:
         vals = np.einsum("...pq,...p->...q",
                          vals.reshape(vals.shape[:-1] + (r * r, -1)), q)
-    return vals[..., 0].real
+    return vals[..., 0]
 
 
 @dataclass(frozen=True)
@@ -466,8 +518,13 @@ class WaveFunction:
 
     @cached_property
     def terms(self):
-        """((1.0, C),): the state as a one-term list of coefficient tensors."""
-        return ((1.0, coefficient_tensor(self.config, self.tables.orbitals)),)
+        """((1.0, C),): the state as one real C over its tables' factors.
+
+        C carries the configuration's phase product (``real_terms`` of the
+        ``phased`` coefficient tensor), the same on all its entries.
+        """
+        c = coefficient_tensor(self.config, self.tables.orbitals)
+        return real_terms(((1.0, self.tables.phased(c)),))
 
     def domains(self, arity=None):
         return self.config.domains(arity)
@@ -515,10 +572,19 @@ class WaveFunction:
         return np.abs(a) ** 2 if np.iscomplexobj(a) else np.asarray(a) ** 2
 
     def amplitude_tensor(self, axes):
-        """Psi on the tensor grid spanned by 1D coordinate axes."""
+        """Psi on the tensor grid spanned by 1D coordinate axes.
+
+        Complex in momentum space: the coefficient tensor over the complex
+        orbitals (``eval_orbital``), phases included.
+        """
         if len(axes) != self.nparticles:
             raise ValueError("one coordinate axis per particle required")
-        return _mode_products(self.terms[0][1], [self.tables(ax) for ax in axes])
+        cfg = self.config
+        orbitals = self.tables.orbitals
+        tables = [np.stack([np.asarray(eval_orbital(cfg.params, n, cfg.space,
+                                                    np.asarray(ax, dtype=float)))
+                            for n in orbitals], axis=-1) for ax in axes]
+        return _mode_products(coefficient_tensor(cfg, orbitals), tables)
 
     def density_tensor(self, axes):
         """|Psi|^2 on the tensor grid spanned by 1D coordinate axes."""
@@ -526,7 +592,8 @@ class WaveFunction:
 
     def marginal_values(self, keep, coords):
         """Reduced density of the kept coordinates at broadcastable points."""
-        return reduced_density(self.terms, keep, [self.tables(c) for c in coords])
+        return reduced_density(self.terms, keep,
+                               [orbital_products(self.tables(c)) for c in coords])
 
 
 def build(config):

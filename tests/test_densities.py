@@ -257,7 +257,7 @@ def _table_cases():
     a3 = build(Configuration(box, (1, 2, 3), ANTISYMMETRIC))
     s2 = build(Configuration(box, (1, 2), SYMMETRIC, MOMENTUM))
     d3 = build(Configuration(box, (1, 2, 3), DISTINGUISHABLE))
-    # complex tables and an off-diagonal reduced density matrix
+    # phase products -i and 1: the superposition is two real terms
     a_mom = build_superposition(SuperpositionSpec(
         Configuration(box, (1, 2, 3), ANTISYMMETRIC, MOMENTUM),
         Configuration(box, (1, 2, 4), ANTISYMMETRIC, MOMENTUM), math.sqrt(0.4)))

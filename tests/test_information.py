@@ -37,6 +37,7 @@ from symcorr.wavefunction import (
     coefficient_tensor,
     density_grid,
     entropy_grid,
+    orbital_products,
     reduced_density,
     slab_folds,
     trim_rule,
@@ -197,6 +198,9 @@ def _kernel_cases():
             ("d-superposition", box, POSITION, DISTINGUISHABLE, (1, 2, 3), (4, 5, 6), True),
             ("d-mixture", box, POSITION, DISTINGUISHABLE, (1, 2, 3), (4, 5, 6), False),
             ("d-ho-momentum", ho, MOMENTUM, DISTINGUISHABLE, (0, 1, 2), (3, 4, 5), True),
+            # phase products -i and 1: two real terms, each a permanent
+            ("a-box-momentum-superposition", box, MOMENTUM, ANTISYMMETRIC,
+             (1, 2, 3), (4, 5, 6), True),
             ("d-parity-mixed", box, POSITION, DISTINGUISHABLE, (1, 2, 3), (1, 2, 4), True)):
         spec = SuperpositionSpec(Configuration(params, ns_a, sym, space),
                                  Configuration(params, ns_b, sym, space),
@@ -216,6 +220,20 @@ def test_fused_s3_matches_full_grid(name, wf, scheme3):
     assert abs(entropy(wf, scheme3) - want) < 1e-12
 
 
+MOMENTUM_CASES = [c for c in KERNEL_CASES if c[1].space == MOMENTUM]
+
+
+@pytest.mark.parametrize("scheme3", ODD_EVEN_SCHEMES, ids=["odd", "even"])
+@pytest.mark.parametrize("name,wf", MOMENTUM_CASES, ids=[c[0] for c in MOMENTUM_CASES])
+def test_fused_s3_matches_pointwise_density_in_momentum_space(name, wf, scheme3):
+    # density_tensor shares the real terms and tables with the kernel; the
+    # pointwise density of the complex orbitals shares neither
+    x, w = axis_rule(wf.domains(1)[0], scheme3, 3)
+    want = entropy_from_values(wf.density(*np.meshgrid(x, x, x, indexing="ij")),
+                               [w] * 3)
+    assert abs(entropy(wf, scheme3) - want) < 1e-12
+
+
 def _parities(wf):
     return [orbital_parity(wf.tables.params, n) for n in wf.tables.orbitals]
 
@@ -224,7 +242,9 @@ def _parities(wf):
 FOLDS = {
     # (+,-,+) and (-,+,-) interfere: flips of axes {1,2}, {1,3}, {2,3}
     "d-superposition": (0, 1),
-    "d-ho-momentum": (0, 1),
+    # phase products i and 1: the components do not interfere, and each
+    # real part is one product
+    "d-ho-momentum": (0, 1, 2),
     # each term alone is a product: all eight flips
     "d-mixture": (0, 1, 2),
     # (+,-,+) and (+,-,-): the third axis must stay whole
@@ -252,7 +272,7 @@ def test_fold_axes_of_single_configurations(box):
 # S/A states of KERNEL_CASES whose every term the inversion of all three
 # axes leaves invariant: the kernel runs the first ceil(n/2) slabs only
 INVERTED = {"s-box", "a-box", "s-ho", "a-ho", "a-box-momentum",
-            "s112-box-momentum", "s-mixture"}
+            "s112-box-momentum", "s-mixture", "a-box-momentum-superposition"}
 EXCHANGE_SYMMETRIC = [c for c in KERNEL_CASES if c[1].symmetry != DISTINGUISHABLE]
 
 
@@ -562,10 +582,11 @@ def _dropped_entropy(terms, t, w, m, k):
                                   e[~np.outer(inner, inner)]))
         return total
     keeps = [(0,), (1,), (2,)] if k == 1 else [(0, 1), (0, 2), (1, 2)]
-    tables = [t] if k == 1 else [t[:, None], t[None, :]]
+    q = orbital_products(t)
+    products = [q] if k == 1 else [q[:, None], q[None, :]]
     worst = 0.0
     for keep in keeps:
-        d = reduced_density(terms, keep, tables)
+        d = reduced_density(terms, keep, products)
         e = -_d_ln_d(d, np.empty_like(d)) * (w if k == 1 else np.outer(w, w))
         mask = ~inner if k == 1 else ~np.outer(inner, inner)
         worst = max(worst, float(np.sum(e[mask])))

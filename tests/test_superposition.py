@@ -16,7 +16,7 @@ from symcorr import (
     scan_coefficient,
 )
 from symcorr import superposition, wavefunction
-from symcorr.orbitals import eval_orbital
+from symcorr.orbitals import orbital_factor
 from symcorr.quadrature import axis_rule
 from symcorr.superposition import ScanResult, SuperpositionSpec
 
@@ -223,9 +223,9 @@ def test_scan_evaluates_orbital_tables_once_per_curve(sym, interference,
 
     def counting(*args):
         calls.append(args[1])
-        return eval_orbital(*args)
+        return orbital_factor(*args)
 
-    monkeypatch.setattr(wavefunction, "eval_orbital", counting)
+    monkeypatch.setattr(wavefunction, "orbital_factor", counting)
     spec = spec_box(sym, 1.0, interference)
     scheme = QuadratureScheme(panels=8, panels_3d=3, nodes_per_panel=7)
     counts = []
