@@ -10,11 +10,11 @@ The five correlation measures are computed from entropy combinations:
 
 Consecutive hierarchy differences all equal the pair mutual information,
 which makes the hierarchy an algebraic identity here.  Direct-integral
-evaluations of I and I^3 exist purely as validation cross-checks; the
-combination form needs one well-conditioned 3D integral instead of a 3D
-integrand containing a ratio of six densities.  Neither check, nor
-``cumulant3``, builds a 3D array: the I^3 integrand runs slab by slab,
-and the moments contract C with a one-axis moment matrix.
+evaluations of I and I^3 are validation cross-checks; which 3D integrand,
+d ln d or the direct one, is the more accurate depends on the state.
+Neither check, nor ``cumulant3``, builds a 3D array: the I^3 integrand
+runs in the s3 kernel, and the moments contract C with a one-axis
+moment matrix.
 
 Every state takes one path.  ``compute_reports`` groups the states it
 is given, such as the c1^2 samples of a scan, once, by params, space,
@@ -69,7 +69,6 @@ from .wavefunction import (
     DISTINGUISHABLE,
     Configuration,
     build,
-    density_grid,
     entropy_grid,
     orbital_products,
     reduced_density,
@@ -352,11 +351,11 @@ def mutual_information_higher_direct(system, scheme=None):
     integral |Psi|^2 ln[ |Psi|^2 rho(x1) rho(x2) rho(x3)
                          / (Gamma(x1,x2) Gamma(x1,x3) Gamma(x2,x3)) ].
     Validation mode; indistinguishable systems only.  The integrand is
-    then exchange-symmetric, so it runs over the sorted sector
-    i <= j <= k of the full 3D rule with multiplicities 6, 3 and 1, one
-    slab of the middle coordinate x2 at a time (rows i <= j, columns
-    k >= j), so no 3D array exists.  The rule is never trimmed: the
-    check shares no region or node choice with the s3 kernel.
+    then exchange-symmetric, so it runs in the s3 kernel
+    (``entropy_grid``) over the sorted sector i <= j <= k, with ln rho
+    and ln Gamma, floored at 1e-300, as its log offset; the kernel returns
+    -I^3.  The rule is the untrimmed 3D rule, and the sector is never
+    inverted: the check shares no node choice with the reports' s3.
     """
     scheme = scheme or QuadratureScheme()
     wf = _as_wavefunction(system)
@@ -364,26 +363,10 @@ def mutual_information_higher_direct(system, scheme=None):
         raise ValueError("direct higher-order integral assumes "
                          "indistinguishable marginals")
     x, w = _axis(wf, 3, scheme)
-    t = wf.tables(x)
     gamma, rho = _marginals_at(wf, x)
-    log_rho = np.log(np.maximum(rho, DENSITY_FLOOR))
-    log_gamma = np.log(np.maximum(gamma, DENSITY_FLOOR))
-    total = 0.0
-    for j in range(len(x)):
-        d = density_grid(wf.terms, [t[:j + 1], t[j:j + 1], t[j:]])[:, 0]
-        mask = d > DENSITY_FLOOR
-        if not mask.any():
-            continue
-        log_arg = (np.log(np.where(mask, d, 1.0))
-                   + log_rho[:j + 1, None] + log_rho[j] + log_rho[None, j:]
-                   - log_gamma[:j + 1, j, None] - log_gamma[None, j, j:]
-                   - log_gamma[:j + 1, j:])
-        mult = np.full(d.shape, 6.0)
-        mult[-1, :] = mult[:, 0] = 3.0  # i = j or k = j
-        mult[-1, 0] = 1.0  # i = j = k
-        wmat = mult * np.outer(w[:j + 1], w[j:])
-        total += w[j] * float(np.sum((wmat * d * log_arg)[mask]))
-    return total
+    log_offset = (np.log(np.maximum(rho, DENSITY_FLOOR)),
+                  np.log(np.maximum(gamma, DENSITY_FLOOR)))
+    return -entropy_grid(wf.terms, wf.tables(x), w, True, (), log_offset)
 
 
 def entropy_sum_check(params, ns, symmetry, scheme=None):

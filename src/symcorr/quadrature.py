@@ -170,6 +170,9 @@ def _rule(domain, panels, nodes_per_panel):
         a, b = -1.0, 1.0
     x, w = gauss_panels(a, b, panels, nodes_per_panel)
     if isinstance(domain, RealLine):
+        # mirror exactly in u: the map is odd and its jacobian even bit for
+        # bit, and would magnify the nodes' round-off near |u| = 1
+        x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
         x, jac = momentum_map(x, domain.scale)
         w = w * jac
     # the s3 kernel folds and inverts axes by the orbitals' parities

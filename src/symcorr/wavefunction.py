@@ -158,10 +158,6 @@ class Configuration:
         return axis_domains(self.params, self.space, self.ns,
                             arity or self.nparticles)
 
-    def orbital_values(self, z):
-        """Stack of the N orbital values at coordinate(s) z."""
-        return [eval_orbital(self.params, n, self.space, z) for n in self.ns]
-
 
 def axis_domains(params, space, orbitals, arity):
     """``arity`` copies of the integration domain of states over ``orbitals``.
@@ -252,14 +248,6 @@ def real_terms(terms):
     return tuple(out)
 
 
-def _mode_products(c, tables):
-    """sum C_ab.. t0[i, a] t1[j, b] ... on the tensor grid of the tables."""
-    out = c
-    for t in tables:
-        out = np.tensordot(out, t, axes=([0], [1]))
-    return out
-
-
 def _abs2(a):
     """a^2 of a fresh real array, squared in place."""
     a *= a
@@ -270,7 +258,9 @@ def density_grid(terms, tables):
     """sum_t w_t Psi_t^2 on the tensor grid of real per-axis orbital tables."""
     total = None
     for weight, c in terms:
-        d = _abs2(_mode_products(c, tables))
+        for t in tables:  # sum C_ab.. t0[i, a] t1[j, b] ..., one axis at a time
+            c = np.tensordot(c, t, axes=([0], [1]))
+        d = _abs2(c)
         if weight != 1.0:
             d *= weight
         total = d if total is None else np.add(total, d, out=total)
@@ -350,7 +340,7 @@ def _folded(weights):
     return w
 
 
-def entropy_grid(terms, table, weights, symmetric, folds):
+def entropy_grid(terms, table, weights, symmetric, folds, log_offset=None):
     """-sum w_i w_j w_k d ln d for d = sum_t w_t Psi_t^2, N = 3.
 
     Real only: ``table`` holds the real orbital factors at the nodes of
@@ -377,6 +367,11 @@ def entropy_grid(terms, table, weights, symmetric, folds):
     - otherwise, every axis in ``folds`` (the orbitals' parities about
       the centre of a mirror-symmetric rule tell which) keeps its first
       ceil(n/2) nodes with the mirror nodes' weights added.
+
+    ``log_offset`` = (ln rho at the nodes, ln Gamma at the node pairs),
+    symmetric branch only and shared by all samples, adds ln rho_i rho_j
+    rho_k / (Gamma_ij Gamma_ik Gamma_jk) to ln d at every node: the kernel
+    then returns -I^3 (``information.mutual_information_higher_direct``).
 
     The slab contraction M is built once for all samples.  Each slab runs
     its samples in blocks of at most n^2 values, laid out as (rows,
@@ -410,6 +405,9 @@ def entropy_grid(terms, table, weights, symmetric, folds):
             for ax in range(3))
         contracted = 1
         regions = ((i, t1, t2, w1, w2) for i in range(len(outer)))
+    if log_offset is not None:  # the offset at (i, j, k) is g_ij + g_ik + g_jk
+        log_rho, log_gamma = log_offset
+        g = 0.5 * (log_rho[:, None] + log_rho[None, :]) - log_gamma
     r = table.shape[1]
     samples = max(np.size(w) for w, _ in terms)
     slabs = []  # (weights as a column, None when all are 1; M_i[x, (s y)]; S)
@@ -425,6 +423,8 @@ def entropy_grid(terms, table, weights, symmetric, folds):
     buf = np.empty(n * n)
     for i, rows, cols, vr, vc in regions:
         nr, nc = len(rows), len(cols)
+        if log_offset is not None:
+            offset = (g[:i + 1, i:] + g[:i + 1, i, None] + g[i, i:])[:, None, :]
         block = max(1, n * n // (nr * nc))
         for s0 in range(0, samples, block):
             blk = slice(s0, s0 + block)
@@ -438,6 +438,8 @@ def entropy_grid(terms, table, weights, symmetric, folds):
                 d = a if d is None else \
                     np.add(d, a, out=d if d.shape[1] == k else None)
             e = _d_ln_d(d, buf[:d.size].reshape(d.shape))
+            if log_offset is not None:
+                e += d * offset
             vals[i, blk] = (vr @ e.reshape(nr, -1)).reshape(-1, nc) @ vc
             if symmetric:
                 corners[i, blk] = e[-1, :, 0]
@@ -572,19 +574,8 @@ class WaveFunction:
         return np.abs(a) ** 2 if np.iscomplexobj(a) else np.asarray(a) ** 2
 
     def amplitude_tensor(self, axes):
-        """Psi on the tensor grid spanned by 1D coordinate axes.
-
-        Complex in momentum space: the coefficient tensor over the complex
-        orbitals (``eval_orbital``), phases included.
-        """
-        if len(axes) != self.nparticles:
-            raise ValueError("one coordinate axis per particle required")
-        cfg = self.config
-        orbitals = self.tables.orbitals
-        tables = [np.stack([np.asarray(eval_orbital(cfg.params, n, cfg.space,
-                                                    np.asarray(ax, dtype=float)))
-                            for n in orbitals], axis=-1) for ax in axes]
-        return _mode_products(coefficient_tensor(cfg, orbitals), tables)
+        """Psi on the tensor grid spanned by 1D coordinate axes (``amplitude``)."""
+        return self.amplitude(*np.meshgrid(*axes, indexing="ij", sparse=True))
 
     def density_tensor(self, axes):
         """|Psi|^2 on the tensor grid spanned by 1D coordinate axes."""

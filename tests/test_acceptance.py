@@ -49,6 +49,7 @@ from symcorr import (
     reduce_to_pair,
     scan_coefficient,
 )
+from symcorr.orbitals import eval_orbital
 from symcorr.quadrature import axis_rule, entropy_integrand, integrate
 from symcorr.reference_tables import TABLE_TOLERANCE, table_spec
 from symcorr.superposition import SuperpositionSpec
@@ -139,7 +140,8 @@ def test_criterion_8_oracle_fourier_unitarity():
         cfg = Configuration(params, ns, ANTISYMMETRIC, "momentum")
         dom = cfg.domains(1)[0]
         x, w = axis_rule(dom, schemes[params.kind], 1)
-        for v in cfg.orbital_values(x):
+        for n in ns:
+            v = eval_orbital(params, n, cfg.space, x)
             assert abs(float(np.abs(v) ** 2 @ w) - 1.0) < 1e-6
 
 

@@ -61,6 +61,14 @@ def test_report_two_particles(capsys):
     assert r["I_pair"] > 0
 
 
+def test_oscillator_report_on_120_panels(capsys):
+    # the mapped rule at 120 panels once failed its own mirror check (exit 1)
+    code, out, err = run(capsys, "report", "--model", "ho", "--n", "0,1", "--sym", "a",
+                         "--panels", "120", "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)[0]["I_pair"] > 0
+
+
 def test_report_two_particles_csv(capsys):
     code, out, err = run(capsys, "report", "--n", "1,2", "--sym", "s",
                          "--space", "both", "--panels", "10", "--format", "csv")

@@ -1,0 +1,53 @@
+"""CLI outputs against the files under tests/golden/.
+
+Each command runs in-process through ``cli.main``.  The text between the
+numbers must match exactly; each number must match within 1e-11
+relative or 1e-13 absolute, so that round-off-sized values such as an
+I_pair of 1e-16 may move.  ``regenerate_golden.py`` rewrites the files.
+"""
+
+import math
+import re
+
+import pytest
+
+from regenerate_golden import CASES, path, run
+
+# a signed decimal or float literal, kept by re.split as its own piece
+NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
+
+
+def mismatches(got, want):
+    """Lines where ``got`` differs from ``want`` beyond the tolerance."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    if len(got_lines) != len(want_lines):
+        return [f"{len(got_lines)} lines, expected {len(want_lines)}"]
+    bad = []
+    for k, (g, w) in enumerate(zip(got_lines, want_lines)):
+        gs, ws = NUMBER.split(g), NUMBER.split(w)
+        same = len(gs) == len(ws) and all(
+            a == b if i % 2 == 0 else
+            math.isclose(float(a), float(b), rel_tol=1e-11, abs_tol=1e-13)
+            for i, (a, b) in enumerate(zip(gs, ws)))
+        if not same:
+            bad.append(f"line {k + 1}: {g!r} != {w!r}")
+    return bad
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    code, text = run(CASES[name])
+    assert code == 0
+    with open(path(name)) as fh:
+        want = fh.read()
+    assert not mismatches(text, want)
+
+
+def test_golden_comparison_catches_a_changed_digit():
+    line = '"s3": 3.9335346082409144, "I_pair": 1.2e-16, "tag": "A3"'
+    assert not mismatches(line, line.replace("9144", "9145"))  # 2.5e-17 relative
+    assert not mismatches(line, line.replace("1.2e-16", "-3e-16"))
+    assert mismatches(line, line.replace("3.93353", "3.93354"))
+    assert mismatches(line, line.replace("A3", "A4"))
+    assert mismatches(line, line.replace("tag", "tags"))
+    assert mismatches(line + "\nx", line)

@@ -29,7 +29,7 @@ from symcorr import (
 from symcorr import information, wavefunction
 from symcorr.densities import quadrature_marginal, reduce_to_one
 from symcorr.orbitals import MOMENTUM, POSITION, orbital_parity
-from symcorr.quadrature import _d_ln_d, axis_rule, entropy_from_values
+from symcorr.quadrature import DENSITY_FLOOR, _d_ln_d, axis_rule, entropy_from_values
 from symcorr.reference_tables import BOX_TABLE, OSCILLATOR_TABLE
 from symcorr.superposition import _CachedMixture
 from symcorr.wavefunction import (
@@ -232,6 +232,35 @@ def test_fused_s3_matches_pointwise_density_in_momentum_space(name, wf, scheme3)
     want = entropy_from_values(wf.density(*np.meshgrid(x, x, x, indexing="ij")),
                                [w] * 3)
     assert abs(entropy(wf, scheme3) - want) < 1e-12
+
+
+def _higher_direct_full_grid(wf, scheme):
+    """I^3 as the full-grid sum of |Psi|^2 ln R, with the floors of
+    ``mutual_information_higher_direct``."""
+    x, w = axis_rule(wf.domains(1)[0], scheme, 3)
+    d = wf.density_tensor([x] * 3)
+    lr = np.log(np.maximum(quadrature_marginal(wf, (0,))(x), DENSITY_FLOOR))
+    lg = np.log(np.maximum(quadrature_marginal(wf, (0, 1))(x[:, None], x[None, :]),
+                           DENSITY_FLOOR))
+    i, j, k = np.ogrid[:len(x), :len(x), :len(x)]
+    log_r = np.log(np.maximum(d, DENSITY_FLOOR)) + lr[i] + lr[j] + lr[k] \
+        - lg[i, j] - lg[i, k] - lg[j, k]
+    f = np.where(d > DENSITY_FLOOR, d * log_r, 0.0)
+    return float(np.einsum("i,j,k,ijk->", w, w, w, f))
+
+
+DIRECT_CASES = [c for c in KERNEL_CASES
+                if c[0] in ("s-box", "a-box", "a-ho", "a-box-momentum", "a-interfering")] \
+    + [("s112-box", build(Configuration(ModelParams.box(1.0), (1, 1, 2), SYMMETRIC)))]
+
+
+@pytest.mark.parametrize("scheme3", ODD_EVEN_SCHEMES, ids=["odd", "even"])
+@pytest.mark.parametrize("name,wf", DIRECT_CASES, ids=[c[0] for c in DIRECT_CASES])
+def test_direct_higher_matches_full_grid(name, wf, scheme3):
+    # the sorted sector's multiplicities and every log offset, to round-off
+    want = _higher_direct_full_grid(wf, scheme3)
+    assert abs(want) > 1e-3
+    assert abs(mutual_information_higher_direct(wf, scheme3) - want) < 1e-12
 
 
 def _parities(wf):

@@ -96,6 +96,15 @@ def test_axis_rules_are_mirror_symmetric_about_the_centre(scheme, domain, centre
         assert mirror_symmetric(domain, x, w)
 
 
+@pytest.mark.parametrize("nodes", [5, 7, 8, 10, 12])
+@pytest.mark.parametrize("domain", [Interval(0.0, 1.0), RealLine(1.0), RealLine(41.4)],
+                         ids=["interval", "line-1", "line-41.4"])
+def test_every_panel_count_builds_a_mirror_symmetric_rule(domain, nodes):
+    # 120 panels of 10 nodes on a RealLine once failed the check by 1.03e-12
+    for panels in range(1, 401):
+        quadrature._rule.__wrapped__(domain, panels, nodes)
+
+
 def test_mirror_symmetric_rejects_skewed_rules():
     x, w = gauss_panels(0.0, 1.0, 4, 5)
     assert mirror_symmetric(Interval(0.0, 1.0), x, w)
