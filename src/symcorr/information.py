@@ -179,7 +179,7 @@ def _group_key(st):
     """
     t = st.tables
     return (t.params, t.space, t.orbitals, st.symmetry != DISTINGUISHABLE) \
-        + tuple(np.not_equal(c, 0).tobytes() for _, c in st.terms)
+        + tuple(np.not_equal(c, 0).tobytes() for c in st.terms)
 
 
 def _rules(st, scheme, tables):
@@ -232,9 +232,8 @@ def _entropies(states, groups, scheme):
     evaluated once per call and rule, and each entropy of k coordinates
     runs on the nodes ``trim_rule`` keeps for k.
     A group is all Hartree products, whose joint density factorizes, or
-    none; the members of the others stack each term's tensors along a
-    sample axis, or pass it once when all have the same one, for one
-    ``entropy_grid`` pass.
+    none; the members of the others stack each term along a sample axis
+    for one ``entropy_grid`` pass.
     """
     tables = {}
     out = [None] * len(states)
@@ -244,18 +243,14 @@ def _entropies(states, groups, scheme):
         ones, pairs = _keeps(first)
         rho = rule(1)
         s1 = [_mean_entropy(states[k].terms, ones, *rho) for k in members]
-        if len(first.terms) == 1 and np.count_nonzero(first.terms[0][1]) == 1:
+        if len(first.terms) == 1 and np.count_nonzero(first.terms[0]) == 1:
             # Hartree products: the joint density factorizes
             s2, s3 = np.multiply(2.0, s1), np.multiply(3.0, s1)
         else:
             gamma = rule(2)
             s2 = [_mean_entropy(states[k].terms, pairs, *gamma) for k in members]
-            stacked = []
-            for j in range(len(first.terms)):
-                cs = [states[k].terms[j][1] for k in members]
-                shared = all(np.array_equal(c, cs[0]) for c in cs[1:])
-                stacked.append((np.array([states[k].terms[j][0] for k in members]),
-                                cs[0] if shared else np.stack(cs)))
+            stacked = [np.stack([states[k].terms[j] for k in members])
+                       for j in range(len(first.terms))]
             s3 = entropy_grid(stacked, *rule(3), symmetric, folds)
         for k, *v in zip(members, s1, s2, s3):
             out[k] = tuple(map(float, v))
@@ -390,7 +385,7 @@ def cumulant3(system, scheme=None):
     identically for indistinguishable particles.  For distinguishable
     systems the value is reported with coordinate-averaged moments and no
     zero assertion applies.  Each moment is the 3D rule's finite sum
-    rearranged onto the real terms: sum_t w_t sum C_abc C_a'b'c' X_aa'
+    rearranged onto the real terms: sum_t sum C_abc C_a'b'c' X_aa'
     X_bb' X_cc' for <x1 x2 x3>, X[a, b] = sum_i w_i x_i phi_a(x_i)
     phi_b(x_i) over the real orbital factors, with the identity for X on
     each axis a lower moment leaves out.
@@ -404,8 +399,7 @@ def cumulant3(system, scheme=None):
 
     def moment(keep):
         mats = [xmat if k in keep else eye for k in range(3)]
-        return sum(weight * np.einsum("abc,ad,be,cf,def->", c, *mats, c)
-                   for weight, c in wf.terms)
+        return sum(np.einsum("abc,ad,be,cf,def->", c, *mats, c) for c in wf.terms)
 
     ones, pairs = _keeps(wf)
     m1 = float(np.mean([moment(k) for k in ones]))

@@ -8,16 +8,16 @@ normalized by construction, so no renormalization is needed; with
 interference on and non-orthogonal components the density is divided by
 1 + 2 c1 c2 Re<A|B>).
 
-Both components are written as coefficient tensors on the union of
-their orbitals, so a superposition is one tensor (c1 C_A + c2 C_B) /
-sqrt(norm) and a mixture a weighted pair of tensors; densities and
-reductions then take the same path as a single configuration.  In
-momentum space each tensor first takes its orbitals' phases
-(``OrbitalTables.phased``) and is split into real terms only after the
-superposition (``real_terms``): split first, each component would lose
-its global phase, and with it the relative phase of the two.  The
-integration domain is set by the union of orbitals, so it does not
-depend on which component is named first.  ``scan_coefficient``
+Both components are written as real coefficient tensors on the union
+of their orbitals, so a state is one or two real terms whose densities
+add, and densities and reductions take the same path as a single
+configuration.  A component's global phase drops out; what stays is
+the phase of B relative to A, a power of i in momentum space and 1 in
+position space (``orbitals.orbital_phase``).  With interference and a
+relative phase of +-1 the state is the one tensor
+(c1 C_A +- c2 C_B) / sqrt(norm); otherwise it is the pair c1 C_A,
+c2 C_B.  The integration domain is set by the union of orbitals, so it
+does not depend on which component is named first.  ``scan_coefficient``
 computes the whole curve in one ``compute_reports`` call: s1, s2 and s3
 of every sample take the orbital tables evaluated once per rule for the
 curve, and s3 of the samples with one nonzero pattern of C, all but the
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .information import compute_report, compute_reports
+from .orbitals import orbital_phase
 from .quadrature import QuadratureScheme
 from .wavefunction import (
     Configuration,
@@ -41,7 +42,6 @@ from .wavefunction import (
     coefficient_tensor,
     density_grid,
     orbital_products,
-    real_terms,
     reduced_density,
 )
 
@@ -85,14 +85,18 @@ class SuperpositionSpec:
 class _CachedMixture:
     """c1*Psi_A + c2*Psi_B as coefficient tensors over the union orbitals.
 
-    With interference the state is the single tensor (c1 C_A + c2 C_B) /
-    sqrt(norm); without, it is the weighted pair (c1^2, C_A), (c2^2, C_B).
-    Both carry their orbitals' phases, and ``terms`` holds their real
-    parts (``real_terms``).  ``overlap`` is <Psi_A|Psi_B>, exact from the
-    two tensors, which the phases leave unchanged: an entry of C_A and
-    one of C_B over the same orbitals carry the same phase product.
-    Pointwise ``amplitude`` and ``density`` expand the two components
-    directly, independent of the coefficient tensors.
+    rel = P_B conj(P_A), for P the product of the orbitals' phases of a
+    configuration, is +-1 or +-i.  With interference and rel = +-1,
+    ``terms`` is the single tensor (c1 C_A + rel c2 C_B) / sqrt(norm).
+    Otherwise it is the pair (c1 C_A, c2 C_B), without a zero tensor:
+    without interference, and also for rel = +-i, whose cross terms are
+    imaginary and so vanish from every density.  ``overlap`` is
+    <Psi_A|Psi_B>, exact from the two tensors: an entry of C_A and one
+    of C_B over the same orbitals carry the same phase product, so the
+    tensors share an entry only where rel = 1, and the overlap and
+    norm - 1 are 0 otherwise.  Pointwise ``amplitude`` and ``density``
+    expand the two components directly, independent of the coefficient
+    tensors.
     """
 
     def __init__(self, spec):
@@ -109,13 +113,14 @@ class _CachedMixture:
             if self.interference else 1.0
         if self.norm_sq <= 0:
             raise ValueError("superposition has vanishing norm")
-        ca, cb = self.tables.phased(ca), self.tables.phased(cb)
-        if self.interference:
-            c = (self.c1 * ca + self.c2 * cb) / math.sqrt(self.norm_sq)
-            self.terms = real_terms(((1.0, c),))
+        pa, pb = (math.prod(orbital_phase(s.params, n, s.space) for n in s.ns)
+                  for s in (a, b))
+        rel = pb * np.conj(pa)
+        if self.interference and rel.imag == 0:
+            terms = ((self.c1 * ca + rel.real * self.c2 * cb) / math.sqrt(self.norm_sq),)
         else:
-            self.terms = real_terms(tuple(
-                (w, c) for w, c in ((self.c1**2, ca), (self.c2**2, cb)) if w > 0))
+            terms = (self.c1 * ca, self.c2 * cb)
+        self.terms = tuple(c for c in terms if c.any())
         self.wf_a = build(a)
         self.wf_b = build(b)
 

@@ -1,25 +1,22 @@
 """N-particle wavefunctions (N = 2, 3) from single-particle orbitals.
 
 Symmetric states are permanents, antisymmetric states Slater
-determinants, and distinguishable states plain Hartree products.  Every
-state is held as one orbital-coefficient tensor C over its distinct
-orbitals,
+determinants, and distinguishable states plain Hartree products.  A
+configuration is held as one orbital-coefficient tensor C over its
+distinct orbitals,
 
     Psi(x1, ..., xN) = sum C_ab.. phi_a(x1) phi_b(x2) ...,
 
-and an interference-free mixture as a weighted list of such tensors.
-Every path from C to a density runs in real arithmetic.  The orbital
-tables hold each orbital's real factor (``orbitals.orbital_factor``);
-its constant phase c_n, a power of i that is 1 in position space, moves
-into C (``OrbitalTables.phased``), and the factor e^{-ipL/2} that all
-box momentum orbitals share is dropped, since the product over the
-particles has modulus 1 in every |Psi|^2 and reduced density.  A C that
-is complex after that is carried as the two real terms (w, Re C) and
-(w, Im C) (``real_terms``): on real tables the cross terms of the two
-parts cancel in |Psi|^2, in the reduced densities and in every moment.
-A single configuration's phase product is the same on all its nonzero
-entries, so its C stays one real tensor; a position state keeps its C
-as it is.
+and every state as a tuple of such real tensors, its terms, whose
+densities add: |Psi|^2 = sum_t (sum C_t phi phi phi)^2.  Every path
+from C to a density runs in real arithmetic.  The orbital tables hold
+each orbital's real factor (``orbitals.orbital_factor``).  Its constant
+phase, a power of i that is 1 in position space, multiplies every entry
+of a configuration's C by the same product, a global phase that no
+density sees; the factor e^{-ipL/2} that all box momentum orbitals share
+has modulus 1 in every density too.  So a configuration is the one term
+C, and only a superposition keeps a phase: that of its components
+relative to each other (``superposition``).
 |Psi|^2 on a tensor grid is one mode product per axis (BLAS); the
 entropy of a three-particle density, or of a stack of them such as the
 samples of a scan, is built and integrated slab by slab, without the
@@ -44,7 +41,6 @@ objects; evaluation is referentially transparent.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -60,7 +56,6 @@ from .orbitals import (
     eval_orbital,
     momentum_domain_scale,
     orbital_factor,
-    orbital_phase,
     position_domain_scale,
 )
 from .quadrature import Interval, RealLine, _d_ln_d
@@ -75,7 +70,6 @@ __all__ = [
     "WaveFunction",
     "OrbitalTables",
     "coefficient_tensor",
-    "real_terms",
     "density_grid",
     "entropy_grid",
     "slab_folds",
@@ -201,51 +195,18 @@ class OrbitalTables:
 
     Every call evaluates the orbitals afresh.  Callers that use one rule
     many times evaluate its table once and reuse it: ``information``
-    does so for each rule of one ``compute_reports`` call.  ``phases``
-    holds each orbital's constant phase, None in position space, where
-    every phase is 1; a C over the tables carries them (``phased``).
+    does so for each rule of one ``compute_reports`` call.
     """
 
     def __init__(self, params, space, orbitals):
         self.params = params
         self.space = space
         self.orbitals = tuple(orbitals)
-        self.phases = None if space == POSITION else \
-            np.array([orbital_phase(params, n, space) for n in self.orbitals])
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return np.stack([np.asarray(orbital_factor(self.params, n, self.space, x))
                          for n in self.orbitals], axis=-1)
-
-    def phased(self, c):
-        """C_ab.. c_a c_b ..: the orbitals' phases moved into C (exact).
-
-        C itself, not a copy, in position space.
-        """
-        if self.phases is None:
-            return c
-        return c * functools.reduce(np.multiply.outer, [self.phases] * c.ndim)
-
-
-def real_terms(terms):
-    """Real (weight, C) terms with the densities of ``terms`` on real tables.
-
-    A complex C becomes (w, Re C) and (w, Im C): for real tables
-    |sum C t..|^2 = |sum Re C t..|^2 + |sum Im C t..|^2, and in a reduced
-    density the cross part i (Re C (x) Im C - Im C (x) Re C) is
-    antisymmetric in the kept orbital indices while the table products
-    are symmetric, so it contracts to 0.  A part that is all zero is left
-    out; a real C passes as it is.
-    """
-    out = []
-    for w, c in terms:
-        if np.iscomplexobj(c):
-            out.extend((w, np.ascontiguousarray(part))
-                       for part in (c.real, c.imag) if part.any())
-        else:
-            out.append((w, c))
-    return tuple(out)
 
 
 def _abs2(a):
@@ -255,14 +216,12 @@ def _abs2(a):
 
 
 def density_grid(terms, tables):
-    """sum_t w_t Psi_t^2 on the tensor grid of real per-axis orbital tables."""
+    """sum_t Psi_t^2 on the tensor grid of real per-axis orbital tables."""
     total = None
-    for weight, c in terms:
+    for c in terms:
         for t in tables:  # sum C_ab.. t0[i, a] t1[j, b] ..., one axis at a time
             c = np.tensordot(c, t, axes=([0], [1]))
         d = _abs2(c)
-        if weight != 1.0:
-            d *= weight
         total = d if total is None else np.add(total, d, out=total)
     return total
 
@@ -285,7 +244,7 @@ def slab_folds(terms, symmetric, parities):
     """
     p = np.asarray(parities)
     # per sample: the orbitals' parities of each nonzero entry, one column per axis
-    rows = [p[np.argwhere(c)] for _, cs in terms
+    rows = [p[np.argwhere(c)] for cs in terms
             for c in np.reshape(cs, (-1,) + np.shape(cs)[-3:])]
 
     def invariant(axes):
@@ -341,19 +300,18 @@ def _folded(weights):
 
 
 def entropy_grid(terms, table, weights, symmetric, folds, log_offset=None):
-    """-sum w_i w_j w_k d ln d for d = sum_t w_t Psi_t^2, N = 3.
+    """-sum w_i w_j w_k d ln d for d = sum_t Psi_t^2, N = 3.
 
     Real only: ``table`` holds the real orbital factors at the nodes of
     one axis rule, used on all three axes, ``weights`` its weights, and
-    every C is real (``real_terms``), so each slab product is real and
-    squared in place.  A term's C may carry a leading axis of S samples,
-    such as the c1^2 samples of a scan, with its weight then of shape
-    (S,); a C without it is shared by all samples.  The kernel then returns s3 of every sample, (S,), from
-    one pass over the slabs; a plain state returns a float.  The density
-    is built and consumed one slab at a time, so no 3D array exists, and
-    -d ln d is evaluated once per distinct value the state's symmetries
-    leave, the region ``folds`` (``slab_folds``; () for the whole grid)
-    sets:
+    every term is a real C, so each slab product is real and squared in
+    place.  The terms may all carry a leading axis of S samples, such as
+    the c1^2 samples of a scan; the kernel then returns s3 of every
+    sample, (S,), from one pass over the slabs, and a float for terms
+    without it.  The density is built and consumed one slab at a time,
+    so no 3D array exists, and -d ln d is evaluated once per distinct
+    value the state's symmetries leave, the region ``folds``
+    (``slab_folds``; () for the whole grid) sets:
 
     - ``symmetric``: the density must be invariant under particle
       exchange (S/A states, their superpositions and mixtures).  Slab j
@@ -409,15 +367,13 @@ def entropy_grid(terms, table, weights, symmetric, folds, log_offset=None):
         log_rho, log_gamma = log_offset
         g = 0.5 * (log_rho[:, None] + log_rho[None, :]) - log_gamma
     r = table.shape[1]
-    samples = max(np.size(w) for w, _ in terms)
-    slabs = []  # (weights as a column, None when all are 1; M_i[x, (s y)]; S)
-    for w, c in terms:
-        c = np.reshape(c, (-1,) + np.shape(c)[-3:])
+    slabs = []  # M_i[x, (s y)] of each term
+    for c in terms:
+        c = np.reshape(c, (-1,) + np.shape(c)[-3:])  # S samples, the same for all
         m = np.tensordot(t0, c, axes=([1], [contracted]))
-        m = np.ascontiguousarray(m.transpose(0, 2, 1, 3)).reshape(len(m), r, -1)
-        w = None if np.all(np.equal(w, 1.0)) else \
-            np.broadcast_to(np.asarray(w, dtype=float), (samples,))[:, None]
-        slabs.append((w, m, len(c)))
+        m = np.ascontiguousarray(m.transpose(0, 2, 1, 3))
+        slabs.append(m.reshape(len(m), r, -1))
+    samples = len(c)
     vals = np.empty((len(outer), samples))
     corners = np.zeros_like(vals)  # -d ln d at i = j = k, symmetric only
     buf = np.empty(n * n)
@@ -428,15 +384,11 @@ def entropy_grid(terms, table, weights, symmetric, folds, log_offset=None):
         block = max(1, n * n // (nr * nc))
         for s0 in range(0, samples, block):
             blk = slice(s0, s0 + block)
-            k = min(block, samples - s0)
             d = None
-            for w, m, ns in slabs:
-                mi = m[i] if ns == 1 else m[i, :, s0 * r:(s0 + k) * r]
-                a = _abs2((rows @ mi).reshape(-1, r) @ cols.T).reshape(nr, -1, nc)
-                if w is not None:
-                    a = np.multiply(a, w[blk], out=a if a.shape[1] == k else None)
-                d = a if d is None else \
-                    np.add(d, a, out=d if d.shape[1] == k else None)
+            for m in slabs:
+                a = _abs2((rows @ m[i, :, s0 * r:(s0 + block) * r]).reshape(-1, r)
+                          @ cols.T).reshape(nr, -1, nc)
+                d = a if d is None else np.add(d, a, out=d)
             e = _d_ln_d(d, buf[:d.size].reshape(d.shape))
             if log_offset is not None:
                 e += d * offset
@@ -446,7 +398,7 @@ def entropy_grid(terms, table, weights, symmetric, folds, log_offset=None):
     if symmetric:
         vals -= corner * corners
     s3 = -(outer @ vals)
-    return s3 if any(np.ndim(w) for w, _ in terms) else float(s3[0])
+    return s3 if np.ndim(terms[0]) == 4 else float(s3[0])
 
 
 def orbital_products(table):
@@ -457,7 +409,7 @@ def orbital_products(table):
 def reduced_density(terms, keep, products):
     """Marginal density of the kept coordinates at broadcastable points.
 
-    The reduced density matrix D = sum_t w_t tr_rest(C_t C_t) of the real
+    The reduced density matrix D = sum_t tr_rest(C_t C_t) of the real
     terms is contracted with q(x) on each kept axis; ``products`` holds
     ``orbital_products`` of the tables at the kept coordinates, so a
     caller that reduces many states on one table builds q once.  Two
@@ -466,10 +418,10 @@ def reduced_density(terms, keep, products):
     """
     k = len(keep)
     d = 0.0
-    for weight, c in terms:
+    for c in terms:
         ck = np.moveaxis(c, keep, range(k))
         rest = list(range(k, c.ndim))
-        d = d + weight * np.tensordot(ck, ck, (rest, rest))
+        d = d + np.tensordot(ck, ck, (rest, rest))
     r = d.shape[0]
     # D[a1.., c1..] -> K[(a1 c1), (a2 c2), ...], matching q(x1), q(x2), ...
     order = [i for pair in zip(range(k), range(k, 2 * k)) for i in pair]
@@ -520,13 +472,12 @@ class WaveFunction:
 
     @cached_property
     def terms(self):
-        """((1.0, C),): the state as one real C over its tables' factors.
+        """(C,): the state as one real C over its tables' factors.
 
-        C carries the configuration's phase product (``real_terms`` of the
-        ``phased`` coefficient tensor), the same on all its entries.
+        The orbitals' phase product is the same on every entry of C, a
+        global phase, so C leaves it out.
         """
-        c = coefficient_tensor(self.config, self.tables.orbitals)
-        return real_terms(((1.0, self.tables.phased(c)),))
+        return (coefficient_tensor(self.config, self.tables.orbitals),)
 
     def domains(self, arity=None):
         return self.config.domains(arity)

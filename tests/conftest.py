@@ -31,23 +31,28 @@ def scheme():
 
 
 @pytest.fixture
-def negative_at_balance():
-    """A ``superposition._CachedMixture`` whose c1^2 = 0.5 mixture fails.
+def failing_at_balance():
+    """A ``superposition._CachedMixture`` whose c1^2 = 0.5 sample fails.
 
-    Set it in place of the class to make that sample of an
-    interference-free scan raise.
+    Set it in place of the class to make the report of that sample of a
+    scan raise ValueError(``error``); the sample itself builds.
     """
 
-    class NegativeAtBalance(superposition._CachedMixture):
-        # c1^2 = 0.5 with the sign of its second term flipped: the density
-        # 0.5 |Psi_A|^2 - 0.5 |Psi_B|^2 is significantly negative
-        def __init__(self, spec):
-            super().__init__(spec)
-            if abs(self.c1 ** 2 - 0.5) < 1e-12:
-                (wa, ca), (wb, cb) = self.terms
-                self.terms = ((wa, ca), (-wb, cb))
+    class FailingAtBalance(superposition._CachedMixture):
+        error = "no terms at c1^2 = 0.5"
 
-    return NegativeAtBalance
+        # the terms are read first where the states are grouped
+        @property
+        def terms(self):
+            if abs(self.c1 ** 2 - 0.5) < 1e-12:
+                raise ValueError(self.error)
+            return self._terms
+
+        @terms.setter
+        def terms(self, value):
+            self._terms = value
+
+    return FailingAtBalance
 
 
 def dense_rule(a, b, panel_width=0.5, nodes=10):

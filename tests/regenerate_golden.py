@@ -45,6 +45,11 @@ CASES = {
                             "--c1sq-grid", "0.3,0.5,0.7"],
     "scan-box-momentum-a": ["scan-superposition", "--space", "momentum", "--sym", "a",
                             "--c1sq-grid", "0.3,0.5,0.7"],
+    # phase products -i and i: the one scan whose components interfere
+    # with a relative phase of -1
+    "scan-box-momentum-s125": ["scan-superposition", "--space", "momentum", "--sym", "s",
+                               "--n", "1,2,3", "--n-second", "1,2,5",
+                               "--c1sq-grid", "0.3,0.5,0.7"],
     "report-box-a12-csv": ["report", "--model", "box", "--n", "1,2", "--sym", "a",
                            "--format", "csv"],
     "density-grid-a123": ["density-grid", "--n", "1,2,3", "--sym", "a", "--points", "11"],

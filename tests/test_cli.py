@@ -5,8 +5,15 @@ import json
 import pytest
 
 from symcorr import Configuration, ModelParams, compute_report, superposition
-from symcorr.cli import PAIR_CSV_HEADER, REPORT_CSV_HEADER, build_parser, main
+from symcorr.cli import (
+    PAIR_CSV_HEADER,
+    REPORT_CSV_HEADER,
+    _scheme,
+    build_parser,
+    main,
+)
 from symcorr.quadrature import QuadratureScheme
+from symcorr.reference_tables import table_spec
 from symcorr.wavefunction import parse_symmetry
 
 
@@ -138,14 +145,14 @@ def test_scan_superposition_no_interference(capsys):
 
 
 def test_scan_superposition_failing_sample_exits_3(capsys, monkeypatch,
-                                                   negative_at_balance):
-    monkeypatch.setattr(superposition, "_CachedMixture", negative_at_balance)
+                                                   failing_at_balance):
+    monkeypatch.setattr(superposition, "_CachedMixture", failing_at_balance)
     code, out, err = run(capsys, "scan-superposition", "--sym", "s",
                          "--no-interference", "--panels", "3", "--nodes", "7",
                          "--c1sq-grid", "0.0,0.5,1.0")
     assert code == 3
     assert out == ""
-    assert "1 scan samples failed" in err and "significantly negative" in err
+    assert "1 scan samples failed" in err and failing_at_balance.error in err
 
 
 def test_scan_n3(capsys):
@@ -348,13 +355,29 @@ def test_scan_n3_rejects_empty_or_malformed_range(capsys):
         assert "is empty" in err if text == "6:3" else "invalid literal" in err
 
 
+def test_tol_reaches_the_scheme(capsys):
+    parser, _ = build_parser()
+    args = parser.parse_args(["report", "--n", "1,2,3", "--tol", "1e-7"])
+    assert _scheme(args).target_abs_tol == 1e-7
+    code, out, err = run(capsys, "report", "--n", "1,2,3", "--tol", "0")
+    assert code == 2 and out == ""
+    assert "target_abs_tol must be positive" in err
+
+
+def test_table_spec_rejects_a_third_table():
+    with pytest.raises(ValueError, match="table number must be 1 or 2"):
+        table_spec(3)
+
+
 def test_config_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("no_such_option = 1\n")
-    code, out, err = run(capsys, "report", "--n", "1,2,3",
-                         "--config", str(cfg))
-    assert code == 2
-    assert "unknown config key" in err
+    for line, message in (("no_such_option = 1", "unknown config key"),
+                          ("format csv", "bad config line 'format csv'")):
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "report", "--n", "1,2,3",
+                             "--config", str(cfg))
+        assert code == 2
+        assert message in err
 
 
 def test_usage_errors(capsys):
@@ -368,6 +391,13 @@ def test_usage_errors(capsys):
     code, out, err = run(capsys, "density-grid", "--n", "1,2,3",
                          "--space", "both")
     assert code == 2
+    for argv, message in (
+            (["report", "--n", "1,x,3"], "cannot parse quantum numbers '1,x,3'"),
+            (["scan-n3", "--n", "1,2,3"], "scan-n3 expects --n with the two fixed"),
+            (["scan-superposition", "--n", "1,2"],
+             "superposition scans are for 3-particle states")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and message in err, argv
 
 
 def test_parser_defaults_exposed():

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +115,28 @@ def test_pair_mutual_information_nonnegative(box, ho):
             assert rep.i_pair >= 0.0
 
 
+@pytest.mark.parametrize("i_pair,warns", [(-1e-13, False), (-1e-6, True)])
+def test_negative_pair_information_within_tolerance_is_clamped(box, i_pair, warns):
+    wf = build(Configuration(box, (1, 2, 3), SYMMETRIC))
+    scheme = QuadratureScheme(target_abs_tol=1e-5)
+    fine = (1.0, 2.0 - i_pair, 3.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = information._report(wf, fine, None, scheme)
+    assert rep.i_pair == 0.0
+    assert [str(w.message).startswith("pair mutual information clamped")
+            for w in caught] == ([True] if warns else [])
+    # the other measures keep the unclamped entropies
+    assert rep.i_higher == 3 * fine[1] - 3 * fine[0] - fine[2]
+
+
+def test_negative_pair_information_beyond_tolerance_raises(box):
+    wf = build(Configuration(box, (1, 2, 3), SYMMETRIC))
+    with pytest.raises(RuntimeError, match="negative beyond quadrature tolerance"):
+        information._report(wf, (1.0, 2.0 + 2e-5, 3.0), None,
+                            QuadratureScheme(target_abs_tol=1e-5))
+
+
 def test_two_particle_systems_rejected(box):
     with pytest.raises(ValueError):
         compute_report(Configuration(box, (1, 2), SYMMETRIC))
@@ -198,7 +220,7 @@ def _kernel_cases():
             ("d-superposition", box, POSITION, DISTINGUISHABLE, (1, 2, 3), (4, 5, 6), True),
             ("d-mixture", box, POSITION, DISTINGUISHABLE, (1, 2, 3), (4, 5, 6), False),
             ("d-ho-momentum", ho, MOMENTUM, DISTINGUISHABLE, (0, 1, 2), (3, 4, 5), True),
-            # phase products -i and 1: two real terms, each a permanent
+            # phase products -i and 1: two real terms, one per component
             ("a-box-momentum-superposition", box, MOMENTUM, ANTISYMMETRIC,
              (1, 2, 3), (4, 5, 6), True),
             ("d-parity-mixed", box, POSITION, DISTINGUISHABLE, (1, 2, 3), (1, 2, 4), True)):
@@ -272,7 +294,7 @@ FOLDS = {
     # (+,-,+) and (-,+,-) interfere: flips of axes {1,2}, {1,3}, {2,3}
     "d-superposition": (0, 1),
     # phase products i and 1: the components do not interfere, and each
-    # real part is one product
+    # term is one product
     "d-ho-momentum": (0, 1, 2),
     # each term alone is a product: all eight flips
     "d-mixture": (0, 1, 2),
@@ -394,19 +416,19 @@ def test_batched_s3_matches_per_sample_s3(box, sym, interference, scheme3,
     integrand_nodes.clear()
     for mix, rep in zip(mixes, reports):
         # a D endpoint is a Hartree product, whose report runs no kernel
-        if len(mix.terms) > 1 or np.count_nonzero(mix.terms[0][1]) > 1:
+        if len(mix.terms) > 1 or np.count_nonzero(mix.terms[0]) > 1:
             assert abs(rep.entropies.s3 - entropy(mix, scheme3)) <= 1e-13
     # the same nodes, the endpoints' inversion and parity folds included
     assert sum(batched) == sum(integrand_nodes)
     # the kernel alone on every sample: a fold only where all samples keep it
     x, w = axis_rule(a.domains(1)[0], scheme3, 3)
     if interference:
-        terms = [(np.ones(len(mixes)), np.stack([m.terms[0][1] for m in mixes]))]
-    else:
-        c1sq = np.array(DEFAULT_C1SQ_GRID)
+        terms = [np.stack([m.terms[0] for m in mixes])]
+    else:  # c1 C_A and c2 C_B of every sample, the endpoints' zero tensors too
+        c1sq = np.array(DEFAULT_C1SQ_GRID)[:, None, None, None]
         orbitals = mixes[0].tables.orbitals
-        terms = [(c1sq, coefficient_tensor(a, orbitals)),
-                 (1.0 - c1sq, coefficient_tensor(b, orbitals))]
+        terms = [np.sqrt(c1sq) * coefficient_tensor(a, orbitals),
+                 np.sqrt(1.0 - c1sq) * coefficient_tensor(b, orbitals)]
     symmetric = sym != DISTINGUISHABLE
     folds = slab_folds(terms, symmetric, _parities(mixes[0]))
     # blocks hold at most n^2 values, so more calls than the slabs of the
@@ -522,21 +544,6 @@ def test_validation_integrals_stay_below_the_3d_grid():
         finally:
             tracemalloc.stop()
         assert peak < bound_mb * 1e6, (f.__name__, peak)
-
-
-@pytest.mark.parametrize("sym", [ANTISYMMETRIC, DISTINGUISHABLE])
-def test_fused_s3_rejects_negative_density(box, sym):
-    a = Configuration(box, (1, 2, 3), sym)
-    b = Configuration(box, (4, 5, 6), sym)
-    mix = build_superposition(SuperpositionSpec(a, b, math.sqrt(0.5), False))
-    orbitals = mix.tables.orbitals
-    stub = SimpleNamespace(
-        nparticles=3, symmetry=sym, tables=mix.tables, domains=mix.domains,
-        density_tensor=mix.density_tensor,
-        terms=((1.0, coefficient_tensor(a, orbitals)),
-               (-1.0, coefficient_tensor(b, orbitals))))
-    with pytest.raises(ValueError, match="significantly negative"):
-        entropy(stub, ODD_EVEN_SCHEMES[0])
 
 
 @pytest.mark.parametrize("space", [POSITION, MOMENTUM])

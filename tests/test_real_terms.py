@@ -1,10 +1,13 @@
 """Momentum states on real terms and real tables, against complex references.
 
-Each orbital's constant phase moves into C and a complex C is split into
-two real terms (``wavefunction.real_terms``).  The references here share
-nothing with that representation: |Psi|^2 is the pointwise ``density`` of
-the complex orbitals (``eval_orbital``), and rho, Gamma and the cumulant
-moments contract the unphased coefficient tensors with those orbitals.
+A state's terms are real coefficient tensors over the orbitals' real
+factors: a configuration drops its global phase, and a superposition
+keeps only the phase of its second component relative to the first
+(``superposition._CachedMixture``).  The references here share nothing
+with that representation: |Psi|^2 is the pointwise ``density`` of the
+complex orbitals (``eval_orbital``), and rho, Gamma and the cumulant
+moments contract the coefficient tensors of the components, with no
+phase taken out, with those orbitals.
 """
 
 import math
@@ -51,17 +54,21 @@ def _states():
     cases.append(("box-s112", build(Configuration(box, (1, 1, 2), SYMMETRIC, MOMENTUM))))
     # phase products -i and 1 (box A), i and 1 (oscillator D): the two
     # components become the two real terms; equal products (box S, -i and
-    # -i; oscillator A, i and i) keep one real term that interferes
-    for params, sym, ns_a, ns_b in ((box, ANTISYMMETRIC, (1, 2, 3), (4, 5, 6)),
-                                    (ho, DISTINGUISHABLE, (0, 1, 2), (3, 4, 5)),
-                                    (box, SYMMETRIC, (1, 2, 3), (1, 2, 7)),
-                                    (ho, ANTISYMMETRIC, (0, 1, 2), (0, 1, 6))):
+    # -i; oscillator A, i and i) keep one real term that interferes; -i and
+    # i (box S over (1, 2, 5)) keep one that interferes with its sign flipped
+    for params, sym, ns_a, ns_b, suffix in (
+            (box, ANTISYMMETRIC, (1, 2, 3), (4, 5, 6), ""),
+            (ho, DISTINGUISHABLE, (0, 1, 2), (3, 4, 5), ""),
+            (box, SYMMETRIC, (1, 2, 3), (1, 2, 7), ""),
+            (ho, ANTISYMMETRIC, (0, 1, 2), (0, 1, 6), ""),
+            (box, SYMMETRIC, (1, 2, 3), (1, 2, 5), "-s125")):
         for interference in (True, False):
             spec = SuperpositionSpec(Configuration(params, ns_a, sym, MOMENTUM),
                                      Configuration(params, ns_b, sym, MOMENTUM),
                                      math.sqrt(0.4), interference)
             tag = "superposition" if interference else "mixture"
-            cases.append((f"{params.kind}-{sym[0]}-{tag}", build_superposition(spec)))
+            cases.append((f"{params.kind}-{sym[0]}-{tag}{suffix}",
+                          build_superposition(spec)))
     return cases
 
 
@@ -70,15 +77,15 @@ IDS = [c[0] for c in STATES]
 
 
 def _reference_terms(st):
-    """(w, C) of the state over the complex orbitals: no phase moved into C."""
+    """The state's C tensors over the complex orbitals, densities adding."""
     orbitals = st.tables.orbitals
     if hasattr(st, "config"):
-        return [(1.0, coefficient_tensor(st.config, orbitals))]
+        return [coefficient_tensor(st.config, orbitals)]
     ca = coefficient_tensor(st.spec.state_a, orbitals)
     cb = coefficient_tensor(st.spec.state_b, orbitals)
     if st.interference:
-        return [(1.0, (st.c1 * ca + st.c2 * cb) / math.sqrt(st.norm_sq))]
-    return [(st.c1**2, ca), (st.c2**2, cb)]
+        return [(st.c1 * ca + st.c2 * cb) / math.sqrt(st.norm_sq)]
+    return [st.c1 * ca, st.c2 * cb]
 
 
 def _orbitals(st, x):
@@ -95,9 +102,9 @@ def _keeps(st):
 
 
 def _reference_marginal(st, keep, phis):
-    """sum_t w_t sum conj(C_t) C_t conj(phi) phi over the complex orbitals."""
+    """sum_t sum conj(C_t) C_t conj(phi) phi over the complex orbitals."""
     total = 0.0
-    for w, c in _reference_terms(st):
+    for c in _reference_terms(st):
         ck = np.moveaxis(c, keep, range(len(keep)))
         rest = list(range(len(keep), c.ndim))
         d = np.tensordot(np.conj(ck), ck, (rest, rest))
@@ -106,7 +113,7 @@ def _reference_marginal(st, keep, phis):
         else:
             val = np.einsum("abcd,ia,jb,ic,jd->ij", d, np.conj(phis[0]),
                             np.conj(phis[1]), phis[0], phis[1])
-        total = total + w * val.real
+        total = total + val.real
     return total
 
 
@@ -120,7 +127,7 @@ def _close(got, want):
 def test_terms_and_tables_are_real(name, st):
     x, _ = axis_rule(st.domains(1)[0], SCHEME, 1)
     assert not np.iscomplexobj(st.tables(x))
-    assert all(not np.iscomplexobj(c) and np.any(c) for _, c in st.terms)
+    assert all(not np.iscomplexobj(c) and np.any(c) for c in st.terms)
     if hasattr(st, "config"):
         # one configuration: its phase product is the same on every entry
         assert len(st.terms) == 1
@@ -166,10 +173,10 @@ def test_cumulant3_matches_complex_moments(name, st):
 
         def moment(keeps):
             return float(np.mean([
-                sum(weight * np.einsum("abc,ad,be,cf,def->", conj(c),
-                                       *[xmat if k in keep else eye for k in range(3)],
-                                       c).real
-                    for weight, c in terms)
+                sum(np.einsum("abc,ad,be,cf,def->", conj(c),
+                              *[xmat if k in keep else eye for k in range(3)],
+                              c).real
+                    for c in terms)
                 for keep in keeps]))
 
         m1, m2, m3 = (moment(ks) for ks in (ones, pairs, [(0, 1, 2)]))
@@ -182,7 +189,7 @@ def test_cumulant3_matches_complex_moments(name, st):
     # round-off: compare on the scale of the moments' summands, the same
     # sums over absolute values
     scale = cumulant(np.abs(phi), np.abs(x), np.abs,
-                     [(wt, np.abs(c)) for wt, c in terms])[1]
+                     [np.abs(c) for c in terms])[1]
     assert abs(cumulant3(st, SCHEME) - want) <= RTOL * scale
 
 
@@ -198,7 +205,7 @@ def real_only(monkeypatch):
         return square(a)
 
     def checked_reduce(terms, keep, products):
-        assert not any(np.iscomplexobj(c) for _, c in terms), "complex term"
+        assert not any(np.iscomplexobj(c) for c in terms), "complex term"
         assert not any(np.iscomplexobj(q) for q in products), "complex table"
         calls["reduced"] += 1
         return reduce(terms, keep, products)

@@ -48,6 +48,16 @@ def test_spec_validation(box, ho):
     assert s.c2 == pytest.approx(0.8)
 
 
+def test_vanishing_norm_rejected(box):
+    # c1 = -sqrt(1/2) of a state against itself: c1 Psi + c2 Psi = 0
+    a = Configuration(box, (1, 2, 3), SYMMETRIC)
+    with pytest.raises(ValueError, match="vanishing norm"):
+        build_superposition(SuperpositionSpec(a, a, -math.sqrt(0.5)))
+    # without interference the two densities add, whatever the sign of c1
+    mix = build_superposition(SuperpositionSpec(a, a, -math.sqrt(0.5), False))
+    assert mix.norm_sq == 1.0 and len(mix.terms) == 2
+
+
 def test_component_overlap(box):
     def overlap(cfg_a, cfg_b):
         return build_superposition(SuperpositionSpec(cfg_a, cfg_b, 0.6)).overlap
@@ -192,17 +202,17 @@ def test_superposition_does_not_depend_on_component_order(
 
 
 def test_scan_keeps_the_samples_a_failing_one_leaves(monkeypatch,
-                                                    negative_at_balance):
+                                                    failing_at_balance):
     spec = spec_box(SYMMETRIC, 1.0, interference=False)
     grid = (0.0, 0.5, 1.0)
     scheme = QuadratureScheme(panels=8, panels_3d=3, nodes_per_panel=7)
     want = scan_coefficient(spec, grid, scheme)
     assert not want.errors
 
-    monkeypatch.setattr(superposition, "_CachedMixture", negative_at_balance)
+    monkeypatch.setattr(superposition, "_CachedMixture", failing_at_balance)
     scan = scan_coefficient(spec, grid, scheme)
     assert [c for c, _ in scan.errors] == [0.5]
-    assert "significantly negative" in scan.errors[0][1]
+    assert scan.errors[0][1] == failing_at_balance.error
     assert [c for c, _ in scan.samples] == [0.0, 1.0]
     # one by one, to round-off, what the batch gave
     for (_, got), (_, ref) in zip(scan.samples, want.samples[::2]):
