@@ -202,12 +202,7 @@ def cmd_scan_superposition(args):
             state_b=Configuration(params, ns_b, sym, space),
             c1=1.0,
             interference=not args.no_interference)
-        scan = scan_coefficient(spec, samples, scheme)
-        if scan.errors:
-            raise NonConvergenceError(
-                f"{len(scan.errors)} scan samples failed: {scan.errors[0][1]}",
-                float("nan"))
-        results.append(scan.to_csv())
+        results.append(scan_coefficient(spec, samples, scheme).to_csv())
     _emit("\n".join(results).rstrip("\n"), args.out)
     return 0
 

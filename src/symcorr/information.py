@@ -61,6 +61,7 @@ from .densities import quadrature_marginal, reduce_numerical
 from .orbitals import MOMENTUM, POSITION, orbital_parity
 from .quadrature import (
     DENSITY_FLOOR,
+    NonConvergenceError,
     QuadratureScheme,
     axis_rule,
     entropy_from_values,
@@ -258,15 +259,21 @@ def _entropies(states, groups, scheme):
 
 
 def _report(wf, fine, coarse, scheme):
+    """InformationReport of ``wf`` from its fine and, if run, coarse entropies.
+
+    Pair mutual information in [-tol, 0) is quadrature noise: it is clamped
+    to 0, with a warning below -1e-12.  Below -tol the rule is too coarse
+    for the state, and this raises ``NonConvergenceError``.
+    """
     s1, s2, s3 = fine
     err = None if coarse is None else \
         max(abs(s1 - coarse[0]), abs(s2 - coarse[1]), abs(s3 - coarse[2]))
     i_pair = 2 * s1 - s2
     if i_pair < 0:
         if i_pair < -scheme.target_abs_tol:
-            raise RuntimeError(
+            raise NonConvergenceError(
                 f"pair mutual information {i_pair:.3e} is negative beyond "
-                "quadrature tolerance; internal inconsistency")
+                "quadrature tolerance", -i_pair)
         if i_pair < -1e-12:
             warnings.warn("pair mutual information clamped to 0 "
                           f"(quadrature noise {i_pair:.3e})")
@@ -292,10 +299,9 @@ def compute_reports(systems, scheme=None, with_error=True):
     (``_group_key``): the members of a group, such as the interior c1^2
     samples of a scan, share their orbital tables, and their s3 comes
     from one pass over the slabs (``_entropies``).  With ``with_error``
-    the coarse level runs on the same groups.  Pair mutual information
-    in [-tol, 0) from quadrature noise is clamped to zero with a
-    warning; larger negative values raise, and so does any failing
-    system, for the whole batch.
+    the coarse level runs on the same groups.  Each report is checked by
+    ``_report``: pair mutual information more negative than -tol raises
+    ``NonConvergenceError``.  A batch returns every report or raises.
     """
     scheme = scheme or QuadratureScheme()
     wfs = [_as_wavefunction(s) for s in systems]

@@ -125,9 +125,7 @@ def eval_box_momentum(n, L, p):
     it factors as phi_n(p) = -i^(n+1) e^{-ipL/2} g_n(p): a constant phase,
     a phase that does not depend on n, and the real ``box_momentum_factor``.
     """
-    p = np.asarray(p, dtype=float)
-    return _I_POWERS[(n + 3) % 4] * np.exp(-0.5j * p * L) \
-        * box_momentum_factor(n, L, p)
+    return eval_orbital(ModelParams.box(L), n, MOMENTUM, p)
 
 
 def hermite_functions(n_max, y):
@@ -150,12 +148,9 @@ def hermite_functions(n_max, y):
 def ho_factor(n, omega, z, space=POSITION):
     """Real factor of the harmonic-trap orbital: w^{1/4} h_n(sqrt(w) z).
 
-    w = omega in position space and 1/omega in momentum space.
+    w = omega in position space and 1/omega in momentum space; n and
+    omega are checked by ``ModelParams``.
     """
-    if n < 0 or int(n) != n:
-        raise ValueError("oscillator quantum number must be a non-negative integer")
-    if not omega > 0:
-        raise ValueError("omega must be positive")
     if space == POSITION:
         w = omega
     elif space == MOMENTUM:
@@ -172,20 +167,18 @@ def eval_ho(n, omega, z, space=POSITION):
     Position: omega^{1/4} h_n(sqrt(omega) x).  Momentum: the Fourier
     transform, (-i)^n times the same functional form with omega -> 1/omega.
     """
-    val = ho_factor(n, omega, z, space)
-    return val if space == POSITION else _I_POWERS[(3 * n) % 4] * val
+    return eval_orbital(ModelParams.oscillator(omega), n, space, z)
 
 
 def eval_orbital(params, n, space, z):
-    """Dispatch to the model/space-specific orbital evaluator."""
-    params.validate_quantum_number(n)
-    if params.kind == "box":
-        if space == POSITION:
-            return eval_box_position(n, params.L, z)
-        if space == MOMENTUM:
-            return eval_box_momentum(n, params.L, z)
-        raise ValueError(f"unknown space {space!r}")
-    return eval_ho(n, params.omega, z, space)
+    """Orbital n at z: ``orbital_phase`` times ``orbital_factor``.
+
+    A box momentum orbital also takes the phase e^{-ipL/2}.
+    """
+    val = orbital_phase(params, n, space) * orbital_factor(params, n, space, z)
+    if params.kind == "box" and space == MOMENTUM:
+        val = val * np.exp(-0.5j * np.asarray(z, dtype=float) * params.L)
+    return val
 
 
 def orbital_phase(params, n, space):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .information import compute_report, compute_reports
+from .information import compute_reports
 from .orbitals import orbital_phase
 from .quadrature import QuadratureScheme
 from .wavefunction import (
@@ -182,10 +182,9 @@ def build_superposition(spec):
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Information reports sampled over the mixing coefficient c1^2."""
+    """One information report per sample of the mixing coefficient c1^2."""
 
     samples: tuple  # of (c1sq, InformationReport)
-    errors: tuple   # of (c1sq, error message) for failed samples
     spec: SuperpositionSpec
     scheme: QuadratureScheme
 
@@ -224,10 +223,9 @@ def scan_coefficient(spec_template, c1sq_samples=DEFAULT_C1SQ_GRID,
     Every sample builds its coefficient tensor from the two components,
     and all samples are reported together (``compute_reports``), so the
     orbital table of each rule is evaluated once for the whole curve,
-    whatever the number of samples.  If that raises, the samples are
-    rerun one by one: per-sample failures are collected in ``errors``,
-    and the remaining samples are still returned.  No coarse error run:
-    each report's ``error_estimate`` is None.
+    whatever the number of samples.  A failing sample fails the scan:
+    a numerical failure raises ``NonConvergenceError``.  No coarse error
+    run: each report's ``error_estimate`` is None.
     """
     scheme = scheme or QuadratureScheme()
     samples = sorted(float(c) for c in c1sq_samples)
@@ -240,19 +238,6 @@ def scan_coefficient(spec_template, c1sq_samples=DEFAULT_C1SQ_GRID,
     mixes = [_CachedMixture(SuperpositionSpec(a, b, math.sqrt(c1sq),
                                               spec_template.interference))
              for c1sq in samples]
-
-    results = []
-    errors = []
-    try:
-        reports = compute_reports(mixes, scheme, with_error=False)
-        results = list(zip(samples, reports))
-    except Exception:  # a failing sample fails the batch: find it
-        for c1sq, mix in zip(samples, mixes):
-            try:
-                rep = compute_report(mix, scheme, with_error=False)
-            except Exception as exc:  # keep partial scan results
-                errors.append((c1sq, str(exc)))
-                continue
-            results.append((c1sq, rep))
-    return ScanResult(samples=tuple(results), errors=tuple(errors),
+    reports = compute_reports(mixes, scheme, with_error=False)
+    return ScanResult(samples=tuple(zip(samples, reports)),
                       spec=spec_template, scheme=scheme)

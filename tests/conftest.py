@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from symcorr import ModelParams, QuadratureScheme, superposition
+from symcorr import ModelParams, QuadratureScheme
 from symcorr.quadrature import gauss_panels
 
 
@@ -28,31 +28,6 @@ def ho():
 @pytest.fixture(scope="session")
 def scheme():
     return QuadratureScheme()
-
-
-@pytest.fixture
-def failing_at_balance():
-    """A ``superposition._CachedMixture`` whose c1^2 = 0.5 sample fails.
-
-    Set it in place of the class to make the report of that sample of a
-    scan raise ValueError(``error``); the sample itself builds.
-    """
-
-    class FailingAtBalance(superposition._CachedMixture):
-        error = "no terms at c1^2 = 0.5"
-
-        # the terms are read first where the states are grouped
-        @property
-        def terms(self):
-            if abs(self.c1 ** 2 - 0.5) < 1e-12:
-                raise ValueError(self.error)
-            return self._terms
-
-        @terms.setter
-        def terms(self, value):
-            self._terms = value
-
-    return FailingAtBalance
 
 
 def dense_rule(a, b, panel_width=0.5, nodes=10):

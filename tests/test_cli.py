@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from symcorr import Configuration, ModelParams, compute_report, superposition
+from symcorr import Configuration, ModelParams, compute_report
 from symcorr.cli import (
     PAIR_CSV_HEADER,
     REPORT_CSV_HEADER,
@@ -144,15 +144,29 @@ def test_scan_superposition_no_interference(capsys):
     assert abs(float(mid_on[3]) - float(mid_off[3])) > 1e-3
 
 
-def test_scan_superposition_failing_sample_exits_3(capsys, monkeypatch,
-                                                   failing_at_balance):
-    monkeypatch.setattr(superposition, "_CachedMixture", failing_at_balance)
-    code, out, err = run(capsys, "scan-superposition", "--sym", "s",
-                         "--no-interference", "--panels", "3", "--nodes", "7",
-                         "--c1sq-grid", "0.0,0.5,1.0")
+# each rule is too coarse for its states: the pair mutual information
+# of a state comes out negative beyond the tolerance
+@pytest.mark.parametrize("argv", [
+    ["report", "--model", "ho", "--n", "0,1,5", "--sym", "s", "--panels", "3"],
+    ["scan-n3", "--model", "ho", "--n", "0,1", "--n3-range", "5:5", "--panels", "3"],
+    ["tables", "--which", "2", "--panels", "2"],
+    ["scan-superposition", "--model", "ho", "--n", "0,1,5", "--n-second", "0,1,2",
+     "--sym", "s", "--c1sq-grid", "0,0.5,1", "--panels", "3"],
+], ids=lambda argv: argv[0])
+def test_numerical_failure_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv, "--nodes", "8")
     assert code == 3
     assert out == ""
-    assert "1 scan samples failed" in err and failing_at_balance.error in err
+    assert err.startswith("error: numerical failure: pair mutual information")
+
+
+def test_table_mismatch_exits_1(capsys):
+    # these cells miss the table, but no pair mutual information is negative
+    code, out, err = run(capsys, "tables", "--which", "1", "--panels", "2",
+                         "--nodes", "8")
+    assert code == 1
+    assert "FAIL:" in out
+    assert err == ""
 
 
 def test_scan_n3(capsys):

@@ -12,6 +12,7 @@ from symcorr import (
     SYMMETRIC,
     Configuration,
     ModelParams,
+    NonConvergenceError,
     QuadratureScheme,
     SuperpositionSpec,
     WaveFunction,
@@ -132,9 +133,11 @@ def test_negative_pair_information_within_tolerance_is_clamped(box, i_pair, warn
 
 def test_negative_pair_information_beyond_tolerance_raises(box):
     wf = build(Configuration(box, (1, 2, 3), SYMMETRIC))
-    with pytest.raises(RuntimeError, match="negative beyond quadrature tolerance"):
+    with pytest.raises(NonConvergenceError,
+                       match="negative beyond quadrature tolerance") as caught:
         information._report(wf, (1.0, 2.0 + 2e-5, 3.0), None,
                             QuadratureScheme(target_abs_tol=1e-5))
+    assert caught.value.achieved_error == pytest.approx(2e-5)
 
 
 def test_two_particle_systems_rejected(box):
