@@ -9,9 +9,23 @@ The five correlation measures are computed from entropy combinations:
     I^3    = 3 s2 - 3 s1 - s3          (higher-order; may be negative)
 
 Consecutive hierarchy differences all equal the pair mutual information,
-which makes the hierarchy an algebraic identity here.  Direct-integral
-evaluations of I and I^3 are validation cross-checks; which 3D integrand,
-d ln d or the direct one, is the more accurate depends on the state.
+which makes the hierarchy an algebraic identity here.
+
+I^3 and s3 come from one rule.  d ln d is not smooth where the density
+vanishes: on the coincidence planes of A states, on the orbital-node
+planes of D states and in the oscillating 1/p^2 tails of box momentum.
+The same zeros appear in rho and Gamma, and in the direct integrand of
+I^3, |Psi|^2 ln R with R = |Psi|^2 rho rho rho / (Gamma Gamma Gamma),
+they largely cancel.  On a rule that integrates the orbital products
+exactly, as every position rule does, the sum of that integrand equals
+3 s2' - 3 s1' - s3', the three entropies on the rule's own nodes.  So a
+report's I^3 is that combination on the 3D rule, and its s3 is
+3 s2 - 3 s1 - I^3, with s1 and s2 from the finer 1D and 2D rules: the
+3D rule's zero-set errors cancel in I^3 and no longer reach s3, and the
+3D rule can be coarser than the 1D and 2D ones.  ``entropy`` of a
+three-particle state returns that s3.
+``mutual_information_higher_direct`` integrates ln R itself and
+``mutual_information_pair_direct`` the pair integrand, as checks.
 Neither check, nor ``cumulant3``, builds a 3D array: the I^3 integrand
 runs in the s3 kernel, and the moments contract C with a one-axis
 moment matrix.
@@ -26,23 +40,28 @@ group of their own, on the inverted half sector.  The orbital table of
 each distinct rule is evaluated once per level; the 1D and 2D rules are
 one rule, so rho and Gamma share it.  s1 and s2 integrate each state's
 exact rho and Gamma, from the reduced density matrices of its
-coefficient tensor.  For distinguishable (Hartree-type) states the
-marginals differ per coordinate; s1 and s2 are then the averages over
-coordinates/pairs, which reproduces the distinguishable-system
-decomposition of I^3 exactly and keeps the hierarchy identities intact.
-A Hartree product factorizes, so its s2 and s3 are 2 s1 and 3 s1, and
-every correlation measure vanishes to round-off.  s3 of the other
-groups comes from one pass of ``wavefunction.entropy_grid`` per group
-over |Psi|^2 on the 3D rule, slab by slab, on the region their
-symmetries leave distinct: ``wavefunction.slab_folds`` decides it from
-the orbitals' parities about the domain centre, which every rule is
-mirror-symmetric about, as ``quadrature.axis_rule`` checks where it
-builds the rule.  Each entropy
-of k coordinates, s3 of ``entropy`` too, runs on the nodes
-``wavefunction.trim_rule`` keeps for k: it drops the end nodes of a
+coefficient tensor, formed once per group: rho of every member is one
+product, and Gamma combines an orthonormal basis of the span of the
+members' pair matrices (one SVD; rank 3 on an interfering scan curve),
+each element tabulated once per rule.  A marginal runs on the first
+half of each axis its orbital products' parities let it fold
+(``wavefunction.fold_axes``).  For distinguishable (Hartree-type)
+states the marginals differ per coordinate; s1 and s2 are then the
+averages over coordinates/pairs, which reproduces the
+distinguishable-system decomposition of I^3, sum s2_ij - sum s1_i - s3,
+exactly and keeps the hierarchy identities intact.  A Hartree product
+factorizes, so its s2 and s3 are 2 s1 and 3 s1, and every correlation
+measure vanishes to round-off.  s3' of the other groups comes from one
+pass of ``wavefunction.entropy_grid`` per group over |Psi|^2 on the 3D
+rule, slab by slab, on the region their symmetries leave distinct:
+``wavefunction.slab_folds`` decides it from the orbitals' parities
+about the domain centre, which every rule is mirror-symmetric about, as
+``quadrature.axis_rule`` checks where it builds the rule.  Each entropy
+of k coordinates runs on the nodes ``wavefunction.trim_rule`` keeps for
+k, and s1' and s2' on those it keeps for 3: it drops the end nodes of a
 rule where every orbital is so small that, for any state over them,
 their whole contribution is at most 1e-17 nats.  That cuts the mapped
-oscillator rules (240 -> 148-152 nodes per axis in 3D for table 2) and
+oscillator rules (200 -> 126-128 nodes per axis in 3D for table 2) and
 no box rule.  ``reduce_numerical`` and the validation integrals keep
 the full rule.
 All three entropies apply the one d ln d, ``quadrature._d_ln_d``, and
@@ -69,10 +88,12 @@ from .quadrature import (
 from .wavefunction import (
     DISTINGUISHABLE,
     Configuration,
+    _folded,
     build,
+    density_matrix,
     entropy_grid,
+    fold_axes,
     orbital_products,
-    reduced_density,
     slab_folds,
     trim_rule,
 )
@@ -157,17 +178,16 @@ def entropy(density, scheme=None):
 
     A ReducedDensity carries its own table, which is integrated as it
     is; ``scheme`` applies to states (anything with coefficient-tensor
-    ``terms``: a WaveFunction or a superposition).  A three-particle
-    state, a Hartree product too, integrates |Psi|^2 on the 3D rule,
-    trimmed by ``trim_rule``.
+    ``terms``: a WaveFunction or a superposition).  For a three-particle
+    state this is the s3 of its report: 3 s2 - 3 s1 - I^3 (see the
+    module docstring).
     """
     if not hasattr(density, "terms"):
         return entropy_from_values(density.grid_values, density.grid_weights)
     scheme = scheme or QuadratureScheme()
     if density.nparticles == 2:
         return entropy(reduce_numerical(density, 2, scheme))
-    rule, symmetric, folds = _rules(density, scheme, {})
-    return entropy_grid(density.terms, *rule(3), symmetric, folds)
+    return _entropies([density], [[0]], scheme)[0][2]
 
 
 def _group_key(st):
@@ -184,13 +204,14 @@ def _group_key(st):
 
 
 def _rules(st, scheme, tables):
-    """(rule, symmetric, folds) of a three-particle state on ``scheme``.
+    """(rule, parities) of a three-particle state on ``scheme``.
 
-    ``rule(k)`` is the orbital table and weights ``trim_rule`` keeps for
-    an entropy of k coordinates, with the table's ``orbital_products`` in
-    place of the table for k < 3, which ``reduced_density`` takes.
-    ``tables`` holds the table of each rule and each of these, evaluated
-    once.  ``folds`` is the s3 kernel region, ``slab_folds``.
+    ``rule(k)`` is the (table, q, weights) of the nodes ``trim_rule``
+    keeps for an entropy of k coordinates, q the table's
+    ``orbital_products``.  ``tables`` holds the table of each rule and
+    each of these, evaluated once.  ``parities`` are the orbitals'
+    parities about the domain centre, which every rule is
+    mirror-symmetric about.
     """
     t = st.tables
     domain = st.domains(1)[0]
@@ -202,13 +223,10 @@ def _rules(st, scheme, tables):
             if tk not in tables:
                 tables[tk] = t(x)
             table, w = trim_rule(tables[tk], w, k)[:2]
-            tables[tk, k] = table if k == 3 else orbital_products(table), w
+            tables[tk, k] = table, orbital_products(table), w
         return tables[tk, k]
 
-    symmetric = st.symmetry != DISTINGUISHABLE
-    # parities about the domain centre, which every rule is mirror-symmetric about
-    parities = [orbital_parity(t.params, n) for n in t.orbitals]
-    return rule, symmetric, slab_folds(st.terms, symmetric, parities)
+    return rule, [orbital_parity(t.params, n) for n in t.orbitals]
 
 
 def _keeps(wf):
@@ -218,12 +236,59 @@ def _keeps(wf):
     return [(0,)], [(0, 1)]
 
 
-def _mean_entropy(terms, keeps, q, w):
-    """Mean entropy of the marginals ``keeps`` on the rule of products ``q``."""
-    products = [q] if len(keeps[0]) == 1 else [q[:, None], q[None, :]]
-    return float(np.mean([
-        entropy_from_values(reduced_density(terms, keep, products), [w] * len(keep))
-        for keep in keeps]))
+def _density_forms(stacked, keeps, parities):
+    """Per keep, (coefficients, basis, folds) of a group's density matrices.
+
+    ``stacked`` holds the members' terms along a sample axis.  Member s's
+    ``density_matrix`` is coefficients[s] @ basis; coefficients None
+    means the members' own matrices are the basis, as for one
+    coordinate, whose rho of all members is then one product, and for a
+    single state.  A pair of coordinates of several members takes an
+    orthonormal basis of the span of their matrices from one SVD, with
+    the default tolerance of ``numpy.linalg.matrix_rank``: the matrices
+    of a scan curve's samples are quadratic forms in (c1, c2), of rank 3
+    with interference and 2 without.  ``folds`` (``fold_axes``) are the
+    kept axes the marginal's entropy runs on the first half of: an
+    orbital product phi_a phi_c has parity p_a p_c, and the folds follow
+    from those parities at the nonzero entries of every member's matrix.
+    """
+    pp = np.outer(parities, parities).ravel()
+    forms = []
+    for keep in keeps:
+        ks = density_matrix(stacked, keep)
+        folds = fold_axes([pp[np.argwhere(np.any(ks, axis=0))]], len(keep))
+        if len(keep) == 1 or len(ks) == 1:
+            forms.append((None, ks, folds))
+            continue
+        flat = ks.reshape(len(ks), -1)
+        v, sv, ut = np.linalg.svd(flat.T, full_matrices=False)  # the faster side
+        rank = np.count_nonzero(sv > sv[0] * max(flat.shape) * np.finfo(float).eps)
+        forms.append((ut[:rank].T * sv[:rank],
+                      v[:, :rank].T.reshape((rank,) + ks.shape[1:]), folds))
+    return forms
+
+
+def _mean_entropies(forms, q, w):
+    """Each member's entropy of its marginals, mean over the keeps, (S,).
+
+    On the rule of orbital products q and weights w, each basis element
+    of ``forms`` (``_density_forms``) is tabulated once, on the first
+    half of each folded axis, and every member combines them.
+    """
+    half = q[:(len(w) + 1) // 2], _folded(w)
+    total = 0.0
+    for coef, basis, folds in forms:
+        axes = [half if ax in folds else (q, w) for ax in range(basis.ndim - 1)]
+        if len(axes) == 2:  # Gamma, flattened
+            (q0, w0), (q1, w1) = axes
+            tabs = np.stack([(q0 @ b @ q1.T).ravel() for b in basis])
+            weights = np.outer(w0, w1).ravel()
+        else:  # rho
+            ((q0, weights),) = axes
+            tabs = basis @ q0.T
+        vals = tabs if coef is None else (c @ tabs for c in coef)
+        total = total + np.array([entropy_from_values(v, [weights]) for v in vals])
+    return total / len(forms)
 
 
 def _entropies(states, groups, scheme):
@@ -231,28 +296,37 @@ def _entropies(states, groups, scheme):
 
     Each orbital table, and the orbital products of each trimmed one, is
     evaluated once per call and rule, and each entropy of k coordinates
-    runs on the nodes ``trim_rule`` keeps for k.
-    A group is all Hartree products, whose joint density factorizes, or
-    none; the members of the others stack each term along a sample axis
-    for one ``entropy_grid`` pass.
+    runs on the nodes ``trim_rule`` keeps for k.  A group's reduced
+    density matrices are formed once (``_density_forms``) and feed its
+    s1 and s2 on every rule.  A group is all Hartree products, whose
+    joint density factorizes, or none.  For the others I^3 is
+    3 s2' - 3 s1' - s3', all three on the trimmed 3D rule, with s3' from
+    one ``entropy_grid`` pass over the members' terms stacked along a
+    sample axis, on the region ``slab_folds`` sets, and s3 is
+    3 s2 - 3 s1 - I^3.
     """
     tables = {}
     out = [None] * len(states)
     for members in groups:
         first = states[members[0]]
-        rule, symmetric, folds = _rules(first, scheme, tables)
+        rule, parities = _rules(first, scheme, tables)
         ones, pairs = _keeps(first)
-        rho = rule(1)
-        s1 = [_mean_entropy(states[k].terms, ones, *rho) for k in members]
+        stacked = [np.stack(c) for c in zip(*(states[k].terms for k in members))]
+        rho = _density_forms(stacked, ones, parities)
+        s1 = _mean_entropies(rho, *rule(1)[1:])
         if len(first.terms) == 1 and np.count_nonzero(first.terms[0]) == 1:
             # Hartree products: the joint density factorizes
-            s2, s3 = np.multiply(2.0, s1), np.multiply(3.0, s1)
+            s2, s3 = 2.0 * s1, 3.0 * s1
         else:
-            gamma = rule(2)
-            s2 = [_mean_entropy(states[k].terms, pairs, *gamma) for k in members]
-            stacked = [np.stack([states[k].terms[j] for k in members])
-                       for j in range(len(first.terms))]
-            s3 = entropy_grid(stacked, *rule(3), symmetric, folds)
+            gamma = _density_forms(stacked, pairs, parities)
+            s2 = _mean_entropies(gamma, *rule(2)[1:])
+            table, q, w = rule(3)
+            symmetric = first.symmetry != DISTINGUISHABLE
+            folds = slab_folds(first.terms, symmetric, parities)
+            i_higher = 3.0 * _mean_entropies(gamma, q, w) \
+                - 3.0 * _mean_entropies(rho, q, w) \
+                - entropy_grid(stacked, table, w, symmetric, folds)
+            s3 = 3.0 * s2 - 3.0 * s1 - i_higher
         for k, *v in zip(members, s1, s2, s3):
             out[k] = tuple(map(float, v))
     return out
@@ -356,7 +430,11 @@ def mutual_information_higher_direct(system, scheme=None):
     (``entropy_grid``) over the sorted sector i <= j <= k, with ln rho
     and ln Gamma, floored at 1e-300, as its log offset; the kernel returns
     -I^3.  The rule is the untrimmed 3D rule, and the sector is never
-    inverted: the check shares no node choice with the reports' s3.
+    inverted.  Where the rule integrates the orbital products exactly,
+    the sum equals a report's I^3, 3 s2' - 3 s1' - s3' on the same rule,
+    to round-off: so on every position rule.  In box momentum the 1/p^2
+    tails break that exactness, and at the default scheme the two differ
+    by 1.8e-5 for A(1,2,3) and 2.6e-5 for S(1,1,2).
     """
     scheme = scheme or QuadratureScheme()
     wf = _as_wavefunction(system)

@@ -73,9 +73,11 @@ __all__ = [
     "density_grid",
     "entropy_grid",
     "slab_folds",
+    "fold_axes",
     "trim_rule",
     "TRIM_BOUND",
     "orbital_products",
+    "density_matrix",
     "reduced_density",
     "build",
     "eval_density",
@@ -237,24 +239,37 @@ def slab_folds(terms, symmetric, parities):
     term of its own, so a fold holds for every sample.  Axis 0 is the slab
     axis.  For the sorted sector of an exchange-symmetric density
     (``symmetric``) the region is (0,) when the inversion of all three
-    axes is such a reflection, else ().  Otherwise the invariant sets of
-    axes form a group G, and the fold keeps the lowest axis of each of its
-    elements, which are the pivots of a basis of G: one axis per
-    independent reflection.
+    axes is such a reflection, else ().  Otherwise it is ``fold_axes``:
+    one axis per independent reflection.
     """
     p = np.asarray(parities)
     # per sample: the orbitals' parities of each nonzero entry, one column per axis
     rows = [p[np.argwhere(c)] for cs in terms
             for c in np.reshape(cs, (-1,) + np.shape(cs)[-3:])]
-
-    def invariant(axes):
-        return all(np.unique(r[:, axes].prod(axis=1)).size == 1 for r in rows)
-
     if symmetric:
-        return (0,) if invariant((0, 1, 2)) else ()
-    return tuple(sorted({axes[0] for k in (1, 2, 3)
-                         for axes in itertools.combinations(range(3), k)
-                         if invariant(axes)}))
+        return (0,) if _invariant(rows, (0, 1, 2)) else ()
+    return fold_axes(rows, 3)
+
+
+def _invariant(rows, axes):
+    """True when each row array has one parity product over ``axes``."""
+    return all(np.unique(r[:, axes].prod(axis=1)).size == 1 for r in rows)
+
+
+def fold_axes(rows, naxes):
+    """The lowest axis of each reflection that leaves a density invariant.
+
+    ``rows`` holds arrays of parities, one row per nonzero entry of a
+    tensor and one column per axis; reflecting a set of axes leaves the
+    density invariant when the product of the parities over them is the
+    same on all rows.  Those sets form a group, and the lowest axes of
+    its elements are the pivots of a basis of it: one axis per
+    independent reflection, each of which a rule mirror-symmetric about
+    the centre can run on its first half.
+    """
+    return tuple(sorted({axes[0] for k in range(1, naxes + 1)
+                         for axes in itertools.combinations(range(naxes), k)
+                         if _invariant(rows, axes)}))
 
 
 def trim_rule(table, weights, arity):
@@ -406,33 +421,42 @@ def orbital_products(table):
     return (table[..., :, None] * table[..., None, :]).reshape(table.shape[:-1] + (-1,))
 
 
-def reduced_density(terms, keep, products):
-    """Marginal density of the kept coordinates at broadcastable points.
+def density_matrix(terms, keep):
+    """Reduced density matrices of the kept coordinates, one per sample.
 
-    The reduced density matrix D = sum_t tr_rest(C_t C_t) of the real
-    terms is contracted with q(x) on each kept axis; ``products`` holds
-    ``orbital_products`` of the tables at the kept coordinates, so a
-    caller that reduces many states on one table builds q once.  Two
-    tables on an outer grid, (n, 1) and (1, m) points, take one matrix
-    product for the second contraction.
+    Every real term carries a leading axis of S samples, (S, r, .., r).
+    D_s = sum_t tr_rest(C_st C_st), D[a1.., c1..], is laid out as
+    K_s[(a1 c1), (a2 c2), ...], so that the marginal density is K_s
+    contracted with q(x) = ``orbital_products`` on each kept axis.
+    Returns (S, r^2, ..), one r^2 axis per kept coordinate.
     """
     k = len(keep)
     d = 0.0
     for c in terms:
-        ck = np.moveaxis(c, keep, range(k))
-        rest = list(range(k, c.ndim))
-        d = d + np.tensordot(ck, ck, (rest, rest))
-    r = d.shape[0]
-    # D[a1.., c1..] -> K[(a1 c1), (a2 c2), ...], matching q(x1), q(x2), ...
-    order = [i for pair in zip(range(k), range(k, 2 * k)) for i in pair]
-    kmat = d.transpose(order).reshape(r * r, -1)
-    vals = products[0] @ kmat
-    if k == 2 and vals.ndim == products[1].ndim == 3 \
+        s, r = c.shape[:2]
+        x = np.moveaxis(c, [a + 1 for a in keep], range(1, k + 1)).reshape(s, r**k, -1)
+        d = d + x @ x.transpose(0, 2, 1)
+    order = [0] + [1 + i for pair in zip(range(k), range(k, 2 * k)) for i in pair]
+    return d.reshape((s,) + (r,) * (2 * k)).transpose(order).reshape((s,) + (r * r,) * k)
+
+
+def reduced_density(terms, keep, products):
+    """Marginal density of the kept coordinates at broadcastable points.
+
+    ``density_matrix`` of the terms contracted with q(x) on each kept
+    axis; ``products`` holds ``orbital_products`` of the tables at the
+    kept coordinates.  Two tables on an outer grid, (n, 1) and (1, m)
+    points, take one matrix product for the second contraction.
+    """
+    kmat = density_matrix([c[None] for c in terms], keep)[0]
+    rr = len(kmat)
+    vals = products[0] @ kmat.reshape(rr, -1)
+    if len(keep) == 2 and vals.ndim == products[1].ndim == 3 \
             and vals.shape[1] == products[1].shape[0] == 1:
         return vals[:, 0, :] @ products[1][0].T
     for q in products[1:]:
         vals = np.einsum("...pq,...p->...q",
-                         vals.reshape(vals.shape[:-1] + (r * r, -1)), q)
+                         vals.reshape(vals.shape[:-1] + (rr, -1)), q)
     return vals[..., 0]
 
 

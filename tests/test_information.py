@@ -30,7 +30,13 @@ from symcorr import (
 from symcorr import information, wavefunction
 from symcorr.densities import quadrature_marginal, reduce_to_one
 from symcorr.orbitals import MOMENTUM, POSITION, orbital_parity
-from symcorr.quadrature import DENSITY_FLOOR, _d_ln_d, axis_rule, entropy_from_values
+from symcorr.quadrature import (
+    DENSITY_FLOOR,
+    _d_ln_d,
+    axis_rule,
+    entropy_from_values,
+    gauss_panels,
+)
 from symcorr.reference_tables import BOX_TABLE, OSCILLATOR_TABLE
 from symcorr.superposition import _CachedMixture
 from symcorr.wavefunction import (
@@ -38,6 +44,7 @@ from symcorr.wavefunction import (
     coefficient_tensor,
     density_grid,
     entropy_grid,
+    fold_axes,
     orbital_products,
     reduced_density,
     slab_folds,
@@ -90,6 +97,60 @@ def test_direct_integrals_match_combinations_position(box, report_a3):
     ih = mutual_information_higher_direct(Configuration(box, (1, 2, 3), ANTISYMMETRIC))
     assert abs(ip - report_a3.i_pair) < 1e-5
     assert abs(ih - report_a3.i_higher) < 1e-5
+
+
+@pytest.mark.parametrize("params,ns", [
+    (ModelParams.box(1.0), (1, 2, 3)),
+    (ModelParams.box(1.0), (1, 2, 4)),
+    (ModelParams.oscillator(1.0), (0, 1, 2)),
+], ids=["box-123", "box-124", "ho-012"])
+@pytest.mark.parametrize("sym", [SYMMETRIC, ANTISYMMETRIC])
+def test_report_higher_equals_the_direct_integral_on_position_rules(params, ns, sym):
+    # a position rule integrates the orbital products exactly, so the
+    # report's I^3, from s1, s2 and s3 on the 3D rule's nodes, is the
+    # direct integral of |Psi|^2 ln R on that rule
+    cfg = Configuration(params, ns, sym)
+    rep = compute_report(cfg, with_error=False)
+    assert abs(rep.i_higher - mutual_information_higher_direct(cfg)) <= 1e-12
+
+
+def _vandermonde_s3(wf, a, b, f, g, point, panels=20, nodes=20):
+    """s3 of a state with |Psi|^2 = c prod_i f(x_i) prod_{i<j} g(x_i, x_j).
+
+    ln |Psi|^2 splits into one- and two-coordinate terms, so
+    s3 = -ln c - 3 int rho ln f - 3 int Gamma ln g: a 1D and a 2D
+    integral on [a, b].  The 2D one runs over x < y, twice, with
+    x = a + (y - a) t, so the diagonal, where g vanishes, is an edge of
+    the rule.  c follows from |Psi|^2 at one point.
+    """
+    rho, gamma = quadrature_marginal(wf, (0,)), quadrature_marginal(wf, (0, 1))
+    y, wy = gauss_panels(a, b, panels, nodes)
+    t, wt = gauss_panels(0.0, 1.0, panels, nodes)
+    x = a + (y[:, None] - a) * t
+    wx = wy[:, None] * (y[:, None] - a) * wt
+    p = np.asarray(point)
+    c = wf.density(*p) / (np.prod(f(p)) * g(p[0], p[1]) * g(p[0], p[2]) * g(p[1], p[2]))
+    return -math.log(c) - 3.0 * np.sum(wy * rho(y) * np.log(f(y))) \
+        - 6.0 * np.sum(wx * gamma(x, y[:, None]) * np.log(g(x, y[:, None])))
+
+
+def test_s3_matches_the_vandermonde_oracle(box, ho):
+    # the lowest A states are Vandermonde products:
+    # box: Psi ~ prod sin(pi x_i) prod_{i<j} (cos pi x_j - cos pi x_i),
+    # oscillator: Psi ~ exp(-sum x_i^2 / 2) prod_{i<j} (x_j - x_i)
+    cases = (
+        (box, (1, 2, 3), 0.0, 1.0, lambda x: np.sin(np.pi * x) ** 2,
+         lambda x, y: (np.cos(np.pi * y) - np.cos(np.pi * x)) ** 2,
+         (0.1, 0.35, 0.7), -1.2454656569, 4e-6),
+        (ho, (0, 1, 2), -12.0, 12.0, lambda x: np.exp(-x * x),
+         lambda x, y: (x - y) ** 2, (-0.9, 0.2, 1.3), 3.93364847, 6e-5),
+    )
+    for params, ns, a, b, f, g, point, value, tol in cases:
+        cfg = Configuration(params, ns, ANTISYMMETRIC)
+        oracle = _vandermonde_s3(build(cfg), a, b, f, g, point)
+        assert abs(oracle - value) < 5e-9
+        s3 = compute_report(cfg, with_error=False).entropies.s3
+        assert abs(s3 - oracle) <= tol, (ns, s3 - oracle)
 
 
 def test_direct_integrals_reject_distinguishable(box):
@@ -237,12 +298,22 @@ def _kernel_cases():
 KERNEL_CASES = _kernel_cases()
 
 
+def _kernel_s3(wf, scheme):
+    """-sum w w w d ln d of one state: the s3 kernel alone, on the 3D rule
+    as ``trim_rule`` trims it and over the region ``slab_folds`` sets."""
+    x, w = axis_rule(wf.domains(1)[0], scheme, 3)
+    table, w = trim_rule(wf.tables(x), w, 3)[:2]
+    symmetric = wf.symmetry != DISTINGUISHABLE
+    return entropy_grid(wf.terms, table, w, symmetric,
+                        slab_folds(wf.terms, symmetric, _parities(wf)))
+
+
 @pytest.mark.parametrize("scheme3", ODD_EVEN_SCHEMES, ids=["odd", "even"])
 @pytest.mark.parametrize("name,wf", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_fused_s3_matches_full_grid(name, wf, scheme3):
     x, w = axis_rule(wf.domains(1)[0], scheme3, 3)
     want = entropy_from_values(wf.density_tensor([x] * 3), [w] * 3)
-    assert abs(entropy(wf, scheme3) - want) < 1e-12
+    assert abs(_kernel_s3(wf, scheme3) - want) < 1e-12
 
 
 MOMENTUM_CASES = [c for c in KERNEL_CASES if c[1].space == MOMENTUM]
@@ -256,7 +327,7 @@ def test_fused_s3_matches_pointwise_density_in_momentum_space(name, wf, scheme3)
     x, w = axis_rule(wf.domains(1)[0], scheme3, 3)
     want = entropy_from_values(wf.density(*np.meshgrid(x, x, x, indexing="ij")),
                                [w] * 3)
-    assert abs(entropy(wf, scheme3) - want) < 1e-12
+    assert abs(_kernel_s3(wf, scheme3) - want) < 1e-12
 
 
 def _higher_direct_full_grid(wf, scheme):
@@ -353,7 +424,7 @@ def integrand_nodes(monkeypatch):
 @pytest.mark.parametrize("scheme3", ODD_EVEN_SCHEMES, ids=["odd", "even"])
 @pytest.mark.parametrize("name,wf", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_fused_s3_evaluates_each_distinct_value_once(name, wf, scheme3, integrand_nodes):
-    entropy(wf, scheme3)
+    _kernel_s3(wf, scheme3)
     # the nodes of the rule the kernel runs on: trim_rule drops oscillator tails
     x, w = axis_rule(wf.domains(1)[0], scheme3, 3)
     n = len(trim_rule(wf.tables(x), w, 3)[1])
@@ -446,7 +517,7 @@ def test_batched_s3_matches_per_sample_s3(box, sym, interference, scheme3,
     assert len(batched) > slabs
     s3 = entropy_grid(terms, mixes[0].tables(x), w, symmetric, folds)
     for mix, got in zip(mixes, s3):
-        assert abs(got - entropy(mix, scheme3)) <= 1e-13
+        assert abs(got - _kernel_s3(mix, scheme3)) <= 1e-13
 
 
 @pytest.mark.parametrize("sym,interference", SCAN_CURVES,
@@ -471,7 +542,7 @@ def test_fused_s3_full_grid_without_parities(integrand_nodes):
     # no folds: the kernel runs the whole grid, to the folded value
     full = entropy_grid(wf.terms, wf.tables(x), w, False, ())
     assert sum(integrand_nodes) == len(w) ** 3
-    assert abs(full - entropy(wf, ODD_EVEN_SCHEMES[0])) < 1e-12
+    assert abs(full - _kernel_s3(wf, ODD_EVEN_SCHEMES[0])) < 1e-12
 
 
 def test_fused_s3_builds_no_3d_grid(box, monkeypatch):
@@ -594,6 +665,28 @@ def test_trimmed_rules_keep_every_entropy(scheme, monkeypatch):
                 <= 1e-14, (name, key)
 
 
+def test_marginal_folds_keep_every_entropy(monkeypatch):
+    # rho and Gamma run on the first half of each axis the parities of
+    # their orbital products fold; unfolded, every entropy is the same
+    states = [wf for _, wf in KERNEL_CASES + TRIM_CASES]
+    scheme = ODD_EVEN_SCHEMES[0]
+    seen = []
+
+    def recording(rows, naxes):
+        seen.append(fold_axes(rows, naxes))
+        return seen[-1]
+
+    monkeypatch.setattr(information, "fold_axes", recording)
+    folded = compute_reports(states, scheme, with_error=False)
+    assert (0,) in seen and (0, 1) in seen
+    monkeypatch.setattr(information, "fold_axes", lambda rows, naxes: ())
+    full = compute_reports(states, scheme, with_error=False)
+    for wf, a, b in zip(states, folded, full):
+        for key in ("s1", "s2", "s3"):
+            assert abs(getattr(a.entropies, key) - getattr(b.entropies, key)) \
+                <= 1e-13, (wf.label, key)
+
+
 @pytest.mark.parametrize("space", [POSITION, MOMENTUM])
 def test_box_rules_keep_every_node(box, space):
     # sin tails at the walls, 1/p^2 tails in momentum: no end node is idle
@@ -646,7 +739,7 @@ def test_trim_bound_covers_the_dropped_nodes(name, wf):
 
 
 def test_trimmed_s3_nodes_of_oscillator_a012(ho, integrand_nodes):
-    # 240 nodes per axis, 152 kept: the inverted sorted sector falls from
-    # 1,166,440 to 298,452 nodes
+    # 200 nodes per axis, 128 kept: the inverted sorted sector falls from
+    # 676,700 to 178,880 nodes
     compute_report(Configuration(ho, (0, 1, 2), ANTISYMMETRIC), with_error=False)
-    assert sum(integrand_nodes) == 298_452
+    assert sum(integrand_nodes) == 178_880

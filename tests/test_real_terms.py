@@ -27,7 +27,7 @@ from symcorr import (
     build_superposition,
     cumulant3,
 )
-from symcorr import information, superposition, wavefunction
+from symcorr import information, wavefunction
 from symcorr.cli import main
 from symcorr.orbitals import MOMENTUM, eval_orbital
 from symcorr.quadrature import axis_rule
@@ -195,24 +195,25 @@ def test_cumulant3_matches_complex_moments(name, st):
 
 @pytest.fixture
 def real_only(monkeypatch):
-    """Fail on any complex array at the s3 slab products or reduced_density."""
+    """Fail on any complex array at the s3 slab products or at the reduced
+    densities of a group (``information._mean_entropies``)."""
     calls = {"slabs": 0, "reduced": 0}
-    square, reduce = wavefunction._abs2, wavefunction.reduced_density
+    square, reduce = wavefunction._abs2, information._mean_entropies
 
     def checked_square(a):
         assert not np.iscomplexobj(a), "complex slab product"
         calls["slabs"] += 1
         return square(a)
 
-    def checked_reduce(terms, keep, products):
-        assert not any(np.iscomplexobj(c) for c in terms), "complex term"
-        assert not any(np.iscomplexobj(q) for q in products), "complex table"
+    def checked_reduce(forms, q, w):
+        assert not any(np.iscomplexobj(a) for form in forms for a in form
+                       if a is not None), "complex density matrix"
+        assert not np.iscomplexobj(q), "complex table"
         calls["reduced"] += 1
-        return reduce(terms, keep, products)
+        return reduce(forms, q, w)
 
     monkeypatch.setattr(wavefunction, "_abs2", checked_square)
-    for module in (wavefunction, information, superposition):
-        monkeypatch.setattr(module, "reduced_density", checked_reduce)
+    monkeypatch.setattr(information, "_mean_entropies", checked_reduce)
     return calls
 
 
