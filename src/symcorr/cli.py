@@ -25,10 +25,8 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from .densities import export_density_grid, reduce_numerical
-from .information import compute_report, compute_reports, entropy
+from .information import compute_report, compute_reports
 from .orbitals import MOMENTUM, POSITION, ModelParams
 from .quadrature import NonConvergenceError, QuadratureScheme
 from .reference_tables import ROW_KEYS, ROW_LABELS, TABLE_TOLERANCE, table_spec
@@ -44,7 +42,7 @@ NUMERICAL_ERROR = 3
 
 REPORT_CSV_HEADER = ("system,space,s1,s2,s3,I_pair,I3,I_rho_gamma,"
                      "I_gamma_gamma,I_higher,error_estimate")
-PAIR_CSV_HEADER = "system,space,s1,s2,I_pair"
+PAIR_CSV_HEADER = "system,space,s1,s2,I_pair,error_estimate"
 
 
 def _parse_ns(text):
@@ -137,28 +135,11 @@ def _report_rows_to_text(rows, fmt, header=REPORT_CSV_HEADER):
     return "\n".join(lines)
 
 
-def _pair_report_dict(cfg, scheme, system):
-    wf = build(cfg)
-    s2 = entropy(wf, scheme)
-    s1 = float(np.mean([entropy(reduce_numerical(wf, 1, scheme, keep=(k,)))
-                        for k in range(2)]))
-    return {"system": system, "space": cfg.space, "s1": s1, "s2": s2,
-            "I_pair": 2 * s1 - s2}
-
-
 def cmd_report(args):
-    params = _model_params(args)
     ns = _parse_ns(args.n)
-    sym = parse_symmetry(args.sym)
-    scheme = _scheme(args)
-    rows = []
-    for space in _spaces(args):
-        cfg = Configuration(params=params, ns=ns, symmetry=sym, space=space)
-        if len(ns) == 3:
-            rows.append(compute_report(cfg, scheme).as_dict())
-        else:
-            rows.append(_pair_report_dict(cfg, scheme,
-                                          f"{args.model} ns={ns} {sym}"))
+    configs = [Configuration(_model_params(args), ns, parse_symmetry(args.sym), space)
+               for space in _spaces(args)]
+    rows = [rep.as_dict() for rep in compute_reports(configs, _scheme(args))]
     header = REPORT_CSV_HEADER if len(ns) == 3 else PAIR_CSV_HEADER
     _emit(_report_rows_to_text(rows, args.format, header), args.out)
     return 0

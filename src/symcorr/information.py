@@ -30,11 +30,12 @@ Neither check, nor ``cumulant3``, builds a 3D array: the I^3 integrand
 runs in the s3 kernel, and the moments contract C with a one-axis
 moment matrix.
 
-Every state takes one path.  ``compute_reports`` groups the states it
-is given, such as the c1^2 samples of a scan, once, by params, space,
-orbitals, exchange symmetry and the nonzero mask of each term's C;
-those fix the domain, the kernel region and whether a state is a
-Hartree product.  That one grouping feeds s1, s2 and s3 at the fine
+Every state, of two or three particles, takes one path.
+``compute_reports`` groups the states it is given, such as the c1^2
+samples of a scan, once, by params, space, orbitals, particle count,
+exchange symmetry and the nonzero mask of each term's C; those fix the
+domain, the kernel region and whether a state is a Hartree product.
+That one grouping feeds s1, s2 and, for three particles, s3 at the fine
 and the coarse level.  The endpoints of an S/A scan curve are each a
 group of their own, on the inverted half sector.  The orbital table of
 each distinct rule is evaluated once per level; the 1D and 2D rules are
@@ -73,6 +74,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -116,30 +118,39 @@ ENTROPIC_BOUND = 1.0 + math.log(math.pi)
 
 @dataclass(frozen=True)
 class EntropyTriple:
-    """One-, two- and three-particle Shannon entropies (nats)."""
+    """One-, two- and three-particle Shannon entropies (nats).
+
+    s3 is None for a two-particle system.
+    """
 
     s1: float
     s2: float
-    s3: float
+    s3: float | None
     space: str
     error_estimate: float | None = None
 
 
 @dataclass(frozen=True)
 class InformationReport:
-    """Entropy triple plus the five correlation measures for one system."""
+    """Entropy triple plus the five correlation measures for one system.
+
+    A two-particle system has s2 and i_pair only: s3 and the four
+    three-particle measures are None.
+    """
 
     entropies: EntropyTriple
     i_pair: float
-    i_total3: float
-    i_one_pair: float
-    i_pair_pair: float
-    i_higher: float
+    i_total3: float | None
+    i_one_pair: float | None
+    i_pair_pair: float | None
+    i_higher: float | None
     space: str
     system: str
 
     def hierarchy_residuals(self):
         """Deviations of the three consecutive differences from i_pair."""
+        if self.entropies.s3 is None:
+            raise ValueError("the hierarchy needs a three-particle system")
         d1 = self.i_total3 - self.i_one_pair
         d2 = self.i_one_pair - self.i_pair_pair
         d3 = self.i_pair_pair - self.i_higher
@@ -147,8 +158,9 @@ class InformationReport:
         return (d1 - raw, d2 - raw, d3 - raw)
 
     def as_dict(self):
+        """One output row; a two-particle row has no three-particle keys."""
         e = self.entropies
-        return {
+        row = {
             "system": self.system,
             "space": self.space,
             "s1": e.s1,
@@ -161,6 +173,10 @@ class InformationReport:
             "I_higher": self.i_higher,
             "error_estimate": e.error_estimate,
         }
+        if e.s3 is None:
+            for key in ("s3", "I3", "I_rho_gamma", "I_gamma_gamma", "I_higher"):
+                del row[key]
+        return row
 
 
 def _as_wavefunction(system):
@@ -178,16 +194,13 @@ def entropy(density, scheme=None):
 
     A ReducedDensity carries its own table, which is integrated as it
     is; ``scheme`` applies to states (anything with coefficient-tensor
-    ``terms``: a WaveFunction or a superposition).  For a three-particle
-    state this is the s3 of its report: 3 s2 - 3 s1 - I^3 (see the
-    module docstring).
+    ``terms``: a WaveFunction or a superposition).  It is the last
+    entropy of the state's report: s2 for two particles, and for three
+    s3 = 3 s2 - 3 s1 - I^3 (see the module docstring).
     """
     if not hasattr(density, "terms"):
         return entropy_from_values(density.grid_values, density.grid_weights)
-    scheme = scheme or QuadratureScheme()
-    if density.nparticles == 2:
-        return entropy(reduce_numerical(density, 2, scheme))
-    return _entropies([density], [[0]], scheme)[0][2]
+    return _entropies([density], [[0]], scheme or QuadratureScheme())[0][-1]
 
 
 def _group_key(st):
@@ -199,12 +212,13 @@ def _group_key(st):
     its tensors are nonzero.  So does whether it is a Hartree product.
     """
     t = st.tables
-    return (t.params, t.space, t.orbitals, st.symmetry != DISTINGUISHABLE) \
+    return (t.params, t.space, t.orbitals, st.nparticles,
+            st.symmetry != DISTINGUISHABLE) \
         + tuple(np.not_equal(c, 0).tobytes() for c in st.terms)
 
 
 def _rules(st, scheme, tables):
-    """(rule, parities) of a three-particle state on ``scheme``.
+    """(rule, parities) of a state on ``scheme``.
 
     ``rule(k)`` is the (table, q, weights) of the nodes ``trim_rule``
     keeps for an entropy of k coordinates, q the table's
@@ -232,7 +246,8 @@ def _rules(st, scheme, tables):
 def _keeps(wf):
     """Kept coordinates of the distinct 1- and 2-particle marginals."""
     if wf.symmetry == DISTINGUISHABLE:
-        return [(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]
+        axes = range(wf.nparticles)
+        return list(combinations(axes, 1)), list(combinations(axes, 2))
     return [(0,)], [(0, 1)]
 
 
@@ -292,17 +307,17 @@ def _mean_entropies(forms, q, w):
 
 
 def _entropies(states, groups, scheme):
-    """(s1, s2, s3) of each three-particle state, per group of ``_group_key``.
+    """(s1, s2) or (s1, s2, s3) of each state, per group of ``_group_key``.
 
     Each orbital table, and the orbital products of each trimmed one, is
     evaluated once per call and rule, and each entropy of k coordinates
     runs on the nodes ``trim_rule`` keeps for k.  A group's reduced
     density matrices are formed once (``_density_forms``) and feed its
     s1 and s2 on every rule.  A group is all Hartree products, whose
-    joint density factorizes, or none.  For the others I^3 is
-    3 s2' - 3 s1' - s3', all three on the trimmed 3D rule, with s3' from
-    one ``entropy_grid`` pass over the members' terms stacked along a
-    sample axis, on the region ``slab_folds`` sets, and s3 is
+    joint density factorizes, or none.  For other three-particle states
+    I^3 is 3 s2' - 3 s1' - s3', all three on the trimmed 3D rule, with
+    s3' from one ``entropy_grid`` pass over the members' terms stacked
+    along a sample axis, on the region ``slab_folds`` sets, and s3 is
     3 s2 - 3 s1 - I^3.
     """
     tables = {}
@@ -316,32 +331,33 @@ def _entropies(states, groups, scheme):
         s1 = _mean_entropies(rho, *rule(1)[1:])
         if len(first.terms) == 1 and np.count_nonzero(first.terms[0]) == 1:
             # Hartree products: the joint density factorizes
-            s2, s3 = 2.0 * s1, 3.0 * s1
+            s = [s1, 2.0 * s1, 3.0 * s1]
         else:
             gamma = _density_forms(stacked, pairs, parities)
-            s2 = _mean_entropies(gamma, *rule(2)[1:])
-            table, q, w = rule(3)
-            symmetric = first.symmetry != DISTINGUISHABLE
-            folds = slab_folds(first.terms, symmetric, parities)
-            i_higher = 3.0 * _mean_entropies(gamma, q, w) \
-                - 3.0 * _mean_entropies(rho, q, w) \
-                - entropy_grid(stacked, table, w, symmetric, folds)
-            s3 = 3.0 * s2 - 3.0 * s1 - i_higher
-        for k, *v in zip(members, s1, s2, s3):
-            out[k] = tuple(map(float, v))
+            s = [s1, _mean_entropies(gamma, *rule(2)[1:])]
+            if first.nparticles == 3:
+                table, q, w = rule(3)
+                symmetric = first.symmetry != DISTINGUISHABLE
+                folds = slab_folds(first.terms, symmetric, parities)
+                i_higher = 3.0 * _mean_entropies(gamma, q, w) \
+                    - 3.0 * _mean_entropies(rho, q, w) \
+                    - entropy_grid(stacked, table, w, symmetric, folds)
+                s.append(3.0 * s[1] - 3.0 * s1 - i_higher)
+        for j, k in enumerate(members):
+            out[k] = tuple(float(v[j]) for v in s[:first.nparticles])
     return out
 
 
 def _report(wf, fine, coarse, scheme):
     """InformationReport of ``wf`` from its fine and, if run, coarse entropies.
 
+    The error estimate is the largest |fine - coarse| over the entropies.
     Pair mutual information in [-tol, 0) is quadrature noise: it is clamped
     to 0, with a warning below -1e-12.  Below -tol the rule is too coarse
     for the state, and this raises ``NonConvergenceError``.
     """
-    s1, s2, s3 = fine
-    err = None if coarse is None else \
-        max(abs(s1 - coarse[0]), abs(s2 - coarse[1]), abs(s3 - coarse[2]))
+    s1, s2 = fine[:2]
+    err = None if coarse is None else max(abs(f - c) for f, c in zip(fine, coarse))
     i_pair = 2 * s1 - s2
     if i_pair < 0:
         if i_pair < -scheme.target_abs_tol:
@@ -352,35 +368,30 @@ def _report(wf, fine, coarse, scheme):
             warnings.warn("pair mutual information clamped to 0 "
                           f"(quadrature noise {i_pair:.3e})")
         i_pair = 0.0
-    return InformationReport(
-        entropies=EntropyTriple(s1=s1, s2=s2, s3=s3, space=wf.space,
-                                error_estimate=err),
-        i_pair=i_pair,
-        i_total3=3 * s1 - s3,
-        i_one_pair=s1 + s2 - s3,
-        i_pair_pair=2 * s2 - s1 - s3,
-        i_higher=3 * s2 - 3 * s1 - s3,
-        space=wf.space,
-        system=wf.label,
-    )
+    if len(fine) == 2:
+        s3, measures = None, (None,) * 4
+    else:
+        s3 = fine[2]
+        measures = (3 * s1 - s3, s1 + s2 - s3, 2 * s2 - s1 - s3,
+                    3 * s2 - 3 * s1 - s3)
+    return InformationReport(EntropyTriple(s1, s2, s3, wf.space, err), i_pair,
+                             *measures, space=wf.space, system=wf.label)
 
 
 def compute_reports(systems, scheme=None, with_error=True):
-    """InformationReports of three-particle systems, computed together.
+    """InformationReports of two- and three-particle systems, computed together.
 
     Each system is a Configuration, a WaveFunction, or a superposition
     (``build_superposition``).  The systems are grouped once
     (``_group_key``): the members of a group, such as the interior c1^2
-    samples of a scan, share their orbital tables, and their s3 comes
-    from one pass over the slabs (``_entropies``).  With ``with_error``
+    samples of a scan, share their orbital tables, and a three-particle
+    group's s3 comes from one pass over the slabs (``_entropies``).  With ``with_error``
     the coarse level runs on the same groups.  Each report is checked by
     ``_report``: pair mutual information more negative than -tol raises
     ``NonConvergenceError``.  A batch returns every report or raises.
     """
     scheme = scheme or QuadratureScheme()
     wfs = [_as_wavefunction(s) for s in systems]
-    if any(wf.nparticles != 3 for wf in wfs):
-        raise ValueError("information reports are defined for 3-particle systems")
     groups = {}
     for k, wf in enumerate(wfs):
         groups.setdefault(_group_key(wf), []).append(k)

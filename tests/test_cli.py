@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from symcorr import Configuration, ModelParams, compute_report
+from symcorr import Configuration, ModelParams, cli, compute_report, compute_reports
 from symcorr.cli import (
     PAIR_CSV_HEADER,
     REPORT_CSV_HEADER,
@@ -84,7 +84,7 @@ def test_report_two_particles_csv(capsys):
     assert out.splitlines()[0] == PAIR_CSV_HEADER
     assert [r["space"] for r in rows] == ["position", "momentum"]
     for r in rows:
-        assert r["system"] == "box ns=(1, 2) symmetric"
+        assert r["system"] == "box L=1 ns=(1, 2) symmetric"
         s1, s2, i_pair = (float(r[k]) for k in ("s1", "s2", "I_pair"))
         assert i_pair == pytest.approx(2 * s1 - s2, abs=1e-10)
 
@@ -94,10 +94,37 @@ def test_report_two_particles_table(capsys):
                          "--panels", "10", "--format", "table")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "# box ns=(1, 2) antisymmetric  [position]"
-    assert [line.split()[0] for line in lines[1:]] == ["s_x", "s_Gamma", "I_x"]
-    s1, s2, i_pair = (float(line.split()[1]) for line in lines[1:])
+    assert lines[0] == "# box L=1 ns=(1, 2) antisymmetric  [position]"
+    assert [line.split()[0] for line in lines[1:]] == ["s_x", "s_Gamma", "I_x",
+                                                       "(est."]
+    s1, s2, i_pair = (float(line.split()[1]) for line in lines[1:4])
     assert i_pair == pytest.approx(2 * s1 - s2, abs=2e-6)
+
+
+@pytest.mark.parametrize("ns,sym", [("1,2", "d"), ("1,1", "s")])
+def test_two_particle_product_states_carry_no_correlation(capsys, ns, sym):
+    # box momentum: the pair entropy is the Hartree product's 2 s1 exactly
+    code, out, err = run(capsys, "report", "--n", ns, "--sym", sym,
+                         "--space", "momentum", "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["I_pair"] == 0.0
+    assert row["s2"] == 2 * row["s1"]
+
+
+def test_report_both_spaces_is_one_batch(capsys, monkeypatch):
+    calls = []
+
+    def spy(systems, *args, **kwargs):
+        calls.append([s.space for s in systems])
+        return compute_reports(systems, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_reports", spy)
+    code, out, err = run(capsys, "report", "--n", "1,2", "--sym", "a",
+                         "--space", "both", "--panels", "10", "--format", "json")
+    assert code == 0
+    assert calls == [["position", "momentum"]]
+    assert [r["space"] for r in json.loads(out)] == ["position", "momentum"]
 
 
 def test_tables_pass_and_output(capsys):
@@ -267,7 +294,7 @@ def test_config_flag_at_its_default_still_wins(tmp_path, capsys):
     code, out, err = run(capsys, "report", "--n", "1,2", "--sym", "a",
                          "--format", "table", "--config", str(cfg))
     assert code == 0
-    assert out.startswith("# box ns=(1, 2) antisymmetric  [position]")
+    assert out.startswith("# box L=1 ns=(1, 2) antisymmetric  [position]")
     code, out, err = run(capsys, "report", "--n", "1,2", "--sym", "a",
                          "--config", str(cfg))
     assert code == 0

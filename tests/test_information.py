@@ -28,7 +28,7 @@ from symcorr import (
     mutual_information_pair_direct,
 )
 from symcorr import information, wavefunction
-from symcorr.densities import quadrature_marginal, reduce_to_one
+from symcorr.densities import quadrature_marginal, reduce_numerical, reduce_to_one
 from symcorr.orbitals import MOMENTUM, POSITION, orbital_parity
 from symcorr.quadrature import (
     DENSITY_FLOOR,
@@ -201,18 +201,103 @@ def test_negative_pair_information_beyond_tolerance_raises(box):
     assert caught.value.achieved_error == pytest.approx(2e-5)
 
 
-def test_two_particle_systems_rejected(box):
+def test_two_particle_report_matches_entropy(box):
+    wf = build(Configuration(box, (1, 2), ANTISYMMETRIC))
+    rep = compute_report(wf)
+    e = rep.entropies
+    assert e.s1 == pytest.approx(entropy(reduce_to_one(wf)), abs=1e-13)
+    assert e.s2 == pytest.approx(entropy(wf), abs=1e-13)
+    assert rep.i_pair == 2 * e.s1 - e.s2 > 0
+    assert e.s3 is None and rep.i_higher is None
+    assert list(rep.as_dict()) == ["system", "space", "s1", "s2", "I_pair",
+                                   "error_estimate"]
     with pytest.raises(ValueError):
-        compute_report(Configuration(box, (1, 2), SYMMETRIC))
+        rep.hierarchy_residuals()
+
+
+def test_two_and_three_particles_in_one_batch(box):
+    # D(1,1) and D(1,1,1) share orbitals and a one-byte nonzero mask
+    two, three = compute_reports([Configuration(box, (1, 1), DISTINGUISHABLE),
+                                  Configuration(box, (1, 1, 1), DISTINGUISHABLE)])
+    assert two.system.endswith("ns=(1, 1) distinguishable")
+    assert three.system.endswith("ns=(1, 1, 1) distinguishable")
+    assert two.entropies.s3 is None
+    assert two.entropies.s1 == three.entropies.s1
+    assert two.entropies.s2 == three.entropies.s2 == 2 * two.entropies.s1
+    assert two.i_pair == three.i_pair == three.i_higher == 0.0
+
+
+# Exact invariances: each holds to round-off on the default scheme, so an
+# error of 1e-9 in a rule, a map, a trim or an orbital fails the bound.
+ROUND_OFF = 1e-13
+MEASURES = ("I_pair", "I3", "I_rho_gamma", "I_gamma_gamma", "I_higher")
+
+
+def _rows(systems):
+    return [r.as_dict() for r in compute_reports(systems, with_error=False)]
+
+
+def _covariance_residual(a, b, per_coordinate=0.0):
+    """Largest |b - a - k per_coordinate| over the s_k and |b - a| over the measures."""
+    shifts = {"s1": per_coordinate, "s2": 2 * per_coordinate, "s3": 3 * per_coordinate}
+    shifts.update(dict.fromkeys(MEASURES, 0.0))
+    return max(abs(b[k] - a[k] - shift) for k, shift in shifts.items() if k in a)
 
 
 def test_cumulants_vanish_for_indistinguishable(box, ho):
-    for space in (POSITION, MOMENTUM):
-        for sym in (SYMMETRIC, ANTISYMMETRIC):
-            c = cumulant3(Configuration(box, (1, 2, 3), sym, space))
-            assert abs(c) < 1e-6, (sym, space)
-    c = cumulant3(Configuration(ho, (0, 1, 2), ANTISYMMETRIC))
-    assert abs(c) < 1e-6
+    for params, ns in ((box, (1, 2, 3)), (box, (1, 1, 2)), (ho, (0, 1, 2))):
+        for space in (POSITION, MOMENTUM):
+            for sym in (SYMMETRIC, ANTISYMMETRIC)[:len(set(ns)) - 1]:
+                c = cumulant3(Configuration(params, ns, sym, space))
+                assert abs(c) < ROUND_OFF, (params.kind, ns, sym, space)
+
+
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+def test_ho_measures_invariant_under_omega(space):
+    # x scales as omega^(-1/2) and p as omega^(1/2): s_k shifts by -/+ (k/2) ln omega
+    per_coordinate = (-0.5 if space == POSITION else 0.5) * math.log(4.0)
+    for ns, sym in (((0, 1, 2), ANTISYMMETRIC), ((0, 0, 3), SYMMETRIC),
+                    ((0, 2, 5), DISTINGUISHABLE), ((0, 3), SYMMETRIC)):
+        a, b = _rows([Configuration(ModelParams.oscillator(w), ns, sym, space)
+                      for w in (1.0, 4.0)])
+        assert _covariance_residual(a, b, per_coordinate) < ROUND_OFF, (ns, sym)
+
+
+def test_ho_position_equals_momentum_at_unit_omega(ho):
+    for ns, sym in (((0, 1, 2), SYMMETRIC), ((0, 1, 3), ANTISYMMETRIC),
+                    ((0, 2, 5), DISTINGUISHABLE), ((1, 1, 4), SYMMETRIC),
+                    ((0, 3), SYMMETRIC)):
+        rx, rp = _rows([Configuration(ho, ns, sym, space)
+                        for space in (POSITION, MOMENTUM)])
+        assert _covariance_residual(rx, rp) < ROUND_OFF, (ns, sym)
+
+
+def test_box_position_covariant_under_length():
+    # x scales as L: s_k shifts by k ln L.  Box momentum is not exact on
+    # the default rules: its 1/p^2 tails leave residuals of order 1e-5.
+    def states(length):
+        box = ModelParams.box(length)
+        spec = SuperpositionSpec(Configuration(box, (1, 2, 3), SYMMETRIC),
+                                 Configuration(box, (4, 5, 6), SYMMETRIC),
+                                 math.sqrt(0.4))
+        return [Configuration(box, (1, 2, 3), ANTISYMMETRIC),
+                Configuration(box, (1, 1, 2), SYMMETRIC),
+                Configuration(box, (1, 2, 4), DISTINGUISHABLE),
+                Configuration(box, (1, 2), ANTISYMMETRIC),
+                build_superposition(spec)]
+
+    for a, b in zip(_rows(states(1.0)), _rows(states(2.5))):
+        assert _covariance_residual(a, b, math.log(2.5)) < ROUND_OFF, a["system"]
+
+
+@pytest.mark.parametrize("sym", [SYMMETRIC, ANTISYMMETRIC])
+def test_order_of_quantum_numbers_changes_nothing(box, ho, sym):
+    for params, ns, space in ((box, (1, 2, 5), POSITION), (box, (1, 2, 5), MOMENTUM),
+                              (ho, (0, 1, 4), POSITION)):
+        a, b = (compute_report(Configuration(params, order, sym, space),
+                               with_error=False).as_dict()
+                for order in (ns, ns[2:] + ns[:2]))
+        assert _covariance_residual(a, b) == 0.0, (params.kind, ns, space)
 
 
 def test_cumulant_distinguishable_reported_not_asserted(box):
@@ -228,26 +313,6 @@ def test_entropy_sum_bound(box, ho):
     assert ok
     assert bound == pytest.approx(1.0 + math.log(math.pi))
     assert ENTROPIC_BOUND == pytest.approx(1.0 + math.log(math.pi))
-
-
-def test_ho_measures_invariant_under_omega():
-    rep1 = compute_report(
-        Configuration(ModelParams.oscillator(1.0), (0, 1, 2), ANTISYMMETRIC),
-        with_error=False)
-    rep4 = compute_report(
-        Configuration(ModelParams.oscillator(4.0), (0, 1, 2), ANTISYMMETRIC),
-        with_error=False)
-    for key in ("I_pair", "I3", "I_rho_gamma", "I_gamma_gamma", "I_higher"):
-        assert abs(rep1.as_dict()[key] - rep4.as_dict()[key]) < 1e-5, key
-
-
-def test_ho_position_equals_momentum_at_unit_omega(ho):
-    rx = compute_report(Configuration(ho, (0, 1, 2), SYMMETRIC, POSITION),
-                        with_error=False)
-    rp = compute_report(Configuration(ho, (0, 1, 2), SYMMETRIC, MOMENTUM),
-                        with_error=False)
-    for key in ("s1", "s2", "s3", "I_pair", "I3", "I_higher"):
-        assert abs(rx.as_dict()[key] - rp.as_dict()[key]) < 1e-5, key
 
 
 def test_entropy_accepts_wavefunction_and_density(box, scheme):
@@ -626,8 +691,13 @@ def test_two_particle_entropy_matches_full_grid(box, ho, sym, space):
     scheme = ODD_EVEN_SCHEMES[0]
     for params, ns in ((box, (1, 2)), (ho, (0, 3))):
         wf = build(Configuration(params, ns, sym, space))
-        x, w = axis_rule(wf.domains(1)[0], scheme, 2)
-        want = entropy_from_values(wf.density_tensor([x] * 2), [w] * 2)
+        if sym == DISTINGUISHABLE:
+            # a Hartree product: s2 is the sum of its one-particle entropies
+            want = sum(entropy(reduce_numerical(wf, 1, scheme, keep=(k,)))
+                       for k in range(2))
+        else:
+            x, w = axis_rule(wf.domains(1)[0], scheme, 2)
+            want = entropy_from_values(wf.density_tensor([x] * 2), [w] * 2)
         assert abs(entropy(wf, scheme) - want) <= 1e-13
 
 
