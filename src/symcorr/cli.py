@@ -40,10 +40,6 @@ from .wavefunction import Configuration, build, parse_symmetry
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
-REPORT_CSV_HEADER = ("system,space,s1,s2,s3,I_pair,I3,I_rho_gamma,"
-                     "I_gamma_gamma,I_higher,error_estimate")
-PAIR_CSV_HEADER = "system,space,s1,s2,I_pair,error_estimate"
-
 
 def _parse_ns(text):
     try:
@@ -110,13 +106,14 @@ def _emit(text, out_path):
         print(text)
 
 
-def _report_rows_to_text(rows, fmt, header=REPORT_CSV_HEADER):
+def _report_rows_to_text(rows, fmt):
+    """``as_dict`` rows as JSON, as CSV with the first row's keys, or as text."""
     if fmt == "json":
         return json.dumps(rows, indent=2)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        keys = header.split(",")
+        keys = list(rows[0])
         writer.writerow(keys)
         for r in rows:
             writer.writerow(
@@ -140,8 +137,7 @@ def cmd_report(args):
     configs = [Configuration(_model_params(args), ns, parse_symmetry(args.sym), space)
                for space in _spaces(args)]
     rows = [rep.as_dict() for rep in compute_reports(configs, _scheme(args))]
-    header = REPORT_CSV_HEADER if len(ns) == 3 else PAIR_CSV_HEADER
-    _emit(_report_rows_to_text(rows, args.format, header), args.out)
+    _emit(_report_rows_to_text(rows, args.format), args.out)
     return 0
 
 
@@ -198,16 +194,15 @@ def cmd_tables(args):
     header = ["quantity"] + [f"{s.upper()}{n3}" for n3 in n3_values
                              for s in ("a", "s")]
     lines.append("  ".join(f"{h:>12}" for h in header))
-    computed = {}
+    rows = {}
     for (sym_tag, n3) in reference:
         cfg = Configuration(params, base + (n3,), parse_symmetry(sym_tag))
-        computed[(sym_tag, n3)] = compute_report(cfg, scheme, with_error=False)
+        rows[sym_tag, n3] = compute_report(cfg, scheme, with_error=False).as_dict()
     for key in ROW_KEYS:
         cells = [f"{ROW_LABELS[key]:>12}"]
         for n3 in n3_values:
             for sym_tag in ("a", "s"):
-                rep = computed[(sym_tag, n3)]
-                got = rep.as_dict()[key]
+                got = rows[sym_tag, n3][key]
                 want = reference[(sym_tag, n3)][key]
                 delta = got - want
                 if abs(delta) > TABLE_TOLERANCE:

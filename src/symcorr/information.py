@@ -26,9 +26,9 @@ report's I^3 is that combination on the 3D rule, and its s3 is
 three-particle state returns that s3.
 ``mutual_information_higher_direct`` integrates ln R itself and
 ``mutual_information_pair_direct`` the pair integrand, as checks.
-Neither check, nor ``cumulant3``, builds a 3D array: the I^3 integrand
-runs in the s3 kernel, and the moments contract C with a one-axis
-moment matrix.
+Neither check, nor ``cumulant3``, builds a 3D array: the I^3 integral
+is s3' from the s3 kernel plus a sum over the rule's own pair marginal,
+and the moments contract C with a one-axis moment matrix.
 
 Every state, of two or three particles, takes one path.
 ``compute_reports`` groups the states it is given, such as the c1^2
@@ -87,6 +87,7 @@ from .quadrature import (
     axis_rule,
     entropy_from_values,
 )
+from .reference_tables import ROW_KEYS
 from .wavefunction import (
     DISTINGUISHABLE,
     Configuration,
@@ -158,24 +159,18 @@ class InformationReport:
         return (d1 - raw, d2 - raw, d3 - raw)
 
     def as_dict(self):
-        """One output row; a two-particle row has no three-particle keys."""
+        """One output row, the one source of every writer's columns.
+
+        ``system`` and ``space``, then each measure of ``ROW_KEYS`` in its
+        order, then ``error_estimate``.  A measure that is None is left
+        out, so a two-particle row has s1, s2 and I_pair only.
+        """
         e = self.entropies
-        row = {
-            "system": self.system,
-            "space": self.space,
-            "s1": e.s1,
-            "s2": e.s2,
-            "s3": e.s3,
-            "I_pair": self.i_pair,
-            "I3": self.i_total3,
-            "I_rho_gamma": self.i_one_pair,
-            "I_gamma_gamma": self.i_pair_pair,
-            "I_higher": self.i_higher,
-            "error_estimate": e.error_estimate,
-        }
-        if e.s3 is None:
-            for key in ("s3", "I3", "I_rho_gamma", "I_gamma_gamma", "I_higher"):
-                del row[key]
+        values = (e.s1, e.s2, e.s3, self.i_pair, self.i_total3, self.i_one_pair,
+                  self.i_pair_pair, self.i_higher)
+        row = {"system": self.system, "space": self.space}
+        row.update((k, v) for k, v in zip(ROW_KEYS, values) if v is not None)
+        row["error_estimate"] = e.error_estimate
         return row
 
 
@@ -436,16 +431,21 @@ def mutual_information_higher_direct(system, scheme=None):
 
     integral |Psi|^2 ln[ |Psi|^2 rho(x1) rho(x2) rho(x3)
                          / (Gamma(x1,x2) Gamma(x1,x3) Gamma(x2,x3)) ].
-    Validation mode; indistinguishable systems only.  The integrand is
-    then exchange-symmetric, so it runs in the s3 kernel
-    (``entropy_grid``) over the sorted sector i <= j <= k, with ln rho
-    and ln Gamma, floored at 1e-300, as its log offset; the kernel returns
-    -I^3.  The rule is the untrimmed 3D rule, and the sector is never
-    inverted.  Where the rule integrates the orbital products exactly,
-    the sum equals a report's I^3, 3 s2' - 3 s1' - s3' on the same rule,
-    to round-off: so on every position rule.  In box momentum the 1/p^2
-    tails break that exactness, and at the default scheme the two differ
-    by 1.8e-5 for A(1,2,3) and 2.6e-5 for S(1,1,2).
+    Validation mode; indistinguishable systems only.  On the untrimmed
+    3D rule, the sum of the integrand is the finite sum rearranged, the
+    way ``cumulant3`` rearranges its moments: ln R at node (i, j, k) is
+    ln d_ijk + g_ij + g_ik + g_jk, g_ij = (ln rho_i + ln rho_j)/2 -
+    ln Gamma_ij with rho and Gamma exact and floored at 1e-300, and d is
+    exchange-symmetric.  So the sum is -s3' + 3 sum_ij w_i w_j Gamma'_ij
+    g_ij, s3' from the s3 kernel (``entropy_grid``) over the sorted
+    sector, never inverted, and Gamma' = Q K Q^T the rule's own pair
+    marginal of d: K[(a a'), (b b')] = sum_t sum_cc' C_abc G_cc' C_a'b'c',
+    G = T^T diag(w) T the rule's Gram matrix of the orbital table T, and
+    Q = ``orbital_products(T)``.  Where the rule integrates the orbital
+    products exactly, the sum equals a report's I^3, 3 s2' - 3 s1' - s3'
+    on the same rule, to round-off: so on every position rule.  In box
+    momentum the 1/p^2 tails break that exactness, and at the default
+    scheme the two differ by 1.8e-5 for A(1,2,3) and 2.6e-5 for S(1,1,2).
     """
     scheme = scheme or QuadratureScheme()
     wf = _as_wavefunction(system)
@@ -454,9 +454,15 @@ def mutual_information_higher_direct(system, scheme=None):
                          "indistinguishable marginals")
     x, w = _axis(wf, 3, scheme)
     gamma, rho = _marginals_at(wf, x)
-    log_offset = (np.log(np.maximum(rho, DENSITY_FLOOR)),
-                  np.log(np.maximum(gamma, DENSITY_FLOOR)))
-    return -entropy_grid(wf.terms, wf.tables(x), w, True, (), log_offset)
+    log_rho = np.log(np.maximum(rho, DENSITY_FLOOR))
+    g = 0.5 * (log_rho[:, None] + log_rho) - np.log(np.maximum(gamma, DENSITY_FLOOR))
+    t = wf.tables(x)
+    gram = (t.T * w) @ t
+    kmat = sum(np.einsum("abc,cd,efd->aebf", c, gram, c) for c in wf.terms)
+    q = orbital_products(t)
+    gamma_rule = q @ kmat.reshape(q.shape[1], -1) @ q.T
+    return 3.0 * float(w @ (gamma_rule * g) @ w) \
+        - entropy_grid(wf.terms, t, w, True, ())
 
 
 def entropy_sum_check(params, ns, symmetry, scheme=None):

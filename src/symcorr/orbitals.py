@@ -2,8 +2,8 @@
 
 Both models are provided in position and momentum space (hbar = m = 1).
 Box momentum orbitals use the closed form of the Fourier transform of
-sin(n*pi*x/L), with a series branch resolving the removable singularities
-at p*L = +/- n*pi.  Oscillator orbitals are built from the stable
+sin(n*pi*x/L), whose removable singularities at p*L = +/- n*pi
+``numpy.sinc`` resolves.  Oscillator orbitals are built from the stable
 Hermite-function recurrence, which keeps values finite for n up to ~50.
 Every orbital is a constant phase (``orbital_phase``, a power of i) times
 a real factor (``orbital_factor``), times e^{-ipL/2} for a box momentum
@@ -32,9 +32,6 @@ __all__ = [
     "position_domain_scale",
     "momentum_domain_scale",
 ]
-
-# series branch for sin(z)/z below this |z|; keeps relative error < 1e-12
-SINC_SERIES_THRESHOLD = 1e-4
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -88,32 +85,22 @@ def eval_box_position(n, L, x):
     return np.sqrt(2.0 / L) * np.sin(n * math.pi * x / L)
 
 
-def _sinc_half(z):
-    """sin(z)/(2 z) with a 3-term series branch near z = 0."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = np.abs(z) < SINC_SERIES_THRESHOLD
-    zs = z[small]
-    out[small] = 0.5 * (1.0 - zs * zs / 6.0 + zs**4 / 120.0)
-    zb = z[~small]
-    out[~small] = np.sin(zb) / (2.0 * zb)
-    return out
-
-
 def box_momentum_factor(n, L, p):
     """Real factor g_n of the momentum-space box orbital, entire in p.
 
     g_n(p) = sqrt(L/pi) [ sin(z-)/(2 z-) - (-1)^n sin(z+)/(2 z+) ]
-    with z-+ = (pL -+ n pi)/2; the removable points pL = +/- n pi go
-    through the series branch.
+    with z-+ = (pL -+ n pi)/2, each sin(z)/(2 z) taken as
+    0.5 sinc(z/pi) (``numpy.sinc``).  That is exactly 1/2 at z = 0, the
+    removable points pL = +/- n pi, and exactly even, so
+    g_n(-p) = (-1)^(n+1) g_n(p) holds bit for bit.
     """
     if n < 1 or int(n) != n:
         raise ValueError("box quantum number must be a positive integer")
     p = np.asarray(p, dtype=float)
     z_minus = (p * L - n * math.pi) / 2.0
     z_plus = (p * L + n * math.pi) / 2.0
-    return math.sqrt(L / math.pi) \
-        * (_sinc_half(z_minus) - (-1) ** n * _sinc_half(z_plus))
+    return 0.5 * math.sqrt(L / math.pi) \
+        * (np.sinc(z_minus / math.pi) - (-1) ** n * np.sinc(z_plus / math.pi))
 
 
 def eval_box_momentum(n, L, p):

@@ -34,6 +34,7 @@ import numpy as np
 from .information import compute_reports
 from .orbitals import orbital_phase
 from .quadrature import QuadratureScheme
+from .reference_tables import ROW_KEYS
 from .wavefunction import (
     Configuration,
     OrbitalTables,
@@ -188,15 +189,14 @@ class ScanResult:
     spec: SuperpositionSpec
     scheme: QuadratureScheme
 
-    CSV_HEADER = "c1sq,s1,s2,s3,I_pair,I3,I_rho_gamma,I_gamma_gamma,I_higher"
+    CSV_HEADER = ",".join(("c1sq",) + ROW_KEYS)
 
     def to_csv(self):
         lines = [self.CSV_HEADER]
         for c1sq, rep in self.samples:
-            e = rep.entropies
-            row = [c1sq, e.s1, e.s2, e.s3, rep.i_pair, rep.i_total3,
-                   rep.i_one_pair, rep.i_pair_pair, rep.i_higher]
-            lines.append(",".join(f"{v:.12g}" for v in row))
+            row = rep.as_dict()
+            values = [c1sq] + [row[k] for k in ROW_KEYS]
+            lines.append(",".join(f"{v:.12g}" for v in values))
         return "\n".join(lines) + "\n"
 
     def argmax_higher(self):

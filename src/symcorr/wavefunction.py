@@ -314,7 +314,7 @@ def _folded(weights):
     return w
 
 
-def entropy_grid(terms, table, weights, symmetric, folds, log_offset=None):
+def entropy_grid(terms, table, weights, symmetric, folds):
     """-sum w_i w_j w_k d ln d for d = sum_t Psi_t^2, N = 3.
 
     Real only: ``table`` holds the real orbital factors at the nodes of
@@ -340,11 +340,6 @@ def entropy_grid(terms, table, weights, symmetric, folds, log_offset=None):
     - otherwise, every axis in ``folds`` (the orbitals' parities about
       the centre of a mirror-symmetric rule tell which) keeps its first
       ceil(n/2) nodes with the mirror nodes' weights added.
-
-    ``log_offset`` = (ln rho at the nodes, ln Gamma at the node pairs),
-    symmetric branch only and shared by all samples, adds ln rho_i rho_j
-    rho_k / (Gamma_ij Gamma_ik Gamma_jk) to ln d at every node: the kernel
-    then returns -I^3 (``information.mutual_information_higher_direct``).
 
     The slab contraction M is built once for all samples.  Each slab runs
     its samples in blocks of at most n^2 values, laid out as (rows,
@@ -378,9 +373,6 @@ def entropy_grid(terms, table, weights, symmetric, folds, log_offset=None):
             for ax in range(3))
         contracted = 1
         regions = ((i, t1, t2, w1, w2) for i in range(len(outer)))
-    if log_offset is not None:  # the offset at (i, j, k) is g_ij + g_ik + g_jk
-        log_rho, log_gamma = log_offset
-        g = 0.5 * (log_rho[:, None] + log_rho[None, :]) - log_gamma
     r = table.shape[1]
     slabs = []  # M_i[x, (s y)] of each term
     for c in terms:
@@ -394,8 +386,6 @@ def entropy_grid(terms, table, weights, symmetric, folds, log_offset=None):
     buf = np.empty(n * n)
     for i, rows, cols, vr, vc in regions:
         nr, nc = len(rows), len(cols)
-        if log_offset is not None:
-            offset = (g[:i + 1, i:] + g[:i + 1, i, None] + g[i, i:])[:, None, :]
         block = max(1, n * n // (nr * nc))
         for s0 in range(0, samples, block):
             blk = slice(s0, s0 + block)
@@ -405,8 +395,6 @@ def entropy_grid(terms, table, weights, symmetric, folds, log_offset=None):
                           @ cols.T).reshape(nr, -1, nc)
                 d = a if d is None else np.add(d, a, out=d)
             e = _d_ln_d(d, buf[:d.size].reshape(d.shape))
-            if log_offset is not None:
-                e += d * offset
             vals[i, blk] = (vr @ e.reshape(nr, -1)).reshape(-1, nc) @ vc
             if symmetric:
                 corners[i, blk] = e[-1, :, 0]

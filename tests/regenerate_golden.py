@@ -55,6 +55,11 @@ CASES = {
     "density-grid-a123": ["density-grid", "--n", "1,2,3", "--sym", "a", "--points", "11"],
     "scan-n3-both-csv": ["scan-n3", "--n", "1,2", "--n3-range", "3:4", "--space", "both",
                          "--format", "csv"],
+    # the default table text of two three-particle rows, one per space
+    "report-box-s123-both-table": ["report", "--n", "1,2,3", "--sym", "s",
+                                   "--space", "both"],
+    # the JSON row of a two-particle state
+    "report-box-a12-json": ["report", "--n", "1,2", "--sym", "a", "--format", "json"],
 }
 
 

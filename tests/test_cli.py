@@ -5,16 +5,14 @@ import json
 import pytest
 
 from symcorr import Configuration, ModelParams, cli, compute_report, compute_reports
-from symcorr.cli import (
-    PAIR_CSV_HEADER,
-    REPORT_CSV_HEADER,
-    _scheme,
-    build_parser,
-    main,
-)
+from symcorr.cli import _scheme, build_parser, main
 from symcorr.quadrature import QuadratureScheme
 from symcorr.reference_tables import table_spec
 from symcorr.wavefunction import parse_symmetry
+
+REPORT_HEADER = ("system,space,s1,s2,s3,I_pair,I3,I_rho_gamma,I_gamma_gamma,"
+                 "I_higher,error_estimate")
+PAIR_HEADER = "system,space,s1,s2,I_pair,error_estimate"
 
 
 def run(capsys, *argv):
@@ -49,7 +47,7 @@ def test_report_csv_format(capsys):
                          "--panels", "10", "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert ",".join(rows[0]) == REPORT_CSV_HEADER
+    assert ",".join(rows[0]) == REPORT_HEADER
     assert len(rows) == 2
     # distinguishable products carry no correlation
     header = rows[0]
@@ -81,7 +79,7 @@ def test_report_two_particles_csv(capsys):
                          "--space", "both", "--panels", "10", "--format", "csv")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert out.splitlines()[0] == PAIR_CSV_HEADER
+    assert out.splitlines()[0] == PAIR_HEADER
     assert [r["space"] for r in rows] == ["position", "momentum"]
     for r in rows:
         assert r["system"] == "box L=1 ns=(1, 2) symmetric"
@@ -201,7 +199,7 @@ def test_scan_n3(capsys):
                          "--n3-range", "3:4", "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert ",".join(rows[0]) == REPORT_CSV_HEADER
+    assert ",".join(rows[0]) == REPORT_HEADER
     assert len(rows) == 1 + 4  # (a, s) x (n3 = 3, 4)
 
 
@@ -298,7 +296,7 @@ def test_config_flag_at_its_default_still_wins(tmp_path, capsys):
     code, out, err = run(capsys, "report", "--n", "1,2", "--sym", "a",
                          "--config", str(cfg))
     assert code == 0
-    assert out.startswith(PAIR_CSV_HEADER + "\n")
+    assert out.startswith(PAIR_HEADER + "\n")
 
 
 def exit_code(*argv):

@@ -8,6 +8,7 @@ from symcorr.orbitals import (
     MOMENTUM,
     POSITION,
     ModelParams,
+    box_momentum_factor,
     eval_box_momentum,
     eval_box_position,
     eval_ho,
@@ -63,28 +64,30 @@ def test_box_momentum_matches_defining_fourier_integral():
         assert np.max(np.abs(got - oracle)) < 1e-10
 
 
-def test_sinc_series_branch_agrees_with_direct_formula():
-    from symcorr.orbitals import SINC_SERIES_THRESHOLD, _sinc_half
-
-    z = np.concatenate([np.geomspace(1e-7, 9.9e-5, 40),
-                        -np.geomspace(1e-7, 9.9e-5, 40)])
-    series = _sinc_half(z)
-    direct = np.sin(z) / (2.0 * z)  # no cancellation at these magnitudes
-    assert np.max(np.abs(series - direct)) < 1e-14
-    # continuity across the branch switch itself
-    below = _sinc_half(np.array([SINC_SERIES_THRESHOLD * (1 - 1e-9)]))[0]
-    above = _sinc_half(np.array([SINC_SERIES_THRESHOLD * (1 + 1e-9)]))[0]
-    assert abs(below - above) < 1e-14
+def test_box_momentum_factor_near_removable_points_matches_direct_formula():
+    # pL = +/- n pi +- 2 dz, so z- or z+ is +-dz with dz in [1e-7, 1e-4];
+    # there sin(z)/(2 z) written out has no cancellation
+    dz = np.geomspace(1e-7, 1e-4, 40)
+    for L in (1.0, 2.5):
+        for n in (1, 2, 5):
+            for sign in (1.0, -1.0):
+                p = (sign * n * math.pi + 2.0 * np.concatenate([dz, -dz])) / L
+                zm = (p * L - n * math.pi) / 2.0
+                zp = (p * L + n * math.pi) / 2.0
+                direct = math.sqrt(L / math.pi) \
+                    * (np.sin(zm) / (2.0 * zm) - (-1) ** n * np.sin(zp) / (2.0 * zp))
+                got = box_momentum_factor(n, L, p)
+                assert np.max(np.abs(got - direct)) < 1e-14, (L, n, sign)
 
 
 def test_box_momentum_removable_points_continuous():
-    # quadratic extrapolation from outside the series window must hit the
-    # series-branch value at pL = +/- n pi
+    # the mean of the values at pL = +/- n pi +- 6e-4 must hit the value
+    # at the removable point itself
     for n in (1, 2, 5):
         for sign in (1.0, -1.0):
             p0 = sign * n * math.pi
             center = eval_box_momentum(n, 1.0, p0)
-            eps = 6e-4  # direct branch on both sides
+            eps = 6e-4
             sym = 0.5 * (eval_box_momentum(n, 1.0, p0 + eps)
                          + eval_box_momentum(n, 1.0, p0 - eps))
             assert abs(sym - center) < 1e-7
@@ -124,7 +127,7 @@ def test_position_parity_about_domain_centre():
 def test_momentum_parity_up_to_a_common_phase():
     L = 2.5
     box, ho = ModelParams.box(L), ModelParams.oscillator(1.7)
-    # includes the removable points p L = n pi of the series branch
+    # includes the removable points p L = n pi
     p = np.concatenate([np.linspace(0.0, 30.0, 61), math.pi * np.arange(1, 9) / L])
     for n in range(1, 9):
         got = eval_orbital(box, n, MOMENTUM, -p)
