@@ -46,8 +46,6 @@ def _parse_ns(text):
         ns = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse quantum numbers {text!r}") from None
-    if len(ns) not in (2, 3):
-        raise ValueError("expected 2 or 3 comma-separated quantum numbers")
     return ns
 
 
@@ -164,8 +162,6 @@ def cmd_scan_superposition(args):
     params = _model_params(args)
     ns_a = _parse_ns(args.n)
     ns_b = _parse_ns(args.n_second)
-    if len(ns_a) != 3 or len(ns_b) != 3:
-        raise ValueError("superposition scans are for 3-particle states")
     sym = parse_symmetry(args.sym)
     scheme = _scheme(args)
     if args.c1sq_grid:

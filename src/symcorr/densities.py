@@ -117,7 +117,7 @@ def reduce_numerical(wf, arity, scheme=None, keep=None):
     if (len(keep) != arity or any(k not in range(n_part) for k in keep)
             or list(keep) != sorted(set(keep))):
         raise ValueError(f"invalid kept-coordinate selection {keep}")
-    domains = tuple(wf.domains(n_part)[k] for k in keep)
+    domains = (wf.tables.domain,) * arity
     rules = [axis_rule(d, scheme, arity) for d in domains]
     func = quadrature_marginal(wf, keep)
     values = func(*np.meshgrid(*(r[0] for r in rules), indexing="ij", sparse=True))

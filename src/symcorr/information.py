@@ -32,9 +32,10 @@ and the moments contract C with a one-axis moment matrix.
 
 Every state, of two or three particles, takes one path.
 ``compute_reports`` groups the states it is given, such as the c1^2
-samples of a scan, once, by params, space, orbitals, particle count,
-exchange symmetry and the nonzero mask of each term's C; those fix the
-domain, the kernel region and whether a state is a Hartree product.
+samples of a scan, once, by their ``OrbitalTables`` (params, space and
+orbitals), particle count, exchange symmetry and the nonzero mask of
+each term's C; those fix the domain, the kernel region and whether a
+state is a Hartree product.  Every rule runs on the tables' ``domain``.
 That one grouping feeds s1, s2 and, for three particles, s3 at the fine
 and the coarse level.  The endpoints of an S/A scan curve are each a
 group of their own, on the inverted half sector.  The orbital table of
@@ -55,7 +56,7 @@ factorizes, so its s2 and s3 are 2 s1 and 3 s1, and every correlation
 measure vanishes to round-off.  s3' of the other groups comes from one
 pass of ``wavefunction.entropy_grid`` per group over |Psi|^2 on the 3D
 rule, slab by slab, on the region their symmetries leave distinct:
-``wavefunction.slab_folds`` decides it from the orbitals' parities
+``wavefunction.slab_folds`` decides it from the tables' ``parities``
 about the domain centre, which every rule is mirror-symmetric about, as
 ``quadrature.axis_rule`` checks where it builds the rule.  Each entropy
 of k coordinates runs on the nodes ``wavefunction.trim_rule`` keeps for
@@ -79,7 +80,7 @@ from itertools import combinations
 import numpy as np
 
 from .densities import quadrature_marginal, reduce_numerical
-from .orbitals import MOMENTUM, POSITION, orbital_parity
+from .orbitals import MOMENTUM, POSITION
 from .quadrature import (
     DENSITY_FLOOR,
     NonConvergenceError,
@@ -180,10 +181,6 @@ def _as_wavefunction(system):
     return system
 
 
-def _axis(wf, ndim, scheme):
-    return axis_rule(wf.domains(1)[0], scheme, ndim)
-
-
 def entropy(density, scheme=None):
     """-integral d ln d of a ReducedDensity or of a state's |Psi|^2.
 
@@ -199,43 +196,37 @@ def entropy(density, scheme=None):
 
 
 def _group_key(st):
-    """Params, space, orbitals, exchange symmetry, nonzero mask of each C.
+    """Tables, particle count, exchange symmetry, nonzero mask of each C.
 
     States with equal keys share their domain, orbital tables, kernel
     region and one s3 kernel pass: the region (``slab_folds``) depends on
     a state only through its symmetry, its orbitals' parities and where
     its tensors are nonzero.  So does whether it is a Hartree product.
     """
-    t = st.tables
-    return (t.params, t.space, t.orbitals, st.nparticles,
-            st.symmetry != DISTINGUISHABLE) \
+    return (st.tables, st.nparticles, st.symmetry != DISTINGUISHABLE) \
         + tuple(np.not_equal(c, 0).tobytes() for c in st.terms)
 
 
-def _rules(st, scheme, tables):
-    """(rule, parities) of a state on ``scheme``.
+def _rules(t, scheme, tables):
+    """``rule(k)`` of the orbital tables ``t`` on ``scheme``.
 
     ``rule(k)`` is the (table, q, weights) of the nodes ``trim_rule``
-    keeps for an entropy of k coordinates, q the table's
-    ``orbital_products``.  ``tables`` holds the table of each rule and
-    each of these, evaluated once.  ``parities`` are the orbitals'
-    parities about the domain centre, which every rule is
-    mirror-symmetric about.
+    keeps for an entropy of k coordinates on the axis ``t.domain``, q
+    the table's ``orbital_products``.  ``tables`` holds the table of each
+    rule, keyed by (t, panels), and each of these, evaluated once.
     """
-    t = st.tables
-    domain = st.domains(1)[0]
 
     def rule(k):
-        tk = (t.params, t.space, t.orbitals, scheme.panels_for(domain, k))
+        tk = (t, scheme.panels_for(t.domain, k))
         if (tk, k) not in tables:
-            x, w = axis_rule(domain, scheme, k)
+            x, w = axis_rule(t.domain, scheme, k)
             if tk not in tables:
                 tables[tk] = t(x)
             table, w = trim_rule(tables[tk], w, k)[:2]
             tables[tk, k] = table, orbital_products(table), w
         return tables[tk, k]
 
-    return rule, [orbital_parity(t.params, n) for n in t.orbitals]
+    return rule
 
 
 def _keeps(wf):
@@ -319,7 +310,8 @@ def _entropies(states, groups, scheme):
     out = [None] * len(states)
     for members in groups:
         first = states[members[0]]
-        rule, parities = _rules(first, scheme, tables)
+        rule = _rules(first.tables, scheme, tables)
+        parities = first.tables.parities
         ones, pairs = _keeps(first)
         stacked = [np.stack(c) for c in zip(*(states[k].terms for k in members))]
         rho = _density_forms(stacked, ones, parities)
@@ -417,7 +409,7 @@ def mutual_information_pair_direct(system, scheme=None):
     wf = _as_wavefunction(system)
     if wf.symmetry == DISTINGUISHABLE:
         raise ValueError("direct pair integral assumes indistinguishable marginals")
-    x, w = _axis(wf, 2, scheme)
+    x, w = axis_rule(wf.tables.domain, scheme, 2)
     gamma, rho = _marginals_at(wf, x)
     mask = gamma > DENSITY_FLOOR
     denom = np.maximum(np.outer(rho, rho), DENSITY_FLOOR)
@@ -452,7 +444,7 @@ def mutual_information_higher_direct(system, scheme=None):
     if wf.symmetry == DISTINGUISHABLE:
         raise ValueError("direct higher-order integral assumes "
                          "indistinguishable marginals")
-    x, w = _axis(wf, 3, scheme)
+    x, w = axis_rule(wf.tables.domain, scheme, 3)
     gamma, rho = _marginals_at(wf, x)
     log_rho = np.log(np.maximum(rho, DENSITY_FLOOR))
     g = 0.5 * (log_rho[:, None] + log_rho) - np.log(np.maximum(gamma, DENSITY_FLOOR))
@@ -493,7 +485,7 @@ def cumulant3(system, scheme=None):
     """
     scheme = scheme or QuadratureScheme()
     wf = _as_wavefunction(system)
-    x, w = _axis(wf, 3, scheme)
+    x, w = axis_rule(wf.tables.domain, scheme, 3)
     t = wf.tables(x)
     xmat = (t.T * (w * x)) @ t
     eye = np.eye(len(xmat))

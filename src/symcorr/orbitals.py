@@ -136,14 +136,9 @@ def ho_factor(n, omega, z, space=POSITION):
     """Real factor of the harmonic-trap orbital: w^{1/4} h_n(sqrt(w) z).
 
     w = omega in position space and 1/omega in momentum space; n and
-    omega are checked by ``ModelParams``.
+    omega are checked by ``ModelParams``, the space by ``orbital_factor``.
     """
-    if space == POSITION:
-        w = omega
-    elif space == MOMENTUM:
-        w = 1.0 / omega
-    else:
-        raise ValueError(f"unknown space {space!r}")
+    w = omega if space == POSITION else 1.0 / omega
     z = np.asarray(z, dtype=float)
     return w**0.25 * hermite_functions(n, math.sqrt(w) * z)[n]
 
@@ -191,13 +186,13 @@ def orbital_factor(params, n, space, z):
     factor.
     """
     params.validate_quantum_number(n)
+    if space not in (POSITION, MOMENTUM):
+        raise ValueError(f"unknown space {space!r}")
     if params.kind != "box":
         return ho_factor(n, params.omega, z, space)
     if space == POSITION:
         return eval_box_position(n, params.L, z)
-    if space == MOMENTUM:
-        return box_momentum_factor(n, params.L, z)
-    raise ValueError(f"unknown space {space!r}")
+    return box_momentum_factor(n, params.L, z)
 
 
 def orbital_parity(params, n):

@@ -38,7 +38,6 @@ from .reference_tables import ROW_KEYS
 from .wavefunction import (
     Configuration,
     OrbitalTables,
-    axis_domains,
     build,
     coefficient_tensor,
     density_grid,
@@ -61,7 +60,7 @@ DEFAULT_C1SQ_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 
 @dataclass(frozen=True)
 class SuperpositionSpec:
-    """Two configurations, a mixing coefficient, and the interference flag."""
+    """Two 3-particle configurations, a mixing coefficient, the interference flag."""
 
     state_a: Configuration
     state_b: Configuration
@@ -72,11 +71,12 @@ class SuperpositionSpec:
         if not -1.0 <= self.c1 <= 1.0:
             raise ValueError("c1 must lie in [-1, 1]")
         a, b = self.state_a, self.state_b
-        if a.params != b.params or a.space != b.space \
-                or a.symmetry != b.symmetry or a.nparticles != b.nparticles:
+        if a.nparticles != 3 or b.nparticles != 3:
+            raise ValueError("superposition scans are for 3-particle states")
+        if a.params != b.params or a.space != b.space or a.symmetry != b.symmetry:
             raise ValueError(
-                "superposed configurations must share model, space, "
-                "symmetry class and particle count")
+                "superposed configurations must share model, space and "
+                "symmetry class")
 
     @property
     def c2(self):
@@ -106,7 +106,8 @@ class _CachedMixture:
         self.c1 = float(spec.c1)
         self.c2 = float(spec.c2)
         self.interference = bool(spec.interference)
-        self.tables = OrbitalTables(a.params, a.space, sorted(set(a.ns) | set(b.ns)))
+        orbitals = tuple(sorted(set(a.ns) | set(b.ns)))
+        self.tables = OrbitalTables(a.params, a.space, orbitals)
         ca = coefficient_tensor(a, self.tables.orbitals)
         cb = coefficient_tensor(b, self.tables.orbitals)
         self.overlap = float(np.vdot(ca, cb))
@@ -143,10 +144,6 @@ class _CachedMixture:
         tag = "" if self.interference else ", no interference"
         return (f"superposition c1^2={self.c1**2:.3f} of ns={s.state_a.ns} "
                 f"and ns={s.state_b.ns} ({self.symmetry}{tag})")
-
-    def domains(self, arity=None):
-        t = self.tables
-        return axis_domains(t.params, t.space, t.orbitals, arity or self.nparticles)
 
     def amplitude(self, *coords):
         if not self.interference:

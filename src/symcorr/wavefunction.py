@@ -9,12 +9,15 @@ distinct orbitals,
 
 and every state as a tuple of such real tensors, its terms, whose
 densities add: |Psi|^2 = sum_t (sum C_t phi phi phi)^2.  Every path
-from C to a density runs in real arithmetic.  The orbital tables hold
-each orbital's real factor (``orbitals.orbital_factor``).  Its constant
-phase, a power of i that is 1 in position space, multiplies every entry
-of a configuration's C by the same product, a global phase that no
-density sees; the factor e^{-ipL/2} that all box momentum orbitals share
-has modulus 1 in every density too.  So a configuration is the one term
+from C to a density runs in real arithmetic.  A state's
+``OrbitalTables``, the value of its params, space and orbitals, hold
+each orbital's real factor (``orbitals.orbital_factor``), the one
+integration axis of every coordinate and the orbitals' parities; no
+other code works these out.  An orbital's constant phase, a power of
+i that is 1 in position space, multiplies every entry of a
+configuration's C by the same product, a global phase that no density
+sees; the factor e^{-ipL/2} that all box momentum orbitals share has
+modulus 1 in every density too.  So a configuration is the one term
 C, and only a superposition keeps a phase: that of its components
 relative to each other (``superposition``).
 |Psi|^2 on a tensor grid is one mode product per axis (BLAS); the
@@ -56,6 +59,7 @@ from .orbitals import (
     eval_orbital,
     momentum_domain_scale,
     orbital_factor,
+    orbital_parity,
     position_domain_scale,
 )
 from .quadrature import Interval, RealLine, _d_ln_d
@@ -66,7 +70,6 @@ __all__ = [
     "DISTINGUISHABLE",
     "parse_symmetry",
     "Configuration",
-    "axis_domains",
     "WaveFunction",
     "OrbitalTables",
     "coefficient_tensor",
@@ -149,25 +152,13 @@ class Configuration:
     def distinct(self):
         return len(set(self.ns)) == len(self.ns)
 
+    @cached_property
+    def tables(self):
+        return OrbitalTables(self.params, self.space, tuple(sorted(set(self.ns))))
+
     def domains(self, arity=None):
         """Per-axis integration domains ([0,L] or mapped real line)."""
-        return axis_domains(self.params, self.space, self.ns,
-                            arity or self.nparticles)
-
-
-def axis_domains(params, space, orbitals, arity):
-    """``arity`` copies of the integration domain of states over ``orbitals``.
-
-    The box position axis is [0, L]; every other axis is the real line,
-    mapped with a scale set by the highest orbital.
-    """
-    if params.kind == "box" and space == POSITION:
-        axis = Interval(0.0, params.L)
-    elif space == POSITION:
-        axis = RealLine(position_domain_scale(params, orbitals))
-    else:
-        axis = RealLine(momentum_domain_scale(params, orbitals))
-    return [axis] * arity
+        return [self.tables.domain] * (arity or self.nparticles)
 
 
 def _norm_factor(config):
@@ -192,18 +183,39 @@ def coefficient_tensor(config, orbitals):
     return c * _norm_factor(config)
 
 
+@dataclass(frozen=True)
 class OrbitalTables:
-    """Real orbital factors at coordinate arrays, orbital index last.
+    """A state's orbitals, with their integration axis and parities.
 
-    Every call evaluates the orbitals afresh.  Callers that use one rule
-    many times evaluate its table once and reuse it: ``information``
-    does so for each rule of one ``compute_reports`` call.
+    A hashable value of (params, space, orbitals), so states over the
+    same orbitals share one key.  A call gives the real orbital factors
+    at coordinate arrays, orbital index last, evaluated afresh; callers
+    that use one rule many times, as ``information`` does within one
+    ``compute_reports`` call, evaluate its table once.
     """
 
-    def __init__(self, params, space, orbitals):
-        self.params = params
-        self.space = space
-        self.orbitals = tuple(orbitals)
+    params: ModelParams
+    space: str
+    orbitals: tuple
+
+    @cached_property
+    def domain(self):
+        """The integration axis of every coordinate.
+
+        The box position axis is [0, L]; every other axis is the real
+        line, mapped with a scale set by the highest orbital.
+        """
+        p = self.params
+        if p.kind == "box" and self.space == POSITION:
+            return Interval(0.0, p.L)
+        if self.space == POSITION:
+            return RealLine(position_domain_scale(p, self.orbitals))
+        return RealLine(momentum_domain_scale(p, self.orbitals))
+
+    @cached_property
+    def parities(self):
+        """Each orbital's parity about the domain centre (``orbital_parity``)."""
+        return tuple(orbital_parity(self.params, n) for n in self.orbitals)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -477,10 +489,9 @@ class WaveFunction:
         model = f"box L={p.L:g}" if p.kind == "box" else f"ho omega={p.omega:g}"
         return f"{model} ns={cfg.ns} {cfg.symmetry}"
 
-    @cached_property
+    @property
     def tables(self):
-        cfg = self.config
-        return OrbitalTables(cfg.params, cfg.space, sorted(set(cfg.ns)))
+        return self.config.tables
 
     @cached_property
     def terms(self):
@@ -491,17 +502,6 @@ class WaveFunction:
         """
         return (coefficient_tensor(self.config, self.tables.orbitals),)
 
-    def domains(self, arity=None):
-        return self.config.domains(arity)
-
-    def _check_domain(self, coords):
-        p = self.config.params
-        if p.kind == "box" and self.space == POSITION:
-            for c in coords:
-                arr = np.asarray(c, dtype=float)
-                if np.any((arr < 0.0) | (arr > p.L)):
-                    raise ValueError("coordinate outside the box [0, L]")
-
     def amplitude(self, *coords):
         """Psi at one point or broadcastable coordinate arrays.
 
@@ -511,7 +511,6 @@ class WaveFunction:
         if len(coords) != self.nparticles:
             raise ValueError(
                 f"expected {self.nparticles} coordinates, got {len(coords)}")
-        self._check_domain(coords)
         cfg = self.config
         # vals[k][i]: orbital k evaluated at coordinate i
         vals = [[eval_orbital(cfg.params, n, cfg.space, c) for c in coords]

@@ -184,7 +184,7 @@ def test_reduction_matches_brute_force_quadrature(box, case):
             Configuration(box, (1, 2, 4), ANTISYMMETRIC), c1=0.6))
         keeps = [(0,), (0, 1)]
         probes = [0.07, 0.31, 0.5, 0.88]
-    rule = _brute_rule(wf.domains(1)[0])
+    rule = _brute_rule(wf.tables.domain)
     for keep in keeps:
         coords = [np.array(probes), np.array(probes[::-1])][:len(keep)]
         got = reduce_numerical(wf, len(keep), keep=keep)(*coords)

@@ -29,7 +29,7 @@ from symcorr import (
 )
 from symcorr import information, wavefunction
 from symcorr.densities import quadrature_marginal, reduce_numerical, reduce_to_one
-from symcorr.orbitals import MOMENTUM, POSITION, orbital_parity
+from symcorr.orbitals import MOMENTUM, POSITION
 from symcorr.quadrature import (
     DENSITY_FLOOR,
     _d_ln_d,
@@ -366,17 +366,17 @@ KERNEL_CASES = _kernel_cases()
 def _kernel_s3(wf, scheme):
     """-sum w w w d ln d of one state: the s3 kernel alone, on the 3D rule
     as ``trim_rule`` trims it and over the region ``slab_folds`` sets."""
-    x, w = axis_rule(wf.domains(1)[0], scheme, 3)
+    x, w = axis_rule(wf.tables.domain, scheme, 3)
     table, w = trim_rule(wf.tables(x), w, 3)[:2]
     symmetric = wf.symmetry != DISTINGUISHABLE
     return entropy_grid(wf.terms, table, w, symmetric,
-                        slab_folds(wf.terms, symmetric, _parities(wf)))
+                        slab_folds(wf.terms, symmetric, wf.tables.parities))
 
 
 @pytest.mark.parametrize("scheme3", ODD_EVEN_SCHEMES, ids=["odd", "even"])
 @pytest.mark.parametrize("name,wf", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_fused_s3_matches_full_grid(name, wf, scheme3):
-    x, w = axis_rule(wf.domains(1)[0], scheme3, 3)
+    x, w = axis_rule(wf.tables.domain, scheme3, 3)
     want = entropy_from_values(wf.density_tensor([x] * 3), [w] * 3)
     assert abs(_kernel_s3(wf, scheme3) - want) < 1e-12
 
@@ -389,7 +389,7 @@ MOMENTUM_CASES = [c for c in KERNEL_CASES if c[1].space == MOMENTUM]
 def test_fused_s3_matches_pointwise_density_in_momentum_space(name, wf, scheme3):
     # density_tensor shares the real terms and tables with the kernel; the
     # pointwise density of the complex orbitals shares neither
-    x, w = axis_rule(wf.domains(1)[0], scheme3, 3)
+    x, w = axis_rule(wf.tables.domain, scheme3, 3)
     want = entropy_from_values(wf.density(*np.meshgrid(x, x, x, indexing="ij")),
                                [w] * 3)
     assert abs(_kernel_s3(wf, scheme3) - want) < 1e-12
@@ -398,7 +398,7 @@ def test_fused_s3_matches_pointwise_density_in_momentum_space(name, wf, scheme3)
 def _higher_direct_full_grid(wf, scheme):
     """I^3 as the full-grid sum of |Psi|^2 ln R, with the floors of
     ``mutual_information_higher_direct``."""
-    x, w = axis_rule(wf.domains(1)[0], scheme, 3)
+    x, w = axis_rule(wf.tables.domain, scheme, 3)
     d = wf.density_tensor([x] * 3)
     lr = np.log(np.maximum(quadrature_marginal(wf, (0,))(x), DENSITY_FLOOR))
     lg = np.log(np.maximum(quadrature_marginal(wf, (0, 1))(x[:, None], x[None, :]),
@@ -424,10 +424,6 @@ def test_direct_higher_matches_full_grid(name, wf, scheme3):
     assert abs(mutual_information_higher_direct(wf, scheme3) - want) < 1e-12
 
 
-def _parities(wf):
-    return [orbital_parity(wf.tables.params, n) for n in wf.tables.orbitals]
-
-
 # D states of KERNEL_CASES -> the axes their parities let the kernel fold
 FOLDS = {
     # (+,-,+) and (-,+,-) interfere: flips of axes {1,2}, {1,3}, {2,3}
@@ -447,16 +443,16 @@ FOLDS = {
 @pytest.mark.parametrize("name", sorted(FOLDS))
 def test_fold_axes_of_distinguishable_states(name):
     wf = dict(KERNEL_CASES)[name]
-    assert slab_folds(wf.terms, False, _parities(wf)) == FOLDS[name]
+    assert slab_folds(wf.terms, False, wf.tables.parities) == FOLDS[name]
 
 
 def test_fold_axes_of_single_configurations(box):
     wf = build(Configuration(box, (1, 2, 3), DISTINGUISHABLE))
-    assert slab_folds(wf.terms, False, _parities(wf)) == (0, 1, 2)
+    assert slab_folds(wf.terms, False, wf.tables.parities) == (0, 1, 2)
     # a permanent mixes the parities over the axes; only the reflection
     # of all three, a product over all of (1, 2, 3), leaves it invariant
     wf = build(Configuration(box, (1, 2, 3), SYMMETRIC))
-    assert slab_folds(wf.terms, False, _parities(wf)) == (0,)
+    assert slab_folds(wf.terms, False, wf.tables.parities) == (0,)
 
 
 # S/A states of KERNEL_CASES whose every term the inversion of all three
@@ -469,7 +465,7 @@ EXCHANGE_SYMMETRIC = [c for c in KERNEL_CASES if c[1].symmetry != DISTINGUISHABL
 @pytest.mark.parametrize("name,wf", EXCHANGE_SYMMETRIC,
                          ids=[c[0] for c in EXCHANGE_SYMMETRIC])
 def test_inversion_invariance_of_exchange_symmetric_states(name, wf):
-    assert slab_folds(wf.terms, True, _parities(wf)) == \
+    assert slab_folds(wf.terms, True, wf.tables.parities) == \
         ((0,) if name in INVERTED else ())
 
 
@@ -491,7 +487,7 @@ def integrand_nodes(monkeypatch):
 def test_fused_s3_evaluates_each_distinct_value_once(name, wf, scheme3, integrand_nodes):
     _kernel_s3(wf, scheme3)
     # the nodes of the rule the kernel runs on: trim_rule drops oscillator tails
-    x, w = axis_rule(wf.domains(1)[0], scheme3, 3)
+    x, w = axis_rule(wf.tables.domain, scheme3, 3)
     n = len(trim_rule(wf.tables(x), w, 3)[1])
     if wf.symmetry == DISTINGUISHABLE:
         f = len(FOLDS[name])
@@ -514,7 +510,7 @@ def test_inversion_halves_only_the_scan_endpoints(box, sym, integrand_nodes):
     n = len(axis_rule(a.domains(1)[0], scheme3, 3)[1])
     for c1sq, folds in ((0.0, True), (0.5, False), (1.0, True)):
         wf = build_superposition(SuperpositionSpec(a, b, math.sqrt(c1sq)))
-        assert slab_folds(wf.terms, True, _parities(wf)) == ((0,) if folds else ())
+        assert slab_folds(wf.terms, True, wf.tables.parities) == ((0,) if folds else ())
         integrand_nodes.clear()
         entropy(wf, scheme3)
         slabs = (n + 1) // 2 if folds else n
@@ -569,7 +565,7 @@ def test_batched_s3_matches_per_sample_s3(box, sym, interference, scheme3,
         terms = [np.sqrt(c1sq) * coefficient_tensor(a, orbitals),
                  np.sqrt(1.0 - c1sq) * coefficient_tensor(b, orbitals)]
     symmetric = sym != DISTINGUISHABLE
-    folds = slab_folds(terms, symmetric, _parities(mixes[0]))
+    folds = slab_folds(terms, symmetric, mixes[0].tables.parities)
     # blocks hold at most n^2 values, so more calls than the slabs of the
     # groups the batch forms means some slab split its samples: the
     # interior samples run the slabs of the folds all samples keep, and an
@@ -603,7 +599,7 @@ def test_batched_error_estimate_matches_per_sample(box, sym, interference):
 
 def test_fused_s3_full_grid_without_parities(integrand_nodes):
     wf = dict(KERNEL_CASES)["d-mixture"]
-    x, w = axis_rule(wf.domains(1)[0], ODD_EVEN_SCHEMES[0], 3)
+    x, w = axis_rule(wf.tables.domain, ODD_EVEN_SCHEMES[0], 3)
     # no folds: the kernel runs the whole grid, to the folded value
     full = entropy_grid(wf.terms, wf.tables(x), w, False, ())
     assert sum(integrand_nodes) == len(w) ** 3
@@ -632,7 +628,7 @@ def test_fused_s3_builds_no_3d_grid(box, monkeypatch):
 
 def _cumulant3_full_grid(wf, scheme):
     """cumulant3 with <x1 x2 x3> summed over |Psi|^2 on the full 3D grid."""
-    x, w = axis_rule(wf.domains(1)[0], scheme, 3)
+    x, w = axis_rule(wf.tables.domain, scheme, 3)
     wx = w * x
     if wf.symmetry == DISTINGUISHABLE:
         ones, pairs = [(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]
@@ -696,7 +692,7 @@ def test_two_particle_entropy_matches_full_grid(box, ho, sym, space):
             want = sum(entropy(reduce_numerical(wf, 1, scheme, keep=(k,)))
                        for k in range(2))
         else:
-            x, w = axis_rule(wf.domains(1)[0], scheme, 2)
+            x, w = axis_rule(wf.tables.domain, scheme, 2)
             want = entropy_from_values(wf.density_tensor([x] * 2), [w] * 2)
         assert abs(entropy(wf, scheme) - want) <= 1e-13
 
@@ -724,7 +720,7 @@ TRIM_SCHEMES = [QuadratureScheme(), QuadratureScheme().coarsened()]
 def test_trimmed_rules_keep_every_entropy(scheme, monkeypatch):
     states = [wf for _, wf in TRIM_CASES]
     for wf in states:
-        x, w = axis_rule(wf.domains(1)[0], scheme, 3)
+        x, w = axis_rule(wf.tables.domain, scheme, 3)
         assert len(trim_rule(wf.tables(x), w, 3)[1]) < len(w)
     trimmed = compute_reports(states, scheme, with_error=False)
     monkeypatch.setattr(information, "trim_rule", lambda t, w, k: (t, w, 0.0))
@@ -764,7 +760,7 @@ def test_box_rules_keep_every_node(box, space):
         wf = build(Configuration(box, ns, SYMMETRIC, space))
         for scheme in TRIM_SCHEMES:
             for k in (1, 2, 3):
-                x, w = axis_rule(wf.domains(1)[0], scheme, k)
+                x, w = axis_rule(wf.tables.domain, scheme, k)
                 t, kept, bound = trim_rule(wf.tables(x), w, k)
                 assert len(kept) == len(w) == len(t) and bound == 0.0
 
@@ -800,7 +796,7 @@ def test_trim_bound_covers_the_dropped_nodes(name, wf):
     # on the coarse rules, where the dropped 3D nodes can be summed here
     scheme = TRIM_SCHEMES[1]
     for k in (1, 2, 3):
-        x, w = axis_rule(wf.domains(1)[0], scheme, k)
+        x, w = axis_rule(wf.tables.domain, scheme, k)
         t = wf.tables(x)
         kept, bound = trim_rule(t, w, k)[1:]
         m = (len(w) - len(kept)) // 2

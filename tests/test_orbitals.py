@@ -15,6 +15,7 @@ from symcorr.orbitals import (
     eval_orbital,
     hermite_functions,
     momentum_domain_scale,
+    orbital_factor,
     orbital_parity,
     position_domain_scale,
 )
@@ -211,6 +212,14 @@ def test_eval_orbital_dispatch_and_errors():
         eval_orbital(box, 1, "angular", 0.5)
     with pytest.raises(ValueError):
         eval_ho(0, 1.0, 0.3, space="angular")
+
+
+@pytest.mark.parametrize("params", [ModelParams.box(1.0), ModelParams.oscillator(1.0)])
+def test_orbital_factor_rejects_an_unknown_space(params):
+    # one check for both models, ahead of either model's factor
+    n = params.min_quantum_number()
+    with pytest.raises(ValueError, match="unknown space 'spin'"):
+        orbital_factor(params, n, "spin", 0.5)
 
 
 def test_domain_scales():

@@ -125,7 +125,7 @@ def _close(got, want):
 
 @pytest.mark.parametrize("name,st", STATES, ids=IDS)
 def test_terms_and_tables_are_real(name, st):
-    x, _ = axis_rule(st.domains(1)[0], SCHEME, 1)
+    x, _ = axis_rule(st.tables.domain, SCHEME, 1)
     assert not np.iscomplexobj(st.tables(x))
     assert all(not np.iscomplexobj(c) and np.any(c) for c in st.terms)
     if hasattr(st, "config"):
@@ -136,7 +136,7 @@ def test_terms_and_tables_are_real(name, st):
 @pytest.mark.parametrize("name,st", STATES, ids=IDS)
 def test_density_matches_pointwise_complex_density(name, st):
     n = st.nparticles
-    x, _ = axis_rule(st.domains(1)[0], SCHEME, n)
+    x, _ = axis_rule(st.tables.domain, SCHEME, n)
     got = density_grid(st.terms, [st.tables(x)] * n)
     want = st.density(*np.meshgrid(*[x] * n, indexing="ij"))
     _close(got, want)
@@ -147,7 +147,7 @@ def test_reduced_densities_match_complex_contraction(name, st):
     ones, pairs = _keeps(st)
     for keeps in (ones, pairs):
         k = len(keeps[0])
-        x, _ = axis_rule(st.domains(1)[0], SCHEME, k)
+        x, _ = axis_rule(st.tables.domain, SCHEME, k)
         q = orbital_products(st.tables(x))
         phi = _orbitals(st, x)
         products = [q] if k == 1 else [q[:, None], q[None, :]]
@@ -164,7 +164,7 @@ THREE = [c for c in STATES if c[1].nparticles == 3]
 
 @pytest.mark.parametrize("name,st", THREE, ids=[c[0] for c in THREE])
 def test_cumulant3_matches_complex_moments(name, st):
-    x, w = axis_rule(st.domains(1)[0], SCHEME, 3)
+    x, w = axis_rule(st.tables.domain, SCHEME, 3)
     ones, pairs = _keeps(st)
 
     def cumulant(t, x, conj, terms):

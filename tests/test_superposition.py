@@ -48,6 +48,17 @@ def test_spec_validation(box, ho):
     assert s.c2 == pytest.approx(0.8)
 
 
+@pytest.mark.parametrize("ns_b", [(3, 4), (3, 4, 5)])
+def test_spec_rejects_two_particle_states(box, ns_b):
+    # a scan's rows and extrema need s3 and I^3, which two particles lack
+    with pytest.raises(ValueError, match="scans are for 3-particle states"):
+        SuperpositionSpec(Configuration(box, (1, 2), SYMMETRIC),
+                          Configuration(box, ns_b, SYMMETRIC), c1=0.6)
+    with pytest.raises(ValueError, match="scans are for 3-particle states"):
+        SuperpositionSpec(Configuration(box, ns_b[::-1], SYMMETRIC),
+                          Configuration(box, (1, 2), SYMMETRIC), c1=0.6)
+
+
 def test_vanishing_norm_rejected(box):
     # c1 = -sqrt(1/2) of a state against itself: c1 Psi + c2 Psi = 0
     a = Configuration(box, (1, 2, 3), SYMMETRIC)
@@ -79,7 +90,7 @@ def test_component_overlap(box):
 @pytest.mark.parametrize("sym", [SYMMETRIC, ANTISYMMETRIC, DISTINGUISHABLE])
 def test_balanced_superposition_normalized(sym, interference, scheme):
     swf = build_superposition(spec_box(sym, 1.0 / math.sqrt(2.0), interference))
-    x, w = axis_rule(swf.domains(1)[0], scheme, 3)
+    x, w = axis_rule(swf.tables.domain, scheme, 3)
     d = swf.density_tensor([x] * 3)
     for ax in (2, 1, 0):
         d = np.tensordot(d, w, axes=([ax], [0]))
@@ -99,7 +110,7 @@ def test_nonorthogonal_components_renormalized(box, scheme):
     swf_same = build_superposition(spec_same)
     assert swf_same.overlap == pytest.approx(1.0)
     assert swf_same.norm_sq == pytest.approx(1.0 + 2 * 0.6 * 0.8)
-    x, w = axis_rule(swf_same.domains(1)[0], scheme, 3)
+    x, w = axis_rule(swf_same.tables.domain, scheme, 3)
     d = swf_same.density_tensor([x] * 3)
     for ax in (2, 1, 0):
         d = np.tensordot(d, w, axes=([ax], [0]))
@@ -191,7 +202,7 @@ def test_superposition_does_not_depend_on_component_order(
     b = Configuration(params, ns_b, sym, space)
     ab = build_superposition(SuperpositionSpec(a, b, math.sqrt(0.3)))
     ba = build_superposition(SuperpositionSpec(b, a, math.sqrt(0.7)))
-    assert ab.domains(3) == ba.domains(3) == b.domains(3)
+    assert ab.tables.domain == ba.tables.domain == b.tables.domain
     scheme = QuadratureScheme(panels=8, panels_3d=4, line_panels=8,
                               line_panels_3d=4)
     e_ab = compute_report(ab, scheme, with_error=False).entropies

@@ -11,12 +11,14 @@ from symcorr import (
     ModelParams,
     QuadratureScheme,
     build,
+    build_superposition,
     eval_density,
     exchange_symmetry_check,
     parse_symmetry,
 )
-from symcorr.orbitals import MOMENTUM, POSITION
-from symcorr.quadrature import axis_rule
+from symcorr.orbitals import MOMENTUM, POSITION, orbital_parity
+from symcorr.quadrature import Interval, RealLine, axis_rule
+from symcorr.superposition import SuperpositionSpec
 
 from conftest import dense_rule
 
@@ -26,7 +28,7 @@ RNG = np.random.default_rng(20240817)
 def norm_integral(wf, scheme=None):
     scheme = scheme or QuadratureScheme()
     n = wf.nparticles
-    x, w = axis_rule(wf.domains(1)[0], scheme, n)
+    x, w = axis_rule(wf.tables.domain, scheme, n)
     d = wf.density_tensor([x] * n)
     for axis in range(n - 1, -1, -1):
         d = np.tensordot(d, w, axes=([axis], [0]))
@@ -155,10 +157,62 @@ def test_amplitude_argument_checks(box):
     wf = build(Configuration(box, (1, 2, 3), SYMMETRIC))
     with pytest.raises(ValueError):
         wf.amplitude(0.1, 0.2)
-    with pytest.raises(ValueError):
-        wf.amplitude(0.1, 0.2, 1.5)  # outside the box
+    # each orbital checks each coordinate (orbitals.eval_box_position), on
+    # the pointwise path and on the tables' path to the marginals
+    for at in ((-0.1, 0.2, 0.3), (0.1, 1.2, 0.3), (0.1, 0.2, 1.5)):
+        with pytest.raises(ValueError, match="outside the box"):
+            wf.amplitude(*at)
+    for x in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="outside the box"):
+            wf.marginal_values((0,), (x,))
     with pytest.raises(ValueError):
         wf.amplitude_tensor([np.linspace(0, 1, 4)] * 2)
+
+
+def test_tables_are_one_value_per_orbital_set(box):
+    # a configuration and a superposition over the orbitals 1, 2, 3 share
+    # their tables, and so a group key, a rule table and a domain
+    cfg = Configuration(box, (3, 2, 1), SYMMETRIC)
+    mix = build_superposition(SuperpositionSpec(
+        Configuration(box, (1, 1, 3), SYMMETRIC),
+        Configuration(box, (2, 3, 3), SYMMETRIC), c1=0.6))
+    assert cfg.tables.orbitals == mix.tables.orbitals == (1, 2, 3)
+    assert cfg.tables == mix.tables and hash(cfg.tables) == hash(mix.tables)
+    assert {cfg.tables: 1}[mix.tables] == 1
+    assert build(cfg).tables is cfg.tables
+    assert cfg.tables != Configuration(box, (1, 2, 3), SYMMETRIC, MOMENTUM).tables
+    assert cfg.tables != Configuration(box, (1, 2, 4), SYMMETRIC).tables
+
+
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+@pytest.mark.parametrize("model", ["box", "ho"])
+def test_tables_domain_is_the_configuration_axis(model, space):
+    # [0, L] for the box in position space, else the real line mapped with
+    # the scale of the highest orbital, the same for every arity
+    if model == "box":
+        params, ns = ModelParams.box(2.5), (1, 2, 6)
+        want = Interval(0.0, 2.5) if space == POSITION \
+            else RealLine(6 * math.pi / 2.5 + 10.0 / 2.5)
+    else:
+        params, ns = ModelParams.oscillator(4.0), (0, 1, 5)
+        want = RealLine((math.sqrt(11.0) + 6.0) * (0.5 if space == POSITION else 2.0))
+    cfg = Configuration(params, ns, ANTISYMMETRIC, space)
+    assert cfg.tables.domain == want == cfg.domains(1)[0]
+    assert cfg.domains() == cfg.domains(3) == [want] * 3
+    assert build(cfg).tables.domain == want
+
+
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+def test_tables_parities_are_the_orbital_parities(box, ho, space):
+    for params, ns, want in ((box, (1, 2, 3, 6), (1, -1, 1, -1)),
+                             (ho, (0, 1, 2, 5), (1, -1, 1, -1))):
+        tables = Configuration(params, ns[:3], SYMMETRIC, space).tables
+        assert tables.parities == want[:3]
+        assert tables.parities == tuple(orbital_parity(params, n) for n in ns[:3])
+        mix = build_superposition(SuperpositionSpec(
+            Configuration(params, ns[:3], SYMMETRIC, space),
+            Configuration(params, ns[1:], SYMMETRIC, space), c1=0.6))
+        assert mix.tables.parities == want
 
 
 def test_eval_density_scalar(box):
