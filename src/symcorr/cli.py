@@ -145,7 +145,10 @@ def cmd_scan_n3(args):
     if len(base) != 2:
         raise ValueError("scan-n3 expects --n with the two fixed quantum numbers")
     lo, _, hi = args.n3_range.partition(":")
-    n3_values = range(int(lo), int(hi) + 1)
+    try:
+        n3_values = range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise ValueError(f"--n3-range takes lo:hi integers, not {args.n3_range!r}") from None
     if not n3_values:
         raise ValueError(f"--n3-range {args.n3_range!r} is empty: need lo <= hi")
     # one batch, so each S/A pair shares its orbital tables and s3 pass

@@ -42,14 +42,13 @@ group of their own, on the inverted half sector.  The orbital table of
 each distinct rule is evaluated once per level; the 1D and 2D rules are
 one rule, so rho and Gamma share it.  s1 and s2 integrate each state's
 exact rho and Gamma, from the reduced density matrices of its
-coefficient tensor, formed once per group: rho of every member is one
-product, and Gamma combines an orthonormal basis of the span of the
-members' pair matrices (one SVD; rank 3 on an interfering scan curve),
-each element tabulated once per rule.  A marginal runs on the first
-half of each axis its orbital products' parities let it fold
-(``wavefunction.fold_axes``).  For distinguishable (Hartree-type)
-states the marginals differ per coordinate; s1 and s2 are then the
-averages over coordinates/pairs, which reproduces the
+coefficient tensor, formed once per group: each member's rho and Gamma
+are its own matrix contracted with the orbital products, so grouping
+changes no s1 or s2.  A marginal runs on the first half of each axis
+its orbital products' parities let it fold (``wavefunction.fold_axes``).
+For distinguishable (Hartree-type) states the marginals differ per
+coordinate; s1 and s2 are then the averages over coordinates/pairs,
+which reproduces the
 distinguishable-system decomposition of I^3, sum s2_ij - sum s1_i - s3,
 exactly and keeps the hierarchy identities intact.  A Hartree product
 factorizes, so its s2 and s3 are 2 s1 and 3 s1, and every correlation
@@ -238,56 +237,43 @@ def _keeps(wf):
 
 
 def _density_forms(stacked, keeps, parities):
-    """Per keep, (coefficients, basis, folds) of a group's density matrices.
+    """Per keep, (matrices, folds) of a group's reduced density matrices.
 
-    ``stacked`` holds the members' terms along a sample axis.  Member s's
-    ``density_matrix`` is coefficients[s] @ basis; coefficients None
-    means the members' own matrices are the basis, as for one
-    coordinate, whose rho of all members is then one product, and for a
-    single state.  A pair of coordinates of several members takes an
-    orthonormal basis of the span of their matrices from one SVD, with
-    the default tolerance of ``numpy.linalg.matrix_rank``: the matrices
-    of a scan curve's samples are quadratic forms in (c1, c2), of rank 3
-    with interference and 2 without.  ``folds`` (``fold_axes``) are the
-    kept axes the marginal's entropy runs on the first half of: an
-    orbital product phi_a phi_c has parity p_a p_c, and the folds follow
-    from those parities at the nonzero entries of every member's matrix.
+    ``stacked`` holds the members' terms along a sample axis, and
+    ``matrices`` is their ``density_matrix``, member s at index s.
+    ``folds`` (``fold_axes``) are the kept axes the marginal's entropy
+    runs on the first half of: an orbital product phi_a phi_c has parity
+    p_a p_c, and the folds follow from those parities at the nonzero
+    entries of every member's matrix.
     """
     pp = np.outer(parities, parities).ravel()
     forms = []
     for keep in keeps:
         ks = density_matrix(stacked, keep)
-        folds = fold_axes([pp[np.argwhere(np.any(ks, axis=0))]], len(keep))
-        if len(keep) == 1 or len(ks) == 1:
-            forms.append((None, ks, folds))
-            continue
-        flat = ks.reshape(len(ks), -1)
-        v, sv, ut = np.linalg.svd(flat.T, full_matrices=False)  # the faster side
-        rank = np.count_nonzero(sv > sv[0] * max(flat.shape) * np.finfo(float).eps)
-        forms.append((ut[:rank].T * sv[:rank],
-                      v[:, :rank].T.reshape((rank,) + ks.shape[1:]), folds))
+        forms.append((ks, fold_axes([pp[np.argwhere(np.any(ks, axis=0))]], len(keep))))
     return forms
 
 
 def _mean_entropies(forms, q, w):
     """Each member's entropy of its marginals, mean over the keeps, (S,).
 
-    On the rule of orbital products q and weights w, each basis element
-    of ``forms`` (``_density_forms``) is tabulated once, on the first
-    half of each folded axis, and every member combines them.
+    On the rule of orbital products q and weights w, each member's
+    matrix of ``forms`` (``_density_forms``) is contracted with q on
+    its own, on the first half of each folded axis: a member's rho is
+    K q^T and its Gamma Q K Q^T, so a member of a group gets the same
+    s1 and s2, to the last bit, as it does on its own.
     """
     half = q[:(len(w) + 1) // 2], _folded(w)
     total = 0.0
-    for coef, basis, folds in forms:
-        axes = [half if ax in folds else (q, w) for ax in range(basis.ndim - 1)]
+    for ks, folds in forms:
+        axes = [half if ax in folds else (q, w) for ax in range(ks.ndim - 1)]
         if len(axes) == 2:  # Gamma, flattened
             (q0, w0), (q1, w1) = axes
-            tabs = np.stack([(q0 @ b @ q1.T).ravel() for b in basis])
+            vals = ((q0 @ k @ q1.T).ravel() for k in ks)
             weights = np.outer(w0, w1).ravel()
         else:  # rho
             ((q0, weights),) = axes
-            tabs = basis @ q0.T
-        vals = tabs if coef is None else (c @ tabs for c in coef)
+            vals = (k @ q0.T for k in ks)
         total = total + np.array([entropy_from_values(v, [weights]) for v in vals])
     return total / len(forms)
 
@@ -299,12 +285,12 @@ def _entropies(states, groups, scheme):
     evaluated once per call and rule, and each entropy of k coordinates
     runs on the nodes ``trim_rule`` keeps for k.  A group's reduced
     density matrices are formed once (``_density_forms``) and feed its
-    s1 and s2 on every rule.  A group is all Hartree products, whose
-    joint density factorizes, or none.  For other three-particle states
-    I^3 is 3 s2' - 3 s1' - s3', all three on the trimmed 3D rule, with
-    s3' from one ``entropy_grid`` pass over the members' terms stacked
-    along a sample axis, on the region ``slab_folds`` sets, and s3 is
-    3 s2 - 3 s1 - I^3.
+    s1 and s2 on every rule, each member's from its own matrix.  A group
+    is all Hartree products, whose joint density factorizes, or none.
+    For other three-particle states I^3 is 3 s2' - 3 s1' - s3', all three
+    on the trimmed 3D rule, with s3' from one ``entropy_grid`` pass over
+    the members' terms stacked along a sample axis, on the region
+    ``slab_folds`` sets, and s3 is 3 s2 - 3 s1 - I^3.
     """
     tables = {}
     out = [None] * len(states)
@@ -372,18 +358,22 @@ def compute_reports(systems, scheme=None, with_error=True):
     (``build_superposition``).  The systems are grouped once
     (``_group_key``): the members of a group, such as the interior c1^2
     samples of a scan, share their orbital tables, and a three-particle
-    group's s3 comes from one pass over the slabs (``_entropies``).  With ``with_error``
-    the coarse level runs on the same groups.  Each report is checked by
-    ``_report``: pair mutual information more negative than -tol raises
+    group's s3 comes from one pass over the slabs (``_entropies``).
+    Grouping changes no s1 or s2: each member's are those of its own
+    report.  With ``with_error`` the coarse level runs on the same
+    groups, and a scheme ``coarsened`` cannot halve raises ``ValueError``
+    before either level runs.  Each report is checked by ``_report``:
+    pair mutual information more negative than -tol raises
     ``NonConvergenceError``.  A batch returns every report or raises.
     """
     scheme = scheme or QuadratureScheme()
+    coarse_scheme = with_error and scheme.coarsened()
     wfs = [_as_wavefunction(s) for s in systems]
     groups = {}
     for k, wf in enumerate(wfs):
         groups.setdefault(_group_key(wf), []).append(k)
     fine = _entropies(wfs, groups.values(), scheme)
-    coarse = _entropies(wfs, groups.values(), scheme.coarsened()) if with_error \
+    coarse = _entropies(wfs, groups.values(), coarse_scheme) if with_error \
         else [None] * len(wfs)
     return [_report(*args, scheme) for args in zip(wfs, fine, coarse)]
 

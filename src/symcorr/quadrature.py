@@ -36,6 +36,8 @@ DENSITY_FLOOR = 1e-300
 NEGATIVE_NOISE_TOL = 1e-12
 # relative round-off allowed in the mirror image of a rule
 MIRROR_RTOL = 1e-12
+# the panel-count fields of QuadratureScheme
+_PANEL_COUNTS = ("panels", "panels_3d", "line_panels", "line_panels_3d")
 
 
 class NonConvergenceError(RuntimeError):
@@ -99,11 +101,10 @@ class QuadratureScheme:
     target_abs_tol: float = 5e-5
 
     def __post_init__(self):
-        for name in ("panels", "panels_3d", "line_panels", "line_panels_3d", "nodes_per_panel"):
+        for name in _PANEL_COUNTS + ("nodes_per_panel",):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if min(self.panels, self.panels_3d, self.line_panels, self.line_panels_3d) \
-                * self.nodes_per_panel < 16:
+        if min(getattr(self, n) for n in _PANEL_COUNTS) * self.nodes_per_panel < 16:
             raise ValueError("fewer than 16 nodes per axis")
         if not self.target_abs_tol > 0:
             raise ValueError("target_abs_tol must be positive")
@@ -114,15 +115,22 @@ class QuadratureScheme:
         return self.panels_3d if ndim >= 3 else self.panels
 
     def coarsened(self):
-        """Half the panel counts; used for the two-level error estimate."""
+        """Half the panel counts; used for the two-level error estimate.
+
+        Each count is halved, but to no fewer panels than keep 16 nodes
+        per axis.  A count already at that floor would give a coarse
+        rule equal to the fine one, and so an error estimate of exactly
+        0 however far the fine rule is from converged: this raises
+        ``ValueError`` instead, naming those counts.
+        """
         floor = -(-16 // self.nodes_per_panel)  # keep >= 16 nodes per axis
-        return replace(
-            self,
-            panels=max(floor, self.panels // 2),
-            panels_3d=max(floor, self.panels_3d // 2),
-            line_panels=max(floor, self.line_panels // 2),
-            line_panels_3d=max(floor, self.line_panels_3d // 2),
-        )
+        stuck = [n for n in _PANEL_COUNTS if getattr(self, n) <= floor]
+        if stuck:
+            raise ValueError(
+                f"no coarser rule for the error estimate: {', '.join(stuck)} at "
+                f"the floor of {floor} panels of {self.nodes_per_panel} nodes, the "
+                "fewest that keep 16 nodes per axis")
+        return replace(self, **{n: max(floor, getattr(self, n) // 2) for n in _PANEL_COUNTS})
 
 
 @dataclass(frozen=True)
@@ -206,7 +214,8 @@ def integrate(f, domains, scheme=None):
 
     ``f`` must accept one broadcastable array argument per coordinate and
     return values of matching shape.  The error estimate is the
-    difference against a run with half the panels per axis.
+    difference against a run with half the panels per axis
+    (``QuadratureScheme.coarsened``, which raises at the 16-node floor).
     """
     scheme = scheme or QuadratureScheme()
     ndim = len(domains)

@@ -445,15 +445,11 @@ def reduced_density(terms, keep, products):
 
     ``density_matrix`` of the terms contracted with q(x) on each kept
     axis; ``products`` holds ``orbital_products`` of the tables at the
-    kept coordinates.  Two tables on an outer grid, (n, 1) and (1, m)
-    points, take one matrix product for the second contraction.
+    kept coordinates.
     """
     kmat = density_matrix([c[None] for c in terms], keep)[0]
     rr = len(kmat)
     vals = products[0] @ kmat.reshape(rr, -1)
-    if len(keep) == 2 and vals.ndim == products[1].ndim == 3 \
-            and vals.shape[1] == products[1].shape[0] == 1:
-        return vals[:, 0, :] @ products[1][0].T
     for q in products[1:]:
         vals = np.einsum("...pq,...p->...q",
                          vals.reshape(vals.shape[:-1] + (rr, -1)), q)

@@ -386,12 +386,27 @@ def test_density_grid_rejects_empty_grid(capsys):
 
 
 def test_scan_n3_rejects_empty_or_malformed_range(capsys):
-    # 6:3 printed only the CSV header and exited 0
-    for text in ("6:3", "3", "3:x"):
+    # 6:3 printed only the CSV header and exited 0; the others printed
+    # int()'s "invalid literal for int() with base 10: ''"
+    for text in ("6:3", "3", "3:", "3:x", "a:b"):
         code, out, err = run(capsys, "scan-n3", "--panels", "10",
                              "--n3-range", text, "--format", "csv")
         assert code == 2 and out == "", text
-        assert "is empty" in err if text == "6:3" else "invalid literal" in err
+        assert "is empty" in err if text == "6:3" \
+            else f"takes lo:hi integers, not {text!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--n", "1,2,3", "--sym", "a", "--panels", "2"],
+    ["report", "--n", "1,2,3", "--sym", "a", "--panels", "4", "--nodes", "5"],
+    ["scan-n3", "--n3-range", "3:3", "--panels", "2"],
+], ids=["report-panels-2", "report-nodes-5", "scan-n3"])
+def test_no_error_level_at_the_node_floor_is_a_usage_error(capsys, argv):
+    # report --panels 2 printed "(est. error) 0.00e+00" for an s_Psi 5e-3
+    # off: its coarse level was its fine level
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "no coarser rule for the error estimate" in err
 
 
 def test_tol_reaches_the_scheme(capsys):

@@ -328,6 +328,12 @@ ODD_EVEN_SCHEMES = [
     QuadratureScheme(panels_3d=3, line_panels_3d=3, nodes_per_panel=7),
     QuadratureScheme(panels_3d=4, line_panels_3d=4, nodes_per_panel=5),
 ]
+# the same with an error level: 5 x 5 = 25 and 5 x 4 = 20 nodes, whose 3D
+# counts ``coarsened`` can halve (3 and 4 panels above are its floor)
+ERROR_SCHEMES = [
+    QuadratureScheme(panels_3d=5, line_panels_3d=5, nodes_per_panel=5),
+    QuadratureScheme(panels_3d=5, line_panels_3d=5, nodes_per_panel=4),
+]
 
 
 def _kernel_cases():
@@ -589,12 +595,34 @@ def test_batched_error_estimate_matches_per_sample(box, sym, interference):
     mixes = [build_superposition(SuperpositionSpec(a, b, math.sqrt(c1sq),
                                                    interference))
              for c1sq in (0.0, 0.3, 0.5, 1.0)]
-    scheme3 = ODD_EVEN_SCHEMES[1]
+    scheme3 = ERROR_SCHEMES[1]
     for mix, rep in zip(mixes, compute_reports(mixes, scheme3)):
         one = compute_report(mix, scheme3)
         assert abs(rep.entropies.error_estimate
                    - one.entropies.error_estimate) <= 1e-13
         assert rep.system == one.system
+
+
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+def test_a_batch_changes_no_s1_or_s2(box, space):
+    # each member's rho and Gamma are its own density matrix contracted
+    # with the orbital products, so a batch gives every member the s1 and
+    # s2 of its own report to the last bit (up to 1.1e-14 apart when a
+    # scan curve's Gamma combined one basis of the members' span): the
+    # four scan curves, and the S/A pair of each n3 of ``scan-n3``
+    states = []
+    for sym, interference in SCAN_CURVES:
+        a = Configuration(box, (1, 2, 3), sym, space)
+        b = Configuration(box, (4, 5, 6), sym, space)
+        states += [build_superposition(SuperpositionSpec(a, b, math.sqrt(c1sq),
+                                                         interference))
+                   for c1sq in DEFAULT_C1SQ_GRID]
+    states += [Configuration(box, (1, 2, n3), sym, space)
+               for n3 in (3, 4, 5) for sym in (ANTISYMMETRIC, SYMMETRIC)]
+    scheme = ODD_EVEN_SCHEMES[0]
+    for st, rep in zip(states, compute_reports(states, scheme, with_error=False)):
+        one = compute_report(st, scheme, with_error=False).entropies
+        assert (rep.entropies.s1, rep.entropies.s2) == (one.s1, one.s2), rep.system
 
 
 def test_fused_s3_full_grid_without_parities(integrand_nodes):
@@ -613,12 +641,12 @@ def test_fused_s3_builds_no_3d_grid(box, monkeypatch):
     monkeypatch.setattr(WaveFunction, "density_tensor", forbidden)
     monkeypatch.setattr(_CachedMixture, "density_tensor", forbidden)
     rep = compute_report(Configuration(box, (1, 1, 2), SYMMETRIC, MOMENTUM),
-                         ODD_EVEN_SCHEMES[0])
+                         ERROR_SCHEMES[0])
     assert rep.entropies.error_estimate is not None
     spec = SuperpositionSpec(Configuration(box, (1, 2, 3), DISTINGUISHABLE),
                              Configuration(box, (4, 5, 6), DISTINGUISHABLE),
                              math.sqrt(0.5))
-    compute_report(build_superposition(spec), ODD_EVEN_SCHEMES[1])
+    compute_report(build_superposition(spec), ERROR_SCHEMES[1])
     # the validation integrals build none either
     for _, wf in KERNEL_CASES:
         cumulant3(wf, ODD_EVEN_SCHEMES[0])

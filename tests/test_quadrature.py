@@ -197,6 +197,24 @@ def test_scheme_validation_and_coarsening():
     assert sch.coarsened().panels == sch.panels // 2
 
 
+@pytest.mark.parametrize("kwargs,stuck", [
+    (dict(panels=2, panels_3d=2, line_panels=2, line_panels_3d=2),
+     "panels, panels_3d, line_panels, line_panels_3d"),
+    (dict(panels=4, panels_3d=4, line_panels=4, line_panels_3d=4, nodes_per_panel=5),
+     "panels, panels_3d, line_panels, line_panels_3d"),
+    (dict(panels_3d=3, nodes_per_panel=7), "panels_3d"),
+])
+def test_coarsened_raises_at_the_node_floor(kwargs, stuck):
+    # a count at the floor was kept, so the "coarse" rule was the fine one
+    # and every error estimate read exactly 0: on 2 panels sin(40x)^2
+    # integrated to 0.4570, not 0.5062, with error_estimate 0.0
+    sch = QuadratureScheme(**kwargs)
+    with pytest.raises(ValueError, match=f"error estimate: {stuck} at the floor"):
+        sch.coarsened()
+    with pytest.raises(ValueError, match="keep 16 nodes per axis"):
+        integrate(lambda x: np.sin(40 * x) ** 2, [Interval(0.0, 1.0)], sch)
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         Interval(1.0, 1.0)
