@@ -35,7 +35,7 @@ from .superposition import (
     SuperpositionSpec,
     scan_coefficient,
 )
-from .wavefunction import Configuration, build, parse_symmetry
+from .wavefunction import Configuration, parse_symmetry
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -167,10 +167,12 @@ def cmd_scan_superposition(args):
     ns_b = _parse_ns(args.n_second)
     sym = parse_symmetry(args.sym)
     scheme = _scheme(args)
-    if args.c1sq_grid:
-        samples = [float(v) for v in args.c1sq_grid.split(",")]
-    else:
-        samples = list(DEFAULT_C1SQ_GRID)
+    try:
+        samples = [float(v) for v in args.c1sq_grid.split(",")] \
+            if args.c1sq_grid else list(DEFAULT_C1SQ_GRID)
+    except ValueError:
+        raise ValueError("--c1sq-grid takes comma-separated numbers, "
+                         f"not {args.c1sq_grid!r}") from None
     results = []
     for space in _spaces(args):
         spec = SuperpositionSpec(
@@ -231,9 +233,9 @@ def cmd_density_grid(args):
     space = args.space
     if space == "both":
         raise ValueError("density-grid needs a single space")
-    wf = build(Configuration(params, ns, sym, space))
+    cfg = Configuration(params, ns, sym, space)
     # for two particles the pair density is |Psi|^2 itself
-    text = export_density_grid(reduce_numerical(wf, 2), n_points=args.points)
+    text = export_density_grid(reduce_numerical(cfg, 2), n_points=args.points)
     _emit(text.rstrip("\n"), args.out)
     return 0
 

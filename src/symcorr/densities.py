@@ -70,7 +70,7 @@ def _require_single_distinct(wf):
     if wf.symmetry not in (SYMMETRIC, ANTISYMMETRIC):
         raise ValueError("reduce_to_one/reduce_to_pair need an "
                          "(anti)symmetrized state; use reduce_numerical")
-    if not wf.config.distinct:
+    if not wf.distinct:
         raise ValueError(
             "reduce_to_one/reduce_to_pair need distinct quantum numbers; "
             "use reduce_numerical for repeated ones")

@@ -92,7 +92,6 @@ from .wavefunction import (
     DISTINGUISHABLE,
     Configuration,
     _folded,
-    build,
     density_matrix,
     entropy_grid,
     fold_axes,
@@ -174,18 +173,12 @@ class InformationReport:
         return row
 
 
-def _as_wavefunction(system):
-    if isinstance(system, Configuration):
-        return build(system)
-    return system
-
-
 def entropy(density, scheme=None):
     """-integral d ln d of a ReducedDensity or of a state's |Psi|^2.
 
     A ReducedDensity carries its own table, which is integrated as it
     is; ``scheme`` applies to states (anything with coefficient-tensor
-    ``terms``: a WaveFunction or a superposition).  It is the last
+    ``terms``: a Configuration or a superposition).  It is the last
     entropy of the state's report: s2 for two particles, and for three
     s3 = 3 s2 - 3 s1 - I^3 (see the module docstring).
     """
@@ -354,7 +347,7 @@ def _report(wf, fine, coarse, scheme):
 def compute_reports(systems, scheme=None, with_error=True):
     """InformationReports of two- and three-particle systems, computed together.
 
-    Each system is a Configuration, a WaveFunction, or a superposition
+    Each system is a Configuration or a superposition
     (``build_superposition``).  The systems are grouped once
     (``_group_key``): the members of a group, such as the interior c1^2
     samples of a scan, share their orbital tables, and a three-particle
@@ -368,7 +361,7 @@ def compute_reports(systems, scheme=None, with_error=True):
     """
     scheme = scheme or QuadratureScheme()
     coarse_scheme = with_error and scheme.coarsened()
-    wfs = [_as_wavefunction(s) for s in systems]
+    wfs = list(systems)
     groups = {}
     for k, wf in enumerate(wfs):
         groups.setdefault(_group_key(wf), []).append(k)
@@ -396,11 +389,10 @@ def mutual_information_pair_direct(system, scheme=None):
     systems only.
     """
     scheme = scheme or QuadratureScheme()
-    wf = _as_wavefunction(system)
-    if wf.symmetry == DISTINGUISHABLE:
+    if system.symmetry == DISTINGUISHABLE:
         raise ValueError("direct pair integral assumes indistinguishable marginals")
-    x, w = axis_rule(wf.tables.domain, scheme, 2)
-    gamma, rho = _marginals_at(wf, x)
+    x, w = axis_rule(system.tables.domain, scheme, 2)
+    gamma, rho = _marginals_at(system, x)
     mask = gamma > DENSITY_FLOOR
     denom = np.maximum(np.outer(rho, rho), DENSITY_FLOOR)
     wmat = np.outer(w, w)
@@ -430,21 +422,20 @@ def mutual_information_higher_direct(system, scheme=None):
     scheme the two differ by 1.8e-5 for A(1,2,3) and 2.6e-5 for S(1,1,2).
     """
     scheme = scheme or QuadratureScheme()
-    wf = _as_wavefunction(system)
-    if wf.symmetry == DISTINGUISHABLE:
+    if system.symmetry == DISTINGUISHABLE:
         raise ValueError("direct higher-order integral assumes "
                          "indistinguishable marginals")
-    x, w = axis_rule(wf.tables.domain, scheme, 3)
-    gamma, rho = _marginals_at(wf, x)
+    x, w = axis_rule(system.tables.domain, scheme, 3)
+    gamma, rho = _marginals_at(system, x)
     log_rho = np.log(np.maximum(rho, DENSITY_FLOOR))
     g = 0.5 * (log_rho[:, None] + log_rho) - np.log(np.maximum(gamma, DENSITY_FLOOR))
-    t = wf.tables(x)
+    t = system.tables(x)
     gram = (t.T * w) @ t
-    kmat = sum(np.einsum("abc,cd,efd->aebf", c, gram, c) for c in wf.terms)
+    kmat = sum(np.einsum("abc,cd,efd->aebf", c, gram, c) for c in system.terms)
     q = orbital_products(t)
     gamma_rule = q @ kmat.reshape(q.shape[1], -1) @ q.T
     return 3.0 * float(w @ (gamma_rule * g) @ w) \
-        - entropy_grid(wf.terms, t, w, True, ())
+        - entropy_grid(system.terms, t, w, True, ())
 
 
 def entropy_sum_check(params, ns, symmetry, scheme=None):
@@ -456,7 +447,7 @@ def entropy_sum_check(params, ns, symmetry, scheme=None):
     sums = {}
     for space in (POSITION, MOMENTUM):
         cfg = Configuration(params=params, ns=ns, symmetry=symmetry, space=space)
-        sums[space] = entropy(reduce_numerical(build(cfg), 1, scheme))
+        sums[space] = entropy(reduce_numerical(cfg, 1, scheme))
     total = sums[POSITION] + sums[MOMENTUM]
     return total, ENTROPIC_BOUND, bool(total >= ENTROPIC_BOUND - 1e-9)
 
@@ -474,17 +465,17 @@ def cumulant3(system, scheme=None):
     each axis a lower moment leaves out.
     """
     scheme = scheme or QuadratureScheme()
-    wf = _as_wavefunction(system)
-    x, w = axis_rule(wf.tables.domain, scheme, 3)
-    t = wf.tables(x)
+    x, w = axis_rule(system.tables.domain, scheme, 3)
+    t = system.tables(x)
     xmat = (t.T * (w * x)) @ t
     eye = np.eye(len(xmat))
 
     def moment(keep):
         mats = [xmat if k in keep else eye for k in range(3)]
-        return sum(np.einsum("abc,ad,be,cf,def->", c, *mats, c) for c in wf.terms)
+        return sum(np.einsum("abc,ad,be,cf,def->", c, *mats, c)
+                   for c in system.terms)
 
-    ones, pairs = _keeps(wf)
+    ones, pairs = _keeps(system)
     m1 = float(np.mean([moment(k) for k in ones]))
     m2 = float(np.mean([moment(k) for k in pairs]))
     m3 = float(moment((0, 1, 2)))

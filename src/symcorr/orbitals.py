@@ -50,11 +50,11 @@ class ModelParams:
 
     def __post_init__(self):
         if self.kind == "box":
-            if self.L is None or not self.L > 0:
-                raise ValueError("box model requires L > 0")
+            if self.L is None or not 0 < self.L < math.inf:
+                raise ValueError("box model requires a finite L > 0")
         elif self.kind == "oscillator":
-            if self.omega is None or not self.omega > 0:
-                raise ValueError("oscillator model requires omega > 0")
+            if self.omega is None or not 0 < self.omega < math.inf:
+                raise ValueError("oscillator model requires a finite omega > 0")
         else:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
@@ -70,7 +70,7 @@ class ModelParams:
         return 1 if self.kind == "box" else 0
 
     def validate_quantum_number(self, n):
-        if int(n) != n or n < self.min_quantum_number():
+        if not math.isfinite(n) or int(n) != n or n < self.min_quantum_number():
             raise ValueError(
                 f"invalid quantum number {n} for {self.kind} model")
 

@@ -38,7 +38,6 @@ from .reference_tables import ROW_KEYS
 from .wavefunction import (
     Configuration,
     OrbitalTables,
-    build,
     coefficient_tensor,
     density_grid,
     orbital_products,
@@ -123,8 +122,6 @@ class _CachedMixture:
         else:
             terms = (self.c1 * ca, self.c2 * cb)
         self.terms = tuple(c for c in terms if c.any())
-        self.wf_a = build(a)
-        self.wf_b = build(b)
 
     @property
     def nparticles(self):
@@ -148,16 +145,15 @@ class _CachedMixture:
     def amplitude(self, *coords):
         if not self.interference:
             raise ValueError("an interference-free mixture has no amplitude")
-        return (self.c1 * self.wf_a.amplitude(*coords)
-                + self.c2 * self.wf_b.amplitude(*coords)) / math.sqrt(self.norm_sq)
+        a, b = self.spec.state_a, self.spec.state_b
+        return (self.c1 * a.amplitude(*coords)
+                + self.c2 * b.amplitude(*coords)) / math.sqrt(self.norm_sq)
 
     def density(self, *coords):
-        da = self.wf_a.density(*coords)
-        db = self.wf_b.density(*coords)
-        out = self.c1**2 * da + self.c2**2 * db
+        a, b = self.spec.state_a, self.spec.state_b
+        out = self.c1**2 * a.density(*coords) + self.c2**2 * b.density(*coords)
         if self.interference:
-            cross = np.real(np.conj(self.wf_a.amplitude(*coords))
-                            * self.wf_b.amplitude(*coords))
+            cross = np.real(np.conj(a.amplitude(*coords)) * b.amplitude(*coords))
             out = (out + 2.0 * self.c1 * self.c2 * cross) / self.norm_sq
         return out
 
@@ -228,7 +224,7 @@ def scan_coefficient(spec_template, c1sq_samples=DEFAULT_C1SQ_GRID,
     samples = sorted(float(c) for c in c1sq_samples)
     if len(samples) < 3:
         raise ValueError("a coefficient scan needs at least 3 samples")
-    if samples[0] < 0.0 or samples[-1] > 1.0 or len(set(samples)) != len(samples):
+    if not all(0.0 <= c <= 1.0 for c in samples) or len(set(samples)) != len(samples):
         raise ValueError("c1^2 samples must be distinct values in [0, 1]")
 
     a, b = spec_template.state_a, spec_template.state_b

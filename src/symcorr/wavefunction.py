@@ -36,10 +36,12 @@ orbitals.  The
 reduced densities follow exactly from the reduced density matrices of
 C, by orbital orthonormality, with no quadrature over the integrated
 coordinates.
-``WaveFunction.amplitude`` keeps the explicit permutation expansion of
-the complex orbitals (``orbitals.eval_orbital``) as an independent
-pointwise reference.  Wavefunctions are immutable value
-objects; evaluation is referentially transparent.
+A ``Configuration`` is its own wavefunction, an immutable value whose
+evaluation is referentially transparent; ``WaveFunction`` is another
+name for it, and ``build`` returns the configuration it is given.
+``Configuration.amplitude`` keeps the explicit permutation expansion
+of the complex orbitals (``orbitals.eval_orbital``) as an independent
+pointwise reference.
 """
 
 from __future__ import annotations
@@ -117,7 +119,12 @@ def parse_symmetry(tag):
 
 @dataclass(frozen=True)
 class Configuration:
-    """One N-particle configuration: model, quantum numbers, symmetry, space."""
+    """One N-particle state: model, quantum numbers, symmetry, space.
+
+    A configuration is its own wavefunction: ``terms`` is its one real C
+    over its ``tables``, and ``amplitude`` the explicit permutation
+    expansion of the complex orbitals.
+    """
 
     params: ModelParams
     ns: tuple
@@ -125,15 +132,15 @@ class Configuration:
     space: str = POSITION
 
     def __post_init__(self):
-        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
         if len(self.ns) not in (2, 3):
             raise ValueError("only 2- and 3-particle systems are supported")
         if self.symmetry not in (SYMMETRIC, ANTISYMMETRIC, DISTINGUISHABLE):
             raise ValueError(f"unknown symmetry class {self.symmetry!r}")
         if self.space not in (POSITION, MOMENTUM):
             raise ValueError(f"unknown space {self.space!r}")
-        for n in self.ns:
+        for n in self.ns:  # as given, so that 1.5 is not taken for 1
             self.params.validate_quantum_number(n)
+        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
         counts = Counter(self.ns)
         if self.symmetry == ANTISYMMETRIC and max(counts.values()) > 1:
             raise ValueError(
@@ -160,14 +167,76 @@ class Configuration:
         """Per-axis integration domains ([0,L] or mapped real line)."""
         return [self.tables.domain] * (arity or self.nparticles)
 
+    @property
+    def norm_factor(self):
+        if self.symmetry == DISTINGUISHABLE:
+            return 1.0
+        mult = math.prod(math.factorial(m) for m in Counter(self.ns).values())
+        return 1.0 / math.sqrt(math.factorial(self.nparticles) * mult)
 
-def _norm_factor(config):
-    if config.symmetry == DISTINGUISHABLE:
-        return 1.0
-    mult = 1
-    for m in Counter(config.ns).values():
-        mult *= math.factorial(m)
-    return 1.0 / math.sqrt(math.factorial(config.nparticles) * mult)
+    @property
+    def label(self):
+        p = self.params
+        model = f"box L={p.L:g}" if p.kind == "box" else f"ho omega={p.omega:g}"
+        return f"{model} ns={self.ns} {self.symmetry}"
+
+    @cached_property
+    def terms(self):
+        """(C,): the state as one real C over its tables' factors.
+
+        The orbitals' phase product is the same on every entry of C, a
+        global phase, so C leaves it out.
+        """
+        return (coefficient_tensor(self, self.tables.orbitals),)
+
+    def amplitude(self, *coords):
+        """Psi at one point or broadcastable coordinate arrays.
+
+        The explicit permutation expansion: the reference the coefficient
+        tensor paths are tested against.
+        """
+        if len(coords) != self.nparticles:
+            raise ValueError(
+                f"expected {self.nparticles} coordinates, got {len(coords)}")
+        # vals[k][i]: orbital k evaluated at coordinate i
+        vals = [[eval_orbital(self.params, n, self.space, c) for c in coords]
+                for n in self.ns]
+        if self.symmetry == DISTINGUISHABLE:
+            out = vals[0][0]
+            for k in range(1, self.nparticles):
+                out = out * vals[k][k]
+            return out
+        out = None
+        for perm, sign in _PERMUTATIONS[self.nparticles]:
+            term = vals[perm[0]][0]
+            for i in range(1, self.nparticles):
+                term = term * vals[perm[i]][i]
+            if self.symmetry == ANTISYMMETRIC and sign < 0:
+                term = -term
+            out = term if out is None else out + term
+        return self.norm_factor * out
+
+    def density(self, *coords):
+        """|Psi|^2 at the given point(s)."""
+        a = self.amplitude(*coords)
+        return np.abs(a) ** 2 if np.iscomplexobj(a) else np.asarray(a) ** 2
+
+    def amplitude_tensor(self, axes):
+        """Psi on the tensor grid spanned by 1D coordinate axes (``amplitude``)."""
+        return self.amplitude(*np.meshgrid(*axes, indexing="ij", sparse=True))
+
+    def density_tensor(self, axes):
+        """|Psi|^2 on the tensor grid spanned by 1D coordinate axes."""
+        return density_grid(self.terms, [self.tables(ax) for ax in axes])
+
+    def marginal_values(self, keep, coords):
+        """Reduced density of the kept coordinates at broadcastable points."""
+        return reduced_density(self.terms, keep,
+                               [orbital_products(self.tables(c)) for c in coords])
+
+
+# the wavefunction of a configuration is the configuration itself
+WaveFunction = Configuration
 
 
 def coefficient_tensor(config, orbitals):
@@ -180,7 +249,7 @@ def coefficient_tensor(config, orbitals):
     for perm, sign in _PERMUTATIONS[config.nparticles]:
         c[tuple(idx[p] for p in perm)] += \
             sign if config.symmetry == ANTISYMMETRIC else 1
-    return c * _norm_factor(config)
+    return c * config.norm_factor
 
 
 @dataclass(frozen=True)
@@ -456,98 +525,9 @@ def reduced_density(terms, keep, products):
     return vals[..., 0]
 
 
-@dataclass(frozen=True)
-class WaveFunction:
-    """Evaluatable N-particle amplitude for one configuration."""
-
-    config: Configuration
-
-    @property
-    def norm_factor(self):
-        return _norm_factor(self.config)
-
-    @property
-    def nparticles(self):
-        return self.config.nparticles
-
-    @property
-    def space(self):
-        return self.config.space
-
-    @property
-    def symmetry(self):
-        return self.config.symmetry
-
-    @property
-    def label(self):
-        cfg = self.config
-        p = cfg.params
-        model = f"box L={p.L:g}" if p.kind == "box" else f"ho omega={p.omega:g}"
-        return f"{model} ns={cfg.ns} {cfg.symmetry}"
-
-    @property
-    def tables(self):
-        return self.config.tables
-
-    @cached_property
-    def terms(self):
-        """(C,): the state as one real C over its tables' factors.
-
-        The orbitals' phase product is the same on every entry of C, a
-        global phase, so C leaves it out.
-        """
-        return (coefficient_tensor(self.config, self.tables.orbitals),)
-
-    def amplitude(self, *coords):
-        """Psi at one point or broadcastable coordinate arrays.
-
-        The explicit permutation expansion: the reference the coefficient
-        tensor paths are tested against.
-        """
-        if len(coords) != self.nparticles:
-            raise ValueError(
-                f"expected {self.nparticles} coordinates, got {len(coords)}")
-        cfg = self.config
-        # vals[k][i]: orbital k evaluated at coordinate i
-        vals = [[eval_orbital(cfg.params, n, cfg.space, c) for c in coords]
-                for n in cfg.ns]
-        if cfg.symmetry == DISTINGUISHABLE:
-            out = vals[0][0]
-            for k in range(1, cfg.nparticles):
-                out = out * vals[k][k]
-            return out
-        out = None
-        for perm, sign in _PERMUTATIONS[cfg.nparticles]:
-            term = vals[perm[0]][0]
-            for i in range(1, cfg.nparticles):
-                term = term * vals[perm[i]][i]
-            if cfg.symmetry == ANTISYMMETRIC and sign < 0:
-                term = -term
-            out = term if out is None else out + term
-        return self.norm_factor * out
-
-    def density(self, *coords):
-        """|Psi|^2 at the given point(s)."""
-        a = self.amplitude(*coords)
-        return np.abs(a) ** 2 if np.iscomplexobj(a) else np.asarray(a) ** 2
-
-    def amplitude_tensor(self, axes):
-        """Psi on the tensor grid spanned by 1D coordinate axes (``amplitude``)."""
-        return self.amplitude(*np.meshgrid(*axes, indexing="ij", sparse=True))
-
-    def density_tensor(self, axes):
-        """|Psi|^2 on the tensor grid spanned by 1D coordinate axes."""
-        return density_grid(self.terms, [self.tables(ax) for ax in axes])
-
-    def marginal_values(self, keep, coords):
-        """Reduced density of the kept coordinates at broadcastable points."""
-        return reduced_density(self.terms, keep,
-                               [orbital_products(self.tables(c)) for c in coords])
-
-
 def build(config):
-    """Construct the normalized wavefunction for a configuration."""
-    return WaveFunction(config=config)
+    """The normalized wavefunction of a configuration: the configuration itself."""
+    return config
 
 
 def eval_density(wf, point):

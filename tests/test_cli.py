@@ -449,7 +449,15 @@ def test_usage_errors(capsys):
             (["report", "--n", "1,x,3"], "cannot parse quantum numbers '1,x,3'"),
             (["scan-n3", "--n", "1,2,3"], "scan-n3 expects --n with the two fixed"),
             (["scan-superposition", "--n", "1,2"],
-             "superposition scans are for 3-particle states")):
+             "superposition scans are for 3-particle states"),
+            (["report", "--n", "1,2,3", "--L", "inf"],
+             "box model requires a finite L > 0"),
+            (["report", "--model", "ho", "--n", "0,1,2", "--omega", "inf"],
+             "oscillator model requires a finite omega > 0"),
+            (["scan-superposition", "--c1sq-grid", "nan,0.5,1"],
+             "c1^2 samples must be distinct values in [0, 1]"),
+            (["scan-superposition", "--c1sq-grid", "0,x,1"],
+             "--c1sq-grid takes comma-separated numbers, not '0,x,1'")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and message in err, argv
 

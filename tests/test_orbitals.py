@@ -32,6 +32,13 @@ def test_model_params_validation():
         ModelParams(kind="oscillator", omega=0.0)
     with pytest.raises(ValueError):
         ModelParams(kind="square-well", L=1.0)
+    # an infinite scale is no model either
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="box model requires a finite L > 0"):
+            ModelParams.box(value)
+        with pytest.raises(ValueError,
+                           match="oscillator model requires a finite omega > 0"):
+            ModelParams.oscillator(value)
     ModelParams.box(2.0).validate_quantum_number(1)
     with pytest.raises(ValueError):
         ModelParams.box(1.0).validate_quantum_number(0)

@@ -79,8 +79,8 @@ IDS = [c[0] for c in STATES]
 def _reference_terms(st):
     """The state's C tensors over the complex orbitals, densities adding."""
     orbitals = st.tables.orbitals
-    if hasattr(st, "config"):
-        return [coefficient_tensor(st.config, orbitals)]
+    if not hasattr(st, "spec"):
+        return [coefficient_tensor(st, orbitals)]
     ca = coefficient_tensor(st.spec.state_a, orbitals)
     cb = coefficient_tensor(st.spec.state_b, orbitals)
     if st.interference:
@@ -128,7 +128,7 @@ def test_terms_and_tables_are_real(name, st):
     x, _ = axis_rule(st.tables.domain, SCHEME, 1)
     assert not np.iscomplexobj(st.tables(x))
     assert all(not np.iscomplexobj(c) and np.any(c) for c in st.terms)
-    if hasattr(st, "config"):
+    if not hasattr(st, "spec"):
         # one configuration: its phase product is the same on every entry
         assert len(st.terms) == 1
 

@@ -173,6 +173,9 @@ def test_scan_validation(scheme):
         scan_coefficient(spec_box(SYMMETRIC, 1.0), (0.0, 0.5, 1.5), scheme)
     with pytest.raises(ValueError):
         scan_coefficient(spec_box(SYMMETRIC, 1.0), (0.5, 0.5, 1.0), scheme)
+    # NaN fails every comparison, so it passed the range check
+    with pytest.raises(ValueError, match=r"distinct values in \[0, 1\]"):
+        scan_coefficient(spec_box(SYMMETRIC, 1.0), (math.nan, 0.5, 1.0), scheme)
 
 
 def test_scan_csv_and_extrema(scheme):

@@ -10,11 +10,16 @@ from symcorr import (
     Configuration,
     ModelParams,
     QuadratureScheme,
+    WaveFunction,
     build,
     build_superposition,
+    compute_report,
+    cumulant3,
+    entropy,
     eval_density,
     exchange_symmetry_check,
     parse_symmetry,
+    reduce_numerical,
 )
 from symcorr.orbitals import MOMENTUM, POSITION, orbital_parity
 from symcorr.quadrature import Interval, RealLine, axis_rule
@@ -58,6 +63,13 @@ def test_configuration_validation(box, ho):
         Configuration(box, (1, 2, 3), "bosonic")
     with pytest.raises(ValueError):
         Configuration(box, (1, 2, 3), SYMMETRIC, space="angular")
+    # each value is checked as given, before it becomes an int
+    for params, ns, bad in ((box, (1.5, 2, 3), "1.5"), (ho, (0.9, 1, 2), "0.9"),
+                            (box, (0.5, 2, 3), "0.5"), (box, (1, 2, math.nan), "nan"),
+                            (ho, (0, math.inf, 2), "inf")):
+        with pytest.raises(ValueError, match=f"invalid quantum number {bad} "):
+            Configuration(params, ns, ANTISYMMETRIC)
+    assert Configuration(box, (1.0, 2, 3), ANTISYMMETRIC).ns == (1, 2, 3)
     cfg = Configuration(box, (1, 1, 2), SYMMETRIC)  # double repeat is fine
     assert not cfg.distinct
     assert Configuration(ho, (0, 1, 2), ANTISYMMETRIC).distinct
@@ -213,6 +225,43 @@ def test_tables_parities_are_the_orbital_parities(box, ho, space):
             Configuration(params, ns[:3], SYMMETRIC, space),
             Configuration(params, ns[1:], SYMMETRIC, space), c1=0.6))
         assert mix.tables.parities == want
+
+
+# 25 to 30 nodes per axis, with a coarser level for the error estimate
+SMALL = QuadratureScheme(panels=6, panels_3d=5, line_panels=6, line_panels_3d=5,
+                         nodes_per_panel=5)
+
+
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+@pytest.mark.parametrize("model", ["box", "ho"])
+def test_a_configuration_is_its_own_wavefunction(model, space):
+    # entropy, reduce_numerical and eval_density raised AttributeError on a
+    # bare Configuration; every entry point takes one, with the numbers it
+    # gives on build() of an equal configuration
+    params = ModelParams.box(1.0) if model == "box" else ModelParams.oscillator(1.0)
+    ns = (1, 2, 3) if model == "box" else (0, 1, 2)
+    point = (0.2, 0.5, 0.7) if params.kind == "box" and space == POSITION \
+        else (-0.4, 0.3, 0.9)
+    assert WaveFunction is Configuration
+    for sym, k in ((SYMMETRIC, 3), (ANTISYMMETRIC, 3), (DISTINGUISHABLE, 3),
+                   (ANTISYMMETRIC, 2)):
+        cfg = Configuration(params, ns[:k], sym, space)
+        assert build(cfg) is cfg
+        wf = build(Configuration(params, ns[:k], sym, space))
+        assert wf == cfg and wf is not cfg
+        assert entropy(cfg, SMALL) == entropy(wf, SMALL)
+        for arity in (1, 2):
+            got, want = (reduce_numerical(s, arity, SMALL) for s in (cfg, wf))
+            assert got.domains == want.domains
+            assert np.array_equal(got.grid_values, want.grid_values)
+            assert entropy(got) == entropy(want)
+        assert eval_density(cfg, point[:k]) == eval_density(wf, point[:k])
+        assert exchange_symmetry_check(cfg, point[:k]) \
+            == exchange_symmetry_check(wf, point[:k])
+        if k == 3:
+            assert cumulant3(cfg, SMALL) == cumulant3(wf, SMALL)
+        assert compute_report(cfg, SMALL).as_dict() \
+            == compute_report(wf, SMALL).as_dict()
 
 
 def test_eval_density_scalar(box):
