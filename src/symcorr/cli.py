@@ -43,10 +43,9 @@ NUMERICAL_ERROR = 3
 
 def _parse_ns(text):
     try:
-        ns = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse quantum numbers {text!r}") from None
-    return ns
 
 
 def _config_tokens(path, subparser):
@@ -130,13 +129,18 @@ def _report_rows_to_text(rows, fmt):
     return "\n".join(lines)
 
 
+def _emit_reports(configs, args):
+    """Report ``configs`` as one batch and write their rows in ``args.format``."""
+    rows = [rep.as_dict() for rep in compute_reports(configs, _scheme(args))]
+    _emit(_report_rows_to_text(rows, args.format), args.out)
+    return 0
+
+
 def cmd_report(args):
     ns = _parse_ns(args.n)
     configs = [Configuration(_model_params(args), ns, parse_symmetry(args.sym), space)
                for space in _spaces(args)]
-    rows = [rep.as_dict() for rep in compute_reports(configs, _scheme(args))]
-    _emit(_report_rows_to_text(rows, args.format), args.out)
-    return 0
+    return _emit_reports(configs, args)
 
 
 def cmd_scan_n3(args):
@@ -156,9 +160,7 @@ def cmd_scan_n3(args):
                for space in _spaces(args) for n3 in n3_values
                for sym_tag in ("a", "s")
                if not (n3 in base and sym_tag == "a")]  # determinant vanishes
-    rows = [rep.as_dict() for rep in compute_reports(configs, _scheme(args))]
-    _emit(_report_rows_to_text(rows, args.format), args.out)
-    return 0
+    return _emit_reports(configs, args)
 
 
 def cmd_scan_superposition(args):
@@ -230,10 +232,9 @@ def cmd_density_grid(args):
     params = _model_params(args)
     ns = _parse_ns(args.n)
     sym = parse_symmetry(args.sym)
-    space = args.space
-    if space == "both":
+    if args.space == "both":
         raise ValueError("density-grid needs a single space")
-    cfg = Configuration(params, ns, sym, space)
+    cfg = Configuration(params, ns, sym, args.space)
     # for two particles the pair density is |Psi|^2 itself
     text = export_density_grid(reduce_numerical(cfg, 2), n_points=args.points)
     _emit(text.rstrip("\n"), args.out)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import NEGATIVE_NOISE_TOL, Interval, QuadratureScheme, axis_rule
-from .wavefunction import ANTISYMMETRIC, SYMMETRIC
+from .quadrature import Interval, QuadratureScheme, axis_rule, require_nonnegative
+from .wavefunction import DISTINGUISHABLE
 
 __all__ = [
     "ReducedDensity",
@@ -67,13 +67,18 @@ def quadrature_marginal(wf, keep):
 
 
 def _require_single_distinct(wf):
-    if wf.symmetry not in (SYMMETRIC, ANTISYMMETRIC):
-        raise ValueError("reduce_to_one/reduce_to_pair need an "
-                         "(anti)symmetrized state; use reduce_numerical")
-    if not wf.distinct:
-        raise ValueError(
-            "reduce_to_one/reduce_to_pair need distinct quantum numbers; "
-            "use reduce_numerical for repeated ones")
+    """Reject any state but one (anti)symmetrized term over N orbitals.
+
+    Reads the state protocol only (``symmetry``, ``terms``, ``tables``,
+    ``nparticles``), so a distinguishable state, a repeated quantum
+    number and a superposition, of two terms or of more orbitals than
+    particles, all raise ``ValueError``.
+    """
+    if wf.symmetry == DISTINGUISHABLE or len(wf.terms) != 1 \
+            or len(wf.tables.orbitals) != wf.nparticles:
+        raise ValueError("reduce_to_one/reduce_to_pair need an (anti)symmetrized "
+                         "state of one term over N orbitals for N particles; "
+                         "use reduce_numerical")
 
 
 def reduce_to_one(wf):
@@ -117,12 +122,11 @@ def reduce_numerical(wf, arity, scheme=None, keep=None):
     if (len(keep) != arity or any(k not in range(n_part) for k in keep)
             or list(keep) != sorted(set(keep))):
         raise ValueError(f"invalid kept-coordinate selection {keep}")
-    domains = (wf.tables.domain,) * arity
-    rules = [axis_rule(d, scheme, arity) for d in domains]
+    x, w = axis_rule(wf.tables.domain, scheme, arity)  # one rule serves every axis
     func = quadrature_marginal(wf, keep)
-    values = func(*np.meshgrid(*(r[0] for r in rules), indexing="ij", sparse=True))
-    return ReducedDensity(arity=arity, space=wf.space, domains=domains, func=func,
-                          grid_weights=tuple(r[1] for r in rules),
+    values = func(*np.meshgrid(*(x,) * arity, indexing="ij", sparse=True))
+    return ReducedDensity(arity=arity, space=wf.space, func=func,
+                          domains=(wf.tables.domain,) * arity, grid_weights=(w,) * arity,
                           grid_values=np.asarray(values, dtype=float))
 
 
@@ -138,8 +142,8 @@ def export_density_grid(density, n_points=101):
 
     Row-major over ``n_points`` (at least 1) equispaced points per axis,
     spanning a box axis or the bulk of a mapped one; 12 significant
-    digits.  Round-off in [-NEGATIVE_NOISE_TOL, 0) is written as 0; a
-    value below that raises ValueError.
+    digits.  Round-off in [-1e-12, 0) is written as 0; a value below
+    that raises ``NegativeDensityError`` (``require_nonnegative``).
     """
     if density.arity != 2:
         raise ValueError("grid export requires a pair density")
@@ -149,8 +153,7 @@ def export_density_grid(density, n_points=101):
     x1 = np.linspace(a1, b1, n_points)
     x2 = np.linspace(a2, b2, n_points)
     vals = np.asarray(density(x1[:, None], x2[None, :]), dtype=float)
-    if np.any(vals < -NEGATIVE_NOISE_TOL):
-        raise ValueError("density value significantly negative")
+    require_nonnegative(vals)
     vals = np.where(vals > 0.0, vals, 0.0)
 
     head = "p1,p2,value" if density.space == "momentum" else "x1,x2,value"

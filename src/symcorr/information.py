@@ -271,6 +271,7 @@ def _mean_entropies(forms, q, w):
     return total / len(forms)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _entropies(states, groups, scheme):
     """(s1, s2) or (s1, s2, s3) of each state, per group of ``_group_key``.
 
@@ -283,7 +284,9 @@ def _entropies(states, groups, scheme):
     For other three-particle states I^3 is 3 s2' - 3 s1' - s3', all three
     on the trimmed 3D rule, with s3' from one ``entropy_grid`` pass over
     the members' terms stacked along a sample axis, on the region
-    ``slab_folds`` sets, and s3 is 3 s2 - 3 s1 - I^3.
+    ``slab_folds`` sets, and s3 is 3 s2 - 3 s1 - I^3.  At a scale where
+    the rule's values overflow, an entropy comes out NaN or infinite
+    without a NumPy warning, and ``_report`` rejects it.
     """
     tables = {}
     out = [None] * len(states)
@@ -317,11 +320,16 @@ def _entropies(states, groups, scheme):
 def _report(wf, fine, coarse, scheme):
     """InformationReport of ``wf`` from its fine and, if run, coarse entropies.
 
-    The error estimate is the largest |fine - coarse| over the entropies.
+    An entropy that is not finite raises ``NonConvergenceError``: the
+    rule's values overflowed or underflowed at the state's scale.  The
+    error estimate is the largest |fine - coarse| over the entropies.
     Pair mutual information in [-tol, 0) is quadrature noise: it is clamped
     to 0, with a warning below -1e-12.  Below -tol the rule is too coarse
     for the state, and this raises ``NonConvergenceError``.
     """
+    if not np.isfinite(fine + (coarse or ())).all():
+        raise NonConvergenceError(f"entropies {fine}, coarse {coarse}, not finite",
+                                  math.inf)
     s1, s2 = fine[:2]
     err = None if coarse is None else max(abs(f - c) for f, c in zip(fine, coarse))
     i_pair = 2 * s1 - s2

@@ -48,6 +48,27 @@ class NonConvergenceError(RuntimeError):
         self.achieved_error = achieved_error
 
 
+class NegativeDensityError(NonConvergenceError, ValueError):
+    """A density below -1e-12 (``require_nonnegative``).
+
+    Round-off that the rule cannot hold at the state's scale: a
+    numerical failure like any ``NonConvergenceError``, so the CLI exits
+    3 on it, and also a ``ValueError``, a value outside a density's range.
+    """
+
+
+def require_nonnegative(values):
+    """The lowest of ``values``; raises ``NegativeDensityError`` below -1e-12.
+
+    The one check of a density's sign, for the entropies (``_d_ln_d``)
+    and the grid export; the achieved error is the lowest value's size.
+    """
+    lowest = values.min(initial=np.inf)
+    if lowest < -NEGATIVE_NOISE_TOL:
+        raise NegativeDensityError("density value significantly negative", -lowest)
+    return lowest
+
+
 @dataclass(frozen=True)
 class Interval:
     """Finite integration interval [a, b]."""
@@ -240,15 +261,14 @@ def _d_ln_d(d, out):
     """d*ln(d) of a float array, in ``out``: the one d ln d of s1, s2 and s3.
 
     The values of ``entropy_integrand``, not negated: callers negate the
-    reduced sum instead, which is exact.  One ``min()`` check rejects
-    values below -1e-12; ``log`` runs on ``d`` itself unless some value is
-    below the 1e-300 floor, in which case the floor is taken first and
-    those nodes are set to exactly 0 afterwards.  ``out`` must not be
-    ``d``: the s3 slab kernel passes its reused buffer.
+    reduced sum instead, which is exact.  One ``min()`` check
+    (``require_nonnegative``) rejects values below -1e-12; ``log`` runs
+    on ``d`` itself unless some value is below the 1e-300 floor, in
+    which case the floor is taken first and those nodes are set to
+    exactly 0 afterwards.  ``out`` must not be ``d``: the s3 slab kernel
+    passes its reused buffer.
     """
-    lowest = d.min(initial=np.inf)
-    if lowest < -NEGATIVE_NOISE_TOL:
-        raise ValueError("density value significantly negative")
+    lowest = require_nonnegative(d)
     floored = lowest < DENSITY_FLOOR
     np.log(np.maximum(d, DENSITY_FLOOR, out=out) if floored else d, out=out)
     out *= d

@@ -1,12 +1,16 @@
 """Golden CLI outputs: the commands, how each runs, and their regeneration.
 
-    PYTHONPATH=src python tests/regenerate_golden.py
+    PYTHONPATH=src python tests/regenerate_golden.py [NAME ...]
 
-rewrites every file under tests/golden/ from the current code.  Each
-command runs in-process through ``symcorr.cli.main``; its file holds
-what it printed on stdout.  ``test_golden.py`` compares the same runs
-with these files.  Run this only when a change moves numbers on
-purpose, and name the files whose diff shows a change.
+rewrites the files of the named cases under tests/golden/, or of every
+case when none is named, from the current code.  Each command runs
+in-process through ``symcorr.cli.main``; its file holds what it printed
+on stdout.  ``test_golden.py`` compares the same runs with these files.
+``CASES`` and ``test_cli.py``, which holds the exit-1, 2 and 3 runs,
+are the one list of CLI commands that the tests run.  Run this only
+when a change moves numbers on purpose, or name a new case alone; a
+full run also rewrites files whose numbers moved by round-off, within
+the suite's tolerance.  Name the files whose diff shows a change.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ CASES = {
     # both box momentum reports of the benchmark's report-momentum workload
     "report-box-momentum-a123": REPORT_MOMENTUM + ["--n", "1,2,3", "--sym", "a"],
     "report-box-momentum-s112": REPORT_MOMENTUM + ["--n", "1,1,2", "--sym", "s"],
-    # the remaining commands of CI's runtime-without-scipy job
+    # oscillator and momentum reports and scans beyond the workloads,
+    # the CSV writers and the pair-density grid
     "report-ho-momentum-a012": ["report", "--model", "ho", "--space", "momentum",
                                 "--n", "0,1,2", "--sym", "a", "--format", "json"],
     "report-ho-d013": ["report", "--model", "ho", "--n", "0,1,3", "--sym", "d",
@@ -60,6 +65,10 @@ CASES = {
                                    "--space", "both"],
     # the JSON row of a two-particle state
     "report-box-a12-json": ["report", "--n", "1,2", "--sym", "a", "--format", "json"],
+    # a two-particle Hartree product (s2 = 2 s1, so I_pair is 0 exactly),
+    # both spaces in one batch
+    "report-box-d12-both-csv": ["report", "--n", "1,2", "--sym", "d", "--space", "both",
+                                "--format", "csv"],
 }
 
 
@@ -79,8 +88,8 @@ def run(argv):
 
 def main():
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name, argv in CASES.items():
-        code, text = run(argv)
+    for name in sys.argv[1:] or CASES:
+        code, text = run(CASES[name])
         if code != 0:
             sys.exit(f"{name}: exit {code}")
         with open(path(name), "w") as fh:

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import re
+import warnings
 
 import pytest
 
@@ -183,6 +185,54 @@ def test_numerical_failure_exits_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error: numerical failure: pair mutual information")
+
+
+def run_quietly(capsys, *argv):
+    """``run``, with every NumPy RuntimeWarning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, *argv)
+    return result + ([w for w in caught if issubclass(w.category, RuntimeWarning)],)
+
+
+# the first two printed nan for s2, s3 and every measure, with exit 0 and
+# overflow warnings; the others exited 2, a usage error, on a density that
+# the rule's round-off pushed below -1e-12
+@pytest.mark.parametrize("argv", [
+    ["report", "--n", "1,2,3", "--sym", "a", "--L", "1e300"],
+    ["report", "--n", "1,2,3", "--sym", "a", "--L", "1e-300"],
+    ["report", "--n", "1,2", "--sym", "a", "--L", "0.02"],
+    ["report", "--model", "ho", "--n", "0,1,2", "--sym", "a", "--omega", "1e5"],
+    ["scan-n3", "--L", "0.01"],
+], ids=["L-1e300", "L-1e-300", "L-0.02", "omega-1e5", "scan-n3-L-0.01"])
+def test_non_finite_entropy_or_negative_density_exits_3(capsys, argv):
+    code, out, err, numpy_warnings = run_quietly(capsys, *argv)
+    assert code == 3 and out == "" and not numpy_warnings
+    assert err.startswith("error: numerical failure: ") and err.count("\n") == 1
+    assert "not finite" in err or "density value significantly negative" in err
+
+
+# each run at L or omega over 600 decades, with the option that sets it last
+SCALE_RUNS = {
+    **{f"report-{ns}-{space}": ["report", "--n", ns, "--sym", "a", "--space", space]
+       + (["--model", "ho", "--omega"] if ns == "0,1,2" else ["--L"])
+       for ns in ("1,2", "1,2,3", "0,1,2") for space in ("position", "momentum")},
+    "scan-n3": ["scan-n3", "--n3-range", "3:3", "--space", "both", "--L"],
+    "scan-a": ["scan-superposition", "--sym", "a", "--c1sq-grid", "0.3,0.5,0.7", "--L"],
+    "scan-ho-d": ["scan-superposition", "--model", "ho", "--sym", "d", "--n", "0,1,2",
+                  "--n-second", "3,4,5", "--c1sq-grid", "0.3,0.5,0.7", "--omega"],
+}
+
+
+@pytest.mark.parametrize("scale", ["1e-300", "1e-6", "0.01", "1e6", "1e300"])
+@pytest.mark.parametrize("name", SCALE_RUNS)
+def test_extreme_scale_prints_finite_numbers_or_one_error(capsys, name, scale):
+    code, out, err, numpy_warnings = run_quietly(capsys, *SCALE_RUNS[name], scale)
+    assert code in (0, 2, 3) and not numpy_warnings
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert out and not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)
 
 
 def test_table_mismatch_exits_1(capsys):

@@ -87,6 +87,17 @@ def test_closed_form_requires_distinct_indistinguishable(box):
 
 
 @pytest.mark.parametrize("sym", [ANTISYMMETRIC, SYMMETRIC])
+def test_closed_form_rejects_a_superposition(box, sym):
+    # it raised AttributeError: a superposition has no ``distinct``
+    mix = build_superposition(SuperpositionSpec(
+        Configuration(box, (1, 2, 3), sym), Configuration(box, (4, 5, 6), sym), 0.6))
+    for reduce in (reduce_to_one, reduce_to_pair):
+        with pytest.raises(ValueError, match="one term over N orbitals"):
+            reduce(mix)
+    assert reduce_numerical(mix, 1).integral() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("sym", [ANTISYMMETRIC, SYMMETRIC])
 def test_numerical_reduction_matches_closed_form(box, sym, scheme):
     wf = build(Configuration(box, (1, 2, 3), sym))
     gamma_ref = reduce_to_pair(wf)

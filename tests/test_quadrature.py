@@ -6,6 +6,7 @@ import pytest
 from symcorr import quadrature
 from symcorr.quadrature import (
     Interval,
+    NonConvergenceError,
     QuadratureScheme,
     RealLine,
     _d_ln_d,
@@ -220,3 +221,11 @@ def test_domain_validation():
         Interval(1.0, 1.0)
     with pytest.raises(ValueError):
         RealLine(scale=0.0)
+
+
+def test_significantly_negative_density_is_a_numerical_failure():
+    # a ValueError as before, and a NonConvergenceError, so the CLI exits 3
+    with pytest.raises(NonConvergenceError, match="significantly negative") as info:
+        _d_ln_d(np.array([0.0, -1e-9]), np.empty(2))
+    assert isinstance(info.value, ValueError)
+    assert info.value.achieved_error == 1e-9
