@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import Interval, QuadratureScheme, axis_rule, require_nonnegative
+from .quadrature import (
+    Interval,
+    NonConvergenceError,
+    QuadratureScheme,
+    axis_rule,
+    require_nonnegative,
+)
 from .wavefunction import DISTINGUISHABLE
 
 __all__ = [
@@ -143,16 +149,18 @@ def export_density_grid(density, n_points=101):
     Row-major over ``n_points`` (at least 1) equispaced points per axis,
     spanning a box axis or the bulk of a mapped one; 12 significant
     digits.  Round-off in [-1e-12, 0) is written as 0; a value below
-    that raises ``NegativeDensityError`` (``require_nonnegative``).
+    that raises ``NegativeDensityError`` (``require_nonnegative``), and
+    a value that is not finite, as the density of an extreme L or omega
+    can overflow to, ``NonConvergenceError``.
     """
     if density.arity != 2:
         raise ValueError("grid export requires a pair density")
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
-    (a1, b1), (a2, b2) = (_default_plot_range(d) for d in density.domains)
-    x1 = np.linspace(a1, b1, n_points)
-    x2 = np.linspace(a2, b2, n_points)
+    x1, x2 = (np.linspace(*_default_plot_range(d), n_points) for d in density.domains)
     vals = np.asarray(density(x1[:, None], x2[None, :]), dtype=float)
+    if not np.isfinite(vals).all():
+        raise NonConvergenceError("pair density not finite", np.inf)
     require_nonnegative(vals)
     vals = np.where(vals > 0.0, vals, 0.0)
 

@@ -30,27 +30,34 @@ Neither check, nor ``cumulant3``, builds a 3D array: the I^3 integral
 is s3' from the s3 kernel plus a sum over the rule's own pair marginal,
 and the moments contract C with a one-axis moment matrix.
 
-Every state, of two or three particles, takes one path.
+Every state, of two or three particles, takes one path, at unit scale.
+An entropy of k coordinates is that of the same state at L = 1 or
+omega = 1 plus k ln c, exactly, c the coordinate scale
+(``OrbitalTables.unit_scale``: L or 1/L in the box, omega^(-1/2) or
+omega^(1/2) in the trap), so every entropy runs on the state's
+unit-scale tables, where its densities are of order 1 whatever L or
+omega, and adds k ln c; no measure depends on c.  Oscillator momentum
+tables at omega = 1 are its position tables, bit for bit.
 ``compute_reports`` groups the states it is given, such as the c1^2
-samples of a scan, once, by their ``OrbitalTables`` (params, space and
-orbitals), particle count, exchange symmetry and the nonzero mask of
-each term's C; those fix the domain, the kernel region and whether a
-state is a Hartree product.  Every rule runs on the tables' ``domain``.
-That one grouping feeds s1, s2 and, for three particles, s3 at the fine
-and the coarse level.  The endpoints of an S/A scan curve are each a
-group of their own, on the inverted half sector.  The orbital table of
-each distinct rule is evaluated once per level; the 1D and 2D rules are
-one rule, so rho and Gamma share it.  s1 and s2 integrate each state's
-exact rho and Gamma, from the reduced density matrices of its
-coefficient tensor, formed once per group: each member's rho and Gamma
-are its own matrix contracted with the orbital products, so grouping
-changes no s1 or s2.  A marginal runs on the first half of each axis
-its orbital products' parities let it fold (``wavefunction.fold_axes``).
-For distinguishable (Hartree-type) states the marginals differ per
-coordinate; s1 and s2 are then the averages over coordinates/pairs,
-which reproduces the
-distinguishable-system decomposition of I^3, sum s2_ij - sum s1_i - s3,
-exactly and keeps the hierarchy identities intact.  A Hartree product
+samples of a scan, once, by their unit-scale ``OrbitalTables`` (params,
+space and orbitals), particle count, exchange symmetry and the nonzero
+mask of each term's C; those fix the domain, the kernel region and
+whether a state is a Hartree product.  Every rule runs on the unit
+tables' ``domain``.  That one grouping feeds s1, s2 and, for three
+particles, s3 at the fine and the coarse level.  The endpoints of an S/A
+scan curve are each a group of their own, on the inverted half
+sector.  The orbital table of each distinct rule is evaluated once per
+level; the 1D and 2D rules are one rule, so rho and Gamma share it.  s1
+and s2 integrate each state's exact rho and Gamma, from the reduced
+density matrices of its coefficient tensor, formed once per group: each
+member's rho and Gamma are its own matrix contracted with the orbital
+products, so grouping changes no s1 or s2.  A marginal runs on the first
+half of each axis its orbital products' parities let it fold
+(``wavefunction.fold_axes``).  For distinguishable (Hartree-type) states
+the marginals differ per coordinate; s1 and s2 are then the averages
+over coordinates/pairs, which reproduces the distinguishable-system
+decomposition of I^3, sum s2_ij - sum s1_i - s3, exactly and keeps the
+hierarchy identities intact.  A Hartree product
 factorizes, so its s2 and s3 are 2 s1 and 3 s1, and every correlation
 measure vanishes to round-off.  s3' of the other groups comes from one
 pass of ``wavefunction.entropy_grid`` per group over |Psi|^2 on the 3D
@@ -188,14 +195,16 @@ def entropy(density, scheme=None):
 
 
 def _group_key(st):
-    """Tables, particle count, exchange symmetry, nonzero mask of each C.
+    """Unit tables, particle count, exchange symmetry, nonzero mask of each C.
 
-    States with equal keys share their domain, orbital tables, kernel
-    region and one s3 kernel pass: the region (``slab_folds``) depends on
-    a state only through its symmetry, its orbitals' parities and where
-    its tensors are nonzero.  So does whether it is a Hartree product.
+    States with equal keys share their unit-scale tables
+    (``OrbitalTables.unit_scale``), and so their domain, kernel region and
+    one s3 kernel pass, whatever their L or omega: the region
+    (``slab_folds``) depends on a state only through its symmetry, its
+    orbitals' parities and where its tensors are nonzero.  So does whether
+    it is a Hartree product.
     """
-    return (st.tables, st.nparticles, st.symmetry != DISTINGUISHABLE) \
+    return (st.tables.unit_scale[0], st.nparticles, st.symmetry != DISTINGUISHABLE) \
         + tuple(np.not_equal(c, 0).tobytes() for c in st.terms)
 
 
@@ -271,7 +280,6 @@ def _mean_entropies(forms, q, w):
     return total / len(forms)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _entropies(states, groups, scheme):
     """(s1, s2) or (s1, s2, s3) of each state, per group of ``_group_key``.
 
@@ -284,16 +292,17 @@ def _entropies(states, groups, scheme):
     For other three-particle states I^3 is 3 s2' - 3 s1' - s3', all three
     on the trimmed 3D rule, with s3' from one ``entropy_grid`` pass over
     the members' terms stacked along a sample axis, on the region
-    ``slab_folds`` sets, and s3 is 3 s2 - 3 s1 - I^3.  At a scale where
-    the rule's values overflow, an entropy comes out NaN or infinite
-    without a NumPy warning, and ``_report`` rejects it.
+    ``slab_folds`` sets, and s3 is 3 s2 - 3 s1 - I^3.  Every rule and
+    table is the group's unit-scale tables' (``unit_scale``), where the
+    densities are of order 1 at any L or omega, and each member adds its
+    own k ln c to its s_k: members of one group may differ in L or omega.
     """
     tables = {}
     out = [None] * len(states)
     for members in groups:
         first = states[members[0]]
-        rule = _rules(first.tables, scheme, tables)
-        parities = first.tables.parities
+        rule = _rules(first.tables.unit_scale[0], scheme, tables)
+        parities = first.tables.parities  # the same at every scale
         ones, pairs = _keeps(first)
         stacked = [np.stack(c) for c in zip(*(states[k].terms for k in members))]
         rho = _density_forms(stacked, ones, parities)
@@ -313,16 +322,17 @@ def _entropies(states, groups, scheme):
                     - entropy_grid(stacked, table, w, symmetric, folds)
                 s.append(3.0 * s[1] - 3.0 * s1 - i_higher)
         for j, k in enumerate(members):
-            out[k] = tuple(float(v[j]) for v in s[:first.nparticles])
+            out[k] = tuple(float(v[j]) + n * states[k].tables.unit_scale[1]
+                           for n, v in enumerate(s[:first.nparticles], 1))
     return out
 
 
 def _report(wf, fine, coarse, scheme):
     """InformationReport of ``wf`` from its fine and, if run, coarse entropies.
 
-    An entropy that is not finite raises ``NonConvergenceError``: the
-    rule's values overflowed or underflowed at the state's scale.  The
-    error estimate is the largest |fine - coarse| over the entropies.
+    An entropy that is not finite raises ``NonConvergenceError``, which
+    no state's unit-scale tables are known to give.  The error estimate
+    is the largest |fine - coarse| over the entropies.
     Pair mutual information in [-tol, 0) is quadrature noise: it is clamped
     to 0, with a warning below -1e-12.  Below -tol the rule is too coarse
     for the state, and this raises ``NonConvergenceError``.

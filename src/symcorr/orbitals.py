@@ -29,8 +29,6 @@ __all__ = [
     "orbital_phase",
     "orbital_parity",
     "hermite_functions",
-    "position_domain_scale",
-    "momentum_domain_scale",
 ]
 
 POSITION = "position"
@@ -206,26 +204,3 @@ def orbital_parity(params, n):
     params.validate_quantum_number(n)
     return (-1) ** (n + 1) if params.kind == "box" else (-1) ** n
 
-
-def position_domain_scale(params, ns):
-    """Map scale for the (infinite) oscillator position axis.
-
-    Classical turning point sqrt(2n+1)/sqrt(omega) plus generous padding;
-    the box needs no map in position space.
-    """
-    if params.kind != "oscillator":
-        raise ValueError("position-space map only applies to the oscillator")
-    n_max = max(ns)
-    return (math.sqrt(2 * n_max + 1) + 6.0) / math.sqrt(params.omega)
-
-
-def momentum_domain_scale(params, ns):
-    """Map scale for the momentum axis.
-
-    Box: max(n)*pi/L + 10/L captures both sinc lobes.  Oscillator: the
-    momentum-space turning point sqrt((2n+1)*omega) plus padding.
-    """
-    n_max = max(ns)
-    if params.kind == "box":
-        return n_max * math.pi / params.L + 10.0 / params.L
-    return (math.sqrt(2 * n_max + 1) + 6.0) * math.sqrt(params.omega)

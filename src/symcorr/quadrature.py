@@ -51,7 +51,8 @@ class NonConvergenceError(RuntimeError):
 class NegativeDensityError(NonConvergenceError, ValueError):
     """A density below -1e-12 (``require_nonnegative``).
 
-    Round-off that the rule cannot hold at the state's scale: a
+    Round-off that the values cannot hold, as in the pair-density grid,
+    which is evaluated in physical units, at an extreme L: a
     numerical failure like any ``NonConvergenceError``, so the CLI exits
     3 on it, and also a ``ValueError``, a value outside a density's range.
     """

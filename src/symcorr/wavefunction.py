@@ -12,14 +12,16 @@ densities add: |Psi|^2 = sum_t (sum C_t phi phi phi)^2.  Every path
 from C to a density runs in real arithmetic.  A state's
 ``OrbitalTables``, the value of its params, space and orbitals, hold
 each orbital's real factor (``orbitals.orbital_factor``), the one
-integration axis of every coordinate and the orbitals' parities; no
-other code works these out.  An orbital's constant phase, a power of
-i that is 1 in position space, multiplies every entry of a
-configuration's C by the same product, a global phase that no density
-sees; the factor e^{-ipL/2} that all box momentum orbitals share has
-modulus 1 in every density too.  So a configuration is the one term
-C, and only a superposition keeps a phase: that of its components
-relative to each other (``superposition``).
+integration axis of every coordinate, the orbitals' parities and the
+coordinate scale, the same orbitals at unit scale and its log
+(``OrbitalTables.unit_scale``); no other code works these out.  An
+orbital's constant phase, a power of i that is 1 in position space,
+multiplies every entry of a configuration's C by the same product, a
+global phase that no density sees; the factor e^{-ipL/2} that all box
+momentum orbitals share has modulus 1 in every density too.  So a
+configuration is the one term C, and only a superposition keeps a
+phase: that of its components relative to each other
+(``superposition``).
 |Psi|^2 on a tensor grid is one mode product per axis (BLAS); the
 entropy of a three-particle density, or of a stack of them such as the
 samples of a scan, is built and integrated slab by slab, without the
@@ -49,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -59,10 +61,8 @@ from .orbitals import (
     POSITION,
     ModelParams,
     eval_orbital,
-    momentum_domain_scale,
     orbital_factor,
     orbital_parity,
-    position_domain_scale,
 )
 from .quadrature import Interval, RealLine, _d_ln_d
 
@@ -272,14 +272,38 @@ class OrbitalTables:
         """The integration axis of every coordinate.
 
         The box position axis is [0, L]; every other axis is the real
-        line, mapped with a scale set by the highest orbital.
+        line, mapped with a scale set by the highest orbital n: n pi / L
+        plus 10 / L, both sinc lobes, in box momentum, and the turning
+        point sqrt(2n + 1) plus 6 over sqrt(omega) in oscillator position
+        and times it in oscillator momentum.
         """
-        p = self.params
-        if p.kind == "box" and self.space == POSITION:
-            return Interval(0.0, p.L)
-        if self.space == POSITION:
-            return RealLine(position_domain_scale(p, self.orbitals))
-        return RealLine(momentum_domain_scale(p, self.orbitals))
+        p, n = self.params, max(self.orbitals)
+        if p.kind == "box":
+            return Interval(0.0, p.L) if self.space == POSITION \
+                else RealLine(n * math.pi / p.L + 10.0 / p.L)
+        turn, root = math.sqrt(2 * n + 1) + 6.0, math.sqrt(p.omega)
+        return RealLine(turn / root if self.space == POSITION else turn * root)
+
+    @cached_property
+    def unit_scale(self):
+        """(these orbitals at unit scale, ln c), c the coordinate scale.
+
+        A coordinate of these tables is c times that of the unit tables,
+        and each density of k coordinates is c^-k times the unit one at
+        the unit coordinates: c is L in box position, 1/L in box momentum,
+        omega^(-1/2) in oscillator position and omega^(1/2) in oscillator
+        momentum.  So an entropy of k coordinates is the unit tables' plus
+        k ln c, and no correlation measure depends on c.  The unit box has
+        L = 1 in the same space; the unit oscillator has omega = 1 in
+        position space, whose factors are the momentum ones at omega = 1
+        bit for bit (``orbitals.ho_factor``), as are its domain and
+        parities.
+        """
+        p, sign = self.params, 1.0 if self.space == POSITION else -1.0
+        if p.kind == "box":
+            return replace(self, params=ModelParams.box(1.0)), sign * math.log(p.L)
+        return (replace(self, params=ModelParams.oscillator(1.0), space=POSITION),
+                -0.5 * sign * math.log(p.omega))
 
     @cached_property
     def parities(self):

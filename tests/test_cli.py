@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import re
 import warnings
 
@@ -195,21 +196,54 @@ def run_quietly(capsys, *argv):
     return result + ([w for w in caught if issubclass(w.category, RuntimeWarning)],)
 
 
-# the first two printed nan for s2, s3 and every measure, with exit 0 and
-# overflow warnings; the others exited 2, a usage error, on a density that
-# the rule's round-off pushed below -1e-12
+def json_rows(capsys, *argv):
+    """The JSON rows of a run that must exit 0 without a NumPy warning."""
+    code, out, err, numpy_warnings = run_quietly(capsys, *argv, "--format", "json")
+    assert code == 0 and err == "" and not numpy_warnings
+    return json.loads(out)
+
+
+# at the state's own scale the first two gave nan entropies, the next three
+# a density that the rule's round-off pushed below -1e-12, and the last
+# s2 = s3 = 0 and I^3 = -1040.9
 @pytest.mark.parametrize("argv", [
     ["report", "--n", "1,2,3", "--sym", "a", "--L", "1e300"],
     ["report", "--n", "1,2,3", "--sym", "a", "--L", "1e-300"],
     ["report", "--n", "1,2", "--sym", "a", "--L", "0.02"],
     ["report", "--model", "ho", "--n", "0,1,2", "--sym", "a", "--omega", "1e5"],
     ["scan-n3", "--L", "0.01"],
-], ids=["L-1e300", "L-1e-300", "L-0.02", "omega-1e5", "scan-n3-L-0.01"])
-def test_non_finite_entropy_or_negative_density_exits_3(capsys, argv):
-    code, out, err, numpy_warnings = run_quietly(capsys, *argv)
+    ["report", "--model", "ho", "--n", "0,1,2", "--sym", "a", "--omega", "1e-300"],
+], ids=["L-1e300", "L-1e-300", "L-0.02", "omega-1e5", "scan-n3-L-0.01", "omega-1e-300"])
+def test_extreme_scale_prints_the_unit_scale_measures(capsys, argv):
+    # x scales as c = L, 1/L, omega^(-1/2) or omega^(1/2): each s_k shifts
+    # by k ln c, and every other number stays
+    scaled = json_rows(capsys, *argv)
+    unit = json_rows(capsys, *argv[:-1], "1")
+    assert len(scaled) == len(unit)
+    for a, b in zip(unit, scaled):
+        sign = 1.0 if b["space"] == "position" else -1.0
+        log_c = sign * math.log(float(argv[-1])) * (1.0 if "--L" in argv else -0.5)
+        bound = 1e-14 * max(1.0, abs(b["s1"]))
+        assert a["space"] == b["space"]
+        for key, value in a.items():
+            if isinstance(value, float):
+                shift = int(key[1]) * log_c if key in ("s1", "s2", "s3") else 0.0
+                assert abs(b[key] - value - shift) <= bound, (b["system"], key)
+
+
+# the pair-density grid is pointwise, in physical units: at an extreme L
+# its values overflow, or its round-off passes -1e-12.  The first two
+# printed inf and exited 0
+@pytest.mark.parametrize("argv,message", [
+    (["--sym", "s", "--space", "momentum", "--L", "1e300"], "pair density not finite"),
+    (["--sym", "a", "--L", "1e-300"], "pair density not finite"),
+    (["--sym", "a", "--L", "1e-6"], "density value significantly negative"),
+], ids=["momentum-L-1e300", "L-1e-300", "L-1e-6"])
+def test_density_grid_out_of_range_exits_3(capsys, argv, message):
+    code, out, err, numpy_warnings = run_quietly(capsys, "density-grid", "--n", "1,2",
+                                                 *argv)
     assert code == 3 and out == "" and not numpy_warnings
-    assert err.startswith("error: numerical failure: ") and err.count("\n") == 1
-    assert "not finite" in err or "density value significantly negative" in err
+    assert err.startswith(f"error: numerical failure: {message}") and err.count("\n") == 1
 
 
 # each run at L or omega over 600 decades, with the option that sets it last
@@ -221,16 +255,24 @@ SCALE_RUNS = {
     "scan-a": ["scan-superposition", "--sym", "a", "--c1sq-grid", "0.3,0.5,0.7", "--L"],
     "scan-ho-d": ["scan-superposition", "--model", "ho", "--sym", "d", "--n", "0,1,2",
                   "--n-second", "3,4,5", "--c1sq-grid", "0.3,0.5,0.7", "--omega"],
+    **{f"density-grid-{tag}": ["density-grid", "--points", "5"] + argv for tag, argv in (
+        ("a", ["--n", "1,2", "--sym", "a", "--L"]),
+        ("s-momentum", ["--n", "1,2", "--sym", "s", "--space", "momentum", "--L"]),
+        ("ho-a", ["--model", "ho", "--n", "0,1", "--sym", "a", "--omega"]))},
 }
 
 
 @pytest.mark.parametrize("scale", ["1e-300", "1e-6", "0.01", "1e6", "1e300"])
 @pytest.mark.parametrize("name", SCALE_RUNS)
 def test_extreme_scale_prints_finite_numbers_or_one_error(capsys, name, scale):
+    # every entropy runs at unit scale, so only the pointwise density grid,
+    # in physical units, may fail
     code, out, err, numpy_warnings = run_quietly(capsys, *SCALE_RUNS[name], scale)
-    assert code in (0, 2, 3) and not numpy_warnings
+    assert not numpy_warnings
+    assert code == 0 or (code == 3 and name.startswith("density-grid"))
     if code:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert out == "" and err.startswith("error: numerical failure: ") \
+            and err.count("\n") == 1
     else:
         assert out and not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)
 

@@ -3,35 +3,13 @@
 Each command runs in-process through ``cli.main``.  The text between the
 numbers must match exactly; each number must match within 1e-11
 relative or 1e-13 absolute, so that round-off-sized values such as an
-I_pair of 1e-16 may move.  ``regenerate_golden.py`` rewrites the files.
+I_pair of 1e-16 may move (``regenerate_golden.mismatches``).
+``regenerate_golden.py`` rewrites the files that fail it.
 """
-
-import math
-import re
 
 import pytest
 
-from regenerate_golden import CASES, path, run
-
-# a signed decimal or float literal, kept by re.split as its own piece
-NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
-
-
-def mismatches(got, want):
-    """Lines where ``got`` differs from ``want`` beyond the tolerance."""
-    got_lines, want_lines = got.splitlines(), want.splitlines()
-    if len(got_lines) != len(want_lines):
-        return [f"{len(got_lines)} lines, expected {len(want_lines)}"]
-    bad = []
-    for k, (g, w) in enumerate(zip(got_lines, want_lines)):
-        gs, ws = NUMBER.split(g), NUMBER.split(w)
-        same = len(gs) == len(ws) and all(
-            a == b if i % 2 == 0 else
-            math.isclose(float(a), float(b), rel_tol=1e-11, abs_tol=1e-13)
-            for i, (a, b) in enumerate(zip(gs, ws)))
-        if not same:
-            bad.append(f"line {k + 1}: {g!r} != {w!r}")
-    return bad
+from regenerate_golden import CASES, mismatches, path, run
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -273,21 +273,63 @@ def test_ho_position_equals_momentum_at_unit_omega(ho):
 
 
 def test_box_position_covariant_under_length():
-    # x scales as L: s_k shifts by k ln L.  Box momentum is not exact on
-    # the default rules: its 1/p^2 tails leave residuals of order 1e-5.
-    def states(length):
+    # x scales as L and p as 1/L: s_k shifts by +/- k ln L.  Box momentum
+    # is exact too, since every entropy runs at L = 1; on the L = 2.5 rule
+    # its 1/p^2 tails left residuals of order 1e-5
+    def states(length, space):
         box = ModelParams.box(length)
-        spec = SuperpositionSpec(Configuration(box, (1, 2, 3), SYMMETRIC),
-                                 Configuration(box, (4, 5, 6), SYMMETRIC),
+        spec = SuperpositionSpec(Configuration(box, (1, 2, 3), SYMMETRIC, space),
+                                 Configuration(box, (4, 5, 6), SYMMETRIC, space),
                                  math.sqrt(0.4))
-        return [Configuration(box, (1, 2, 3), ANTISYMMETRIC),
-                Configuration(box, (1, 1, 2), SYMMETRIC),
-                Configuration(box, (1, 2, 4), DISTINGUISHABLE),
-                Configuration(box, (1, 2), ANTISYMMETRIC),
+        return [Configuration(box, (1, 2, 3), ANTISYMMETRIC, space),
+                Configuration(box, (1, 1, 2), SYMMETRIC, space),
+                Configuration(box, (1, 2, 4), DISTINGUISHABLE, space),
+                Configuration(box, (1, 2), ANTISYMMETRIC, space),
                 build_superposition(spec)]
 
-    for a, b in zip(_rows(states(1.0)), _rows(states(2.5))):
-        assert _covariance_residual(a, b, math.log(2.5)) < ROUND_OFF, a["system"]
+    for space, sign in ((POSITION, 1.0), (MOMENTUM, -1.0)):
+        for a, b in zip(_rows(states(1.0, space)), _rows(states(2.5, space))):
+            residual = _covariance_residual(a, b, sign * math.log(2.5))
+            assert residual < ROUND_OFF, (a["system"], space)
+
+
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+@pytest.mark.parametrize("kind", ["box", "oscillator"])
+def test_entropies_shift_by_k_ln_c_at_every_scale(kind, space):
+    # L or omega over 600 decades, in one batch: every entropy runs at unit
+    # scale, each s_k is s_k(1) + k ln c, and every measure stays.  At
+    # omega = 1e-300 oscillator A(0, 1, 2) printed s2 = s3 = 0 and
+    # I^3 = -1040.9, and box A states failed at L = 0.01
+    scales = (1e-300, 1e-6, 0.01, 1e6, 1e300)
+    make, ns = (ModelParams.box, (1, 2, 3)) if kind == "box" \
+        else (ModelParams.oscillator, (0, 1, 2))
+
+    def states(scale):
+        params = make(scale)
+        spec = SuperpositionSpec(Configuration(params, ns, SYMMETRIC, space),
+                                 Configuration(params, ns[1:] + (6,), SYMMETRIC, space),
+                                 math.sqrt(0.4))
+        return [Configuration(params, ns, ANTISYMMETRIC, space),
+                Configuration(params, ns[:2], ANTISYMMETRIC, space),
+                Configuration(params, ns, DISTINGUISHABLE, space),
+                build_superposition(spec)]
+
+    rows = _rows([st for scale in (1.0,) + scales for st in states(scale)])
+    sign = 1.0 if space == POSITION else -1.0
+    for k, scale in enumerate(scales, 1):
+        log_c = sign * math.log(scale) * (1.0 if kind == "box" else -0.5)
+        for a, b in zip(rows[:4], rows[4 * k:4 * k + 4]):
+            bound = 1e-14 * max(1.0, abs(b["s1"]))
+            assert _covariance_residual(a, b, log_c) <= bound, (b["system"], space)
+
+
+def test_report_rejects_an_entropy_that_is_not_finite(box):
+    # safety code: no state's unit-scale tables are known to give one
+    wf = Configuration(box, (1, 2, 3), SYMMETRIC)
+    for fine, coarse in (((1.0, math.nan, 3.0), None),
+                         ((1.0, 2.0, 3.0), (1.0, 2.0, math.inf))):
+        with pytest.raises(NonConvergenceError, match="not finite"):
+            information._report(wf, fine, coarse, QuadratureScheme())
 
 
 @pytest.mark.parametrize("sym", [SYMMETRIC, ANTISYMMETRIC])

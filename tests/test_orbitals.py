@@ -14,11 +14,11 @@ from symcorr.orbitals import (
     eval_ho,
     eval_orbital,
     hermite_functions,
-    momentum_domain_scale,
     orbital_factor,
     orbital_parity,
-    position_domain_scale,
 )
+from symcorr.quadrature import Interval
+from symcorr.wavefunction import OrbitalTables
 
 from conftest import dense_rule, fourier_orbital
 
@@ -230,10 +230,10 @@ def test_orbital_factor_rejects_an_unknown_space(params):
 
 
 def test_domain_scales():
+    # each mapped axis reaches past the highest orbital's turning point
     box = ModelParams.box(2.0)
     ho = ModelParams.oscillator(4.0)
-    assert momentum_domain_scale(box, (1, 2, 3)) > 3 * math.pi / 2.0
-    assert momentum_domain_scale(ho, (0, 1, 2)) > math.sqrt(5.0) * 2.0
-    assert position_domain_scale(ho, (0, 1, 2)) > math.sqrt(5.0) / 2.0
-    with pytest.raises(ValueError):
-        position_domain_scale(box, (1, 2))
+    assert OrbitalTables(box, MOMENTUM, (1, 2, 3)).domain.scale > 3 * math.pi / 2.0
+    assert OrbitalTables(ho, MOMENTUM, (0, 1, 2)).domain.scale > math.sqrt(5.0) * 2.0
+    assert OrbitalTables(ho, POSITION, (0, 1, 2)).domain.scale > math.sqrt(5.0) / 2.0
+    assert OrbitalTables(box, POSITION, (1, 2)).domain == Interval(0.0, 2.0)
