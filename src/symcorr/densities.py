@@ -19,6 +19,7 @@ from .quadrature import (
     Interval,
     NonConvergenceError,
     QuadratureScheme,
+    _weighted_sum,
     axis_rule,
     require_nonnegative,
 )
@@ -52,10 +53,7 @@ class ReducedDensity:
 
     def integral(self):
         """Quadrature integral of the table over the full domain (~1)."""
-        v = self.grid_values
-        for axis in range(v.ndim - 1, -1, -1):
-            v = np.tensordot(v, self.grid_weights[axis], axes=([axis], [0]))
-        return float(v)
+        return _weighted_sum(self.grid_values, self.grid_weights)
 
 
 def quadrature_marginal(wf, keep):

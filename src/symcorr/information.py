@@ -70,8 +70,11 @@ k, and s1' and s2' on those it keeps for 3: it drops the end nodes of a
 rule where every orbital is so small that, for any state over them,
 their whole contribution is at most 1e-17 nats.  That cuts the mapped
 oscillator rules (200 -> 126-128 nodes per axis in 3D for table 2) and
-no box rule.  ``reduce_numerical`` and the validation integrals keep
-the full rule.
+no box rule.  Every integral here, the checks and ``entropy_sum_check``
+too, takes its nodes, weights and table from ``_rules`` at unit scale:
+the direct integrals do not depend on c, the entropy sum adds ln c to
+each s1 and the cumulant is the unit one times c^3.  Only the pointwise
+densities of ``densities``, in physical units, keep the full rule.
 All three entropies apply the one d ln d, ``quadrature._d_ln_d``, and
 negate the reduced sum.  All values are in nats.
 """
@@ -85,7 +88,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .densities import quadrature_marginal, reduce_numerical
 from .orbitals import MOMENTUM, POSITION
 from .quadrature import (
     DENSITY_FLOOR,
@@ -211,10 +213,11 @@ def _group_key(st):
 def _rules(t, scheme, tables):
     """``rule(k)`` of the orbital tables ``t`` on ``scheme``.
 
-    ``rule(k)`` is the (table, q, weights) of the nodes ``trim_rule``
-    keeps for an entropy of k coordinates on the axis ``t.domain``, q
-    the table's ``orbital_products``.  ``tables`` holds the table of each
-    rule, keyed by (t, panels), and each of these, evaluated once.
+    ``rule(k)`` is the (x, table, q, weights) of the nodes x that
+    ``trim_rule`` keeps for an entropy of k coordinates on the axis
+    ``t.domain``, q the table's ``orbital_products``.  ``tables`` holds
+    the table of each rule, keyed by (t, panels), and each of these,
+    evaluated once.  No other code here builds a rule or a table.
     """
 
     def rule(k):
@@ -224,7 +227,8 @@ def _rules(t, scheme, tables):
             if tk not in tables:
                 tables[tk] = t(x)
             table, w = trim_rule(tables[tk], w, k)[:2]
-            tables[tk, k] = table, orbital_products(table), w
+            x = x[(len(x) - len(w)) // 2:][:len(w)]  # the kept nodes, as trimmed
+            tables[tk, k] = x, table, orbital_products(table), w
         return tables[tk, k]
 
     return rule
@@ -306,15 +310,15 @@ def _entropies(states, groups, scheme):
         ones, pairs = _keeps(first)
         stacked = [np.stack(c) for c in zip(*(states[k].terms for k in members))]
         rho = _density_forms(stacked, ones, parities)
-        s1 = _mean_entropies(rho, *rule(1)[1:])
+        s1 = _mean_entropies(rho, *rule(1)[2:])
         if len(first.terms) == 1 and np.count_nonzero(first.terms[0]) == 1:
             # Hartree products: the joint density factorizes
             s = [s1, 2.0 * s1, 3.0 * s1]
         else:
             gamma = _density_forms(stacked, pairs, parities)
-            s = [s1, _mean_entropies(gamma, *rule(2)[1:])]
+            s = [s1, _mean_entropies(gamma, *rule(2)[2:])]
             if first.nparticles == 3:
-                table, q, w = rule(3)
+                _, table, q, w = rule(3)
                 symmetric = first.symmetry != DISTINGUISHABLE
                 folds = slab_folds(first.terms, symmetric, parities)
                 i_higher = 3.0 * _mean_entropies(gamma, q, w) \
@@ -394,23 +398,29 @@ def compute_report(system, scheme=None, with_error=True):
     return compute_reports([system], scheme, with_error)[0]
 
 
-def _marginals_at(wf, x):
-    """(Gamma, rho) at the nodes x, exact from the reduced density matrices."""
-    gamma = quadrature_marginal(wf, (0, 1))(x[:, None], x[None, :])
-    return gamma, quadrature_marginal(wf, (0,))(x)
+def _marginals(system, scheme, k):
+    """(x, table, q, w) of the unit tables' ``rule(k)``, then rho and Gamma there.
+
+    rho = Q K1 and Gamma = Q K2 Q^T, K the ``density_matrix`` of
+    coordinate 0 and of (0, 1), as ``_mean_entropies`` contracts it.
+    """
+    x, table, q, w = _rules(system.tables.unit_scale[0], scheme, {})(k)
+    stacked = [c[None] for c in system.terms]
+    k1, k2 = (density_matrix(stacked, keep)[0] for keep in ((0,), (0, 1)))
+    return x, table, q, w, q @ k1, q @ k2 @ q.T
 
 
 def mutual_information_pair_direct(system, scheme=None):
     """Pair mutual information from its defining integral (validation mode).
 
     integral Gamma ln[ Gamma / (rho(x1) rho(x2)) ]; indistinguishable
-    systems only.
+    systems only.  The integral does not depend on the coordinate
+    scale, so it runs on the unit tables' 2D rule (``_marginals``).
     """
     scheme = scheme or QuadratureScheme()
     if system.symmetry == DISTINGUISHABLE:
         raise ValueError("direct pair integral assumes indistinguishable marginals")
-    x, w = axis_rule(system.tables.domain, scheme, 2)
-    gamma, rho = _marginals_at(system, x)
+    w, rho, gamma = _marginals(system, scheme, 2)[3:]
     mask = gamma > DENSITY_FLOOR
     denom = np.maximum(np.outer(rho, rho), DENSITY_FLOOR)
     wmat = np.outer(w, w)
@@ -423,9 +433,11 @@ def mutual_information_higher_direct(system, scheme=None):
 
     integral |Psi|^2 ln[ |Psi|^2 rho(x1) rho(x2) rho(x3)
                          / (Gamma(x1,x2) Gamma(x1,x3) Gamma(x2,x3)) ].
-    Validation mode; indistinguishable systems only.  On the untrimmed
-    3D rule, the sum of the integrand is the finite sum rearranged, the
-    way ``cumulant3`` rearranges its moments: ln R at node (i, j, k) is
+    Validation mode; indistinguishable systems only.  ln R does not
+    depend on the coordinate scale, so the integral runs on the unit
+    tables' trimmed 3D rule (``_marginals``), and there the sum of the
+    integrand is the finite sum rearranged, the way ``cumulant3``
+    rearranges its moments: ln R at node (i, j, k) is
     ln d_ijk + g_ij + g_ik + g_jk, g_ij = (ln rho_i + ln rho_j)/2 -
     ln Gamma_ij with rho and Gamma exact and floored at 1e-300, and d is
     exchange-symmetric.  So the sum is -s3' + 3 sum_ij w_i w_j Gamma'_ij
@@ -443,14 +455,11 @@ def mutual_information_higher_direct(system, scheme=None):
     if system.symmetry == DISTINGUISHABLE:
         raise ValueError("direct higher-order integral assumes "
                          "indistinguishable marginals")
-    x, w = axis_rule(system.tables.domain, scheme, 3)
-    gamma, rho = _marginals_at(system, x)
+    _, t, q, w, rho, gamma = _marginals(system, scheme, 3)
     log_rho = np.log(np.maximum(rho, DENSITY_FLOOR))
     g = 0.5 * (log_rho[:, None] + log_rho) - np.log(np.maximum(gamma, DENSITY_FLOOR))
-    t = system.tables(x)
     gram = (t.T * w) @ t
     kmat = sum(np.einsum("abc,cd,efd->aebf", c, gram, c) for c in system.terms)
-    q = orbital_products(t)
     gamma_rule = q @ kmat.reshape(q.shape[1], -1) @ q.T
     return 3.0 * float(w @ (gamma_rule * g) @ w) \
         - entropy_grid(system.terms, t, w, True, ())
@@ -459,14 +468,19 @@ def mutual_information_higher_direct(system, scheme=None):
 def entropy_sum_check(params, ns, symmetry, scheme=None):
     """One-particle entropy sum s_x + s_p against the 1 + ln(pi) bound.
 
+    Each s1 is that of coordinate 0 on the unit tables' 1D rule plus
+    ln c (``OrbitalTables.unit_scale``).  The two s1 and the two ln c
+    are summed apart, so the ln c, equal and opposite, cancel exactly.
     Returns (entropy_sum, bound, satisfied).
     """
     scheme = scheme or QuadratureScheme()
-    sums = {}
+    parts = []
     for space in (POSITION, MOMENTUM):
         cfg = Configuration(params=params, ns=ns, symmetry=symmetry, space=space)
-        sums[space] = entropy(reduce_numerical(cfg, 1, scheme))
-    total = sums[POSITION] + sums[MOMENTUM]
+        t, log_c = cfg.tables.unit_scale
+        forms = _density_forms([c[None] for c in cfg.terms], [(0,)], cfg.tables.parities)
+        parts.append((_mean_entropies(forms, *_rules(t, scheme, {})(1)[2:])[0], log_c))
+    total = float(np.sum(parts, axis=0).sum())
     return total, ENTROPIC_BOUND, bool(total >= ENTROPIC_BOUND - 1e-9)
 
 
@@ -476,16 +490,19 @@ def cumulant3(system, scheme=None):
     Moments are taken over rho, Gamma and |Psi|^2; the cumulant vanishes
     identically for indistinguishable particles.  For distinguishable
     systems the value is reported with coordinate-averaged moments and no
-    zero assertion applies.  Each moment is the 3D rule's finite sum
-    rearranged onto the real terms: sum_t sum C_abc C_a'b'c' X_aa'
-    X_bb' X_cc' for <x1 x2 x3>, X[a, b] = sum_i w_i x_i phi_a(x_i)
-    phi_b(x_i) over the real orbital factors, with the identity for X on
-    each axis a lower moment leaves out.
+    zero assertion applies.  A joint third cumulant does not change
+    under a shift and scales as c^3, so it is that of the unit tables'
+    trimmed 3D rule times c^3 = exp(3 ln c) (``OrbitalTables.unit_scale``),
+    which raises ``OverflowError`` where c^3 overflows.  Each moment is
+    the rule's finite sum rearranged onto the real terms: sum_t sum
+    C_abc C_a'b'c' X_aa' X_bb' X_cc' for <x1 x2 x3>, X[a, b] = sum_i w_i
+    x_i phi_a(x_i) phi_b(x_i) over the real orbital factors, with the
+    identity for X on each axis a lower moment leaves out.
     """
     scheme = scheme or QuadratureScheme()
-    x, w = axis_rule(system.tables.domain, scheme, 3)
-    t = system.tables(x)
-    xmat = (t.T * (w * x)) @ t
+    t, log_c = system.tables.unit_scale
+    x, table, _, w = _rules(t, scheme, {})(3)
+    xmat = (table.T * (w * x)) @ table
     eye = np.eye(len(xmat))
 
     def moment(keep):
@@ -497,4 +514,4 @@ def cumulant3(system, scheme=None):
     m1 = float(np.mean([moment(k) for k in ones]))
     m2 = float(np.mean([moment(k) for k in pairs]))
     m3 = float(moment((0, 1, 2)))
-    return m3 - 3.0 * m2 * m1 + 2.0 * m1**3
+    return (m3 - 3.0 * m2 * m1 + 2.0 * m1**3) * math.exp(3.0 * log_c)

@@ -250,12 +250,20 @@ def integrate(f, domains, scheme=None):
         grids = np.meshgrid(*(x for x, _ in rules), indexing="ij", sparse=True)
         # broadcast f over sparse grids if it returned a scalar or partial shape
         vals = np.broadcast_to(np.asarray(f(*grids), dtype=float), shape)
-        for axis in range(ndim - 1, -1, -1):
-            vals = np.tensordot(vals, rules[axis][1], axes=([axis], [0]))
-        runs.append((float(vals), math.prod(shape)))
+        runs.append((_weighted_sum(vals, [w for _, w in rules]), math.prod(shape)))
     (fine, nodes), (coarse, _) = runs
     return IntegralResult(value=fine, error_estimate=abs(fine - coarse),
                           nodes_used=nodes)
+
+
+def _weighted_sum(values, weight_axes):
+    """sum w0_i w1_j .. values_ij.. on a tensor grid, the last axis first.
+
+    The one weighted grid sum, as a float, of every tabulated integral.
+    """
+    for axis in range(values.ndim - 1, -1, -1):
+        values = np.tensordot(values, weight_axes[axis], axes=([axis], [0]))
+    return float(values)
 
 
 def _d_ln_d(d, out):
@@ -302,7 +310,4 @@ def entropy_from_values(values, weight_axes):
     if values.ndim != len(weight_axes):
         raise ValueError("weight axes do not match value dimensions")
     values = np.asarray(values, dtype=float)
-    g = _d_ln_d(values, np.empty_like(values))
-    for axis in range(g.ndim - 1, -1, -1):
-        g = np.tensordot(g, weight_axes[axis], axes=([axis], [0]))
-    return -float(g)
+    return -_weighted_sum(_d_ln_d(values, np.empty_like(values)), weight_axes)

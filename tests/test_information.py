@@ -1,3 +1,4 @@
+import ast
 import math
 import tracemalloc
 import warnings
@@ -879,3 +880,102 @@ def test_trimmed_s3_nodes_of_oscillator_a012(ho, integrand_nodes):
     # 676,700 to 178,880 nodes
     compute_report(Configuration(ho, (0, 1, 2), ANTISYMMETRIC), with_error=False)
     assert sum(integrand_nodes) == 178_880
+
+
+def _unit(params):
+    return ModelParams.box(1.0) if params.kind == "box" else ModelParams.oscillator(1.0)
+
+
+SCALES = [(ModelParams.box(v), (1, 2, 3)) for v in (1e-300, 2.5, 1e300)] \
+    + [(ModelParams.oscillator(v), (0, 1, 2)) for v in (1e-300, 1.7, 1e300)]
+SCALE_IDS = [f"{p.kind}-{p.L or p.omega:g}" for p, _ in SCALES]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sym", [SYMMETRIC, ANTISYMMETRIC])
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+@pytest.mark.parametrize("params,ns", SCALES, ids=SCALE_IDS)
+def test_direct_integrals_do_not_depend_on_the_scale(params, ns, space, sym):
+    # both integrands are scale-free, so they run on the unit tables'
+    # rule: at 1e-300 a physical-unit rule gave I_pair = 0 and I^3 = 1031
+    scheme = ODD_EVEN_SCHEMES[0]
+    for f in (mutual_information_pair_direct, mutual_information_higher_direct):
+        unit = f(Configuration(_unit(params), ns, sym, space), scheme)
+        assert f(Configuration(params, ns, sym, space), scheme) == unit, f.__name__
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sym", [SYMMETRIC, ANTISYMMETRIC, DISTINGUISHABLE])
+@pytest.mark.parametrize("params,ns", SCALES, ids=SCALE_IDS)
+def test_entropy_sum_does_not_depend_on_the_scale(params, ns, sym):
+    # s_x and s_p shift by ln c and -ln c; at L = 1e-300 a physical-unit
+    # rule gave -690.9 and reported the bound broken
+    total, bound, ok = entropy_sum_check(params, ns, sym)
+    assert ok and total >= bound
+    assert abs(total - entropy_sum_check(_unit(params), ns, sym)[0]) <= 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+def test_cumulant3_scales_as_the_cube_of_the_length():
+    def cumulant(L):
+        a, b = (Configuration(ModelParams.box(L), ns, DISTINGUISHABLE)
+                for ns in ((1, 2, 3), (2, 1, 4)))
+        return cumulant3(build_superposition(SuperpositionSpec(a, b, math.sqrt(0.5))))
+
+    unit = cumulant(1.0)
+    assert abs(unit - -0.00644066726321968) <= 1e-15
+    assert abs(cumulant(2.5) / (2.5**3 * unit) - 1.0) <= 1e-12
+    with pytest.raises(OverflowError):
+        cumulant(1e300)
+
+
+# orbital pairs of opposite parity: reflecting one coordinate maps
+# |Psi_S|^2 onto |Psi_A|^2, so S and A share every entropy
+OPPOSITE_PARITY = [(ModelParams.box(1.0), ns) for ns in ((1, 2), (2, 5), (1, 4), (3, 6))] \
+    + [(ModelParams.oscillator(1.0), ns) for ns in ((0, 1), (2, 5), (1, 2), (0, 3))]
+
+
+def _s_and_a(params, ns, space):
+    return compute_reports([Configuration(params, ns, sym, space)
+                            for sym in (SYMMETRIC, ANTISYMMETRIC)], with_error=False)
+
+
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+@pytest.mark.parametrize("params,ns", OPPOSITE_PARITY,
+                         ids=[f"{p.kind}-{a}{b}" for p, (a, b) in OPPOSITE_PARITY])
+def test_two_particle_s_equals_a_for_opposite_parities(params, ns, space):
+    s, a = _s_and_a(params, ns, space)
+    for key in ("s1", "s2", "I_pair"):
+        assert abs(s.as_dict()[key] - a.as_dict()[key]) <= 1e-13, key
+
+
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+def test_two_particle_a_exceeds_s_for_equal_parities(box, ho, space):
+    # box (2, 4) in position space is the exception: shifting one
+    # coordinate by L/2 (mod L) flips the sign of phi_2 and keeps phi_4,
+    # so it maps S onto A and the two are equal; in momentum A is ahead
+    # by 0.044
+    cases = [(box, (1, 3)), (ho, (0, 2)), (ho, (1, 3))]
+    if space == MOMENTUM:
+        cases.append((box, (2, 4)))
+    else:
+        s, a = _s_and_a(box, (2, 4), space)
+        assert abs(a.i_pair - s.i_pair) <= 1e-13
+    for params, ns in cases:
+        s, a = _s_and_a(params, ns, space)
+        assert a.i_pair > s.i_pair + 0.04, (params.kind, ns)
+
+
+def test_information_takes_every_rule_from_rules():
+    # one rule source: no reduced density from ``densities``, no
+    # ``axis_rule`` outside ``_rules`` and no ``tables(x)`` call at all
+    with open(information.__file__) as fh:
+        tree = ast.parse(fh.read())
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                and n.module == "densities"]
+    assert not [c for c in ast.walk(tree) if isinstance(c, ast.Call)
+                and getattr(c.func, "attr", None) == "tables"]
+    callers = [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+               and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "axis_rule"
+                       for c in ast.walk(f))]
+    assert callers == ["_rules"]
