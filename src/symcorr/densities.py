@@ -4,8 +4,12 @@ Every reduced density comes from the reduced density matrix of the
 state's orbital-coefficient tensor (see ``wavefunction``): by orbital
 orthonormality it is exact at any point, with no quadrature over the
 integrated coordinates.  A ``ReducedDensity`` also carries its own
-table: the density at the nodes of the scheme's rule for its arity,
-which its integral and entropy consume.
+table, which its integral and entropy consume: the density of the
+state's unit-scale tables (``OrbitalTables.unit_scale``, L = 1 or
+omega = 1) at the nodes ``information._rules`` keeps for its arity k,
+and ln c, c the coordinate scale.  The table's densities are of order 1
+whatever L or omega; its integral does not depend on c and its entropy
+adds k ln c, as every entropy of a report does.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from .quadrature import (
     NonConvergenceError,
     QuadratureScheme,
     _weighted_sum,
-    axis_rule,
     require_nonnegative,
 )
+from .information import _marginals
 from .wavefunction import DISTINGUISHABLE
 
 __all__ = [
@@ -37,7 +41,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReducedDensity:
-    """k-particle density (k = 1 or 2): exact calls plus its rule table."""
+    """k-particle density (k = 1 or 2): exact calls plus its unit-scale table.
+
+    ``func`` and ``domains`` are in physical units; ``grid_values`` and
+    ``grid_weights`` are the unit-scale table and its weights, and
+    ``log_c`` is ln c, c the coordinate scale.
+    """
 
     arity: int
     space: str
@@ -45,6 +54,7 @@ class ReducedDensity:
     func: object = field(repr=False)  # callable on physical coordinates
     grid_weights: tuple = field(repr=False)
     grid_values: np.ndarray = field(repr=False)
+    log_c: float
 
     def __call__(self, *coords):
         if len(coords) != self.arity:
@@ -52,7 +62,7 @@ class ReducedDensity:
         return self.func(*coords)
 
     def integral(self):
-        """Quadrature integral of the table over the full domain (~1)."""
+        """Quadrature integral of the table over the full domain (~1, any c)."""
         return _weighted_sum(self.grid_values, self.grid_weights)
 
 
@@ -108,10 +118,13 @@ def reduce_to_pair(wf):
 
 
 def reduce_numerical(wf, arity, scheme=None, keep=None):
-    """k-particle density of any state, tabulated on the scheme's rule.
+    """k-particle density of any state, tabulated at unit scale.
 
-    The table holds the density at the nodes of the scheme's rule for
-    ``arity`` dimensions; pointwise calls are exact.  ``keep`` selects
+    The table holds the unit-scale density at the nodes of the scheme's
+    rule that ``information._rules`` keeps for ``arity`` coordinates,
+    contracted from the state's reduced density matrix as every entropy
+    of a report is (``information._marginals``); pointwise calls are
+    exact, in physical units.  ``keep`` selects
     which coordinates survive (defaults to the first ``arity``); it only
     matters for distinguishable states, whose marginals differ per
     coordinate.  For N = 2, arity 2 is |Psi|^2 itself.
@@ -126,12 +139,10 @@ def reduce_numerical(wf, arity, scheme=None, keep=None):
     if (len(keep) != arity or any(k not in range(n_part) for k in keep)
             or list(keep) != sorted(set(keep))):
         raise ValueError(f"invalid kept-coordinate selection {keep}")
-    x, w = axis_rule(wf.tables.domain, scheme, arity)  # one rule serves every axis
-    func = quadrature_marginal(wf, keep)
-    values = func(*np.meshgrid(*(x,) * arity, indexing="ij", sparse=True))
-    return ReducedDensity(arity=arity, space=wf.space, func=func,
+    w, values = _marginals(wf, scheme, arity, keep)[3:]
+    return ReducedDensity(arity=arity, space=wf.space, func=quadrature_marginal(wf, keep),
                           domains=(wf.tables.domain,) * arity, grid_weights=(w,) * arity,
-                          grid_values=np.asarray(values, dtype=float))
+                          grid_values=values, log_c=wf.tables.unit_scale[1])
 
 
 def _default_plot_range(domain):

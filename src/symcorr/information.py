@@ -73,9 +73,9 @@ oscillator rules (200 -> 126-128 nodes per axis in 3D for table 2) and
 no box rule.  Every integral here, the checks and ``entropy_sum_check``
 too, takes its nodes, weights and table from ``_rules`` at unit scale:
 the direct integrals do not depend on c, the entropy sum adds ln c to
-each s1 and the cumulant is the unit one times c^3.  Only the pointwise
-densities of ``densities``, in physical units, keep the full rule.
-All three entropies apply the one d ln d, ``quadrature._d_ln_d``, and
+each s1 and the cumulant is the unit one times c^3.  So does the table
+of every ``densities.ReducedDensity`` (``_marginals``), whose entropy
+adds k ln c.  All three entropies apply the one d ln d, ``quadrature._d_ln_d``, and
 negate the reduced sum.  All values are in nats.
 """
 
@@ -185,14 +185,16 @@ class InformationReport:
 def entropy(density, scheme=None):
     """-integral d ln d of a ReducedDensity or of a state's |Psi|^2.
 
-    A ReducedDensity carries its own table, which is integrated as it
-    is; ``scheme`` applies to states (anything with coefficient-tensor
+    A ReducedDensity carries its own unit-scale table, which is
+    integrated as it is, plus k ln c for its k coordinates; ``scheme``
+    applies to states (anything with coefficient-tensor
     ``terms``: a Configuration or a superposition).  It is the last
     entropy of the state's report: s2 for two particles, and for three
     s3 = 3 s2 - 3 s1 - I^3 (see the module docstring).
     """
     if not hasattr(density, "terms"):
-        return entropy_from_values(density.grid_values, density.grid_weights)
+        return entropy_from_values(density.grid_values, density.grid_weights) \
+            + density.arity * density.log_c
     return _entropies([density], [[0]], scheme or QuadratureScheme())[0][-1]
 
 
@@ -300,6 +302,8 @@ def _entropies(states, groups, scheme):
     table is the group's unit-scale tables' (``unit_scale``), where the
     densities are of order 1 at any L or omega, and each member adds its
     own k ln c to its s_k: members of one group may differ in L or omega.
+    Members whose unit-scale terms are equal bit for bit, such as an
+    oscillator state in position and in momentum space, share one sample.
     """
     tables = {}
     out = [None] * len(states)
@@ -308,7 +312,11 @@ def _entropies(states, groups, scheme):
         rule = _rules(first.tables.unit_scale[0], scheme, tables)
         parities = first.tables.parities  # the same at every scale
         ones, pairs = _keeps(first)
-        stacked = [np.stack(c) for c in zip(*(states[k].terms for k in members))]
+        # members with bit-identical terms share one sample
+        keys = [b"".join(c.tobytes() for c in states[k].terms) for k in members]
+        distinct = list(dict.fromkeys(keys))
+        stacked = [np.stack(c) for c in zip(*(states[members[keys.index(key)]].terms
+                                              for key in distinct))]
         rho = _density_forms(stacked, ones, parities)
         s1 = _mean_entropies(rho, *rule(1)[2:])
         if len(first.terms) == 1 and np.count_nonzero(first.terms[0]) == 1:
@@ -325,7 +333,7 @@ def _entropies(states, groups, scheme):
                     - 3.0 * _mean_entropies(rho, q, w) \
                     - entropy_grid(stacked, table, w, symmetric, folds)
                 s.append(3.0 * s[1] - 3.0 * s1 - i_higher)
-        for j, k in enumerate(members):
+        for j, k in zip(map(distinct.index, keys), members):
             out[k] = tuple(float(v[j]) + n * states[k].tables.unit_scale[1]
                            for n, v in enumerate(s[:first.nparticles], 1))
     return out
@@ -398,16 +406,17 @@ def compute_report(system, scheme=None, with_error=True):
     return compute_reports([system], scheme, with_error)[0]
 
 
-def _marginals(system, scheme, k):
-    """(x, table, q, w) of the unit tables' ``rule(k)``, then rho and Gamma there.
+def _marginals(system, scheme, k, *keeps):
+    """(x, table, q, w) of the unit tables' ``rule(k)``, then each keep's density.
 
-    rho = Q K1 and Gamma = Q K2 Q^T, K the ``density_matrix`` of
-    coordinate 0 and of (0, 1), as ``_mean_entropies`` contracts it.
+    The density of one kept coordinate there is rho = Q K, of two
+    Gamma = Q K Q^T, K their ``density_matrix``, as ``_mean_entropies``
+    contracts it: the unit-scale table of ``densities.reduce_numerical``.
     """
-    x, table, q, w = _rules(system.tables.unit_scale[0], scheme, {})(k)
-    stacked = [c[None] for c in system.terms]
-    k1, k2 = (density_matrix(stacked, keep)[0] for keep in ((0,), (0, 1)))
-    return x, table, q, w, q @ k1, q @ k2 @ q.T
+    rule = _rules(system.tables.unit_scale[0], scheme, {})(k)
+    q, stacked = rule[2], [c[None] for c in system.terms]
+    kmats = (density_matrix(stacked, keep)[0] for keep in keeps)
+    return rule + tuple(q @ m if m.ndim == 1 else q @ m @ q.T for m in kmats)
 
 
 def mutual_information_pair_direct(system, scheme=None):
@@ -420,7 +429,7 @@ def mutual_information_pair_direct(system, scheme=None):
     scheme = scheme or QuadratureScheme()
     if system.symmetry == DISTINGUISHABLE:
         raise ValueError("direct pair integral assumes indistinguishable marginals")
-    w, rho, gamma = _marginals(system, scheme, 2)[3:]
+    w, rho, gamma = _marginals(system, scheme, 2, (0,), (0, 1))[3:]
     mask = gamma > DENSITY_FLOOR
     denom = np.maximum(np.outer(rho, rho), DENSITY_FLOOR)
     wmat = np.outer(w, w)
@@ -455,7 +464,7 @@ def mutual_information_higher_direct(system, scheme=None):
     if system.symmetry == DISTINGUISHABLE:
         raise ValueError("direct higher-order integral assumes "
                          "indistinguishable marginals")
-    _, t, q, w, rho, gamma = _marginals(system, scheme, 3)
+    _, t, q, w, rho, gamma = _marginals(system, scheme, 3, (0,), (0, 1))
     log_rho = np.log(np.maximum(rho, DENSITY_FLOOR))
     g = 0.5 * (log_rho[:, None] + log_rho) - np.log(np.maximum(gamma, DENSITY_FLOOR))
     gram = (t.T * w) @ t

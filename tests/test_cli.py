@@ -7,7 +7,8 @@ import warnings
 
 import pytest
 
-from symcorr import Configuration, ModelParams, cli, compute_report, compute_reports
+from symcorr import (Configuration, ModelParams, cli, compute_report, compute_reports,
+                     information)
 from symcorr.cli import _scheme, build_parser, main
 from symcorr.quadrature import QuadratureScheme
 from symcorr.reference_tables import table_spec
@@ -561,3 +562,25 @@ def test_parser_defaults_exposed():
     args = parser.parse_args(["tables", "--which", "2"])
     assert args.which == 2
     assert parser.parse_args(["report", "--n", "1,2,3"]).model == "box"
+
+
+def test_scan_n3_runs_each_oscillator_state_once_for_both_spaces(capsys, monkeypatch):
+    # oscillator position and momentum states have equal unit-scale terms,
+    # so the two share one s3 sample per level and print equal rows.  Run
+    # twice, 3 error estimates moved by 1e-15 between a state's two rows
+    entropy_grid, samples = information.entropy_grid, []
+
+    def counted(terms, *args):
+        samples.append(len(terms[0]))  # terms stacked along a sample axis
+        return entropy_grid(terms, *args)
+
+    monkeypatch.setattr(information, "entropy_grid", counted)
+    code, out, _ = run(capsys, "scan-n3", "--model", "ho", "--n", "0,1", "--n3-range", "2:5",
+                       "--space", "both", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    # 8 states, each in both spaces: one sample each at either level
+    assert len(rows) == 16 and sum(samples) == 2 * 8
+    for pos, mom in zip(rows[:8], rows[8:]):
+        assert (pos.pop("space"), mom.pop("space")) == ("position", "momentum")
+        assert pos == mom

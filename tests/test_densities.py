@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,12 +13,14 @@ from symcorr import (
     ModelParams,
     QuadratureScheme,
     build,
+    compute_reports,
     entropy,
     export_density_grid,
     reduce_numerical,
     reduce_to_one,
     reduce_to_pair,
 )
+from symcorr.information import _rules
 from symcorr.orbitals import MOMENTUM, POSITION
 from symcorr.quadrature import Interval, axis_rule, gauss_panels
 from symcorr.superposition import SuperpositionSpec, build_superposition
@@ -318,3 +321,58 @@ def test_closed_form_wrappers_are_reduce_numerical_on_the_default_scheme(box, ns
     coarse = QuadratureScheme(panels=2, panels_3d=2, nodes_per_panel=8)
     assert entropy(rho, coarse) == entropy(rho)
     assert entropy(gamma, coarse) == entropy(gamma)
+
+
+def _scale_states(kind, scale, space):
+    """Box A(1,2,3), S(1,1,2) and D(1,2,3), or oscillator A(0,1,2), and an
+    S superposition, at L or omega = ``scale``."""
+    if kind == "box":
+        params = ModelParams.box(scale)
+        ns = [((1, 2, 3), ANTISYMMETRIC), ((1, 1, 2), SYMMETRIC),
+              ((1, 2, 3), DISTINGUISHABLE)]
+        pair = (1, 2, 3), (1, 2, 4)
+    else:
+        params = ModelParams.oscillator(scale)
+        ns = [((0, 1, 2), ANTISYMMETRIC)]
+        pair = (0, 1, 2), (1, 2, 6)
+    spec = SuperpositionSpec(*(Configuration(params, n, SYMMETRIC, space) for n in pair),
+                             math.sqrt(0.4))
+    return [Configuration(params, n, sym, space) for n, sym in ns] \
+        + [build_superposition(spec)]
+
+
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+@pytest.mark.parametrize("kind, scales", [("box", (1e-300, 2.5, 1e300)),
+                                          ("oscillator", (1e-300, 1.7, 1e300))])
+def test_reduced_density_tables_run_at_unit_scale(kind, scales, space):
+    # the table is the unit-scale density and the entropy adds k ln c, so
+    # every entropy matches the report's s_k at any scale.  With a table in
+    # physical units, box A(1,2,3) gave s1 = 566.81 for 690.66 at L = 1e300
+    # and s2 = nan at L = 1e-300
+    unit = {}
+    for scale in (1.0,) + scales:
+        states = _scale_states(kind, scale, space)
+        reports = compute_reports(states, with_error=False)
+        c = {("box", POSITION): scale, ("box", MOMENTUM): 1.0 / scale,
+             ("oscillator", POSITION): scale**-0.5,
+             ("oscillator", MOMENTUM): scale**0.5}[kind, space]
+        for m, (wf, rep) in enumerate(zip(states, reports)):
+            for k, want in ((1, rep.entropies.s1), (2, rep.entropies.s2)):
+                keeps = list(itertools.combinations(range(3), k)) \
+                    if wf.symmetry == DISTINGUISHABLE else [tuple(range(k))]
+                rds = [reduce_numerical(wf, k, keep=keep) for keep in keeps]
+                got = sum(entropy(rd) for rd in rds) / len(rds)
+                if k == 2 and wf.symmetry == DISTINGUISHABLE:
+                    # the report's s2 of a Hartree product is 2 s1; its pair
+                    # table's entropy weighs each s1 by the other factor's
+                    # rule integral, which box momentum misses by ~1e-5, so
+                    # the two differ by 4.3e-5 there
+                    want = unit.setdefault(m, got - 2 * math.log(c)) + 2 * math.log(c)
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (m, k, scale)
+                integrals = [rd.integral() for rd in rds]
+                assert integrals == unit.setdefault((m, k), integrals), (m, k, scale)
+                if 1.0 < scale < 1e300:
+                    x = _rules(wf.tables.unit_scale[0], QuadratureScheme(), {})(k)[0]
+                    pointwise = c**k * rds[0](*np.meshgrid(*(c * x,) * k, indexing="ij"))
+                    assert np.allclose(rds[0].grid_values, pointwise, rtol=1e-13,
+                                       atol=1e-14), (m, k)

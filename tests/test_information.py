@@ -1,5 +1,7 @@
 import ast
+import glob
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -967,15 +969,23 @@ def test_two_particle_a_exceeds_s_for_equal_parities(box, ho, space):
 
 
 def test_information_takes_every_rule_from_rules():
-    # one rule source: no reduced density from ``densities``, no
-    # ``axis_rule`` outside ``_rules`` and no ``tables(x)`` call at all
-    with open(information.__file__) as fh:
-        tree = ast.parse(fh.read())
-    assert not [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-                and n.module == "densities"]
-    assert not [c for c in ast.walk(tree) if isinstance(c, ast.Call)
-                and getattr(c.func, "attr", None) == "tables"]
-    callers = [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
-               and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "axis_rule"
-                       for c in ast.walk(f))]
-    assert callers == ["_rules"]
+    # one rule source: ``information`` imports no reduced density from
+    # ``densities`` and makes no ``tables(x)`` call, and in the whole
+    # package only ``information._rules`` and ``quadrature.integrate``
+    # call ``axis_rule``
+    callers = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(information.__file__),
+                                              "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        module = os.path.basename(path)[:-3]
+        if module == "information":
+            assert not [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                        and n.module == "densities"]
+            assert not [c for c in ast.walk(tree) if isinstance(c, ast.Call)
+                        and getattr(c.func, "attr", None) == "tables"]
+        callers += [f"{module}.{getattr(node, 'name', '<module>')}" for node in tree.body
+                    for c in ast.walk(node) if isinstance(c, ast.Call)
+                    and "axis_rule" in (getattr(c.func, "id", None),
+                                        getattr(c.func, "attr", None))]
+    assert callers == ["information._rules", "quadrature.integrate"]
