@@ -22,7 +22,11 @@ exactly, as every position rule does, the sum of that integrand equals
 report's I^3 is that combination on the 3D rule, and its s3 is
 3 s2 - 3 s1 - I^3, with s1 and s2 from the finer 1D and 2D rules: the
 3D rule's zero-set errors cancel in I^3 and no longer reach s3, and the
-3D rule can be coarser than the 1D and 2D ones.  ``entropy`` of a
+3D rule can be coarser than the 1D and 2D ones.  In the box it is
+coarser still: a position density's factors vanish on the planes
+x = kL/n of its orbitals (``OrbitalTables.node_planes``), and the 3D
+rule, and no other, puts a panel edge on each (``quadrature.axis_rule``),
+so its I^3 converges steadily in the panel count.  ``entropy`` of a
 three-particle state returns that s3.
 ``mutual_information_higher_direct`` integrates ln R itself and
 ``mutual_information_pair_direct`` the pair integrand, as checks.
@@ -217,15 +221,19 @@ def _rules(t, scheme, tables):
 
     ``rule(k)`` is the (x, table, q, weights) of the nodes x that
     ``trim_rule`` keeps for an entropy of k coordinates on the axis
-    ``t.domain``, q the table's ``orbital_products``.  ``tables`` holds
-    the table of each rule, keyed by (t, panels), and each of these,
-    evaluated once.  No other code here builds a rule or a table.
+    ``t.domain``, q the table's ``orbital_products``.  Only ``rule(3)``
+    has a panel edge on each of ``t.node_planes``.  ``tables`` holds the
+    table of each rule, keyed by (t, panels, planes), so a 3D rule and a
+    1D/2D rule of equal panel counts (``--panels``) keep their own, and
+    each of these, evaluated once.  No other code here builds a rule or a
+    table.
     """
 
     def rule(k):
-        tk = (t, scheme.panels_for(t.domain, k))
+        planes = t.node_planes if k == 3 else ()
+        tk = (t, scheme.panels_for(t.domain, k), planes)
         if (tk, k) not in tables:
-            x, w = axis_rule(t.domain, scheme, k)
+            x, w = axis_rule(t.domain, scheme, k, planes)
             if tk not in tables:
                 tables[tk] = t(x)
             table, w = trim_rule(tables[tk], w, k)[:2]

@@ -306,6 +306,20 @@ class OrbitalTables:
                 -0.5 * sign * math.log(p.omega))
 
     @cached_property
+    def node_planes(self):
+        """The points kL/n, 0 < k < n, inside [0, L] where orbital n vanishes.
+
+        Sorted and each once, over every orbital n: the planes on which a
+        box position density's factors vanish, and so the panel edges of
+        the 3D rule (``information._rules``).  No other axis has any.
+        """
+        if self.params.kind != "box" or self.space != POSITION:
+            return ()
+        # k / n is correctly rounded, so equal fractions give one float
+        fractions = {k / n for n in self.orbitals for k in range(1, n)}
+        return tuple(self.params.L * f for f in sorted(fractions))
+
+    @cached_property
     def parities(self):
         """Each orbital's parity about the domain centre (``orbital_parity``)."""
         return tuple(orbital_parity(self.params, n) for n in self.orbitals)

@@ -414,11 +414,16 @@ def _kernel_cases():
 KERNEL_CASES = _kernel_cases()
 
 
+def _rule3(wf, scheme):
+    """(x, table, q, w) of the 3D rule the s3 kernel runs ``wf`` on: the
+    unit tables' ``rule(3)``, trimmed, with panel edges on the node planes."""
+    return information._rules(wf.tables.unit_scale[0], scheme, {})(3)
+
+
 def _kernel_s3(wf, scheme):
     """-sum w w w d ln d of one state: the s3 kernel alone, on the 3D rule
     as ``trim_rule`` trims it and over the region ``slab_folds`` sets."""
-    x, w = axis_rule(wf.tables.domain, scheme, 3)
-    table, w = trim_rule(wf.tables(x), w, 3)[:2]
+    _, table, _, w = _rule3(wf, scheme)
     symmetric = wf.symmetry != DISTINGUISHABLE
     return entropy_grid(wf.terms, table, w, symmetric,
                         slab_folds(wf.terms, symmetric, wf.tables.parities))
@@ -427,7 +432,7 @@ def _kernel_s3(wf, scheme):
 @pytest.mark.parametrize("scheme3", ODD_EVEN_SCHEMES, ids=["odd", "even"])
 @pytest.mark.parametrize("name,wf", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_fused_s3_matches_full_grid(name, wf, scheme3):
-    x, w = axis_rule(wf.tables.domain, scheme3, 3)
+    x, _, _, w = _rule3(wf, scheme3)
     want = entropy_from_values(wf.density_tensor([x] * 3), [w] * 3)
     assert abs(_kernel_s3(wf, scheme3) - want) < 1e-12
 
@@ -440,7 +445,7 @@ MOMENTUM_CASES = [c for c in KERNEL_CASES if c[1].space == MOMENTUM]
 def test_fused_s3_matches_pointwise_density_in_momentum_space(name, wf, scheme3):
     # density_tensor shares the real terms and tables with the kernel; the
     # pointwise density of the complex orbitals shares neither
-    x, w = axis_rule(wf.tables.domain, scheme3, 3)
+    x, _, _, w = _rule3(wf, scheme3)
     want = entropy_from_values(wf.density(*np.meshgrid(x, x, x, indexing="ij")),
                                [w] * 3)
     assert abs(_kernel_s3(wf, scheme3) - want) < 1e-12
@@ -449,7 +454,7 @@ def test_fused_s3_matches_pointwise_density_in_momentum_space(name, wf, scheme3)
 def _higher_direct_full_grid(wf, scheme):
     """I^3 as the full-grid sum of |Psi|^2 ln R, with the floors of
     ``mutual_information_higher_direct``."""
-    x, w = axis_rule(wf.tables.domain, scheme, 3)
+    x, _, _, w = _rule3(wf, scheme)
     d = wf.density_tensor([x] * 3)
     lr = np.log(np.maximum(quadrature_marginal(wf, (0,))(x), DENSITY_FLOOR))
     lg = np.log(np.maximum(quadrature_marginal(wf, (0, 1))(x[:, None], x[None, :]),
@@ -538,8 +543,7 @@ def integrand_nodes(monkeypatch):
 def test_fused_s3_evaluates_each_distinct_value_once(name, wf, scheme3, integrand_nodes):
     _kernel_s3(wf, scheme3)
     # the nodes of the rule the kernel runs on: trim_rule drops oscillator tails
-    x, w = axis_rule(wf.tables.domain, scheme3, 3)
-    n = len(trim_rule(wf.tables(x), w, 3)[1])
+    n = len(_rule3(wf, scheme3)[3])
     if wf.symmetry == DISTINGUISHABLE:
         f = len(FOLDS[name])
         want = ((n + 1) // 2) ** f * n ** (3 - f)
@@ -558,9 +562,9 @@ def test_inversion_halves_only_the_scan_endpoints(box, sym, integrand_nodes):
     a = Configuration(box, (1, 2, 3), sym)
     b = Configuration(box, (4, 5, 6), sym)
     scheme3 = ODD_EVEN_SCHEMES[0]
-    n = len(axis_rule(a.domains(1)[0], scheme3, 3)[1])
     for c1sq, folds in ((0.0, True), (0.5, False), (1.0, True)):
         wf = build_superposition(SuperpositionSpec(a, b, math.sqrt(c1sq)))
+        n = len(_rule3(wf, scheme3)[3])
         assert slab_folds(wf.terms, True, wf.tables.parities) == ((0,) if folds else ())
         integrand_nodes.clear()
         entropy(wf, scheme3)
@@ -578,7 +582,7 @@ def test_batched_scan_endpoints_run_the_inverted_half_sector(box, scheme3,
     mixes = [build_superposition(SuperpositionSpec(a, b, math.sqrt(c1sq)))
              for c1sq in (0.0, 0.5, 1.0)]
     compute_reports(mixes, scheme3, with_error=False)
-    n = len(axis_rule(a.domains(1)[0], scheme3, 3)[1])
+    n = len(_rule3(mixes[0], scheme3)[3])
     sector = [(j + 1) * (n - j) for j in range(n)]
     assert sum(integrand_nodes) == 2 * sum(sector[:(n + 1) // 2]) + sum(sector)
 
@@ -607,7 +611,7 @@ def test_batched_s3_matches_per_sample_s3(box, sym, interference, scheme3,
     # the same nodes, the endpoints' inversion and parity folds included
     assert sum(batched) == sum(integrand_nodes)
     # the kernel alone on every sample: a fold only where all samples keep it
-    x, w = axis_rule(a.domains(1)[0], scheme3, 3)
+    _, table, _, w = _rule3(mixes[0], scheme3)
     if interference:
         terms = [np.stack([m.terms[0] for m in mixes])]
     else:  # c1 C_A and c2 C_B of every sample, the endpoints' zero tensors too
@@ -627,7 +631,7 @@ def test_batched_s3_matches_per_sample_s3(box, sym, interference, scheme3,
     slabs = (h if 0 in folds else n) + (2 * h if symmetric else 0)
     assert max(batched) <= n * n
     assert len(batched) > slabs
-    s3 = entropy_grid(terms, mixes[0].tables(x), w, symmetric, folds)
+    s3 = entropy_grid(terms, table, w, symmetric, folds)
     for mix, got in zip(mixes, s3):
         assert abs(got - _kernel_s3(mix, scheme3)) <= 1e-13
 
@@ -672,9 +676,9 @@ def test_a_batch_changes_no_s1_or_s2(box, space):
 
 def test_fused_s3_full_grid_without_parities(integrand_nodes):
     wf = dict(KERNEL_CASES)["d-mixture"]
-    x, w = axis_rule(wf.tables.domain, ODD_EVEN_SCHEMES[0], 3)
+    _, table, _, w = _rule3(wf, ODD_EVEN_SCHEMES[0])
     # no folds: the kernel runs the whole grid, to the folded value
-    full = entropy_grid(wf.terms, wf.tables(x), w, False, ())
+    full = entropy_grid(wf.terms, table, w, False, ())
     assert sum(integrand_nodes) == len(w) ** 3
     assert abs(full - _kernel_s3(wf, ODD_EVEN_SCHEMES[0])) < 1e-12
 
@@ -701,7 +705,7 @@ def test_fused_s3_builds_no_3d_grid(box, monkeypatch):
 
 def _cumulant3_full_grid(wf, scheme):
     """cumulant3 with <x1 x2 x3> summed over |Psi|^2 on the full 3D grid."""
-    x, w = axis_rule(wf.tables.domain, scheme, 3)
+    x, _, _, w = _rule3(wf, scheme)
     wx = w * x
     if wf.symmetry == DISTINGUISHABLE:
         ones, pairs = [(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]
@@ -793,8 +797,7 @@ TRIM_SCHEMES = [QuadratureScheme(), QuadratureScheme().coarsened()]
 def test_trimmed_rules_keep_every_entropy(scheme, monkeypatch):
     states = [wf for _, wf in TRIM_CASES]
     for wf in states:
-        x, w = axis_rule(wf.tables.domain, scheme, 3)
-        assert len(trim_rule(wf.tables(x), w, 3)[1]) < len(w)
+        assert len(_rule3(wf, scheme)[3]) < scheme.line_panels_3d * scheme.nodes_per_panel
     trimmed = compute_reports(states, scheme, with_error=False)
     monkeypatch.setattr(information, "trim_rule", lambda t, w, k: (t, w, 0.0))
     full = compute_reports(states, scheme, with_error=False)
