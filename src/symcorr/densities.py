@@ -6,10 +6,11 @@ orthonormality it is exact at any point, with no quadrature over the
 integrated coordinates.  A ``ReducedDensity`` also carries its own
 table, which its integral and entropy consume: the density of the
 state's unit-scale tables (``OrbitalTables.unit_scale``, L = 1 or
-omega = 1) at the nodes ``information._rules`` keeps for its arity k,
-and ln c, c the coordinate scale.  The table's densities are of order 1
-whatever L or omega; its integral does not depend on c and its entropy
-adds k ln c, as every entropy of a report does.
+omega = 1) at the nodes kept for its arity k, as
+``wavefunction.marginal_tables`` tabulates it for every entropy of a
+report, and ln c, c the coordinate scale.  The table's densities are of
+order 1 whatever L or omega; its integral does not depend on c and its
+entropy adds k ln c, as every entropy of a report does.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ import numpy as np
 from .quadrature import (
     Interval,
     NonConvergenceError,
-    QuadratureScheme,
-    _weighted_sum,
     require_nonnegative,
+    weighted_sum,
 )
-from .information import _marginals
-from .wavefunction import DISTINGUISHABLE
+from .wavefunction import DISTINGUISHABLE, marginal_tables
 
 __all__ = [
     "ReducedDensity",
@@ -63,7 +62,7 @@ class ReducedDensity:
 
     def integral(self):
         """Quadrature integral of the table over the full domain (~1, any c)."""
-        return _weighted_sum(self.grid_values, self.grid_weights)
+        return weighted_sum(self.grid_values, self.grid_weights)
 
 
 def quadrature_marginal(wf, keep):
@@ -121,17 +120,15 @@ def reduce_numerical(wf, arity, scheme=None, keep=None):
     """k-particle density of any state, tabulated at unit scale.
 
     The table holds the unit-scale density at the nodes of the scheme's
-    rule that ``information._rules`` keeps for ``arity`` coordinates,
-    contracted from the state's reduced density matrix as every entropy
-    of a report is (``information._marginals``); pointwise calls are
-    exact, in physical units.  ``keep`` selects
-    which coordinates survive (defaults to the first ``arity``); it only
-    matters for distinguishable states, whose marginals differ per
-    coordinate.  For N = 2, arity 2 is |Psi|^2 itself.
+    rule kept for ``arity`` coordinates, contracted from the state's
+    reduced density matrix as every entropy of a report is
+    (``wavefunction.marginal_tables``); pointwise calls are exact, in
+    physical units.  ``keep`` selects which coordinates survive
+    (defaults to the first ``arity``); it only matters for
+    distinguishable states, whose marginals differ per coordinate.  For N = 2, arity 2 is |Psi|^2 itself.
     """
     if arity not in (1, 2):
         raise ValueError("reduced density arity must be 1 or 2")
-    scheme = scheme or QuadratureScheme()
     n_part = wf.nparticles
     if arity > n_part:
         raise ValueError("arity exceeds the particle count")
@@ -139,10 +136,10 @@ def reduce_numerical(wf, arity, scheme=None, keep=None):
     if (len(keep) != arity or any(k not in range(n_part) for k in keep)
             or list(keep) != sorted(set(keep))):
         raise ValueError(f"invalid kept-coordinate selection {keep}")
-    w, values = _marginals(wf, scheme, arity, keep)[3:]
+    rule, values = marginal_tables(wf, scheme, arity, keep)
     return ReducedDensity(arity=arity, space=wf.space, func=quadrature_marginal(wf, keep),
-                          domains=(wf.tables.domain,) * arity, grid_weights=(w,) * arity,
-                          grid_values=values, log_c=wf.tables.unit_scale[1])
+                          domains=(wf.tables.domain,) * arity, grid_values=values,
+                          grid_weights=(rule.w,) * arity, log_c=wf.tables.unit_scale[1])
 
 
 def _default_plot_range(domain):

@@ -57,7 +57,7 @@ density matrices of its coefficient tensor, formed once per group: each
 member's rho and Gamma are its own matrix contracted with the orbital
 products, so grouping changes no s1 or s2.  A marginal runs on the first
 half of each axis its orbital products' parities let it fold
-(``wavefunction.fold_axes``).  For distinguishable (Hartree-type) states
+(``wavefunction.marginal_folds``).  For distinguishable (Hartree-type) states
 the marginals differ per coordinate; s1 and s2 are then the averages
 over coordinates/pairs, which reproduces the distinguishable-system
 decomposition of I^3, sum s2_ij - sum s1_i - s3, exactly and keeps the
@@ -74,13 +74,14 @@ k, and s1' and s2' on those it keeps for 3: it drops the end nodes of a
 rule where every orbital is so small that, for any state over them,
 their whole contribution is at most 1e-17 nats.  That cuts the mapped
 oscillator rules (200 -> 126-128 nodes per axis in 3D for table 2) and
-no box rule.  Every integral here, the checks and ``entropy_sum_check``
-too, takes its nodes, weights and table from ``_rules`` at unit scale:
+no box rule.  This module builds no rule and no table: every integral
+here, the checks and ``entropy_sum_check`` too, takes its nodes,
+weights and table from ``wavefunction.tabulated_rules`` at unit scale,
+and the checks their rho and Gamma from ``wavefunction.marginal_tables``:
 the direct integrals do not depend on c, the entropy sum adds ln c to
-each s1 and the cumulant is the unit one times c^3.  So does the table
-of every ``densities.ReducedDensity`` (``_marginals``), whose entropy
-adds k ln c.  All three entropies apply the one d ln d, ``quadrature._d_ln_d``, and
-negate the reduced sum.  All values are in nats.
+each s1 and the cumulant is the unit one times c^3.  All three
+entropies apply the one d ln d, ``quadrature.d_ln_d``, and negate the
+reduced sum.  All values are in nats.
 """
 
 from __future__ import annotations
@@ -97,20 +98,19 @@ from .quadrature import (
     DENSITY_FLOOR,
     NonConvergenceError,
     QuadratureScheme,
-    axis_rule,
     entropy_from_values,
 )
 from .reference_tables import ROW_KEYS
 from .wavefunction import (
     DISTINGUISHABLE,
     Configuration,
-    _folded,
     density_matrix,
     entropy_grid,
-    fold_axes,
-    orbital_products,
+    folded_weights,
+    marginal_folds,
+    marginal_tables,
     slab_folds,
-    trim_rule,
+    tabulated_rules,
 )
 
 __all__ = [
@@ -216,34 +216,6 @@ def _group_key(st):
         + tuple(np.not_equal(c, 0).tobytes() for c in st.terms)
 
 
-def _rules(t, scheme, tables):
-    """``rule(k)`` of the orbital tables ``t`` on ``scheme``.
-
-    ``rule(k)`` is the (x, table, q, weights) of the nodes x that
-    ``trim_rule`` keeps for an entropy of k coordinates on the axis
-    ``t.domain``, q the table's ``orbital_products``.  Only ``rule(3)``
-    has a panel edge on each of ``t.node_planes``.  ``tables`` holds the
-    table of each rule, keyed by (t, panels, planes), so a 3D rule and a
-    1D/2D rule of equal panel counts (``--panels``) keep their own, and
-    each of these, evaluated once.  No other code here builds a rule or a
-    table.
-    """
-
-    def rule(k):
-        planes = t.node_planes if k == 3 else ()
-        tk = (t, scheme.panels_for(t.domain, k), planes)
-        if (tk, k) not in tables:
-            x, w = axis_rule(t.domain, scheme, k, planes)
-            if tk not in tables:
-                tables[tk] = t(x)
-            table, w = trim_rule(tables[tk], w, k)[:2]
-            x = x[(len(x) - len(w)) // 2:][:len(w)]  # the kept nodes, as trimmed
-            tables[tk, k] = x, table, orbital_products(table), w
-        return tables[tk, k]
-
-    return rule
-
-
 def _keeps(wf):
     """Kept coordinates of the distinct 1- and 2-particle marginals."""
     if wf.symmetry == DISTINGUISHABLE:
@@ -257,17 +229,10 @@ def _density_forms(stacked, keeps, parities):
 
     ``stacked`` holds the members' terms along a sample axis, and
     ``matrices`` is their ``density_matrix``, member s at index s.
-    ``folds`` (``fold_axes``) are the kept axes the marginal's entropy
-    runs on the first half of: an orbital product phi_a phi_c has parity
-    p_a p_c, and the folds follow from those parities at the nonzero
-    entries of every member's matrix.
+    ``folds`` are their ``marginal_folds``.
     """
-    pp = np.outer(parities, parities).ravel()
-    forms = []
-    for keep in keeps:
-        ks = density_matrix(stacked, keep)
-        forms.append((ks, fold_axes([pp[np.argwhere(np.any(ks, axis=0))]], len(keep))))
-    return forms
+    kmats = (density_matrix(stacked, keep) for keep in keeps)
+    return [(ks, marginal_folds(ks, parities)) for ks in kmats]
 
 
 def _mean_entropies(forms, q, w):
@@ -275,11 +240,11 @@ def _mean_entropies(forms, q, w):
 
     On the rule of orbital products q and weights w, each member's
     matrix of ``forms`` (``_density_forms``) is contracted with q on
-    its own, on the first half of each folded axis: a member's rho is
-    K q^T and its Gamma Q K Q^T, so a member of a group gets the same
-    s1 and s2, to the last bit, as it does on its own.
+    its own, on the first half of each folded axis (``folded_weights``):
+    a member's rho is K q^T and its Gamma Q K Q^T, so a member of a
+    group gets the same s1 and s2, to the last bit, as it does on its own.
     """
-    half = q[:(len(w) + 1) // 2], _folded(w)
+    half = q[:(len(w) + 1) // 2], folded_weights(w)
     total = 0.0
     for ks, folds in forms:
         axes = [half if ax in folds else (q, w) for ax in range(ks.ndim - 1)]
@@ -298,8 +263,8 @@ def _entropies(states, groups, scheme):
     """(s1, s2) or (s1, s2, s3) of each state, per group of ``_group_key``.
 
     Each orbital table, and the orbital products of each trimmed one, is
-    evaluated once per call and rule, and each entropy of k coordinates
-    runs on the nodes ``trim_rule`` keeps for k.  A group's reduced
+    evaluated once per call and rule (``tabulated_rules``), and each
+    entropy of k coordinates runs on the nodes kept for k.  A group's reduced
     density matrices are formed once (``_density_forms``) and feed its
     s1 and s2 on every rule, each member's from its own matrix.  A group
     is all Hartree products, whose joint density factorizes, or none.
@@ -317,7 +282,7 @@ def _entropies(states, groups, scheme):
     out = [None] * len(states)
     for members in groups:
         first = states[members[0]]
-        rule = _rules(first.tables.unit_scale[0], scheme, tables)
+        rule = tabulated_rules(first.tables.unit_scale[0], scheme, tables)
         parities = first.tables.parities  # the same at every scale
         ones, pairs = _keeps(first)
         # members with bit-identical terms share one sample
@@ -326,13 +291,13 @@ def _entropies(states, groups, scheme):
         stacked = [np.stack(c) for c in zip(*(states[members[keys.index(key)]].terms
                                               for key in distinct))]
         rho = _density_forms(stacked, ones, parities)
-        s1 = _mean_entropies(rho, *rule(1)[2:])
+        s1 = _mean_entropies(rho, rule(1).q, rule(1).w)
         if len(first.terms) == 1 and np.count_nonzero(first.terms[0]) == 1:
             # Hartree products: the joint density factorizes
             s = [s1, 2.0 * s1, 3.0 * s1]
         else:
             gamma = _density_forms(stacked, pairs, parities)
-            s = [s1, _mean_entropies(gamma, *rule(2)[2:])]
+            s = [s1, _mean_entropies(gamma, rule(2).q, rule(2).w)]
             if first.nparticles == 3:
                 _, table, q, w = rule(3)
                 symmetric = first.symmetry != DISTINGUISHABLE
@@ -414,33 +379,19 @@ def compute_report(system, scheme=None, with_error=True):
     return compute_reports([system], scheme, with_error)[0]
 
 
-def _marginals(system, scheme, k, *keeps):
-    """(x, table, q, w) of the unit tables' ``rule(k)``, then each keep's density.
-
-    The density of one kept coordinate there is rho = Q K, of two
-    Gamma = Q K Q^T, K their ``density_matrix``, as ``_mean_entropies``
-    contracts it: the unit-scale table of ``densities.reduce_numerical``.
-    """
-    rule = _rules(system.tables.unit_scale[0], scheme, {})(k)
-    q, stacked = rule[2], [c[None] for c in system.terms]
-    kmats = (density_matrix(stacked, keep)[0] for keep in keeps)
-    return rule + tuple(q @ m if m.ndim == 1 else q @ m @ q.T for m in kmats)
-
-
 def mutual_information_pair_direct(system, scheme=None):
     """Pair mutual information from its defining integral (validation mode).
 
     integral Gamma ln[ Gamma / (rho(x1) rho(x2)) ]; indistinguishable
     systems only.  The integral does not depend on the coordinate
-    scale, so it runs on the unit tables' 2D rule (``_marginals``).
+    scale, so it runs on the unit tables' 2D rule (``marginal_tables``).
     """
-    scheme = scheme or QuadratureScheme()
     if system.symmetry == DISTINGUISHABLE:
         raise ValueError("direct pair integral assumes indistinguishable marginals")
-    w, rho, gamma = _marginals(system, scheme, 2, (0,), (0, 1))[3:]
+    rule, rho, gamma = marginal_tables(system, scheme, 2, (0,), (0, 1))
     mask = gamma > DENSITY_FLOOR
     denom = np.maximum(np.outer(rho, rho), DENSITY_FLOOR)
-    wmat = np.outer(w, w)
+    wmat = np.outer(rule.w, rule.w)
     g = gamma[mask]
     return float(np.sum(wmat[mask] * g * (np.log(g) - np.log(denom[mask]))))
 
@@ -452,7 +403,7 @@ def mutual_information_higher_direct(system, scheme=None):
                          / (Gamma(x1,x2) Gamma(x1,x3) Gamma(x2,x3)) ].
     Validation mode; indistinguishable systems only.  ln R does not
     depend on the coordinate scale, so the integral runs on the unit
-    tables' trimmed 3D rule (``_marginals``), and there the sum of the
+    tables' trimmed 3D rule (``marginal_tables``), and there the sum of the
     integrand is the finite sum rearranged, the way ``cumulant3``
     rearranges its moments: ln R at node (i, j, k) is
     ln d_ijk + g_ij + g_ik + g_jk, g_ij = (ln rho_i + ln rho_j)/2 -
@@ -468,11 +419,10 @@ def mutual_information_higher_direct(system, scheme=None):
     momentum the 1/p^2 tails break that exactness, and at the default
     scheme the two differ by 1.8e-5 for A(1,2,3) and 2.6e-5 for S(1,1,2).
     """
-    scheme = scheme or QuadratureScheme()
     if system.symmetry == DISTINGUISHABLE:
         raise ValueError("direct higher-order integral assumes "
                          "indistinguishable marginals")
-    _, t, q, w, rho, gamma = _marginals(system, scheme, 3, (0,), (0, 1))
+    (_, t, q, w), rho, gamma = marginal_tables(system, scheme, 3, (0,), (0, 1))
     log_rho = np.log(np.maximum(rho, DENSITY_FLOOR))
     g = 0.5 * (log_rho[:, None] + log_rho) - np.log(np.maximum(gamma, DENSITY_FLOOR))
     gram = (t.T * w) @ t
@@ -490,13 +440,13 @@ def entropy_sum_check(params, ns, symmetry, scheme=None):
     are summed apart, so the ln c, equal and opposite, cancel exactly.
     Returns (entropy_sum, bound, satisfied).
     """
-    scheme = scheme or QuadratureScheme()
     parts = []
     for space in (POSITION, MOMENTUM):
         cfg = Configuration(params=params, ns=ns, symmetry=symmetry, space=space)
         t, log_c = cfg.tables.unit_scale
         forms = _density_forms([c[None] for c in cfg.terms], [(0,)], cfg.tables.parities)
-        parts.append((_mean_entropies(forms, *_rules(t, scheme, {})(1)[2:])[0], log_c))
+        rule = tabulated_rules(t, scheme or QuadratureScheme(), {})(1)
+        parts.append((_mean_entropies(forms, rule.q, rule.w)[0], log_c))
     total = float(np.sum(parts, axis=0).sum())
     return total, ENTROPIC_BOUND, bool(total >= ENTROPIC_BOUND - 1e-9)
 
@@ -516,9 +466,7 @@ def cumulant3(system, scheme=None):
     x_i phi_a(x_i) phi_b(x_i) over the real orbital factors, with the
     identity for X on each axis a lower moment leaves out.
     """
-    scheme = scheme or QuadratureScheme()
-    t, log_c = system.tables.unit_scale
-    x, table, _, w = _rules(t, scheme, {})(3)
+    x, table, _, w = marginal_tables(system, scheme, 3)[0]
     xmat = (table.T * (w * x)) @ table
     eye = np.eye(len(xmat))
 
@@ -531,4 +479,5 @@ def cumulant3(system, scheme=None):
     m1 = float(np.mean([moment(k) for k in ones]))
     m2 = float(np.mean([moment(k) for k in pairs]))
     m3 = float(moment((0, 1, 2)))
-    return (m3 - 3.0 * m2 * m1 + 2.0 * m1**3) * math.exp(3.0 * log_c)
+    return (m3 - 3.0 * m2 * m1 + 2.0 * m1**3) \
+        * math.exp(3.0 * system.tables.unit_scale[1])

@@ -3,7 +3,10 @@
 Every rule is composite Gauss-Legendre.  Infinite domains are handled by
 the algebraic map p = S*u/(1 - u^2), so every integral runs over a
 finite box internally.  Error estimates come from comparing two
-panel-refinement levels.
+panel-refinement levels.  This module holds the generic rule of one
+axis (``axis_rule``), the integrals, and the one weighted grid sum and
+d ln d; ``wavefunction.tabulated_rules`` trims and tabulates the rule
+for a state's orbitals.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class NegativeDensityError(NonConvergenceError, ValueError):
 def require_nonnegative(values):
     """The lowest of ``values``; raises ``NegativeDensityError`` below -1e-12.
 
-    The one check of a density's sign, for the entropies (``_d_ln_d``)
+    The one check of a density's sign, for the entropies (``d_ln_d``)
     and the grid export; the achieved error is the lowest value's size.
     """
     lowest = values.min(initial=np.inf)
@@ -283,13 +286,13 @@ def integrate(f, domains, scheme=None):
         grids = np.meshgrid(*(x for x, _ in rules), indexing="ij", sparse=True)
         # broadcast f over sparse grids if it returned a scalar or partial shape
         vals = np.broadcast_to(np.asarray(f(*grids), dtype=float), shape)
-        runs.append((_weighted_sum(vals, [w for _, w in rules]), math.prod(shape)))
+        runs.append((weighted_sum(vals, [w for _, w in rules]), math.prod(shape)))
     (fine, nodes), (coarse, _) = runs
     return IntegralResult(value=fine, error_estimate=abs(fine - coarse),
                           nodes_used=nodes)
 
 
-def _weighted_sum(values, weight_axes):
+def weighted_sum(values, weight_axes):
     """sum w0_i w1_j .. values_ij.. on a tensor grid, the last axis first.
 
     The one weighted grid sum, as a float, of every tabulated integral.
@@ -299,7 +302,7 @@ def _weighted_sum(values, weight_axes):
     return float(values)
 
 
-def _d_ln_d(d, out):
+def d_ln_d(d, out):
     """d*ln(d) of a float array, in ``out``: the one d ln d of s1, s2 and s3.
 
     The values of ``entropy_integrand``, not negated: callers negate the
@@ -324,10 +327,10 @@ def entropy_integrand(density_value):
 
     Small negative values (quadrature noise) count as zero; anything
     below -1e-12 is rejected.  Values below the 1e-300 floor give exactly
-    0.  The negation of ``_d_ln_d``, in a new array.
+    0.  The negation of ``d_ln_d``, in a new array.
     """
     d = np.asarray(density_value, dtype=float)
-    out = _d_ln_d(d, np.empty_like(d))
+    out = d_ln_d(d, np.empty_like(d))
     return np.negative(out, out=out)
 
 
@@ -343,4 +346,4 @@ def entropy_from_values(values, weight_axes):
     if values.ndim != len(weight_axes):
         raise ValueError("weight axes do not match value dimensions")
     values = np.asarray(values, dtype=float)
-    return -_weighted_sum(_d_ln_d(values, np.empty_like(values)), weight_axes)
+    return -weighted_sum(d_ln_d(values, np.empty_like(values)), weight_axes)

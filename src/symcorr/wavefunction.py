@@ -38,6 +38,13 @@ orbitals.  The
 reduced densities follow exactly from the reduced density matrices of
 C, by orbital orthonormality, with no quadrature over the integrated
 coordinates.
+This module decides which nodes, weights and orbital tables an entropy
+of k coordinates runs on, and no other: ``tabulated_rules`` builds the
+trimmed rule of each arity from ``quadrature.axis_rule``, with the 3D
+rule's panel edges on the orbitals' node planes, and tabulates each
+table once per caller's dict; ``marginal_tables`` contracts a state's
+rho and Gamma on it, and ``marginal_folds`` and ``slab_folds`` set the
+half-axes each entropy runs on.
 A ``Configuration`` is its own wavefunction, an immutable value whose
 evaluation is referentially transparent; ``WaveFunction`` is another
 name for it, and ``build`` returns the configuration it is given.
@@ -50,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -64,7 +71,7 @@ from .orbitals import (
     orbital_factor,
     orbital_parity,
 )
-from .quadrature import Interval, RealLine, _d_ln_d
+from .quadrature import Interval, QuadratureScheme, RealLine, axis_rule, d_ln_d
 
 __all__ = [
     "SYMMETRIC",
@@ -79,8 +86,13 @@ __all__ = [
     "entropy_grid",
     "slab_folds",
     "fold_axes",
+    "marginal_folds",
     "trim_rule",
     "TRIM_BOUND",
+    "Rule",
+    "tabulated_rules",
+    "folded_weights",
+    "marginal_tables",
     "orbital_products",
     "density_matrix",
     "reduced_density",
@@ -258,9 +270,9 @@ class OrbitalTables:
 
     A hashable value of (params, space, orbitals), so states over the
     same orbitals share one key.  A call gives the real orbital factors
-    at coordinate arrays, orbital index last, evaluated afresh; callers
-    that use one rule many times, as ``information`` does within one
-    ``compute_reports`` call, evaluate its table once.
+    at coordinate arrays, orbital index last, evaluated afresh;
+    ``tabulated_rules`` evaluates each rule's table once per caller's
+    dict, such as one ``information.compute_reports`` call.
     """
 
     params: ModelParams
@@ -311,7 +323,7 @@ class OrbitalTables:
 
         Sorted and each once, over every orbital n: the planes on which a
         box position density's factors vanish, and so the panel edges of
-        the 3D rule (``information._rules``).  No other axis has any.
+        the 3D rule (``tabulated_rules``).  No other axis has any.
         """
         if self.params.kind != "box" or self.space != POSITION:
             return ()
@@ -370,6 +382,19 @@ def slab_folds(terms, symmetric, parities):
     return fold_axes(rows, 3)
 
 
+def marginal_folds(kmats, parities):
+    """The kept axes a marginal's entropy runs on the first half of.
+
+    ``kmats`` holds a group's reduced density matrices (``density_matrix``),
+    member s at index s, and ``parities`` the orbitals' parities.  An
+    orbital product phi_a phi_c has parity p_a p_c, so the folds are
+    ``fold_axes`` of those parities at the nonzero entries of every
+    member's matrix.
+    """
+    pp = np.outer(parities, parities).ravel()
+    return fold_axes([pp[np.argwhere(np.any(kmats, axis=0))]], kmats.ndim - 1)
+
+
 def _invariant(rows, axes):
     """True when each row array has one parity product over ``axes``."""
     return all(np.unique(r[:, axes].prod(axis=1)).size == 1 for r in rows)
@@ -423,7 +448,40 @@ def trim_rule(table, weights, arity):
     return table[m:n - m], weights[m:n - m], float(bounds[m - 1]) if m else 0.0
 
 
-def _folded(weights):
+# an axis rule as ``tabulated_rules`` keeps it for k coordinates: the kept
+# nodes x, the orbital table there, its ``orbital_products`` q and the weights w
+Rule = namedtuple("Rule", "x table q w")
+
+
+def tabulated_rules(t, scheme, tables):
+    """``rule(k)``, the ``Rule`` of the orbital tables ``t`` on ``scheme``.
+
+    ``rule(k)`` holds the nodes that ``trim_rule`` keeps for an entropy
+    of k coordinates on the axis ``t.domain``.  Only ``rule(3)`` has a
+    panel edge on each of ``t.node_planes``.  ``tables`` holds the table
+    of each rule, keyed by (t, panels, planes), so a 3D rule and a 1D/2D
+    rule of equal panel counts (``--panels``) keep their own, and each of
+    these, evaluated once; a caller passes one dict per call, such as
+    ``information.compute_reports``, and no table outlives it.  No other
+    code builds a rule for the orbital tables.
+    """
+
+    def rule(k):
+        planes = t.node_planes if k == 3 else ()
+        tk = (t, scheme.panels_for(t.domain, k), planes)
+        if (tk, k) not in tables:
+            x, w = axis_rule(t.domain, scheme, k, planes)
+            if tk not in tables:
+                tables[tk] = t(x)
+            table, w = trim_rule(tables[tk], w, k)[:2]
+            x = x[(len(x) - len(w)) // 2:][:len(w)]  # the kept nodes, as trimmed
+            tables[tk, k] = Rule(x, table, orbital_products(table), w)
+        return tables[tk, k]
+
+    return rule
+
+
+def folded_weights(weights):
     """Weights of the first ceil(n/2) nodes, carrying their mirror nodes'."""
     n = len(weights)
     h = (n + 1) // 2
@@ -463,13 +521,13 @@ def entropy_grid(terms, table, weights, symmetric, folds):
     The slab contraction M is built once for all samples.  Each slab runs
     its samples in blocks of at most n^2 values, laid out as (rows,
     samples, cols), so that every product is a 2D matrix product and a
-    plain state keeps a rows x cols slab.  d ln d (``_d_ln_d``) is
+    plain state keeps a rows x cols slab.  d ln d (``d_ln_d``) is
     reduced to one value per slab and sample, with the sorted sector's
     multiplicities in the row and column weights, and the outer weights
     and the sign are applied once at the end.
     """
     n = len(weights)
-    half = _folded(weights)
+    half = folded_weights(weights)
     if symmetric:
         # M_j[a, s, c] = sum_b C_sabc t[j, b]
         t0, contracted = table, 2
@@ -513,7 +571,7 @@ def entropy_grid(terms, table, weights, symmetric, folds):
                 a = _abs2((rows @ m[i, :, s0 * r:(s0 + block) * r]).reshape(-1, r)
                           @ cols.T).reshape(nr, -1, nc)
                 d = a if d is None else np.add(d, a, out=d)
-            e = _d_ln_d(d, buf[:d.size].reshape(d.shape))
+            e = d_ln_d(d, buf[:d.size].reshape(d.shape))
             vals[i, blk] = (vr @ e.reshape(nr, -1)).reshape(-1, nc) @ vc
             if symmetric:
                 corners[i, blk] = e[-1, :, 0]
@@ -561,6 +619,23 @@ def reduced_density(terms, keep, products):
         vals = np.einsum("...pq,...p->...q",
                          vals.reshape(vals.shape[:-1] + (rr, -1)), q)
     return vals[..., 0]
+
+
+def marginal_tables(state, scheme, k, *keeps):
+    """The ``Rule`` of the unit tables for k coordinates, then each keep's density.
+
+    The rule is ``tabulated_rules`` of ``state.tables.unit_scale`` on
+    ``scheme``, the default ``QuadratureScheme`` where it is None.  The
+    density of one kept coordinate there is rho = Q K, of two
+    Gamma = Q K Q^T, K their ``density_matrix`` and Q the rule's q,
+    as every entropy of a report contracts it: the unit-scale table of
+    ``densities.reduce_numerical`` and of the validation integrals.
+    """
+    scheme = scheme or QuadratureScheme()
+    rule = tabulated_rules(state.tables.unit_scale[0], scheme, {})(k)
+    q, stacked = rule.q, [c[None] for c in state.terms]
+    kmats = (density_matrix(stacked, keep)[0] for keep in keeps)
+    return (rule,) + tuple(q @ m if m.ndim == 1 else q @ m @ q.T for m in kmats)
 
 
 def build(config):

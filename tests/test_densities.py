@@ -20,10 +20,10 @@ from symcorr import (
     reduce_to_one,
     reduce_to_pair,
 )
-from symcorr.information import _rules
 from symcorr.orbitals import MOMENTUM, POSITION
 from symcorr.quadrature import Interval, axis_rule, gauss_panels
 from symcorr.superposition import SuperpositionSpec, build_superposition
+from symcorr.wavefunction import tabulated_rules
 
 
 @pytest.fixture(scope="module")
@@ -372,7 +372,8 @@ def test_reduced_density_tables_run_at_unit_scale(kind, scales, space):
                 integrals = [rd.integral() for rd in rds]
                 assert integrals == unit.setdefault((m, k), integrals), (m, k, scale)
                 if 1.0 < scale < 1e300:
-                    x = _rules(wf.tables.unit_scale[0], QuadratureScheme(), {})(k)[0]
+                    x = tabulated_rules(wf.tables.unit_scale[0], QuadratureScheme(),
+                                        {})(k)[0]
                     pointwise = c**k * rds[0](*np.meshgrid(*(c * x,) * k, indexing="ij"))
                     assert np.allclose(rds[0].grid_values, pointwise, rtol=1e-13,
                                        atol=1e-14), (m, k)

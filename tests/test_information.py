@@ -35,8 +35,8 @@ from symcorr.densities import quadrature_marginal, reduce_numerical, reduce_to_o
 from symcorr.orbitals import MOMENTUM, POSITION
 from symcorr.quadrature import (
     DENSITY_FLOOR,
-    _d_ln_d,
     axis_rule,
+    d_ln_d,
     entropy_from_values,
     gauss_panels,
 )
@@ -417,7 +417,7 @@ KERNEL_CASES = _kernel_cases()
 def _rule3(wf, scheme):
     """(x, table, q, w) of the 3D rule the s3 kernel runs ``wf`` on: the
     unit tables' ``rule(3)``, trimmed, with panel edges on the node planes."""
-    return information._rules(wf.tables.unit_scale[0], scheme, {})(3)
+    return wavefunction.tabulated_rules(wf.tables.unit_scale[0], scheme, {})(3)
 
 
 def _kernel_s3(wf, scheme):
@@ -532,9 +532,9 @@ def integrand_nodes(monkeypatch):
 
     def counting(d, out):
         counted.append(np.size(d))
-        return _d_ln_d(d, out)
+        return d_ln_d(d, out)
 
-    monkeypatch.setattr(wavefunction, "_d_ln_d", counting)
+    monkeypatch.setattr(wavefunction, "d_ln_d", counting)
     return counted
 
 
@@ -799,7 +799,7 @@ def test_trimmed_rules_keep_every_entropy(scheme, monkeypatch):
     for wf in states:
         assert len(_rule3(wf, scheme)[3]) < scheme.line_panels_3d * scheme.nodes_per_panel
     trimmed = compute_reports(states, scheme, with_error=False)
-    monkeypatch.setattr(information, "trim_rule", lambda t, w, k: (t, w, 0.0))
+    monkeypatch.setattr(wavefunction, "trim_rule", lambda t, w, k: (t, w, 0.0))
     full = compute_reports(states, scheme, with_error=False)
     for (name, _), a, b in zip(TRIM_CASES, trimmed, full):
         for key in ("s1", "s2", "s3"):
@@ -818,10 +818,10 @@ def test_marginal_folds_keep_every_entropy(monkeypatch):
         seen.append(fold_axes(rows, naxes))
         return seen[-1]
 
-    monkeypatch.setattr(information, "fold_axes", recording)
+    monkeypatch.setattr(wavefunction, "fold_axes", recording)
     folded = compute_reports(states, scheme, with_error=False)
     assert (0,) in seen and (0, 1) in seen
-    monkeypatch.setattr(information, "fold_axes", lambda rows, naxes: ())
+    monkeypatch.setattr(wavefunction, "fold_axes", lambda rows, naxes: ())
     full = compute_reports(states, scheme, with_error=False)
     for wf, a, b in zip(states, folded, full):
         for key in ("s1", "s2", "s3"):
@@ -851,7 +851,7 @@ def _dropped_entropy(terms, t, w, m, k):
         total = 0.0
         for i in range(len(w)):
             d = density_grid(terms, [t[i:i + 1], t, t])[0]
-            e = -w[i] * np.outer(w, w) * _d_ln_d(d, np.empty_like(d))
+            e = -w[i] * np.outer(w, w) * d_ln_d(d, np.empty_like(d))
             total += float(np.sum(e if not inner[i] else
                                   e[~np.outer(inner, inner)]))
         return total
@@ -861,7 +861,7 @@ def _dropped_entropy(terms, t, w, m, k):
     worst = 0.0
     for keep in keeps:
         d = reduced_density(terms, keep, products)
-        e = -_d_ln_d(d, np.empty_like(d)) * (w if k == 1 else np.outer(w, w))
+        e = -d_ln_d(d, np.empty_like(d)) * (w if k == 1 else np.outer(w, w))
         mask = ~inner if k == 1 else ~np.outer(inner, inner)
         worst = max(worst, float(np.sum(e[mask])))
     return worst
@@ -974,8 +974,8 @@ def test_two_particle_a_exceeds_s_for_equal_parities(box, ho, space):
 def test_information_takes_every_rule_from_rules():
     # one rule source: ``information`` imports no reduced density from
     # ``densities`` and makes no ``tables(x)`` call, and in the whole
-    # package only ``information._rules`` and ``quadrature.integrate``
-    # call ``axis_rule``
+    # package only ``wavefunction.tabulated_rules`` and
+    # ``quadrature.integrate`` call ``axis_rule``
     callers = []
     for path in sorted(glob.glob(os.path.join(os.path.dirname(information.__file__),
                                               "*.py"))):
@@ -991,4 +991,20 @@ def test_information_takes_every_rule_from_rules():
                     for c in ast.walk(node) if isinstance(c, ast.Call)
                     and "axis_rule" in (getattr(c.func, "id", None),
                                         getattr(c.func, "attr", None))]
-    assert callers == ["information._rules", "quadrature.integrate"]
+    assert callers == ["quadrature.integrate", "wavefunction.tabulated_rules"]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # every name a symcorr module takes from another is public, so a
+    # module's private names can change without reaching into its users
+    private = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(information.__file__),
+                                              "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        module = os.path.basename(path)[:-3]
+        private += [f"{module} <- {node.module}.{alias.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").startswith("symcorr"))
+                    for alias in node.names if alias.name.startswith("_")]
+    assert private == []

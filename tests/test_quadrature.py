@@ -9,8 +9,8 @@ from symcorr.quadrature import (
     NonConvergenceError,
     QuadratureScheme,
     RealLine,
-    _d_ln_d,
     axis_rule,
+    d_ln_d,
     entropy_from_values,
     entropy_integrand,
     gauss_panels,
@@ -163,10 +163,10 @@ def test_entropy_integrand_floor_and_buffer():
     # the floor and noise down to -1e-12, and (second row) none of them
     for d in (np.array([0.0, -0.0, 1e-301, 5e-324, -1e-12, -1e-13, 0.25, 3.0]),
               np.array([1e-300, 0.25, 1.0, 3.0])):
-        lean = _d_ln_d(d, np.empty_like(d))
+        lean = d_ln_d(d, np.empty_like(d))
         assert lean.tobytes() == (-entropy_integrand(d)).tobytes()
     with pytest.raises(ValueError, match="significantly negative"):
-        _d_ln_d(np.array([0.0, -1.0001e-12]), np.empty(2))
+        d_ln_d(np.array([0.0, -1.0001e-12]), np.empty(2))
 
 
 def test_entropy_from_values_matches_direct_sum():
@@ -226,6 +226,6 @@ def test_domain_validation():
 def test_significantly_negative_density_is_a_numerical_failure():
     # a ValueError as before, and a NonConvergenceError, so the CLI exits 3
     with pytest.raises(NonConvergenceError, match="significantly negative") as info:
-        _d_ln_d(np.array([0.0, -1e-9]), np.empty(2))
+        d_ln_d(np.array([0.0, -1e-9]), np.empty(2))
     assert isinstance(info.value, ValueError)
     assert info.value.achieved_error == 1e-9

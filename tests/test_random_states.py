@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from symcorr import information
+from symcorr import information, wavefunction
 from symcorr.information import compute_reports
 from symcorr.orbitals import MOMENTUM, POSITION, ModelParams
 from symcorr.quadrature import QuadratureScheme, entropy_from_values
@@ -85,7 +85,7 @@ STATES = _random_states(2016, 300)
 
 
 def _rule3(st, scheme):
-    return information._rules(st.tables.unit_scale[0], scheme, {})(3)
+    return wavefunction.tabulated_rules(st.tables.unit_scale[0], scheme, {})(3)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=["18", "27"])
@@ -108,7 +108,7 @@ def test_folded_s3_kernel_matches_the_full_grid(scheme):
 @pytest.mark.parametrize("scheme", SCHEMES, ids=["18", "27"])
 def test_folds_change_no_entropy(scheme, monkeypatch):
     folded = compute_reports(STATES, scheme, with_error=False)
-    monkeypatch.setattr(information, "fold_axes", lambda rows, naxes: ())
+    monkeypatch.setattr(wavefunction, "fold_axes", lambda rows, naxes: ())
     monkeypatch.setattr(information, "slab_folds", lambda *args: ())
     whole = compute_reports(STATES, scheme, with_error=False)
     for st, a, b in zip(STATES, folded, whole):
