@@ -51,7 +51,9 @@ tables' ``domain``.  That one grouping feeds s1, s2 and, for three
 particles, s3 at the fine and the coarse level.  The endpoints of an S/A
 scan curve are each a group of their own, on the inverted half
 sector.  The orbital table of each distinct rule is evaluated once per
-level; the 1D and 2D rules are one rule, so rho and Gamma share it.  s1
+level and kept for later reports (``wavefunction.tabulated_rules``), so
+the S and A states over one set of orbitals share it; the 1D and 2D
+rules are one rule, so rho and Gamma share it.  s1
 and s2 integrate each state's exact rho and Gamma, from the reduced
 density matrices of its coefficient tensor, formed once per group: each
 member's rho and Gamma are its own matrix contracted with the orbital
@@ -263,10 +265,11 @@ def _entropies(states, groups, scheme):
     """(s1, s2) or (s1, s2, s3) of each state, per group of ``_group_key``.
 
     Each orbital table, and the orbital products of each trimmed one, is
-    evaluated once per call and rule (``tabulated_rules``), and each
-    entropy of k coordinates runs on the nodes kept for k.  A group's reduced
-    density matrices are formed once (``_density_forms``) and feed its
-    s1 and s2 on every rule, each member's from its own matrix.  A group
+    evaluated once per rule and kept across calls (``tabulated_rules``),
+    and each entropy of k coordinates runs on the nodes kept for k.  A
+    group's reduced density matrices are formed once (``_density_forms``)
+    and feed its s1 and s2 on every rule, each member's from its own
+    matrix.  A group
     is all Hartree products, whose joint density factorizes, or none.
     For other three-particle states I^3 is 3 s2' - 3 s1' - s3', all three
     on the trimmed 3D rule, with s3' from one ``entropy_grid`` pass over
@@ -278,11 +281,10 @@ def _entropies(states, groups, scheme):
     Members whose unit-scale terms are equal bit for bit, such as an
     oscillator state in position and in momentum space, share one sample.
     """
-    tables = {}
     out = [None] * len(states)
     for members in groups:
         first = states[members[0]]
-        rule = tabulated_rules(first.tables.unit_scale[0], scheme, tables)
+        rule = tabulated_rules(first.tables.unit_scale[0], scheme)
         parities = first.tables.parities  # the same at every scale
         ones, pairs = _keeps(first)
         # members with bit-identical terms share one sample
@@ -445,7 +447,7 @@ def entropy_sum_check(params, ns, symmetry, scheme=None):
         cfg = Configuration(params=params, ns=ns, symmetry=symmetry, space=space)
         t, log_c = cfg.tables.unit_scale
         forms = _density_forms([c[None] for c in cfg.terms], [(0,)], cfg.tables.parities)
-        rule = tabulated_rules(t, scheme or QuadratureScheme(), {})(1)
+        rule = tabulated_rules(t, scheme or QuadratureScheme())(1)
         parts.append((_mean_entropies(forms, rule.q, rule.w)[0], log_c))
     total = float(np.sum(parts, axis=0).sum())
     return total, ENTROPIC_BOUND, bool(total >= ENTROPIC_BOUND - 1e-9)

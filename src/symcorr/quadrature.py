@@ -297,8 +297,8 @@ def weighted_sum(values, weight_axes):
 
     The one weighted grid sum, as a float, of every tabulated integral.
     """
-    for axis in range(values.ndim - 1, -1, -1):
-        values = np.tensordot(values, weight_axes[axis], axes=([axis], [0]))
+    for w in reversed(weight_axes):
+        values = values @ w
     return float(values)
 
 

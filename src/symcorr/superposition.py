@@ -19,8 +19,8 @@ relative phase of +-1 the state is the one tensor
 c2 C_B.  The integration domain is set by the union of orbitals, so it
 does not depend on which component is named first.  ``scan_coefficient``
 computes the whole curve in one ``compute_reports`` call: s1, s2 and s3
-of every sample take the orbital tables evaluated once per rule for the
-curve, and s3 of the samples with one nonzero pattern of C, all but the
+of every sample take the orbital tables evaluated once per rule, and
+s3 of the samples with one nonzero pattern of C, all but the
 endpoints, comes from one pass over the slabs.
 """
 

@@ -25,7 +25,8 @@ phase: that of its components relative to each other
 |Psi|^2 on a tensor grid is one mode product per axis (BLAS); the
 entropy of a three-particle density, or of a stack of them such as the
 samples of a scan, is built and integrated slab by slab, without the
-3D grid (``entropy_grid``), over the sorted sector i <= j <= k of an
+3D grid, in chunks of at most n^2 values (``entropy_grid``), over the
+sorted sector i <= j <= k of an
 exchange-symmetric density, halved again when the inversion of all
 three axes leaves every term invariant, and over the parity-folded
 grid of a distinguishable one; ``slab_folds`` decides that region from
@@ -41,8 +42,9 @@ coordinates.
 This module decides which nodes, weights and orbital tables an entropy
 of k coordinates runs on, and no other: ``tabulated_rules`` builds the
 trimmed rule of each arity from ``quadrature.axis_rule``, with the 3D
-rule's panel edges on the orbitals' node planes, and tabulates each
-table once per caller's dict; ``marginal_tables`` contracts a state's
+rule's panel edges on the orbitals' node planes, and memoises each rule
+and its table, read-only, for every later report over the same tables
+and scheme; ``marginal_tables`` contracts a state's
 rho and Gamma on it, and ``marginal_folds`` and ``slab_folds`` set the
 half-axes each entropy runs on.
 A ``Configuration`` is its own wavefunction, an immutable value whose
@@ -55,6 +57,7 @@ pointwise reference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter, namedtuple
@@ -271,8 +274,9 @@ class OrbitalTables:
     A hashable value of (params, space, orbitals), so states over the
     same orbitals share one key.  A call gives the real orbital factors
     at coordinate arrays, orbital index last, evaluated afresh;
-    ``tabulated_rules`` evaluates each rule's table once per caller's
-    dict, such as one ``information.compute_reports`` call.
+    ``tabulated_rules`` evaluates each rule's table once and keeps it, so
+    every report over equal tables and scheme, in one call or across
+    calls, shares it.
     """
 
     params: ModelParams
@@ -453,32 +457,43 @@ def trim_rule(table, weights, arity):
 Rule = namedtuple("Rule", "x table q w")
 
 
-def tabulated_rules(t, scheme, tables):
+@functools.lru_cache(maxsize=64)
+def tabulated_rules(t, scheme):
     """``rule(k)``, the ``Rule`` of the orbital tables ``t`` on ``scheme``.
 
     ``rule(k)`` holds the nodes that ``trim_rule`` keeps for an entropy
     of k coordinates on the axis ``t.domain``.  Only ``rule(3)`` has a
-    panel edge on each of ``t.node_planes``.  ``tables`` holds the table
-    of each rule, keyed by (t, panels, planes), so a 3D rule and a 1D/2D
-    rule of equal panel counts (``--panels``) keep their own, and each of
-    these, evaluated once; a caller passes one dict per call, such as
-    ``information.compute_reports``, and no table outlives it.  No other
-    code builds a rule for the orbital tables.
+    panel edge on each of ``t.node_planes``.  Each rule, and the table
+    of each (panels, planes), is built once: a 1D and a 2D rule of equal
+    panel counts (``--panels``) share one table, and a 3D rule keeps its
+    own.  The memo is this function's ``lru_cache``, keyed by (t,
+    scheme), so it carries the nodes per panel as well as every panel
+    count, and each key's rules and tables last as long as it: a state's
+    reports, and the reports of every state over the same unit-scale
+    tables, such as the S and A cells of one table row, share them.
+    Every array of a ``Rule`` is read-only.  No other code builds a rule
+    for the orbital tables.
     """
+    tables, rules = {}, {}
 
     def rule(k):
-        planes = t.node_planes if k == 3 else ()
-        tk = (t, scheme.panels_for(t.domain, k), planes)
-        if (tk, k) not in tables:
+        if k not in rules:
+            planes = t.node_planes if k == 3 else ()
             x, w = axis_rule(t.domain, scheme, k, planes)
-            if tk not in tables:
-                tables[tk] = t(x)
-            table, w = trim_rule(tables[tk], w, k)[:2]
+            key = (scheme.panels_for(t.domain, k), planes)
+            if key not in tables:
+                tables[key] = _read_only(t(x))
+            table, w = trim_rule(tables[key], w, k)[:2]
             x = x[(len(x) - len(w)) // 2:][:len(w)]  # the kept nodes, as trimmed
-            tables[tk, k] = Rule(x, table, orbital_products(table), w)
-        return tables[tk, k]
+            rules[k] = Rule(x, table, _read_only(orbital_products(table)), w)
+        return rules[k]
 
     return rule
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def folded_weights(weights):
@@ -521,10 +536,14 @@ def entropy_grid(terms, table, weights, symmetric, folds):
     The slab contraction M is built once for all samples.  Each slab runs
     its samples in blocks of at most n^2 values, laid out as (rows,
     samples, cols), so that every product is a 2D matrix product and a
-    plain state keeps a rows x cols slab.  d ln d (``d_ln_d``) is
-    reduced to one value per slab and sample, with the sorted sector's
-    multiplicities in the row and column weights, and the outer weights
-    and the sign are applied once at the end.
+    plain state keeps a rows x cols slab.  Consecutive blocks are packed
+    into chunks of at most n^2 values (``_chunks``), so that a single
+    state's small slabs, from n values up, share their calls: each term's
+    products of a chunk are squared at once, and d ln d (``d_ln_d``) runs
+    once per chunk.  It is reduced to one value per slab and sample from
+    each block's slice, with the sorted sector's multiplicities in the
+    row and column weights, and the outer weights and the sign are
+    applied once at the end.
     """
     n = len(weights)
     half = folded_weights(weights)
@@ -560,25 +579,52 @@ def entropy_grid(terms, table, weights, symmetric, folds):
     samples = len(c)
     vals = np.empty((len(outer), samples))
     corners = np.zeros_like(vals)  # -d ln d at i = j = k, symmetric only
-    buf = np.empty(n * n)
-    for i, rows, cols, vr, vc in regions:
-        nr, nc = len(rows), len(cols)
-        block = max(1, n * n // (nr * nc))
-        for s0 in range(0, samples, block):
-            blk = slice(s0, s0 + block)
-            d = None
-            for m in slabs:
-                a = _abs2((rows @ m[i, :, s0 * r:(s0 + block) * r]).reshape(-1, r)
-                          @ cols.T).reshape(nr, -1, nc)
-                d = a if d is None else np.add(d, a, out=d)
-            e = d_ln_d(d, buf[:d.size].reshape(d.shape))
-            vals[i, blk] = (vr @ e.reshape(nr, -1)).reshape(-1, nc) @ vc
+    # (size, slab, samples, rows, cols, row and column weights) of each
+    # piece: a region's samples in blocks of at most n^2 values
+    pieces = [(len(rows) * len(blk) * len(cols), i, blk, rows, cols, vr, vc)
+              for i, rows, cols, vr, vc in regions
+              for step in [max(1, n * n // (len(rows) * len(cols)))]
+              for s0 in range(0, samples, step)
+              for blk in [range(s0, min(s0 + step, samples))]]
+    bufs = np.empty((3, n * n))  # d, the square of a further term, d ln d
+    for chunk in _chunks(pieces, n * n):
+        d, a, e = bufs[:, :chunk[-1][1]]
+        for t, m in enumerate(slabs):
+            out = a if t else d
+            for lo, hi, (_, i, blk, rows, cols, _, _) in chunk:
+                np.matmul((rows @ m[i, :, blk.start * r:blk.stop * r]).reshape(-1, r),
+                          cols.T, out=out[lo:hi].reshape(-1, len(cols)))
+            _abs2(out)
+            if t:
+                d += a
+        d_ln_d(d, e)
+        for lo, hi, (_, i, blk, rows, cols, vr, vc) in chunk:
+            piece = e[lo:hi].reshape(len(rows), -1, len(cols))
+            vals[i, blk.start:blk.stop] = \
+                (vr @ piece.reshape(len(rows), -1)).reshape(-1, len(cols)) @ vc
             if symmetric:
-                corners[i, blk] = e[-1, :, 0]
+                corners[i, blk.start:blk.stop] = piece[-1, :, 0]
     if symmetric:
         vals -= corner * corners
     s3 = -(outer @ vals)
     return s3 if np.ndim(terms[0]) == 4 else float(s3[0])
+
+
+def _chunks(pieces, cap):
+    """Runs of consecutive pieces of at most ``cap`` values together.
+
+    Each piece holds at most ``cap`` values, its size first; each run
+    lists (start, stop, piece), the piece's slice of the run's values.
+    """
+    run, used = [], 0
+    for piece in pieces:
+        if used + piece[0] > cap:
+            yield run
+            run, used = [], 0
+        run.append((used, used + piece[0], piece))
+        used += piece[0]
+    if run:
+        yield run
 
 
 def orbital_products(table):
@@ -632,7 +678,7 @@ def marginal_tables(state, scheme, k, *keeps):
     ``densities.reduce_numerical`` and of the validation integrals.
     """
     scheme = scheme or QuadratureScheme()
-    rule = tabulated_rules(state.tables.unit_scale[0], scheme, {})(k)
+    rule = tabulated_rules(state.tables.unit_scale[0], scheme)(k)
     q, stacked = rule.q, [c[None] for c in state.terms]
     kmats = (density_matrix(stacked, keep)[0] for keep in keeps)
     return (rule,) + tuple(q @ m if m.ndim == 1 else q @ m @ q.T for m in kmats)

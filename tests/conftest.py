@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from symcorr import ModelParams, QuadratureScheme
+from symcorr import ModelParams, QuadratureScheme, wavefunction
 from symcorr.quadrature import gauss_panels
 
 
@@ -13,6 +13,19 @@ def pytest_terminal_summary(terminalreporter):
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     mib = peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes / KiB
     terminalreporter.write_line(f"peak RSS of the test process: {mib:.0f} MiB")
+
+
+@pytest.fixture
+def fresh_rules():
+    """An empty ``tabulated_rules`` memo, emptied again after the test.
+
+    Rules are memoised for the process, so a test that patches what a
+    rule is built from must neither find rules built before it nor leave
+    its own behind.
+    """
+    wavefunction.tabulated_rules.cache_clear()
+    yield
+    wavefunction.tabulated_rules.cache_clear()
 
 
 @pytest.fixture(scope="session")

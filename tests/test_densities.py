@@ -372,8 +372,7 @@ def test_reduced_density_tables_run_at_unit_scale(kind, scales, space):
                 integrals = [rd.integral() for rd in rds]
                 assert integrals == unit.setdefault((m, k), integrals), (m, k, scale)
                 if 1.0 < scale < 1e300:
-                    x = tabulated_rules(wf.tables.unit_scale[0], QuadratureScheme(),
-                                        {})(k)[0]
+                    x = tabulated_rules(wf.tables.unit_scale[0], QuadratureScheme())(k)[0]
                     pointwise = c**k * rds[0](*np.meshgrid(*(c * x,) * k, indexing="ij"))
                     assert np.allclose(rds[0].grid_values, pointwise, rtol=1e-13,
                                        atol=1e-14), (m, k)

@@ -85,7 +85,7 @@ STATES = _random_states(2016, 300)
 
 
 def _rule3(st, scheme):
-    return wavefunction.tabulated_rules(st.tables.unit_scale[0], scheme, {})(3)
+    return wavefunction.tabulated_rules(st.tables.unit_scale[0], scheme)(3)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=["18", "27"])

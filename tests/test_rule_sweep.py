@@ -108,7 +108,7 @@ def test_coarse_3d_rule_has_fewer_nodes_for_every_state():
     coarse = fine.coarsened()
     for ns in combinations(range(1, 9), 3):
         t = Configuration(BOX, ns, "antisymmetric").tables
-        n_fine, n_coarse = (len(tabulated_rules(t, s, {})(3)[0]) for s in (fine, coarse))
+        n_fine, n_coarse = (len(tabulated_rules(t, s)(3)[0]) for s in (fine, coarse))
         assert n_coarse < n_fine == fine.panels_3d * fine.nodes_per_panel, ns
 
 

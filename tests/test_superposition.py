@@ -13,6 +13,7 @@ from symcorr import (
     QuadratureScheme,
     build_superposition,
     compute_report,
+    compute_reports,
     scan_coefficient,
 )
 from symcorr import wavefunction
@@ -233,9 +234,29 @@ def test_scan_evaluates_orbital_tables_once_per_curve(sym, interference,
     counts = []
     for grid in ((0.0, 0.5, 1.0), DEFAULT_C1SQ_GRID):
         calls.clear()
+        wavefunction.tabulated_rules.cache_clear()  # rules last the process
         scan_coefficient(spec, grid, scheme)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_repeated_reports_evaluate_no_orbital_table(box, ho, monkeypatch, fresh_rules):
+    # every rule and its table last the process: the same reports again,
+    # and an S state after the A state over its orbitals, evaluate none
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return orbital_factor(*args)
+
+    monkeypatch.setattr(wavefunction, "orbital_factor", counting)
+    states = [Configuration(box, (1, 2, 3), ANTISYMMETRIC),
+              Configuration(ho, (0, 1, 2), ANTISYMMETRIC, "momentum")]
+    compute_reports(states)
+    assert calls
+    calls.clear()
+    compute_reports(states + [Configuration(box, (1, 2, 3), SYMMETRIC)])
+    assert calls == []
 
 
 def test_default_grid():

@@ -24,6 +24,7 @@ from symcorr import (
 from symcorr.orbitals import MOMENTUM, POSITION, orbital_parity
 from symcorr.quadrature import Interval, RealLine, axis_rule
 from symcorr.superposition import SuperpositionSpec
+from symcorr.wavefunction import tabulated_rules
 
 from conftest import dense_rule
 
@@ -194,6 +195,18 @@ def test_tables_are_one_value_per_orbital_set(box):
     assert build(cfg).tables is cfg.tables
     assert cfg.tables != Configuration(box, (1, 2, 3), SYMMETRIC, MOMENTUM).tables
     assert cfg.tables != Configuration(box, (1, 2, 4), SYMMETRIC).tables
+
+
+@pytest.mark.parametrize("model", ["box", "ho"])
+def test_memoised_rules_are_read_only(box, ho, model):
+    # every report over the same tables shares one Rule, so none may change it
+    tables = Configuration({"box": box, "ho": ho}[model], (1, 2, 3), SYMMETRIC).tables
+    rule = tabulated_rules(tables, QuadratureScheme())
+    for k in (1, 2, 3):
+        assert rule(k) is tabulated_rules(tables, QuadratureScheme())(k)
+        for values in rule(k):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
 
 
 @pytest.mark.parametrize("space", [POSITION, MOMENTUM])
