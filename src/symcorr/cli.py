@@ -13,14 +13,17 @@ Each subcommand takes only the options its ``cmd_*`` function reads
 (``_option_groups``); ``--config`` and ``--out`` go with every one.
 Options may also come from a flat ``key = value`` config file
 (``--config``): each key must be an option of the subcommand, and is
-checked as that flag; explicit flags win.  Exit codes: 0 ok, 1
-reproduction mismatch, 2 usage error, 3 numerical failure.
+checked as that flag; explicit flags win.  The parser is built once per
+process (``build_parser``), so a call to ``main`` only parses; every call
+gets its own namespace, and no call changes the parser.  Exit codes: 0
+ok, 1 reproduction mismatch, 2 usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -264,8 +267,15 @@ def _option_groups():
     return common, model, sym, space, scheme, fmt
 
 
+@functools.cache
 def build_parser():
-    """Returns (parser, {command: subparser}) for default-value lookups."""
+    """Returns (parser, {command: subparser}) for default-value lookups.
+
+    Built on the first call and shared by every later one in the process:
+    parsing reads the parsers and never changes them, so callers must not
+    change them either (no ``set_defaults``, ``add_argument`` or edits to
+    the subparser dict).
+    """
     parser = argparse.ArgumentParser(
         prog="symcorr",
         description="Entropies and mutual-information hierarchy for "

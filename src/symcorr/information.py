@@ -47,15 +47,19 @@ samples of a scan, once, by their unit-scale ``OrbitalTables`` (params,
 space and orbitals), particle count, exchange symmetry and the nonzero
 mask of each term's C; those fix the domain, the kernel region and
 whether a state is a Hartree product.  Every rule runs on the unit
-tables' ``domain``.  That one grouping feeds s1, s2 and, for three
-particles, s3 at the fine and the coarse level.  The endpoints of an S/A
+tables' ``domain``.  Each group is prepared once per call
+(``_prepare``): its stacked terms, reduced density matrices, their
+marginal folds and the s3 kernel's region depend on no rule, so that
+one preparation feeds s1, s2 and, for three particles, s3 at the fine
+and the coarse level.  The endpoints of an S/A
 scan curve are each a group of their own, on the inverted half
 sector.  The orbital table of each distinct rule is evaluated once per
 level and kept for later reports (``wavefunction.tabulated_rules``), so
 the S and A states over one set of orbitals share it; the 1D and 2D
 rules are one rule, so rho and Gamma share it.  s1
 and s2 integrate each state's exact rho and Gamma, from the reduced
-density matrices of its coefficient tensor, formed once per group: each
+density matrices of its coefficient tensor, formed once per group and
+call: each
 member's rho and Gamma are its own matrix contracted with the orbital
 products, so grouping changes no s1 or s2.  A marginal runs on the first
 half of each axis its orbital products' parities let it fold
@@ -90,6 +94,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -201,7 +206,8 @@ def entropy(density, scheme=None):
     if not hasattr(density, "terms"):
         return entropy_from_values(density.grid_values, density.grid_weights) \
             + density.arity * density.log_c
-    return _entropies([density], [[0]], scheme or QuadratureScheme())[0][-1]
+    return _entropies([density], [_prepare([density], [0])],
+                      scheme or QuadratureScheme())[0][-1]
 
 
 def _group_key(st):
@@ -261,56 +267,74 @@ def _mean_entropies(forms, q, w):
     return total / len(forms)
 
 
+# A group's rule-free part (``_prepare``): its first state, each member's
+# (state index, sample index), the members' terms stacked along a sample
+# axis, the ``_density_forms`` of rho and of Gamma (None for Hartree
+# products) and the s3 kernel's ``slab_folds`` (None unless the group has
+# three particles and Gamma).
+_Group = namedtuple("_Group", "first slots stacked rho gamma folds")
+
+
+def _prepare(states, members):
+    """The ``_Group`` of ``states[k]`` for k in ``members``; no rule takes part.
+
+    Members whose unit-scale terms are equal bit for bit, such as an
+    oscillator state in position and in momentum space, share one
+    sample.  The density matrices, their marginal folds and the s3
+    kernel's region depend on the terms and parities only, so one
+    preparation serves every rule the group's entropies run on.
+    """
+    first = states[members[0]]
+    parities = first.tables.parities  # the same at every scale
+    ones, pairs = _keeps(first)
+    keys = [b"".join(c.tobytes() for c in states[k].terms) for k in members]
+    distinct = list(dict.fromkeys(keys))
+    stacked = [np.stack(c) for c in zip(*(states[members[keys.index(key)]].terms
+                                          for key in distinct))]
+    slots = list(zip(members, map(distinct.index, keys)))
+    hartree = len(first.terms) == 1 and np.count_nonzero(first.terms[0]) == 1
+    gamma = None if hartree else _density_forms(stacked, pairs, parities)
+    folds = None if hartree or first.nparticles == 2 else \
+        slab_folds(first.terms, first.symmetry != DISTINGUISHABLE, parities)
+    return _Group(first, slots, stacked, _density_forms(stacked, ones, parities),
+                  gamma, folds)
+
+
 def _entropies(states, groups, scheme):
-    """(s1, s2) or (s1, s2, s3) of each state, per group of ``_group_key``.
+    """(s1, s2) or (s1, s2, s3) of each state, from its ``_prepare``d group.
 
     Each orbital table, and the orbital products of each trimmed one, is
     evaluated once per rule and kept across calls (``tabulated_rules``),
     and each entropy of k coordinates runs on the nodes kept for k.  A
-    group's reduced density matrices are formed once (``_density_forms``)
-    and feed its s1 and s2 on every rule, each member's from its own
-    matrix.  A group
-    is all Hartree products, whose joint density factorizes, or none.
-    For other three-particle states I^3 is 3 s2' - 3 s1' - s3', all three
-    on the trimmed 3D rule, with s3' from one ``entropy_grid`` pass over
-    the members' terms stacked along a sample axis, on the region
-    ``slab_folds`` sets, and s3 is 3 s2 - 3 s1 - I^3.  Every rule and
-    table is the group's unit-scale tables' (``unit_scale``), where the
-    densities are of order 1 at any L or omega, and each member adds its
-    own k ln c to its s_k: members of one group may differ in L or omega.
-    Members whose unit-scale terms are equal bit for bit, such as an
-    oscillator state in position and in momentum space, share one sample.
+    group's s1 and s2 contract its density matrices, each member's its
+    own, with the rule's orbital products.  A group is all Hartree
+    products, whose joint density factorizes, or none.  For other
+    three-particle states I^3 is 3 s2' - 3 s1' - s3', all three on the
+    trimmed 3D rule, with s3' from one ``entropy_grid`` pass over the
+    stacked terms, on the region ``slab_folds`` set, and s3 is
+    3 s2 - 3 s1 - I^3.  Every rule and table is the group's unit-scale
+    tables' (``unit_scale``), where the densities are of order 1 at any
+    L or omega, and each member adds its own k ln c to its s_k: members
+    of one group may differ in L or omega.
     """
     out = [None] * len(states)
-    for members in groups:
-        first = states[members[0]]
-        rule = tabulated_rules(first.tables.unit_scale[0], scheme)
-        parities = first.tables.parities  # the same at every scale
-        ones, pairs = _keeps(first)
-        # members with bit-identical terms share one sample
-        keys = [b"".join(c.tobytes() for c in states[k].terms) for k in members]
-        distinct = list(dict.fromkeys(keys))
-        stacked = [np.stack(c) for c in zip(*(states[members[keys.index(key)]].terms
-                                              for key in distinct))]
-        rho = _density_forms(stacked, ones, parities)
-        s1 = _mean_entropies(rho, rule(1).q, rule(1).w)
-        if len(first.terms) == 1 and np.count_nonzero(first.terms[0]) == 1:
-            # Hartree products: the joint density factorizes
+    for g in groups:
+        rule = tabulated_rules(g.first.tables.unit_scale[0], scheme)
+        s1 = _mean_entropies(g.rho, rule(1).q, rule(1).w)
+        if g.gamma is None:  # Hartree products: the joint density factorizes
             s = [s1, 2.0 * s1, 3.0 * s1]
         else:
-            gamma = _density_forms(stacked, pairs, parities)
-            s = [s1, _mean_entropies(gamma, rule(2).q, rule(2).w)]
-            if first.nparticles == 3:
+            s = [s1, _mean_entropies(g.gamma, rule(2).q, rule(2).w)]
+            if g.folds is not None:
                 _, table, q, w = rule(3)
-                symmetric = first.symmetry != DISTINGUISHABLE
-                folds = slab_folds(first.terms, symmetric, parities)
-                i_higher = 3.0 * _mean_entropies(gamma, q, w) \
-                    - 3.0 * _mean_entropies(rho, q, w) \
-                    - entropy_grid(stacked, table, w, symmetric, folds)
+                symmetric = g.first.symmetry != DISTINGUISHABLE
+                i_higher = 3.0 * _mean_entropies(g.gamma, q, w) \
+                    - 3.0 * _mean_entropies(g.rho, q, w) \
+                    - entropy_grid(g.stacked, table, w, symmetric, g.folds)
                 s.append(3.0 * s[1] - 3.0 * s1 - i_higher)
-        for j, k in zip(map(distinct.index, keys), members):
+        for k, j in g.slots:
             out[k] = tuple(float(v[j]) + n * states[k].tables.unit_scale[1]
-                           for n, v in enumerate(s[:first.nparticles], 1))
+                           for n, v in enumerate(s[:g.first.nparticles], 1))
     return out
 
 
@@ -354,9 +378,11 @@ def compute_reports(systems, scheme=None, with_error=True):
 
     Each system is a Configuration or a superposition
     (``build_superposition``).  The systems are grouped once
-    (``_group_key``): the members of a group, such as the interior c1^2
-    samples of a scan, share their orbital tables, and a three-particle
-    group's s3 comes from one pass over the slabs (``_entropies``).
+    (``_group_key``) and each group is prepared once (``_prepare``): its
+    density matrices, their folds and its s3 region serve both levels.
+    The members of a group, such as the interior c1^2 samples of a scan,
+    share their orbital tables, and a three-particle group's s3 comes
+    from one pass over the slabs per level (``_entropies``).
     Grouping changes no s1 or s2: each member's are those of its own
     report.  With ``with_error`` the coarse level runs on the same
     groups, and a scheme ``coarsened`` cannot halve raises ``ValueError``
@@ -370,8 +396,9 @@ def compute_reports(systems, scheme=None, with_error=True):
     groups = {}
     for k, wf in enumerate(wfs):
         groups.setdefault(_group_key(wf), []).append(k)
-    fine = _entropies(wfs, groups.values(), scheme)
-    coarse = _entropies(wfs, groups.values(), coarse_scheme) if with_error \
+    prepared = [_prepare(wfs, members) for members in groups.values()]
+    fine = _entropies(wfs, prepared, scheme)
+    coarse = _entropies(wfs, prepared, coarse_scheme) if with_error \
         else [None] * len(wfs)
     return [_report(*args, scheme) for args in zip(wfs, fine, coarse)]
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -562,6 +563,47 @@ def test_parser_defaults_exposed():
     args = parser.parse_args(["tables", "--which", "2"])
     assert args.which == 2
     assert parser.parse_args(["report", "--n", "1,2,3"]).model == "box"
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_a_later_call_builds_no_parser(capsys, monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    argv = ["report", "--n", "1,2", "--sym", "a", "--panels", "10"]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert made == []
+    build_parser.__wrapped__()  # the spy sees every parser a build makes
+    assert len(made) == 12
+
+
+def test_no_state_carries_from_one_call_to_the_next(tmp_path, capsys):
+    argv = ["report", "--n", "1,2", "--sym", "a", "--panels", "10"]
+    target = tmp_path / "out.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"format = csv\nout = {target}\n")
+    code, out, _ = run(capsys, *argv, "--config", str(cfg))
+    assert code == 0 and out == ""
+    assert target.read_text().startswith(PAIR_HEADER + "\n")
+    code, after_config, _ = run(capsys, *argv)
+    assert code == 0
+    assert after_config.startswith("# box L=1 ns=(1, 2) antisymmetric  [position]")
+    for bad in (["--format", "xml"], ["--bogus", "1"]):
+        assert exit_code(*argv, *bad) == 2
+        capsys.readouterr()
+        code, after_error, _ = run(capsys, *argv)
+        assert code == 0 and after_error == after_config
+    build_parser.cache_clear()  # a fresh parser prints the same
+    assert run(capsys, *argv)[:2] == (0, after_config)
 
 
 def test_scan_n3_runs_each_oscillator_state_once_for_both_spaces(capsys, monkeypatch):

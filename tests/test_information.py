@@ -686,6 +686,32 @@ def test_a_batch_changes_no_s1_or_s2(box, space):
         assert (rep.entropies.s1, rep.entropies.s2) == (one.s1, one.s2), rep.system
 
 
+def test_each_group_is_prepared_once_per_call(box, monkeypatch):
+    # density matrices and the s3 region depend on no rule, so the coarse
+    # level reuses the fine level's: one density_matrix per keep and one
+    # slab_folds per group, with or without the error level
+    counts = {}
+
+    def counting(name):
+        inner = getattr(information, name)
+
+        def counted(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args)
+        monkeypatch.setattr(information, name, counted)
+
+    counting("density_matrix")
+    counting("slab_folds")
+    states = [Configuration(box, (1, 2, 3), ANTISYMMETRIC, MOMENTUM),
+              Configuration(box, (1, 1, 2), SYMMETRIC, MOMENTUM)]
+    calls = {}
+    for with_error in (False, True):
+        counts.clear()
+        compute_reports(states, with_error=with_error)
+        calls[with_error] = dict(counts)
+    assert calls[True] == calls[False] == {"density_matrix": 4, "slab_folds": 2}
+
+
 def test_fused_s3_full_grid_without_parities(integrand_nodes):
     wf = dict(KERNEL_CASES)["d-mixture"]
     _, table, _, w = _rule3(wf, ODD_EVEN_SCHEMES[0])
