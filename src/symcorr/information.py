@@ -69,7 +69,8 @@ over coordinates/pairs, which reproduces the distinguishable-system
 decomposition of I^3, sum s2_ij - sum s1_i - s3, exactly and keeps the
 hierarchy identities intact.  A Hartree product
 factorizes, so its s2 and s3 are 2 s1 and 3 s1, and every correlation
-measure vanishes to round-off.  s3' of the other groups comes from one
+measure vanishes to round-off; proportional terms are merged first
+(``_merged``), so a product is one term whatever its term list.  s3' of the other groups comes from one
 pass of ``wavefunction.entropy_grid`` per group over |Psi|^2 on the 3D
 rule, slab by slab, on the region their symmetries leave distinct:
 ``wavefunction.slab_folds`` decides it from the tables' ``parities``
@@ -80,7 +81,9 @@ k, and s1' and s2' on those it keeps for 3: it drops the end nodes of a
 rule where every orbital is so small that, for any state over them,
 their whole contribution is at most 1e-17 nats.  That cuts the mapped
 oscillator rules (200 -> 126-128 nodes per axis in 3D for table 2) and
-no box rule.  This module builds no rule and no table: every integral
+no box rule.  The s3 kernel's plan (``wavefunction.slab_plan``) cuts
+each slab further, by the product bound, to the same 1e-17 nats: about
+a third of table 2's sorted sector.  This module builds no rule and no table: every integral
 here, the checks and ``entropy_sum_check`` too, takes its nodes,
 weights and table from ``wavefunction.tabulated_rules`` at unit scale,
 and the checks their rho and Gamma from ``wavefunction.marginal_tables``:
@@ -206,22 +209,47 @@ def entropy(density, scheme=None):
     if not hasattr(density, "terms"):
         return entropy_from_values(density.grid_values, density.grid_weights) \
             + density.arity * density.log_c
-    return _entropies([density], [_prepare([density], [0])],
+    terms = [_merged(density.terms)]
+    return _entropies([density], [_prepare([density], terms, [0])],
                       scheme or QuadratureScheme())[0][-1]
 
 
-def _group_key(st):
+def _merged(terms):
+    """The terms, with each set of proportional tensors merged into one.
+
+    The densities of C and of lambda C add up to (1 + lambda^2) |Psi_C|^2,
+    the density of the one tensor sqrt(1 + lambda^2) C.  So a product
+    state, such as a mixture of a product with itself, is one term with
+    one nonzero entry however its term list writes it, and takes the
+    Hartree shortcut.  Two tensors C and D count as proportional when
+    they are nonzero at the same entries and D - lambda C, lambda =
+    <C, D> / <C, C>, is nowhere above 1e-14 of D's largest entry.
+    """
+    out = []
+    for c in terms:
+        for k, u in enumerate(out):
+            lam = float(np.vdot(u, c) / np.vdot(u, u))
+            if np.array_equal(c != 0, u != 0) \
+                    and np.max(np.abs(c - lam * u)) <= 1e-14 * np.max(np.abs(c)):
+                out[k] = u * math.sqrt(1.0 + lam * lam)
+                break
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+def _group_key(st, terms):
     """Unit tables, particle count, exchange symmetry, nonzero mask of each C.
 
-    States with equal keys share their unit-scale tables
-    (``OrbitalTables.unit_scale``), and so their domain, kernel region and
-    one s3 kernel pass, whatever their L or omega: the region
-    (``slab_folds``) depends on a state only through its symmetry, its
-    orbitals' parities and where its tensors are nonzero.  So does whether
-    it is a Hartree product.
+    ``terms`` are the state's terms, ``_merged``.  States with equal keys
+    share their unit-scale tables (``OrbitalTables.unit_scale``), and so
+    their domain, kernel region and one s3 kernel pass, whatever their L
+    or omega: the region (``slab_folds``) depends on a state only through
+    its symmetry, its orbitals' parities and where its tensors are
+    nonzero.  So does whether it is a Hartree product.
     """
     return (st.tables.unit_scale[0], st.nparticles, st.symmetry != DISTINGUISHABLE) \
-        + tuple(np.not_equal(c, 0).tobytes() for c in st.terms)
+        + tuple(np.not_equal(c, 0).tobytes() for c in terms)
 
 
 def _keeps(wf):
@@ -249,21 +277,19 @@ def _mean_entropies(forms, q, w):
     On the rule of orbital products q and weights w, each member's
     matrix of ``forms`` (``_density_forms``) is contracted with q on
     its own, on the first half of each folded axis (``folded_weights``):
-    a member's rho is K q^T and its Gamma Q K Q^T, so a member of a
-    group gets the same s1 and s2, to the last bit, as it does on its own.
+    a member's rho is K q^T and its Gamma Q K Q^T, reduced on its own
+    grid with one weight vector per axis, so a member of a group gets
+    the same s1 and s2, to the last bit, as it does on its own.
     """
     half = q[:(len(w) + 1) // 2], folded_weights(w)
     total = 0.0
     for ks, folds in forms:
-        axes = [half if ax in folds else (q, w) for ax in range(ks.ndim - 1)]
-        if len(axes) == 2:  # Gamma, flattened
-            (q0, w0), (q1, w1) = axes
-            vals = ((q0 @ k @ q1.T).ravel() for k in ks)
-            weights = np.outer(w0, w1).ravel()
+        qs, ws = zip(*(half if ax in folds else (q, w) for ax in range(ks.ndim - 1)))
+        if len(qs) == 2:  # Gamma
+            vals = (qs[0] @ k @ qs[1].T for k in ks)
         else:  # rho
-            ((q0, weights),) = axes
-            vals = (k @ q0.T for k in ks)
-        total = total + np.array([entropy_from_values(v, [weights]) for v in vals])
+            vals = (k @ qs[0].T for k in ks)
+        total = total + np.array([entropy_from_values(v, ws) for v in vals])
     return total / len(forms)
 
 
@@ -275,27 +301,29 @@ def _mean_entropies(forms, q, w):
 _Group = namedtuple("_Group", "first slots stacked rho gamma folds")
 
 
-def _prepare(states, members):
+def _prepare(states, terms, members):
     """The ``_Group`` of ``states[k]`` for k in ``members``; no rule takes part.
 
-    Members whose unit-scale terms are equal bit for bit, such as an
-    oscillator state in position and in momentum space, share one
-    sample.  The density matrices, their marginal folds and the s3
-    kernel's region depend on the terms and parities only, so one
-    preparation serves every rule the group's entropies run on.
+    ``terms[k]`` are the terms of ``states[k]``, ``_merged``.  Members
+    whose unit-scale terms are equal bit for bit, such as an oscillator
+    state in position and in momentum space, share one sample.  The
+    density matrices, their marginal folds and the s3 kernel's region
+    depend on the terms and parities only, so one preparation serves
+    every rule the group's entropies run on.
     """
     first = states[members[0]]
     parities = first.tables.parities  # the same at every scale
     ones, pairs = _keeps(first)
-    keys = [b"".join(c.tobytes() for c in states[k].terms) for k in members]
+    keys = [b"".join(c.tobytes() for c in terms[k]) for k in members]
     distinct = list(dict.fromkeys(keys))
-    stacked = [np.stack(c) for c in zip(*(states[members[keys.index(key)]].terms
+    stacked = [np.stack(c) for c in zip(*(terms[members[keys.index(key)]]
                                           for key in distinct))]
     slots = list(zip(members, map(distinct.index, keys)))
-    hartree = len(first.terms) == 1 and np.count_nonzero(first.terms[0]) == 1
+    own = terms[members[0]]
+    hartree = len(own) == 1 and np.count_nonzero(own[0]) == 1
     gamma = None if hartree else _density_forms(stacked, pairs, parities)
     folds = None if hartree or first.nparticles == 2 else \
-        slab_folds(first.terms, first.symmetry != DISTINGUISHABLE, parities)
+        slab_folds(own, first.symmetry != DISTINGUISHABLE, parities)
     return _Group(first, slots, stacked, _density_forms(stacked, ones, parities),
                   gamma, folds)
 
@@ -326,11 +354,11 @@ def _entropies(states, groups, scheme):
         else:
             s = [s1, _mean_entropies(g.gamma, rule(2).q, rule(2).w)]
             if g.folds is not None:
-                _, table, q, w = rule(3)
+                _, _, q, w = rule3 = rule(3)
                 symmetric = g.first.symmetry != DISTINGUISHABLE
                 i_higher = 3.0 * _mean_entropies(g.gamma, q, w) \
                     - 3.0 * _mean_entropies(g.rho, q, w) \
-                    - entropy_grid(g.stacked, table, w, symmetric, g.folds)
+                    - entropy_grid(g.stacked, rule3, symmetric, g.folds)
                 s.append(3.0 * s[1] - 3.0 * s1 - i_higher)
         for k, j in g.slots:
             out[k] = tuple(float(v[j]) + n * states[k].tables.unit_scale[1]
@@ -346,7 +374,13 @@ def _report(wf, fine, coarse, scheme):
     is the largest |fine - coarse| over the entropies.
     Pair mutual information in [-tol, 0) is quadrature noise: it is clamped
     to 0, with a warning below -1e-12.  Below -tol the rule is too coarse
-    for the state, and this raises ``NonConvergenceError``.
+    for the state, and this raises ``NonConvergenceError``.  The same
+    holds for the three measures that no density lets fall below 0, as
+    Shannon inequalities: I3, the total correlation; I_rg = I(X1; X2 X3);
+    and I_gg = I(X1; X2 | X3), for D states of the coordinate averages
+    too.  Below -tol each raises ``NonConvergenceError``; in [-tol, 0)
+    each is reported as computed, not clamped, since the hierarchy
+    identities (``hierarchy_residuals``) tie it to the entropies.
     """
     if not np.isfinite(fine + (coarse or ())).all():
         raise NonConvergenceError(f"entropies {fine}, coarse {coarse}, not finite",
@@ -369,6 +403,11 @@ def _report(wf, fine, coarse, scheme):
         s3 = fine[2]
         measures = (3 * s1 - s3, s1 + s2 - s3, 2 * s2 - s1 - s3,
                     3 * s2 - 3 * s1 - s3)
+        for name, value in zip(("I3", "I_rho_gamma", "I_gamma_gamma"), measures):
+            if value < -scheme.target_abs_tol:
+                raise NonConvergenceError(
+                    f"{name} {value:.3e} is negative beyond quadrature tolerance",
+                    -value)
     return InformationReport(EntropyTriple(s1, s2, s3, wf.space, err), i_pair,
                              *measures, space=wf.space, system=wf.label)
 
@@ -377,7 +416,9 @@ def compute_reports(systems, scheme=None, with_error=True):
     """InformationReports of two- and three-particle systems, computed together.
 
     Each system is a Configuration or a superposition
-    (``build_superposition``).  The systems are grouped once
+    (``build_superposition``).  Each system's proportional terms are
+    merged first (``_merged``), so that a product is one term whatever
+    its term list.  The systems are grouped once
     (``_group_key``) and each group is prepared once (``_prepare``): its
     density matrices, their folds and its s3 region serve both levels.
     The members of a group, such as the interior c1^2 samples of a scan,
@@ -387,16 +428,17 @@ def compute_reports(systems, scheme=None, with_error=True):
     report.  With ``with_error`` the coarse level runs on the same
     groups, and a scheme ``coarsened`` cannot halve raises ``ValueError``
     before either level runs.  Each report is checked by ``_report``:
-    pair mutual information more negative than -tol raises
+    I_pair, I3, I_rg or I_gg more negative than -tol raises
     ``NonConvergenceError``.  A batch returns every report or raises.
     """
     scheme = scheme or QuadratureScheme()
     coarse_scheme = with_error and scheme.coarsened()
     wfs = list(systems)
+    terms = [_merged(wf.terms) for wf in wfs]
     groups = {}
     for k, wf in enumerate(wfs):
-        groups.setdefault(_group_key(wf), []).append(k)
-    prepared = [_prepare(wfs, members) for members in groups.values()]
+        groups.setdefault(_group_key(wf, terms[k]), []).append(k)
+    prepared = [_prepare(wfs, terms, members) for members in groups.values()]
     fine = _entropies(wfs, prepared, scheme)
     coarse = _entropies(wfs, prepared, coarse_scheme) if with_error \
         else [None] * len(wfs)
@@ -451,14 +493,15 @@ def mutual_information_higher_direct(system, scheme=None):
     if system.symmetry == DISTINGUISHABLE:
         raise ValueError("direct higher-order integral assumes "
                          "indistinguishable marginals")
-    (_, t, q, w), rho, gamma = marginal_tables(system, scheme, 3, (0,), (0, 1))
+    rule, rho, gamma = marginal_tables(system, scheme, 3, (0,), (0, 1))
+    _, t, q, w = rule
     log_rho = np.log(np.maximum(rho, DENSITY_FLOOR))
     g = 0.5 * (log_rho[:, None] + log_rho) - np.log(np.maximum(gamma, DENSITY_FLOOR))
     gram = (t.T * w) @ t
     kmat = sum(np.einsum("abc,cd,efd->aebf", c, gram, c) for c in system.terms)
     gamma_rule = q @ kmat.reshape(q.shape[1], -1) @ q.T
     return 3.0 * float(w @ (gamma_rule * g) @ w) \
-        - entropy_grid(system.terms, t, w, True, ())
+        - entropy_grid(system.terms, rule, True, ())
 
 
 def entropy_sum_check(params, ns, symmetry, scheme=None):

@@ -35,16 +35,19 @@ mirror-symmetric where it is built.  On a mapped axis a
 rule reaches far past where any orbital of the state is non-negligible;
 ``trim_rule`` drops the nodes at each end whose total contribution to
 the entropy it bounds below 1e-17 nats, for every state over the
-orbitals.  The
+orbitals, and the s3 kernel's plan on the 3D rule (``slab_plan``)
+cuts each slab to the rectangle where the product bound
+P(x1) P(x2) P(x3), P = sum_a phi_a^2, can matter, to the same bound in
+all.  The
 reduced densities follow exactly from the reduced density matrices of
 C, by orbital orthonormality, with no quadrature over the integrated
 coordinates.
 This module decides which nodes, weights and orbital tables an entropy
 of k coordinates runs on, and no other: ``tabulated_rules`` builds the
 trimmed rule of each arity from ``quadrature.axis_rule``, with the 3D
-rule's panel edges on the orbitals' node planes, and memoises each rule
-and its table, read-only, for every later report over the same tables
-and scheme; ``marginal_tables`` contracts a state's
+rule's panel edges on the orbitals' node planes, and memoises each rule,
+its table and its s3 kernel plans, read-only, for every later report
+over the same tables and scheme; ``marginal_tables`` contracts a state's
 rho and Gamma on it, and ``marginal_folds`` and ``slab_folds`` set the
 half-axes each entropy runs on.
 A ``Configuration`` is its own wavefunction, an immutable value whose
@@ -94,6 +97,8 @@ __all__ = [
     "TRIM_BOUND",
     "Rule",
     "tabulated_rules",
+    "SlabPlan",
+    "slab_plan",
     "folded_weights",
     "marginal_tables",
     "orbital_products",
@@ -393,10 +398,20 @@ def marginal_folds(kmats, parities):
     member s at index s, and ``parities`` the orbitals' parities.  An
     orbital product phi_a phi_c has parity p_a p_c, so the folds are
     ``fold_axes`` of those parities at the nonzero entries of every
-    member's matrix.
+    member's matrix.  They depend on nothing else, so each (parities,
+    nonzero pattern) is folded once for the process (``_pattern_folds``)
+    and every later report with the same two only looks its folds up.
     """
+    nonzero = np.any(kmats, axis=0)
+    return _pattern_folds(tuple(parities), nonzero.shape, nonzero.tobytes())
+
+
+@functools.lru_cache(maxsize=256)
+def _pattern_folds(parities, shape, nonzero):
+    """``marginal_folds`` of one nonzero pattern, given as the bytes of its mask."""
     pp = np.outer(parities, parities).ravel()
-    return fold_axes([pp[np.argwhere(np.any(kmats, axis=0))]], kmats.ndim - 1)
+    mask = np.frombuffer(nonzero, dtype=bool).reshape(shape)
+    return fold_axes([pp[np.argwhere(mask)]], len(shape))
 
 
 def _invariant(rows, axes):
@@ -452,9 +467,19 @@ def trim_rule(table, weights, arity):
     return table[m:n - m], weights[m:n - m], float(bounds[m - 1]) if m else 0.0
 
 
-# an axis rule as ``tabulated_rules`` keeps it for k coordinates: the kept
-# nodes x, the orbital table there, its ``orbital_products`` q and the weights w
-Rule = namedtuple("Rule", "x table q w")
+class Rule(namedtuple("Rule", "x table q w")):
+    """An axis rule as ``tabulated_rules`` keeps it for k coordinates.
+
+    The kept nodes x, the orbital table there, its ``orbital_products`` q
+    and the weights w, each read-only.  ``plan(symmetric, folds,
+    samples)`` is the s3 kernel's ``SlabPlan`` on the rule (``slab_plan``),
+    built on its first call for each key and kept with the rule.
+    """
+
+
+# s3 kernel plans kept per rule: a rule meets at most five keys in one
+# scan (an S/A curve's interior group and endpoints, a D curve each way)
+_PLANS_PER_RULE = 16
 
 
 @functools.lru_cache(maxsize=64)
@@ -471,8 +496,11 @@ def tabulated_rules(t, scheme):
     count, and each key's rules and tables last as long as it: a state's
     reports, and the reports of every state over the same unit-scale
     tables, such as the S and A cells of one table row, share them.
-    Every array of a ``Rule`` is read-only.  No other code builds a rule
-    for the orbital tables.
+    Each rule keeps its s3 kernel plans beside it (``Rule.plan``, the
+    last ``_PLANS_PER_RULE`` keys), so they are built once per (rule,
+    symmetric, folds, samples) and ``cache_clear`` drops them with it.
+    Every array of a ``Rule`` and of a plan is read-only.  No other code
+    builds a rule for the orbital tables.
     """
     tables, rules = {}, {}
 
@@ -486,6 +514,8 @@ def tabulated_rules(t, scheme):
             table, w = trim_rule(tables[key], w, k)[:2]
             x = x[(len(x) - len(w)) // 2:][:len(w)]  # the kept nodes, as trimmed
             rules[k] = Rule(x, table, _read_only(orbital_products(table)), w)
+            rules[k].plan = functools.lru_cache(maxsize=_PLANS_PER_RULE)(
+                lambda *key: slab_plan(table, w, *key))
         return rules[k]
 
     return rule
@@ -506,18 +536,20 @@ def folded_weights(weights):
     return w
 
 
-def entropy_grid(terms, table, weights, symmetric, folds):
+def entropy_grid(terms, rule, symmetric, folds):
     """-sum w_i w_j w_k d ln d for d = sum_t Psi_t^2, N = 3.
 
-    Real only: ``table`` holds the real orbital factors at the nodes of
-    one axis rule, used on all three axes, ``weights`` its weights, and
-    every term is a real C, so each slab product is real and squared in
-    place.  The terms may all carry a leading axis of S samples, such as
-    the c1^2 samples of a scan; the kernel then returns s3 of every
-    sample, (S,), from one pass over the slabs, and a float for terms
-    without it.  The density is built and consumed one slab at a time,
-    so no 3D array exists, and -d ln d is evaluated once per distinct
-    value the state's symmetries leave, the region ``folds``
+    Real only: ``rule`` is the 3D ``Rule`` of ``tabulated_rules``, whose
+    table holds the real orbital factors at the nodes of one axis rule,
+    used on all three axes, and every term is a real C, so each slab
+    product is real and squared in place.  The terms may all carry a
+    leading axis of S samples, such as the c1^2 samples of a scan; the
+    kernel then returns s3 of every sample, (S,), from one pass over the
+    slabs, and a float for terms without it.  Each sample's terms must
+    have sum_t |C_t|^2 = 1, as every state's do, for the product bound
+    below to hold.  The density is built and consumed one slab at a
+    time, so no 3D array exists, and -d ln d is evaluated once per
+    distinct value the state's symmetries leave, the region ``folds``
     (``slab_folds``; () for the whole grid) sets:
 
     - ``symmetric``: the density must be invariant under particle
@@ -533,81 +565,241 @@ def entropy_grid(terms, table, weights, symmetric, folds):
       the centre of a mirror-symmetric rule tell which) keeps its first
       ceil(n/2) nodes with the mirror nodes' weights added.
 
-    The slab contraction M is built once for all samples.  Each slab runs
-    its samples in blocks of at most n^2 values, laid out as (rows,
-    samples, cols), so that every product is a 2D matrix product and a
-    plain state keeps a rows x cols slab.  Consecutive blocks are packed
-    into chunks of at most n^2 values (``_chunks``), so that a single
-    state's small slabs, from n values up, share their calls: each term's
-    products of a chunk are squared at once, and d ln d (``d_ln_d``) runs
-    once per chunk.  It is reduced to one value per slab and sample from
-    each block's slice, with the sorted sector's multiplicities in the
-    row and column weights, and the outer weights and the sign are
-    applied once at the end.
+    Where the density is too small to matter, the plan cuts each slab's
+    rectangle further (``slab_plan``): by at most ``TRIM_BOUND`` nats in
+    all, for any state over the orbitals.
+
+    Everything that depends on the rule, the symmetry, the folds and the
+    sample count alone is the plan, ``rule.plan(symmetric, folds, S)``,
+    built once and kept with the rule, so a call computes only the
+    state's values.  The slab contraction M is built once for all
+    samples.  Each slab runs its samples in blocks of at most n^2 values,
+    laid out as (rows, samples, cols), so that every product is a 2D
+    matrix product and a plain state keeps a rows x cols slab.  The
+    plan packs consecutive blocks into chunks of at most n^2 values, so
+    that a single state's small slabs, from n values up, share their
+    calls: each term's products of a chunk are squared at once, and
+    d ln d (``d_ln_d``) runs once per chunk.  It is reduced to one value
+    per slab and sample from each block's slice, with the sorted
+    sector's multiplicities in the row and column weights, and the
+    outer weights and the sign are applied once at the end.
     """
-    n = len(weights)
-    half = folded_weights(weights)
-    if symmetric:
-        # M_j[a, s, c] = sum_b C_sabc t[j, b]
-        t0, contracted = table, 2
-        outer = half if folds else weights
-        # rows i <= j weigh wr[j], columns k >= j wc[j]: the multiplicities
-        # as (2, ..., 2, 1) x (1.5, 3, ..., 3), which count the corner
-        # i = j = k 1.5 times, so half of it comes off at the end
-        diag = weights[:len(outer)]
-        wr = np.broadcast_to(2.0 * weights, (len(outer), n)).copy()
-        wc = np.broadcast_to(3.0 * weights, (len(outer), n)).copy()
-        np.fill_diagonal(wr, diag)
-        np.fill_diagonal(wc, 1.5 * diag)
-        corner = 0.5 * diag[:, None] ** 2
-        regions = ((j, table[:j + 1], table[j:], wr[j, :j + 1], wc[j, j:])
-                   for j in range(len(outer)))
-    else:
-        # M_i[b, s, c] = sum_a t[i, a] C_sabc
-        (t0, outer), (t1, w1), (t2, w2) = (
-            (table[:len(half)], half) if ax in folds else (table, weights)
-            for ax in range(3))
-        contracted = 1
-        regions = ((i, t1, t2, w1, w2) for i in range(len(outer)))
-    r = table.shape[1]
+    samples = math.prod(np.shape(terms[0])[:-3])
+    plan = rule.plan(symmetric, folds, samples)
+    n, r = rule.table.shape
     slabs = []  # M_i[x, (s y)] of each term
     for c in terms:
-        c = np.reshape(c, (-1,) + np.shape(c)[-3:])  # S samples, the same for all
-        m = np.tensordot(t0, c, axes=([1], [contracted]))
+        c = np.reshape(c, (samples,) + np.shape(c)[-3:])
+        m = np.tensordot(plan.t0, c, axes=([1], [plan.contracted]))
         m = np.ascontiguousarray(m.transpose(0, 2, 1, 3))
         slabs.append(m.reshape(len(m), r, -1))
-    samples = len(c)
-    vals = np.empty((len(outer), samples))
+    vals = np.zeros((len(plan.outer), samples))
     corners = np.zeros_like(vals)  # -d ln d at i = j = k, symmetric only
-    # (size, slab, samples, rows, cols, row and column weights) of each
-    # piece: a region's samples in blocks of at most n^2 values
-    pieces = [(len(rows) * len(blk) * len(cols), i, blk, rows, cols, vr, vc)
-              for i, rows, cols, vr, vc in regions
-              for step in [max(1, n * n // (len(rows) * len(cols)))]
-              for s0 in range(0, samples, step)
-              for blk in [range(s0, min(s0 + step, samples))]]
     bufs = np.empty((3, n * n))  # d, the square of a further term, d ln d
-    for chunk in _chunks(pieces, n * n):
-        d, a, e = bufs[:, :chunk[-1][1]]
+    for size, pieces in plan.chunks:
+        d, a, e = bufs[:, :size]
         for t, m in enumerate(slabs):
             out = a if t else d
-            for lo, hi, (_, i, blk, rows, cols, _, _) in chunk:
-                np.matmul((rows @ m[i, :, blk.start * r:blk.stop * r]).reshape(-1, r),
-                          cols.T, out=out[lo:hi].reshape(-1, len(cols)))
+            for lo, hi, i, _, _, m0, m1, rows, cols_t, _, _ in pieces:
+                np.matmul((rows @ m[i, :, m0:m1]).reshape(-1, r), cols_t,
+                          out=out[lo:hi].reshape(-1, cols_t.shape[1]))
             _abs2(out)
             if t:
                 d += a
         d_ln_d(d, e)
-        for lo, hi, (_, i, blk, rows, cols, vr, vc) in chunk:
-            piece = e[lo:hi].reshape(len(rows), -1, len(cols))
-            vals[i, blk.start:blk.stop] = \
-                (vr @ piece.reshape(len(rows), -1)).reshape(-1, len(cols)) @ vc
+        for lo, hi, i, s0, s1, _, _, _, _, vr, vc in pieces:
+            piece = e[lo:hi].reshape(len(vr), -1, len(vc))
+            vals[i, s0:s1] = (vr @ piece.reshape(len(vr), -1)).reshape(-1, len(vc)) @ vc
             if symmetric:
-                corners[i, blk.start:blk.stop] = piece[-1, :, 0]
+                corners[i, s0:s1] = piece[-1, :, 0]
     if symmetric:
-        vals -= corner * corners
-    s3 = -(outer @ vals)
+        vals -= plan.corner * corners
+    s3 = -(plan.outer @ vals)
     return s3 if np.ndim(terms[0]) == 4 else float(s3[0])
+
+
+# The s3 kernel's layout on one rule (``slab_plan``): the table t0 of the
+# slab contraction and the axis of C it contracts, each slab's outer
+# weight, the corner weights (symmetric only), the chunks, the [start,
+# stop) of each slab's kept rows and columns, and the cutoff on the
+# product bound that kept them.
+SlabPlan = namedtuple("SlabPlan", "t0 contracted outer corner chunks region cutoff")
+
+
+def slab_plan(table, weights, symmetric, folds, samples):
+    """The ``SlabPlan`` of ``entropy_grid`` on one rule for S samples.
+
+    Each slab's region is cut to a rectangle of rows and columns by the
+    product bound: by Cauchy-Schwarz on C (sum_t |C_t|^2 = 1), a density
+    of any state or mixture over the orbitals is at most
+    delta = P(x_i) P(x_j) P(x_k) at a node, P(x) = sum_a phi_a(x)^2.  A
+    slab keeps the smallest rectangle, anchored at the diagonal when
+    ``symmetric``, that holds every node where delta is at least a
+    cutoff; a slab with no such node runs none.  While delta <= 1/e,
+    -d ln d <= -delta ln delta, so the nodes left out change s3 by at
+    most their sum of w (-delta ln delta), with the weights the kernel
+    applies, sorted-sector multiplicities and folds included.  That sum
+    factorizes over the three axes (-delta ln delta is a sum of three
+    products), so it costs O(n) per cutoff, and the cutoff is the
+    largest, found by bisection in ln, that keeps it at or below
+    ``TRIM_BOUND``.  P is even about the centre of a mirror-symmetric
+    rule, so the cut region is mirror-symmetric too and the folds hold.
+    Oscillator rules keep about two thirds of their nodes; box position
+    rules keep every node, and box momentum rules all but a few hundred
+    far-tail corner nodes, which left every box s3 tried unchanged to the
+    bit.
+
+    Each kept rectangle runs its samples in blocks of at most n^2
+    values, packed in order into chunks of at most n^2 (``_chunks``); a
+    piece of a chunk is (start, stop, slab, first and last sample, their
+    columns of M, row table, transposed column table, row and column
+    weights).  Every array of the plan is read-only.
+    """
+    n, r = table.shape
+    p = np.sum(table * table, axis=1)
+    if symmetric:
+        t0, contracted = table, 2
+        outer = _read_only(folded_weights(weights)) if folds else weights
+        corner = _read_only(0.5 * weights[:len(outer), None] ** 2)
+        region, cutoff = _largest_cut(_sector_cut(p, weights, outer))
+        slabs = []
+        for j, (r0, r1, c0, c1) in enumerate(region):
+            if r0 < r1:
+                # rows i < j weigh 2 w_i, columns k > j 3 w_k; on the diagonal
+                # 1 and 1.5, so the corner counts 1.5 times and half comes off
+                vr, vc = 2.0 * weights[r0:r1], 3.0 * weights[c0:c1]
+                vr[-1], vc[0] = weights[j], 1.5 * weights[j]
+                slabs.append((j, table[r0:r1], table[c0:c1].T, vr, vc))
+    else:
+        half = _read_only(folded_weights(weights))
+        (t0, outer), (t1, w1), (t2, w2) = (
+            (table[:len(half)], half) if ax in folds else (table, weights)
+            for ax in range(3))
+        contracted, corner = 1, None
+        region, cutoff = _largest_cut(_grid_cut(p, outer, w1, w2))
+        slabs = [(i, t1[r0:r1], t2[c0:c1].T, w1[r0:r1], w2[c0:c1])
+                 for i, (r0, r1, c0, c1) in enumerate(region) if r0 < r1]
+    pieces = [(len(vr) * len(blk) * len(vc), i, blk, rows, cols_t,
+               _read_only(vr), _read_only(vc))
+              for i, rows, cols_t, vr, vc in slabs
+              for step in [max(1, n * n // (len(vr) * len(vc)))]
+              for s0 in range(0, samples, step)
+              for blk in [range(s0, min(s0 + step, samples))]]
+    chunks = tuple((run[-1][1], tuple(
+        (lo, hi, i, blk.start, blk.stop, blk.start * r, blk.stop * r, rows, cols_t, vr, vc)
+        for lo, hi, (_, i, blk, rows, cols_t, vr, vc) in run))
+        for run in _chunks(pieces, n * n))
+    return SlabPlan(t0, contracted, outer, corner, chunks, _read_only(region), cutoff)
+
+
+def _largest_cut(cut):
+    """(region, cutoff) of the largest cutoff whose bound is <= ``TRIM_BOUND``.
+
+    ``cut(eps)`` gives (bound, region) at cutoff eps; a larger cutoff
+    drops more nodes.  Bisection in ln eps over (e^-700, 1/e], from the
+    uncut region at eps = 0, to 4e-5 in ln eps.
+    """
+    lo, hi, best = -700.0, -1.0, (cut(0.0)[1], 0.0)
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        bound, region = cut(math.exp(mid))
+        if bound <= TRIM_BOUND:
+            lo, best = mid, (region, math.exp(mid))
+        else:
+            hi = mid
+    return best
+
+
+def _sector_cut(p, weights, outer):
+    """``cut(eps)`` of the sorted sector's slabs j < len(outer).
+
+    Slab j keeps rows [lo, j] and columns [j, hi]: row i has a node with
+    delta >= eps if P_i >= eps / (P_j max_{k>=j} P_k), column k if
+    P_k >= eps / (P_j max_{i<=j} P_i).  The bound sums the rows below
+    lo over all columns, then the columns above hi over the kept rows.
+    """
+    m = len(outer)
+    j = np.arange(m)
+    pl = _xlogx(p)
+    pj, lj, wj = p[:m], pl[:m], weights[:m]
+    a, al = _prefix(2.0 * weights * p), _prefix(2.0 * weights * pl)
+    b, bl = _suffix(3.0 * weights * p), _suffix(3.0 * weights * pl)
+    # slab j's whole column range, and its diagonal row
+    bc, blc = 1.5 * wj * pj + b[j + 1], 1.5 * wj * lj + bl[j + 1]
+    ad, ald = wj * pj + a[j], wj * lj + al[j]
+    up = np.maximum.accumulate(p)  # max over i' <= i
+    down = np.maximum.accumulate(p[::-1])[::-1]  # max over k' >= k
+
+    def cut(eps):
+        lo = np.searchsorted(up, _over(eps, pj * down[:m]))
+        keep = lo <= j
+        lo = np.minimum(lo, j)
+        hi = np.maximum(np.searchsorted(-down, -_over(eps, pj * up[:m]), side="right"),
+                        j + 1)
+        ai, ali = ad - a[lo], ald - al[lo]
+        s = np.where(keep, a[lo] * bc + ai * b[hi], ad * bc)
+        t = np.where(keep, al[lo] * bc + a[lo] * blc + ali * b[hi] + ai * bl[hi],
+                     ald * bc + ad * blc)
+        region = np.where(keep[:, None], np.stack([lo, j + 1, j, hi], axis=1), 0)
+        return -(outer @ (lj * s + pj * t)), region
+
+    return cut
+
+
+def _grid_cut(p, outer, w1, w2):
+    """``cut(eps)`` of slabs i < len(outer) over rows w1 and columns w2.
+
+    Slab i keeps the rows j with P_j >= eps / (P_i max P_k) and the
+    columns k with P_k >= eps / (P_i max P_j), first to last.  The bound
+    sums the rows outside over all columns, then the columns outside
+    over the kept rows.
+    """
+    pl = _xlogx(p)
+    p0, l0 = p[:len(outer)], pl[:len(outer)]
+    axes = []
+    for w in (w1, w2):
+        q, ql = p[:len(w)], pl[:len(w)]
+        axes.append((q.max(), np.maximum.accumulate(q),
+                     -np.maximum.accumulate(q[::-1])[::-1],
+                     _prefix(w * q), _prefix(w * ql), _suffix(w * q), _suffix(w * ql)))
+
+    def span(eps, ax, other):
+        c = _over(eps, p0 * other[0])
+        return np.searchsorted(ax[1], c), np.searchsorted(ax[2], -c, side="right")
+
+    def cut(eps):
+        (r0, r1), (c0, c1) = span(eps, *axes), span(eps, *axes[::-1])
+        keep = (r0 < r1) & (c0 < c1)
+        r0, r1, c0, c1 = (np.where(keep, v, 0) for v in (r0, r1, c0, c1))
+        (*_, a, al, sa, sal), (*_, b, bl, sb, sbl) = axes
+        aout, alout = a[r0] + sa[r1], al[r0] + sal[r1]
+        ain, alin = a[r1] - a[r0], al[r1] - al[r0]
+        bout, blout = b[c0] + sb[c1], bl[c0] + sbl[c1]
+        s = aout * b[-1] + ain * bout
+        t = alout * b[-1] + aout * bl[-1] + alin * bout + ain * blout
+        return -(outer @ (l0 * s + p0 * t)), np.stack([r0, r1, c0, c1], axis=1)
+
+    return cut
+
+
+def _xlogx(p):
+    """p ln p, 0 where p is 0."""
+    return p * np.log(np.where(p > 0.0, p, 1.0))
+
+
+def _prefix(v):
+    """Sums of the first i entries, i = 0..len(v)."""
+    return np.concatenate(([0.0], np.cumsum(v)))
+
+
+def _suffix(v):
+    """Sums of the entries from i on, i = 0..len(v), each summed from the end."""
+    return np.concatenate((np.cumsum(v[::-1])[::-1], [0.0]))
+
+
+def _over(eps, den):
+    """eps / den, infinite where den is 0."""
+    return np.divide(eps, den, out=np.full(len(den), np.inf), where=den > 0.0)
 
 
 def _chunks(pieces, cap):

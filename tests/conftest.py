@@ -28,6 +28,19 @@ def fresh_rules():
     wavefunction.tabulated_rules.cache_clear()
 
 
+@pytest.fixture
+def fresh_folds():
+    """An empty ``marginal_folds`` memo, emptied again after the test.
+
+    Marginal folds are memoised for the process by (parities, nonzero
+    pattern), so a test that patches ``fold_axes`` must neither find
+    folds made before it nor leave its own behind.
+    """
+    wavefunction._pattern_folds.cache_clear()
+    yield
+    wavefunction._pattern_folds.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def box():
     return ModelParams.box(1.0)

@@ -423,9 +423,8 @@ def _rule3(wf, scheme):
 def _kernel_s3(wf, scheme):
     """-sum w w w d ln d of one state: the s3 kernel alone, on the 3D rule
     as ``trim_rule`` trims it and over the region ``slab_folds`` sets."""
-    _, table, _, w = _rule3(wf, scheme)
     symmetric = wf.symmetry != DISTINGUISHABLE
-    return entropy_grid(wf.terms, table, w, symmetric,
+    return entropy_grid(wf.terms, _rule3(wf, scheme), symmetric,
                         slab_folds(wf.terms, symmetric, wf.tables.parities))
 
 
@@ -538,13 +537,42 @@ def integrand_nodes(monkeypatch):
     return counted
 
 
+def _product_bound_region(rule, symmetric, folds):
+    """Nodes the s3 kernel keeps on ``rule``, counted here from the bound.
+
+    Each slab keeps the smallest rectangle of rows and columns, from the
+    diagonal when ``symmetric``, that holds every node where the product
+    bound P_i P_j P_k, P = sum_a phi_a^2, reaches the plan's cutoff.
+    """
+    cutoff = rule.plan(symmetric, folds, 1).cutoff
+    p = np.sum(rule.table ** 2, axis=1)
+    n = len(p)
+    m = [(n + 1) // 2 if ax in folds else n for ax in range(3)]
+    size = 0
+    for j in range(m[0]):
+        if symmetric:  # rows i <= j, columns k >= j
+            rows, cols = np.nonzero(p[j] * np.outer(p[:j + 1], p[j:]) >= cutoff)
+            size += (j + 1 - rows.min()) * (cols.max() + 1) if len(rows) else 0
+        else:
+            rows, cols = np.nonzero(p[j] * np.outer(p[:m[1]], p[:m[2]]) >= cutoff)
+            size += (np.ptp(rows) + 1) * (np.ptp(cols) + 1) if len(rows) else 0
+    return size
+
+
 @pytest.mark.parametrize("scheme3", ODD_EVEN_SCHEMES, ids=["odd", "even"])
 @pytest.mark.parametrize("name,wf", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_fused_s3_evaluates_each_distinct_value_once(name, wf, scheme3, integrand_nodes):
     _kernel_s3(wf, scheme3)
     # the nodes of the rule the kernel runs on: trim_rule drops oscillator tails
-    n = len(_rule3(wf, scheme3)[3])
-    if wf.symmetry == DISTINGUISHABLE:
+    rule = _rule3(wf, scheme3)
+    n = len(rule.w)
+    if wf.tables.params.kind != "box":
+        # the product bound cuts each slab further; box rules at these
+        # schemes keep every node
+        symmetric = wf.symmetry != DISTINGUISHABLE
+        folds = slab_folds(wf.terms, symmetric, wf.tables.parities)
+        want = _product_bound_region(rule, symmetric, folds)
+    elif wf.symmetry == DISTINGUISHABLE:
         f = len(FOLDS[name])
         want = ((n + 1) // 2) ** f * n ** (3 - f)
     elif name in INVERTED:
@@ -623,7 +651,7 @@ def test_batched_s3_matches_per_sample_s3(box, sym, interference, scheme3,
     # the same nodes, the endpoints' inversion and parity folds included
     assert sum(batched) == sum(integrand_nodes)
     # the kernel alone on every sample: a fold only where all samples keep it
-    _, table, _, w = _rule3(mixes[0], scheme3)
+    rule = _rule3(mixes[0], scheme3)
     if interference:
         terms = [np.stack([m.terms[0] for m in mixes])]
     else:  # c1 C_A and c2 C_B of every sample, the endpoints' zero tensors too
@@ -638,12 +666,12 @@ def test_batched_s3_matches_per_sample_s3(box, sym, interference, scheme3,
     # more calls than those slabs: the interior samples run the slabs of
     # the folds all samples keep, and an S/A endpoint, grouped on its own
     # nonzero pattern, half the sector (a D endpoint runs none)
-    n = len(w)
+    n = len(rule.w)
     h = (n + 1) // 2
     slabs = (h if 0 in folds else n) + (2 * h if symmetric else 0)
     assert max(batched) <= n * n
     assert len(batched) > slabs
-    s3 = entropy_grid(terms, table, w, symmetric, folds)
+    s3 = entropy_grid(terms, rule, symmetric, folds)
     for mix, got in zip(mixes, s3):
         assert abs(got - _kernel_s3(mix, scheme3)) <= 1e-13
 
@@ -714,10 +742,10 @@ def test_each_group_is_prepared_once_per_call(box, monkeypatch):
 
 def test_fused_s3_full_grid_without_parities(integrand_nodes):
     wf = dict(KERNEL_CASES)["d-mixture"]
-    _, table, _, w = _rule3(wf, ODD_EVEN_SCHEMES[0])
+    rule = _rule3(wf, ODD_EVEN_SCHEMES[0])
     # no folds: the kernel runs the whole grid, to the folded value
-    full = entropy_grid(wf.terms, table, w, False, ())
-    assert sum(integrand_nodes) == len(w) ** 3
+    full = entropy_grid(wf.terms, rule, False, ())
+    assert sum(integrand_nodes) == len(rule.w) ** 3
     assert abs(full - _kernel_s3(wf, ODD_EVEN_SCHEMES[0])) < 1e-12
 
 
@@ -846,7 +874,7 @@ def test_trimmed_rules_keep_every_entropy(scheme, monkeypatch, fresh_rules):
                 <= 1e-14, (name, key)
 
 
-def test_marginal_folds_keep_every_entropy(monkeypatch):
+def test_marginal_folds_keep_every_entropy(monkeypatch, fresh_folds):
     # rho and Gamma run on the first half of each axis the parities of
     # their orbital products fold; unfolded, every entropy is the same
     states = [wf for _, wf in KERNEL_CASES + TRIM_CASES]
@@ -861,6 +889,7 @@ def test_marginal_folds_keep_every_entropy(monkeypatch):
     folded = compute_reports(states, scheme, with_error=False)
     assert (0,) in seen and (0, 1) in seen
     monkeypatch.setattr(wavefunction, "fold_axes", lambda rows, naxes: ())
+    wavefunction._pattern_folds.cache_clear()  # folds are memoised
     full = compute_reports(states, scheme, with_error=False)
     for wf, a, b in zip(states, folded, full):
         for key in ("s1", "s2", "s3"):
@@ -921,9 +950,77 @@ def test_trim_bound_covers_the_dropped_nodes(name, wf):
 
 def test_trimmed_s3_nodes_of_oscillator_a012(ho, integrand_nodes):
     # 200 nodes per axis, 128 kept: the inverted sorted sector falls from
-    # 676,700 to 178,880 nodes
+    # 676,700 to 178,880 nodes, and the product bound keeps 119,176 of them
     compute_report(Configuration(ho, (0, 1, 2), ANTISYMMETRIC), with_error=False)
-    assert sum(integrand_nodes) == 178_880
+    assert sum(integrand_nodes) == 119_176
+
+
+TABLE2_STATES = [Configuration(ModelParams.oscillator(1.0), (0, 1, n3), sym)
+                 for n3 in (2, 3, 4, 5) for sym in (SYMMETRIC, ANTISYMMETRIC)]
+
+
+def _cut_bound(rule, plan):
+    """sum of w (-delta ln delta) over the sorted-sector nodes the plan
+    leaves out, delta = P_i P_j P_k, with the kernel's weights; summed
+    node by node, one slab at a time."""
+    w, p = rule.w, np.sum(rule.table ** 2, axis=1)
+    n, total = len(w), 0.0
+    for j, (r0, r1, c0, c1) in enumerate(plan.region):
+        vr, vc = 2.0 * w[:j + 1], 3.0 * w[j:]
+        vr[-1], vc[0] = w[j], 1.5 * w[j]
+        delta = p[j] * np.outer(p[:j + 1], p[j:])
+        dropped = np.ones_like(delta, bool)
+        dropped[r0:r1, c0 - j:c1 - j] = False
+        d = delta[dropped]
+        assert np.all(d <= 1.0 / math.e)
+        f = -d * np.log(np.where(d > 0.0, d, 1.0))
+        total += plan.outer[j] * float(np.sum(np.outer(vr, vc)[dropped] * f))
+    return total
+
+
+def test_product_bound_covers_the_dropped_nodes(monkeypatch, fresh_rules):
+    # table 2: each oscillator kernel drops about a third of its sorted
+    # sector, at most TRIM_BOUND nats by the bound, and s3 stays put
+    for wf in TABLE2_STATES:
+        rule = _rule3(wf, QuadratureScheme())
+        folds = slab_folds(wf.terms, True, wf.tables.parities)
+        cut = entropy_grid(wf.terms, rule, True, folds)
+        plan = rule.plan(True, folds, 1)
+        kept = sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in plan.region)
+        n = len(rule.w)
+        sector = sum((j + 1) * (n - j) for j in range(len(plan.outer)))
+        assert 0.6 < kept / sector < 0.75, wf.label
+        assert 0.0 < _cut_bound(rule, plan) <= TRIM_BOUND, wf.label
+        rule.plan.cache_clear()
+        with monkeypatch.context() as m:  # a plan that may drop nothing
+            m.setattr(wavefunction, "TRIM_BOUND", 0.0)
+            full = entropy_grid(wf.terms, rule, True, folds)
+        rule.plan.cache_clear()
+        assert abs(cut - full) <= 1e-15, wf.label
+
+
+def _fake_report(s1, s2, s3):
+    """``_report`` of hand-made fine entropies, at the default tolerance 5e-5."""
+    wf = Configuration(ModelParams.box(1.0), (1, 2, 3), SYMMETRIC)
+    return information._report(wf, (s1, s2, s3), None, QuadratureScheme())
+
+
+@pytest.mark.parametrize("s3,name", [(3.0 + 2e-4, "I3"), (2.9 + 1e-4, "I_rho_gamma"),
+                                     (2.8 + 1e-4, "I_gamma_gamma")])
+def test_report_refuses_a_negative_shannon_measure(s3, name):
+    # s1 = 1 and s2 = 1.9: I_pair = 0.1, so only the named measure and
+    # those after it fall below -tol
+    s2 = 2.0 if name == "I3" else 1.9
+    with pytest.raises(NonConvergenceError, match=f"^{name} -"):
+        _fake_report(1.0, s2, s3)
+
+
+def test_report_keeps_a_shannon_measure_within_tolerance():
+    # in [-tol, 0) each is left as computed, so the hierarchy holds exactly
+    rep = _fake_report(1.0, 2.0, 3.0 + 1e-5)
+    assert rep.i_total3 == 3.0 - (3.0 + 1e-5) < 0.0
+    assert rep.i_one_pair < 0.0 and rep.i_pair_pair < 0.0
+    assert max(map(abs, rep.hierarchy_residuals())) <= 1e-15
 
 
 def _unit(params):

@@ -94,10 +94,11 @@ def test_folded_s3_kernel_matches_the_full_grid(scheme):
     for st in STATES:
         if st.nparticles != 3:
             continue
-        _, table, _, w = _rule3(st, scheme)
+        rule = _rule3(st, scheme)
+        _, table, _, w = rule
         symmetric = st.symmetry != DISTINGUISHABLE
         folds = slab_folds(st.terms, symmetric, st.tables.parities)
-        got = entropy_grid(st.terms, table, w, symmetric, folds)
+        got = entropy_grid(st.terms, rule, symmetric, folds)
         want = entropy_from_values(density_grid(st.terms, [table] * 3), [w] * 3)
         assert abs(got - want) <= 1e-13, st.label
         checked += 1
@@ -106,9 +107,10 @@ def test_folded_s3_kernel_matches_the_full_grid(scheme):
 
 @pytest.mark.filterwarnings("ignore:pair mutual information clamped")
 @pytest.mark.parametrize("scheme", SCHEMES, ids=["18", "27"])
-def test_folds_change_no_entropy(scheme, monkeypatch):
+def test_folds_change_no_entropy(scheme, monkeypatch, fresh_folds):
     folded = compute_reports(STATES, scheme, with_error=False)
     monkeypatch.setattr(wavefunction, "fold_axes", lambda rows, naxes: ())
+    wavefunction._pattern_folds.cache_clear()  # folds are memoised
     monkeypatch.setattr(information, "slab_folds", lambda *args: ())
     whole = compute_reports(STATES, scheme, with_error=False)
     for st, a, b in zip(STATES, folded, whole):

@@ -17,7 +17,7 @@ from symcorr import (
     scan_coefficient,
 )
 from symcorr import wavefunction
-from symcorr.orbitals import orbital_factor
+from symcorr.orbitals import MOMENTUM, POSITION, orbital_factor
 from symcorr.quadrature import axis_rule
 from symcorr.superposition import ScanResult, SuperpositionSpec
 
@@ -257,6 +257,47 @@ def test_repeated_reports_evaluate_no_orbital_table(box, ho, monkeypatch, fresh_
     calls.clear()
     compute_reports(states + [Configuration(box, (1, 2, 3), SYMMETRIC)])
     assert calls == []
+
+
+def test_repeated_reports_build_no_slab_plan_or_fold_set(box, ho, monkeypatch,
+                                                       fresh_rules, fresh_folds):
+    # each rule keeps its s3 kernel plans, and each (parities, nonzero
+    # pattern) its marginal folds: the same reports again, and the report
+    # of an S state after that of the A state over its orbitals, build neither
+    plans, slab_plan = [], wavefunction.slab_plan
+
+    def counting(*args):
+        plans.append(args[2:])
+        return slab_plan(*args)
+
+    monkeypatch.setattr(wavefunction, "slab_plan", counting)
+    folds = wavefunction._pattern_folds.cache_info
+    states = [Configuration(box, (1, 2, 3), ANTISYMMETRIC),
+              Configuration(ho, (0, 1, 2), ANTISYMMETRIC, MOMENTUM)]
+    compute_reports(states)
+    built = folds().misses
+    assert len(plans) == 4 and built > 0  # two rules per state, fine and coarse
+    plans.clear()
+    compute_reports(states)
+    compute_report(Configuration(box, (1, 2, 3), SYMMETRIC))
+    assert plans == [] and folds().misses == built
+
+
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+@pytest.mark.parametrize("model", ["box", "ho"])
+def test_a_product_mixed_with_itself_is_a_product(box, ho, model, space, scheme):
+    # c1 C and c2 C are one term, C: a product whose every measure is 0,
+    # where two terms on the rule's imperfect mass gave I3 = 1.3e-4 in box
+    # momentum
+    params, ns = (box, (1, 2, 3)) if model == "box" else (ho, (0, 1, 2))
+    d = Configuration(params, ns, DISTINGUISHABLE, space)
+    scan = scan_coefficient(SuperpositionSpec(d, d, 1.0, interference=False),
+                            (0.0, 0.5, 1.0), scheme)
+    for c1sq, rep in scan.samples:
+        e = rep.entropies
+        measures = (rep.i_pair, rep.i_total3, rep.i_one_pair, rep.i_pair_pair,
+                    rep.i_higher, e.s2 - 2.0 * e.s1, e.s3 - 3.0 * e.s1)
+        assert max(map(abs, measures)) <= 1e-13, (c1sq, measures)
 
 
 def test_default_grid():

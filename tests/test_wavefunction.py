@@ -21,6 +21,7 @@ from symcorr import (
     parse_symmetry,
     reduce_numerical,
 )
+from symcorr import wavefunction
 from symcorr.orbitals import MOMENTUM, POSITION, orbital_parity
 from symcorr.quadrature import Interval, RealLine, axis_rule
 from symcorr.superposition import SuperpositionSpec
@@ -207,6 +208,35 @@ def test_memoised_rules_are_read_only(box, ho, model):
         for values in rule(k):
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 0.0
+
+
+@pytest.mark.parametrize("model", ["box", "ho"])
+def test_slab_plans_are_read_only_and_go_with_their_rule(box, ho, model, monkeypatch,
+                                                         fresh_rules):
+    # a plan is shared by every report on its rule, so none may change it;
+    # cache_clear drops it with the rule
+    tables = Configuration({"box": box, "ho": ho}[model], (1, 2, 3), SYMMETRIC).tables
+    built, slab_plan = [], wavefunction.slab_plan
+
+    def counting(*args):
+        built.append(args[2:])
+        return slab_plan(*args)
+
+    monkeypatch.setattr(wavefunction, "slab_plan", counting)
+    for symmetric, folds in ((True, (0,)), (False, (0, 1))):
+        plan = tabulated_rules(tables, QuadratureScheme())(3).plan(symmetric, folds, 2)
+        assert plan is tabulated_rules(tables, QuadratureScheme())(3).plan(
+            symmetric, folds, 2)
+        arrays = [plan.t0, plan.outer, plan.region] + [
+            a for _, pieces in plan.chunks for piece in pieces
+            for a in piece[7:]] + ([plan.corner] if symmetric else [])
+        for values in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                values[(0,) * values.ndim] = 0.0
+    assert len(built) == 2
+    tabulated_rules.cache_clear()
+    tabulated_rules(tables, QuadratureScheme())(3).plan(True, (0,), 2)
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("space", [POSITION, MOMENTUM])
