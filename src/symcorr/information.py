@@ -58,12 +58,12 @@ level and kept for later reports (``wavefunction.tabulated_rules``), so
 the S and A states over one set of orbitals share it; the 1D and 2D
 rules are one rule, so rho and Gamma share it.  s1
 and s2 integrate each state's exact rho and Gamma, from the reduced
-density matrices of its coefficient tensor, formed once per group and
-call: each
-member's rho and Gamma are its own matrix contracted with the orbital
-products, so grouping changes no s1 or s2.  A marginal runs on the first
-half of each axis its orbital products' parities let it fold
-(``wavefunction.marginal_folds``).  For distinguishable (Hartree-type) states
+density matrices of its coefficient tensor, formed with their folds once
+per group and call (``wavefunction.density_forms``):
+``wavefunction.marginal_entropies`` contracts each member's own matrix
+with the rule's orbital products, on the half-axes the folds allow, so
+grouping changes no s1 or s2.  This module decides which entropies
+combine, never which nodes they run on.  For distinguishable (Hartree-type) states
 the marginals differ per coordinate; s1 and s2 are then the averages
 over coordinates/pairs, which reproduces the distinguishable-system
 decomposition of I^3, sum s2_ij - sum s1_i - s3, exactly and keeps the
@@ -83,10 +83,12 @@ their whole contribution is at most 1e-17 nats.  That cuts the mapped
 oscillator rules (200 -> 126-128 nodes per axis in 3D for table 2) and
 no box rule.  The s3 kernel's plan (``wavefunction.slab_plan``) cuts
 each slab further, by the product bound, to the same 1e-17 nats: about
-a third of table 2's sorted sector.  This module builds no rule and no table: every integral
-here, the checks and ``entropy_sum_check`` too, takes its nodes,
-weights and table from ``wavefunction.tabulated_rules`` at unit scale,
-and the checks their rho and Gamma from ``wavefunction.marginal_tables``:
+a third of table 2's sorted sector.  This module builds no rule, no
+table and no density matrix: every integral here, the checks and
+``entropy_sum_check`` too, takes its nodes, weights and table from
+``wavefunction.tabulated_rules`` at unit scale, and the checks their
+rho and Gamma from ``wavefunction.marginal_tables``, whose rule
+``entropy_sum_check`` hands to ``marginal_entropies``:
 the direct integrals do not depend on c, the entropy sum adds ln c to
 each s1 and the cumulant is the unit one times c^3.  All three
 entropies apply the one d ln d, ``quadrature.d_ln_d``, and negate the
@@ -114,10 +116,9 @@ from .reference_tables import ROW_KEYS
 from .wavefunction import (
     DISTINGUISHABLE,
     Configuration,
-    density_matrix,
+    density_forms,
     entropy_grid,
-    folded_weights,
-    marginal_folds,
+    marginal_entropies,
     marginal_tables,
     slab_folds,
     tabulated_rules,
@@ -260,42 +261,9 @@ def _keeps(wf):
     return [(0,)], [(0, 1)]
 
 
-def _density_forms(stacked, keeps, parities):
-    """Per keep, (matrices, folds) of a group's reduced density matrices.
-
-    ``stacked`` holds the members' terms along a sample axis, and
-    ``matrices`` is their ``density_matrix``, member s at index s.
-    ``folds`` are their ``marginal_folds``.
-    """
-    kmats = (density_matrix(stacked, keep) for keep in keeps)
-    return [(ks, marginal_folds(ks, parities)) for ks in kmats]
-
-
-def _mean_entropies(forms, q, w):
-    """Each member's entropy of its marginals, mean over the keeps, (S,).
-
-    On the rule of orbital products q and weights w, each member's
-    matrix of ``forms`` (``_density_forms``) is contracted with q on
-    its own, on the first half of each folded axis (``folded_weights``):
-    a member's rho is K q^T and its Gamma Q K Q^T, reduced on its own
-    grid with one weight vector per axis, so a member of a group gets
-    the same s1 and s2, to the last bit, as it does on its own.
-    """
-    half = q[:(len(w) + 1) // 2], folded_weights(w)
-    total = 0.0
-    for ks, folds in forms:
-        qs, ws = zip(*(half if ax in folds else (q, w) for ax in range(ks.ndim - 1)))
-        if len(qs) == 2:  # Gamma
-            vals = (qs[0] @ k @ qs[1].T for k in ks)
-        else:  # rho
-            vals = (k @ qs[0].T for k in ks)
-        total = total + np.array([entropy_from_values(v, ws) for v in vals])
-    return total / len(forms)
-
-
 # A group's rule-free part (``_prepare``): its first state, each member's
 # (state index, sample index), the members' terms stacked along a sample
-# axis, the ``_density_forms`` of rho and of Gamma (None for Hartree
+# axis, the ``density_forms`` of rho and of Gamma (None for Hartree
 # products) and the s3 kernel's ``slab_folds`` (None unless the group has
 # three particles and Gamma).
 _Group = namedtuple("_Group", "first slots stacked rho gamma folds")
@@ -321,10 +289,10 @@ def _prepare(states, terms, members):
     slots = list(zip(members, map(distinct.index, keys)))
     own = terms[members[0]]
     hartree = len(own) == 1 and np.count_nonzero(own[0]) == 1
-    gamma = None if hartree else _density_forms(stacked, pairs, parities)
+    gamma = None if hartree else density_forms(stacked, pairs, parities)
     folds = None if hartree or first.nparticles == 2 else \
         slab_folds(own, first.symmetry != DISTINGUISHABLE, parities)
-    return _Group(first, slots, stacked, _density_forms(stacked, ones, parities),
+    return _Group(first, slots, stacked, density_forms(stacked, ones, parities),
                   gamma, folds)
 
 
@@ -335,12 +303,12 @@ def _entropies(states, groups, scheme):
     evaluated once per rule and kept across calls (``tabulated_rules``),
     and each entropy of k coordinates runs on the nodes kept for k.  A
     group's s1 and s2 contract its density matrices, each member's its
-    own, with the rule's orbital products.  A group is all Hartree
-    products, whose joint density factorizes, or none.  For other
-    three-particle states I^3 is 3 s2' - 3 s1' - s3', all three on the
-    trimmed 3D rule, with s3' from one ``entropy_grid`` pass over the
-    stacked terms, on the region ``slab_folds`` set, and s3 is
-    3 s2 - 3 s1 - I^3.  Every rule and table is the group's unit-scale
+    own, with the rule's orbital products (``marginal_entropies``).  A
+    group is all Hartree products, whose joint density factorizes, or
+    none.  For other three-particle states I^3 is 3 s2' - 3 s1' - s3',
+    all three on the trimmed 3D rule, with s3' from one ``entropy_grid``
+    pass over the stacked terms, on the region ``slab_folds`` set, and
+    s3 is 3 s2 - 3 s1 - I^3.  Every rule and table is the group's unit-scale
     tables' (``unit_scale``), where the densities are of order 1 at any
     L or omega, and each member adds its own k ln c to its s_k: members
     of one group may differ in L or omega.
@@ -348,17 +316,16 @@ def _entropies(states, groups, scheme):
     out = [None] * len(states)
     for g in groups:
         rule = tabulated_rules(g.first.tables.unit_scale[0], scheme)
-        s1 = _mean_entropies(g.rho, rule(1).q, rule(1).w)
+        s1 = marginal_entropies(g.rho, rule(1))
         if g.gamma is None:  # Hartree products: the joint density factorizes
             s = [s1, 2.0 * s1, 3.0 * s1]
         else:
-            s = [s1, _mean_entropies(g.gamma, rule(2).q, rule(2).w)]
+            s = [s1, marginal_entropies(g.gamma, rule(2))]
             if g.folds is not None:
-                _, _, q, w = rule3 = rule(3)
                 symmetric = g.first.symmetry != DISTINGUISHABLE
-                i_higher = 3.0 * _mean_entropies(g.gamma, q, w) \
-                    - 3.0 * _mean_entropies(g.rho, q, w) \
-                    - entropy_grid(g.stacked, rule3, symmetric, g.folds)
+                i_higher = 3.0 * marginal_entropies(g.gamma, rule(3)) \
+                    - 3.0 * marginal_entropies(g.rho, rule(3)) \
+                    - entropy_grid(g.stacked, rule(3), symmetric, g.folds)
                 s.append(3.0 * s[1] - 3.0 * s1 - i_higher)
         for k, j in g.slots:
             out[k] = tuple(float(v[j]) + n * states[k].tables.unit_scale[1]
@@ -507,18 +474,18 @@ def mutual_information_higher_direct(system, scheme=None):
 def entropy_sum_check(params, ns, symmetry, scheme=None):
     """One-particle entropy sum s_x + s_p against the 1 + ln(pi) bound.
 
-    Each s1 is that of coordinate 0 on the unit tables' 1D rule plus
-    ln c (``OrbitalTables.unit_scale``).  The two s1 and the two ln c
+    Each s1 is that of coordinate 0 on the unit tables' 1D rule
+    (``marginal_tables``, ``marginal_entropies``) plus ln c
+    (``OrbitalTables.unit_scale``).  The two s1 and the two ln c
     are summed apart, so the ln c, equal and opposite, cancel exactly.
     Returns (entropy_sum, bound, satisfied).
     """
     parts = []
     for space in (POSITION, MOMENTUM):
         cfg = Configuration(params=params, ns=ns, symmetry=symmetry, space=space)
-        t, log_c = cfg.tables.unit_scale
-        forms = _density_forms([c[None] for c in cfg.terms], [(0,)], cfg.tables.parities)
-        rule = tabulated_rules(t, scheme or QuadratureScheme())(1)
-        parts.append((_mean_entropies(forms, rule.q, rule.w)[0], log_c))
+        forms = density_forms([c[None] for c in cfg.terms], [(0,)], cfg.tables.parities)
+        rule = marginal_tables(cfg, scheme, 1)[0]
+        parts.append((marginal_entropies(forms, rule)[0], cfg.tables.unit_scale[1]))
     total = float(np.sum(parts, axis=0).sum())
     return total, ENTROPIC_BOUND, bool(total >= ENTROPIC_BOUND - 1e-9)
 

@@ -35,14 +35,7 @@ from .information import compute_reports
 from .orbitals import orbital_phase
 from .quadrature import QuadratureScheme
 from .reference_tables import ROW_KEYS
-from .wavefunction import (
-    Configuration,
-    OrbitalTables,
-    coefficient_tensor,
-    density_grid,
-    orbital_products,
-    reduced_density,
-)
+from .wavefunction import Configuration, OrbitalTables, coefficient_tensor
 
 __all__ = [
     "SuperpositionSpec",
@@ -157,14 +150,10 @@ class _CachedMixture:
             out = (out + 2.0 * self.c1 * self.c2 * cross) / self.norm_sq
         return out
 
-    def density_tensor(self, axes):
-        """|Psi|^2 (or the mixture density) on a tensor grid."""
-        return density_grid(self.terms, [self.tables(ax) for ax in axes])
-
-    def marginal_values(self, keep, coords):
-        """Reduced density of the kept coordinates at broadcastable points."""
-        return reduced_density(self.terms, keep,
-                               [orbital_products(self.tables(c)) for c in coords])
+    # |Psi|^2 (or the mixture density) on a tensor grid, and a reduced
+    # density at points: a configuration's, from ``terms`` and ``tables``
+    density_tensor = Configuration.density_tensor
+    marginal_values = Configuration.marginal_values
 
 
 SuperposedWaveFunction = _CachedMixture

@@ -47,9 +47,13 @@ of k coordinates runs on, and no other: ``tabulated_rules`` builds the
 trimmed rule of each arity from ``quadrature.axis_rule``, with the 3D
 rule's panel edges on the orbitals' node planes, and memoises each rule,
 its table and its s3 kernel plans, read-only, for every later report
-over the same tables and scheme; ``marginal_tables`` contracts a state's
-rho and Gamma on it, and ``marginal_folds`` and ``slab_folds`` set the
-half-axes each entropy runs on.
+over the same tables and scheme.  Every rho and Gamma entropy runs
+here too: ``density_forms`` forms a group's reduced density matrices
+and their folds, ``marginal_entropies`` contracts and reduces them on a
+rule, and ``marginal_tables`` contracts a state's rho and Gamma on it
+the same way (``_contracted``).  ``marginal_folds`` and ``slab_folds``
+set the half-axes each entropy runs on, each pattern of parities and
+nonzero entries once for the process (``_pattern_folds``).
 A ``Configuration`` is its own wavefunction, an immutable value whose
 evaluation is referentially transparent; ``WaveFunction`` is another
 name for it, and ``build`` returns the configuration it is given.
@@ -77,7 +81,8 @@ from .orbitals import (
     orbital_factor,
     orbital_parity,
 )
-from .quadrature import Interval, QuadratureScheme, RealLine, axis_rule, d_ln_d
+from .quadrature import (Interval, QuadratureScheme, RealLine, axis_rule, d_ln_d,
+                         entropy_from_values)
 
 __all__ = [
     "SYMMETRIC",
@@ -100,6 +105,8 @@ __all__ = [
     "SlabPlan",
     "slab_plan",
     "folded_weights",
+    "density_forms",
+    "marginal_entropies",
     "marginal_tables",
     "orbital_products",
     "density_matrix",
@@ -380,15 +387,13 @@ def slab_folds(terms, symmetric, parities):
     axis.  For the sorted sector of an exchange-symmetric density
     (``symmetric``) the region is (0,) when the inversion of all three
     axes is such a reflection, else ().  Otherwise it is ``fold_axes``:
-    one axis per independent reflection.
+    one axis per independent reflection.  The region depends on the
+    parities, the set of nonzero masks and ``symmetric`` only, so it is
+    worked out once per such pattern for the process (``_pattern_folds``).
     """
-    p = np.asarray(parities)
-    # per sample: the orbitals' parities of each nonzero entry, one column per axis
-    rows = [p[np.argwhere(c)] for cs in terms
-            for c in np.reshape(cs, (-1,) + np.shape(cs)[-3:])]
-    if symmetric:
-        return (0,) if _invariant(rows, (0, 1, 2)) else ()
-    return fold_axes(rows, 3)
+    masks = frozenset(m.tobytes() for cs in terms
+                      for m in np.not_equal(cs, 0).reshape((-1,) + np.shape(cs)[-3:]))
+    return _pattern_folds(tuple(parities), 3, masks, symmetric)
 
 
 def marginal_folds(kmats, parities):
@@ -403,15 +408,24 @@ def marginal_folds(kmats, parities):
     and every later report with the same two only looks its folds up.
     """
     nonzero = np.any(kmats, axis=0)
-    return _pattern_folds(tuple(parities), nonzero.shape, nonzero.tobytes())
+    pp = tuple(a * b for a in parities for b in parities)
+    return _pattern_folds(pp, nonzero.ndim, frozenset([nonzero.tobytes()]), False)
 
 
 @functools.lru_cache(maxsize=256)
-def _pattern_folds(parities, shape, nonzero):
-    """``marginal_folds`` of one nonzero pattern, given as the bytes of its mask."""
-    pp = np.outer(parities, parities).ravel()
-    mask = np.frombuffer(nonzero, dtype=bool).reshape(shape)
-    return fold_axes([pp[np.argwhere(mask)]], len(shape))
+def _pattern_folds(parities, naxes, masks, symmetric):
+    """The folds of one pattern, for ``slab_folds`` and ``marginal_folds``.
+
+    ``parities`` holds the parity of each index of a tensor of ``naxes``
+    axes, and ``masks`` the bytes of the nonzero masks the folds must
+    hold for; ``symmetric`` as in ``slab_folds``.
+    """
+    p = np.asarray(parities)
+    rows = [p[np.argwhere(np.frombuffer(m, dtype=bool).reshape((len(p),) * naxes))]
+            for m in masks]
+    if symmetric:
+        return (0,) if _invariant(rows, (0, 1, 2)) else ()
+    return fold_axes(rows, naxes)
 
 
 def _invariant(rows, axes):
@@ -859,21 +873,58 @@ def reduced_density(terms, keep, products):
     return vals[..., 0]
 
 
+def density_forms(stacked, keeps, parities):
+    """Per keep, (matrices, folds) of a group's reduced density matrices.
+
+    ``stacked`` holds the members' terms along a sample axis, and
+    ``matrices`` is their ``density_matrix``, member s at index s.
+    ``folds`` are their ``marginal_folds``.  No rule takes part, so one
+    form serves every rule its entropies run on.
+    """
+    kmats = (density_matrix(stacked, keep) for keep in keeps)
+    return [(ks, marginal_folds(ks, parities)) for ks in kmats]
+
+
+def marginal_entropies(forms, rule):
+    """Each member's entropy of its marginals, mean over the keeps, (S,).
+
+    On the ``Rule`` ``rule``, each member's matrix of ``forms``
+    (``density_forms``) is contracted on its own with the rule's orbital
+    products q (``_contracted``), on the first half of each folded axis
+    (``folded_weights``), and reduced on its own grid with one weight
+    vector per axis, so a member of a group gets the same s1 and s2, to
+    the last bit, as it does on its own.
+    """
+    _, _, q, w = rule
+    half = q[:(len(w) + 1) // 2], folded_weights(w)
+    total = 0.0
+    for ks, folds in forms:
+        qs, ws = zip(*(half if ax in folds else (q, w) for ax in range(ks.ndim - 1)))
+        total = total + np.array([entropy_from_values(_contracted(k, qs), ws) for k in ks])
+    return total / len(forms)
+
+
+def _contracted(kmat, qs):
+    """rho = K q^T of one kept coordinate, Gamma = Q K Q^T of two."""
+    return kmat @ qs[0].T if len(qs) == 1 else qs[0] @ kmat @ qs[1].T
+
+
 def marginal_tables(state, scheme, k, *keeps):
     """The ``Rule`` of the unit tables for k coordinates, then each keep's density.
 
     The rule is ``tabulated_rules`` of ``state.tables.unit_scale`` on
     ``scheme``, the default ``QuadratureScheme`` where it is None.  The
-    density of one kept coordinate there is rho = Q K, of two
+    density of one kept coordinate there is rho = K Q^T, of two
     Gamma = Q K Q^T, K their ``density_matrix`` and Q the rule's q,
-    as every entropy of a report contracts it: the unit-scale table of
+    contracted as every entropy of a report contracts it
+    (``_contracted``): the unit-scale table of
     ``densities.reduce_numerical`` and of the validation integrals.
     """
     scheme = scheme or QuadratureScheme()
     rule = tabulated_rules(state.tables.unit_scale[0], scheme)(k)
-    q, stacked = rule.q, [c[None] for c in state.terms]
+    stacked = [c[None] for c in state.terms]
     kmats = (density_matrix(stacked, keep)[0] for keep in keeps)
-    return (rule,) + tuple(q @ m if m.ndim == 1 else q @ m @ q.T for m in kmats)
+    return (rule,) + tuple(_contracted(m, (rule.q,) * m.ndim) for m in kmats)
 
 
 def build(config):

@@ -30,11 +30,13 @@ def fresh_rules():
 
 @pytest.fixture
 def fresh_folds():
-    """An empty ``marginal_folds`` memo, emptied again after the test.
+    """An empty fold memo, emptied again after the test.
 
-    Marginal folds are memoised for the process by (parities, nonzero
-    pattern), so a test that patches ``fold_axes`` must neither find
-    folds made before it nor leave its own behind.
+    Marginal folds and s3 kernel regions (``marginal_folds`` and
+    ``slab_folds``) are memoised for the process by (parities, nonzero
+    pattern, symmetric) in ``_pattern_folds``, so a test that patches
+    ``fold_axes`` or ``_invariant`` must neither find folds made before
+    it nor leave its own behind.
     """
     wavefunction._pattern_folds.cache_clear()
     yield

@@ -720,16 +720,16 @@ def test_each_group_is_prepared_once_per_call(box, monkeypatch):
     # slab_folds per group, with or without the error level
     counts = {}
 
-    def counting(name):
-        inner = getattr(information, name)
+    def counting(module, name):
+        inner = getattr(module, name)
 
         def counted(*args):
             counts[name] = counts.get(name, 0) + 1
             return inner(*args)
-        monkeypatch.setattr(information, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    counting("density_matrix")
-    counting("slab_folds")
+    counting(wavefunction, "density_matrix")
+    counting(information, "slab_folds")
     states = [Configuration(box, (1, 2, 3), ANTISYMMETRIC, MOMENTUM),
               Configuration(box, (1, 1, 2), SYMMETRIC, MOMENTUM)]
     calls = {}
@@ -1133,6 +1133,26 @@ def test_information_takes_every_rule_from_rules():
                     and "axis_rule" in (getattr(c.func, "id", None),
                                         getattr(c.func, "attr", None))]
     assert callers == ["quadrature.integrate", "wavefunction.tabulated_rules"]
+
+
+def test_only_wavefunction_picks_the_nodes_of_a_marginal():
+    # every rho and Gamma entropy runs in ``wavefunction``, beside its rules:
+    # no other module forms a density matrix or picks a marginal's folded
+    # half-nodes, and ``information`` imports none of the three names
+    callers = []
+    names = {"folded_weights", "marginal_folds", "density_matrix"}
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(information.__file__),
+                                              "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        module = os.path.basename(path)[:-3]
+        if module == "information":
+            assert not [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                        for a in n.names if a.name in names]
+        callers += [module for c in ast.walk(tree) if isinstance(c, ast.Call)
+                    and names & {getattr(c.func, "id", None),
+                                 getattr(c.func, "attr", None)}]
+    assert set(callers) == {"wavefunction"}
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -1,12 +1,14 @@
-"""Seeded random states: no fold of the s3 kernel or of a marginal moves an entropy.
+"""Seeded random states: no fold moves an entropy, and every report is sound.
 
 Each state is S, A or D, of two or three particles, with one or two
 random real terms of random sparsity over one to five of the first
 eight orbitals, in either model and either space.  S and A terms are
 exchange-symmetrized; a term that symmetrizes to zero, such as an A
 term over fewer orbitals than particles, is dropped, since normalizing
-it would inflate its round-off into garbage.  The rules have 18 and 27
-nodes per axis, so every check runs on the whole grid as well.
+it would inflate its round-off into garbage.  The fold checks run on
+rules of 18 and 27 nodes per axis, so that they run on the whole grid
+as well; the Shannon inequalities and the product identities are
+checked at the default scheme.
 """
 
 import itertools
@@ -118,3 +120,37 @@ def test_folds_change_no_entropy(scheme, monkeypatch, fresh_folds):
             x, y = getattr(a.entropies, key), getattr(b.entropies, key)
             assert (x is None) == (y is None) and abs((x or 0.0) - (y or 0.0)) <= 1e-13, \
                 (st.label, key)
+
+
+def _is_product(st):
+    """True when all terms are nonzero at one and the same entry only.
+
+    Such a state is a Hartree product, or a mixture of one with itself.
+    """
+    entries = {tuple(np.flatnonzero(c)) for c in st.terms}
+    return len(entries) == 1 and len(next(iter(entries))) == 1
+
+
+def test_reports_obey_the_shannon_inequalities_and_products_factorize():
+    # at the default scheme every report keeps I_pair, I3, I_rho_gamma and
+    # I_gamma_gamma above -tol (``compute_reports`` raises otherwise), and
+    # a product, of one term or two, has s2 = 2 s1, s3 = 3 s1 and every
+    # measure 0 to round-off
+    scheme = QuadratureScheme()
+    reports = compute_reports(STATES, scheme, with_error=False)
+    products = set()
+    for st, rep in zip(STATES, reports):
+        e = rep.entropies
+        inequalities = (rep.i_pair, rep.i_total3, rep.i_one_pair, rep.i_pair_pair)
+        assert min(m for m in inequalities if m is not None) >= -scheme.target_abs_tol, \
+            st.label
+        if _is_product(st):
+            products.add((st.tables.params.kind, st.space, len(st.terms)))
+            gaps = [rep.i_pair, e.s2 - 2.0 * e.s1]
+            if e.s3 is not None:
+                gaps += [rep.i_total3, rep.i_one_pair, rep.i_pair_pair, rep.i_higher,
+                         e.s3 - 3.0 * e.s1]
+            assert max(map(abs, gaps)) <= 1e-13, st.label
+    # products and mixtures of a product with itself, in both models and spaces
+    assert products == {(m.kind, space, n) for m in MODELS
+                        for space in (POSITION, MOMENTUM) for n in (1, 2)}

@@ -196,24 +196,24 @@ def test_cumulant3_matches_complex_moments(name, st):
 @pytest.fixture
 def real_only(monkeypatch):
     """Fail on any complex array at the s3 slab products or at the reduced
-    densities of a group (``information._mean_entropies``)."""
+    densities of a group (``wavefunction.marginal_entropies``)."""
     calls = {"slabs": 0, "reduced": 0}
-    square, reduce = wavefunction._abs2, information._mean_entropies
+    square, reduce = wavefunction._abs2, information.marginal_entropies
 
     def checked_square(a):
         assert not np.iscomplexobj(a), "complex slab product"
         calls["slabs"] += 1
         return square(a)
 
-    def checked_reduce(forms, q, w):
+    def checked_reduce(forms, rule):
         assert not any(np.iscomplexobj(matrices) for matrices, _ in forms), \
             "complex density matrix"
-        assert not np.iscomplexobj(q), "complex table"
+        assert not np.iscomplexobj(rule.q), "complex table"
         calls["reduced"] += 1
-        return reduce(forms, q, w)
+        return reduce(forms, rule)
 
     monkeypatch.setattr(wavefunction, "_abs2", checked_square)
-    monkeypatch.setattr(information, "_mean_entropies", checked_reduce)
+    monkeypatch.setattr(information, "marginal_entropies", checked_reduce)
     return calls
 
 

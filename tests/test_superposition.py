@@ -262,25 +262,36 @@ def test_repeated_reports_evaluate_no_orbital_table(box, ho, monkeypatch, fresh_
 def test_repeated_reports_build_no_slab_plan_or_fold_set(box, ho, monkeypatch,
                                                        fresh_rules, fresh_folds):
     # each rule keeps its s3 kernel plans, and each (parities, nonzero
-    # pattern) its marginal folds: the same reports again, and the report
-    # of an S state after that of the A state over its orbitals, build neither
+    # pattern) its marginal folds and s3 region: the same reports again,
+    # and the report of an S state after that of the A state over its
+    # orbitals, build none of them and test no parity product
     plans, slab_plan = [], wavefunction.slab_plan
+    tests = []
 
     def counting(*args):
         plans.append(args[2:])
         return slab_plan(*args)
 
+    def testing(name):
+        inner = getattr(wavefunction, name)
+        monkeypatch.setattr(wavefunction, name,
+                            lambda *args: tests.append(name) or inner(*args))
+
     monkeypatch.setattr(wavefunction, "slab_plan", counting)
+    testing("_invariant")
+    testing("fold_axes")
     folds = wavefunction._pattern_folds.cache_info
     states = [Configuration(box, (1, 2, 3), ANTISYMMETRIC),
               Configuration(ho, (0, 1, 2), ANTISYMMETRIC, MOMENTUM)]
     compute_reports(states)
     built = folds().misses
     assert len(plans) == 4 and built > 0  # two rules per state, fine and coarse
+    assert {"_invariant", "fold_axes"} <= set(tests)
     plans.clear()
+    tests.clear()
     compute_reports(states)
     compute_report(Configuration(box, (1, 2, 3), SYMMETRIC))
-    assert plans == [] and folds().misses == built
+    assert plans == [] and tests == [] and folds().misses == built
 
 
 @pytest.mark.parametrize("space", [POSITION, MOMENTUM])
