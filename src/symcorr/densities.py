@@ -6,8 +6,8 @@ orthonormality it is exact at any point, with no quadrature over the
 integrated coordinates.  A ``ReducedDensity`` also carries its own
 table, which its integral and entropy consume: the density of the
 state's unit-scale tables (``OrbitalTables.unit_scale``, L = 1 or
-omega = 1) at the nodes kept for its arity k, as
-``wavefunction.marginal_tables`` tabulates it for every entropy of a
+omega = 1) at the nodes of the marginal rule, which s1 and s2 share,
+as ``wavefunction.marginal_tables`` tabulates it for every entropy of a
 report, and ln c, c the coordinate scale.  The table's densities are of
 order 1 whatever L or omega; its integral does not depend on c and its
 entropy adds k ln c, as every entropy of a report does.
@@ -120,7 +120,7 @@ def reduce_numerical(wf, arity, scheme=None, keep=None):
     """k-particle density of any state, tabulated at unit scale.
 
     The table holds the unit-scale density at the nodes of the scheme's
-    rule kept for ``arity`` coordinates, contracted from the state's
+    marginal rule, the one rule of both arities, contracted from the state's
     reduced density matrix as every entropy of a report is
     (``wavefunction.marginal_tables``); pointwise calls are exact, in
     physical units.  ``keep`` selects which coordinates survive

@@ -20,9 +20,9 @@ they largely cancel.  On a rule that integrates the orbital products
 exactly, as every position rule does, the sum of that integrand equals
 3 s2' - 3 s1' - s3', the three entropies on the rule's own nodes.  So a
 report's I^3 is that combination on the 3D rule, and its s3 is
-3 s2 - 3 s1 - I^3, with s1 and s2 from the finer 1D and 2D rules: the
+3 s2 - 3 s1 - I^3, with s1 and s2 from the finer marginal rule: the
 3D rule's zero-set errors cancel in I^3 and no longer reach s3, and the
-3D rule can be coarser than the 1D and 2D ones.  In the box it is
+3D rule can be coarser than the marginal one.  In the box it is
 coarser still: a position density's factors vanish on the planes
 x = kL/n of its orbitals (``OrbitalTables.node_planes``), and the 3D
 rule, and no other, puts a panel edge on each (``quadrature.axis_rule``),
@@ -55,8 +55,8 @@ and the coarse level.  The endpoints of an S/A
 scan curve are each a group of their own, on the inverted half
 sector.  The orbital table of each distinct rule is evaluated once per
 level and kept for later reports (``wavefunction.tabulated_rules``), so
-the S and A states over one set of orbitals share it; the 1D and 2D
-rules are one rule, so rho and Gamma share it.  s1
+the S and A states over one set of orbitals share it; s1 and s2 run on
+one rule, the marginal rule, so rho and Gamma share it.  s1
 and s2 integrate each state's exact rho and Gamma, from the reduced
 density matrices of its coefficient tensor, formed with their folds once
 per group and call (``wavefunction.density_forms``):
@@ -75,10 +75,11 @@ pass of ``wavefunction.entropy_grid`` per group over |Psi|^2 on the 3D
 rule, slab by slab, on the region their symmetries leave distinct:
 ``wavefunction.slab_folds`` decides it from the tables' ``parities``
 about the domain centre, which every rule is mirror-symmetric about, as
-``quadrature.axis_rule`` checks where it builds the rule.  Each entropy
-of k coordinates runs on the nodes ``wavefunction.trim_rule`` keeps for
-k, and s1' and s2' on those it keeps for 3: it drops the end nodes of a
-rule where every orbital is so small that, for any state over them,
+``quadrature.axis_rule`` checks where it builds the rule.  s2 runs on
+the nodes ``wavefunction.trim_rule`` keeps for two coordinates, and s1
+on the same rule, whose nodes hold every node it keeps for one; s1',
+s2' and s3' run on those it keeps for three.  It drops the end nodes of
+a rule where every orbital is so small that, for any state over them,
 their whole contribution is at most 1e-17 nats.  That cuts the mapped
 oscillator rules (200 -> 126-128 nodes per axis in 3D for table 2) and
 no box rule.  The s3 kernel's plan (``wavefunction.slab_plan``) cuts
@@ -300,8 +301,8 @@ def _entropies(states, groups, scheme):
     """(s1, s2) or (s1, s2, s3) of each state, from its ``_prepare``d group.
 
     Each orbital table, and the orbital products of each trimmed one, is
-    evaluated once per rule and kept across calls (``tabulated_rules``),
-    and each entropy of k coordinates runs on the nodes kept for k.  A
+    evaluated once per rule and kept across calls (``tabulated_rules``):
+    s1 and s2 run on the one marginal rule, ``rule(1) is rule(2)``.  A
     group's s1 and s2 contract its density matrices, each member's its
     own, with the rule's orbital products (``marginal_entropies``).  A
     group is all Hartree products, whose joint density factorizes, or
@@ -422,7 +423,7 @@ def mutual_information_pair_direct(system, scheme=None):
 
     integral Gamma ln[ Gamma / (rho(x1) rho(x2)) ]; indistinguishable
     systems only.  The integral does not depend on the coordinate
-    scale, so it runs on the unit tables' 2D rule (``marginal_tables``).
+    scale, so it runs on the unit tables' marginal rule (``marginal_tables``).
     """
     if system.symmetry == DISTINGUISHABLE:
         raise ValueError("direct pair integral assumes indistinguishable marginals")
@@ -474,7 +475,7 @@ def mutual_information_higher_direct(system, scheme=None):
 def entropy_sum_check(params, ns, symmetry, scheme=None):
     """One-particle entropy sum s_x + s_p against the 1 + ln(pi) bound.
 
-    Each s1 is that of coordinate 0 on the unit tables' 1D rule
+    Each s1 is that of coordinate 0 on the unit tables' marginal rule
     (``marginal_tables``, ``marginal_entropies``) plus ln c
     (``OrbitalTables.unit_scale``).  The two s1 and the two ln c
     are summed apart, so the ln c, equal and opposite, cancel exactly.

@@ -43,17 +43,17 @@ reduced densities follow exactly from the reduced density matrices of
 C, by orbital orthonormality, with no quadrature over the integrated
 coordinates.
 This module decides which nodes, weights and orbital tables an entropy
-of k coordinates runs on, and no other: ``tabulated_rules`` builds the
-trimmed rule of each arity from ``quadrature.axis_rule``, with the 3D
-rule's panel edges on the orbitals' node planes, and memoises each rule,
-its table and its s3 kernel plans, read-only, for every later report
-over the same tables and scheme.  Every rho and Gamma entropy runs
-here too: ``density_forms`` forms a group's reduced density matrices
-and their folds, ``marginal_entropies`` contracts and reduces them on a
-rule, and ``marginal_tables`` contracts a state's rho and Gamma on it
-the same way (``_contracted``).  ``marginal_folds`` and ``slab_folds``
-set the half-axes each entropy runs on, each pattern of parities and
-nonzero entries once for the process (``_pattern_folds``).
+of k coordinates runs on, and no other: ``tabulated_rules`` builds two
+trimmed rules from ``quadrature.axis_rule``, one for s1 and s2 and one,
+with its panel edges on the orbitals' node planes, for the 3D entropies,
+and memoises each rule, its table and its s3 kernel plans, read-only,
+for every later report over the same tables and scheme.  Every rho and
+Gamma entropy runs here too: ``density_forms`` forms a group's reduced
+density matrices and their folds, ``marginal_entropies`` contracts and
+reduces them on a rule, and ``marginal_tables`` contracts a state's rho
+and Gamma on it the same way (``_contracted``).  ``marginal_folds`` and
+``slab_folds`` set the half-axes each entropy runs on, each pattern of
+parities and nonzero entries once for the process (``_pattern_folds``).
 A ``Configuration`` is its own wavefunction, an immutable value whose
 evaluation is referentially transparent; ``WaveFunction`` is another
 name for it, and ``build`` returns the configuration it is given.
@@ -482,7 +482,7 @@ def trim_rule(table, weights, arity):
 
 
 class Rule(namedtuple("Rule", "x table q w")):
-    """An axis rule as ``tabulated_rules`` keeps it for k coordinates.
+    """An axis rule as ``tabulated_rules`` keeps it, for s1 and s2 or for s3.
 
     The kept nodes x, the orbital table there, its ``orbital_products`` q
     and the weights w, each read-only.  ``plan(symmetric, folds,
@@ -500,32 +500,31 @@ _PLANS_PER_RULE = 16
 def tabulated_rules(t, scheme):
     """``rule(k)``, the ``Rule`` of the orbital tables ``t`` on ``scheme``.
 
-    ``rule(k)`` holds the nodes that ``trim_rule`` keeps for an entropy
-    of k coordinates on the axis ``t.domain``.  Only ``rule(3)`` has a
-    panel edge on each of ``t.node_planes``.  Each rule, and the table
-    of each (panels, planes), is built once: a 1D and a 2D rule of equal
-    panel counts (``--panels``) share one table, and a 3D rule keeps its
-    own.  The memo is this function's ``lru_cache``, keyed by (t,
-    scheme), so it carries the nodes per panel as well as every panel
-    count, and each key's rules and tables last as long as it: a state's
-    reports, and the reports of every state over the same unit-scale
-    tables, such as the S and A cells of one table row, share them.
+    There are two rules on the axis ``t.domain``: the marginal rule, one
+    rule for s1 and s2 (``rule(1) is rule(2)``), and the 3D rule, which
+    has a panel edge on each of ``t.node_planes``.  Each keeps the nodes
+    that ``trim_rule`` keeps for its largest arity, 2 or 3.  The nodes
+    kept for two coordinates include those kept for one, on every box and
+    oscillator table the tests try, so s1 too runs within ``TRIM_BOUND``
+    of the untrimmed rule.  Each rule and its table is built once.  The
+    memo is this function's ``lru_cache``, keyed by (t, scheme), so it
+    carries the nodes per panel as well as every panel count, and each
+    key's rules last as long as it: a state's reports, and the reports of
+    every state over the same unit-scale tables, such as the S and A
+    cells of one table row, share them.
     Each rule keeps its s3 kernel plans beside it (``Rule.plan``, the
     last ``_PLANS_PER_RULE`` keys), so they are built once per (rule,
     symmetric, folds, samples) and ``cache_clear`` drops them with it.
     Every array of a ``Rule`` and of a plan is read-only.  No other code
     builds a rule for the orbital tables.
     """
-    tables, rules = {}, {}
+    rules = {}
 
     def rule(k):
+        k = max(k, 2)  # s1 runs on the marginal rule
         if k not in rules:
-            planes = t.node_planes if k == 3 else ()
-            x, w = axis_rule(t.domain, scheme, k, planes)
-            key = (scheme.panels_for(t.domain, k), planes)
-            if key not in tables:
-                tables[key] = _read_only(t(x))
-            table, w = trim_rule(tables[key], w, k)[:2]
+            x, w = axis_rule(t.domain, scheme, k, t.node_planes if k == 3 else ())
+            table, w = trim_rule(_read_only(t(x)), w, k)[:2]
             x = x[(len(x) - len(w)) // 2:][:len(w)]  # the kept nodes, as trimmed
             rules[k] = Rule(x, table, _read_only(orbital_products(table)), w)
             rules[k].plan = functools.lru_cache(maxsize=_PLANS_PER_RULE)(
@@ -586,7 +585,8 @@ def entropy_grid(terms, rule, symmetric, folds):
     Everything that depends on the rule, the symmetry, the folds and the
     sample count alone is the plan, ``rule.plan(symmetric, folds, S)``,
     built once and kept with the rule, so a call computes only the
-    state's values.  The slab contraction M is built once for all
+    state's values.  The slab contraction M, of C with the table's rows
+    at the slabs that run (its first len(outer)), is built once for all
     samples.  Each slab runs its samples in blocks of at most n^2 values,
     laid out as (rows, samples, cols), so that every product is a 2D
     matrix product and a plain state keeps a rows x cols slab.  The
@@ -604,40 +604,41 @@ def entropy_grid(terms, rule, symmetric, folds):
     slabs = []  # M_i[x, (s y)] of each term
     for c in terms:
         c = np.reshape(c, (samples,) + np.shape(c)[-3:])
-        m = np.tensordot(plan.t0, c, axes=([1], [plan.contracted]))
+        m = np.tensordot(rule.table[:len(plan.outer)], c,
+                         axes=([1], [plan.contracted]))
         m = np.ascontiguousarray(m.transpose(0, 2, 1, 3))
         slabs.append(m.reshape(len(m), r, -1))
     vals = np.zeros((len(plan.outer), samples))
     corners = np.zeros_like(vals)  # -d ln d at i = j = k, symmetric only
     bufs = np.empty((3, n * n))  # d, the square of a further term, d ln d
-    for size, pieces in plan.chunks:
-        d, a, e = bufs[:, :size]
+    for pieces in plan.chunks:
+        d, a, e = bufs[:, :pieces[-1][1]]
         for t, m in enumerate(slabs):
             out = a if t else d
-            for lo, hi, i, _, _, m0, m1, rows, cols_t, _, _ in pieces:
-                np.matmul((rows @ m[i, :, m0:m1]).reshape(-1, r), cols_t,
+            for lo, hi, i, _, cols, rows, cols_t, _, _ in pieces:
+                np.matmul((rows @ m[i, :, cols]).reshape(-1, r), cols_t,
                           out=out[lo:hi].reshape(-1, cols_t.shape[1]))
             _abs2(out)
             if t:
                 d += a
         d_ln_d(d, e)
-        for lo, hi, i, s0, s1, _, _, _, _, vr, vc in pieces:
+        for lo, hi, i, block, _, _, _, vr, vc in pieces:
             piece = e[lo:hi].reshape(len(vr), -1, len(vc))
-            vals[i, s0:s1] = (vr @ piece.reshape(len(vr), -1)).reshape(-1, len(vc)) @ vc
+            vals[i, block] = (vr @ piece.reshape(len(vr), -1)).reshape(-1, len(vc)) @ vc
             if symmetric:
-                corners[i, s0:s1] = piece[-1, :, 0]
+                corners[i, block] = piece[-1, :, 0]
     if symmetric:
         vals -= plan.corner * corners
     s3 = -(plan.outer @ vals)
     return s3 if np.ndim(terms[0]) == 4 else float(s3[0])
 
 
-# The s3 kernel's layout on one rule (``slab_plan``): the table t0 of the
-# slab contraction and the axis of C it contracts, each slab's outer
-# weight, the corner weights (symmetric only), the chunks, the [start,
-# stop) of each slab's kept rows and columns, and the cutoff on the
-# product bound that kept them.
-SlabPlan = namedtuple("SlabPlan", "t0 contracted outer corner chunks region cutoff")
+# The s3 kernel's layout on one rule (``slab_plan``): the axis of C that
+# the slab contraction contracts with the table's first len(outer) rows,
+# each slab's outer weight, the corner weights (symmetric only), the
+# chunks, the [start, stop) of each slab's kept rows and columns, and the
+# cutoff on the product bound that kept them.
+SlabPlan = namedtuple("SlabPlan", "contracted outer corner chunks region cutoff")
 
 
 def slab_plan(table, weights, symmetric, folds, samples):
@@ -664,15 +665,17 @@ def slab_plan(table, weights, symmetric, folds, samples):
     bit.
 
     Each kept rectangle runs its samples in blocks of at most n^2
-    values, packed in order into chunks of at most n^2 (``_chunks``); a
-    piece of a chunk is (start, stop, slab, first and last sample, their
-    columns of M, row table, transposed column table, row and column
-    weights).  Every array of the plan is read-only.
+    values, packed in order, in the one pass that lays the slabs out,
+    into chunks of at most n^2 values.  A piece of a chunk is (start,
+    stop, slab, the block's slice of the samples, its slice of the
+    columns of M, row table, transposed column table, row weights,
+    column weights); a chunk's values end at its last piece's stop.
+    Every array of the plan is read-only.
     """
     n, r = table.shape
     p = np.sum(table * table, axis=1)
     if symmetric:
-        t0, contracted = table, 2
+        contracted = 2
         outer = _read_only(folded_weights(weights)) if folds else weights
         corner = _read_only(0.5 * weights[:len(outer), None] ** 2)
         region, cutoff = _largest_cut(_sector_cut(p, weights, outer))
@@ -686,24 +689,27 @@ def slab_plan(table, weights, symmetric, folds, samples):
                 slabs.append((j, table[r0:r1], table[c0:c1].T, vr, vc))
     else:
         half = _read_only(folded_weights(weights))
-        (t0, outer), (t1, w1), (t2, w2) = (
-            (table[:len(half)], half) if ax in folds else (table, weights)
-            for ax in range(3))
+        outer, w1, w2 = (half if ax in folds else weights for ax in range(3))
         contracted, corner = 1, None
         region, cutoff = _largest_cut(_grid_cut(p, outer, w1, w2))
-        slabs = [(i, t1[r0:r1], t2[c0:c1].T, w1[r0:r1], w2[c0:c1])
+        slabs = [(i, table[r0:r1], table[c0:c1].T, w1[r0:r1], w2[c0:c1])
                  for i, (r0, r1, c0, c1) in enumerate(region) if r0 < r1]
-    pieces = [(len(vr) * len(blk) * len(vc), i, blk, rows, cols_t,
-               _read_only(vr), _read_only(vc))
-              for i, rows, cols_t, vr, vc in slabs
-              for step in [max(1, n * n // (len(vr) * len(vc)))]
-              for s0 in range(0, samples, step)
-              for blk in [range(s0, min(s0 + step, samples))]]
-    chunks = tuple((run[-1][1], tuple(
-        (lo, hi, i, blk.start, blk.stop, blk.start * r, blk.stop * r, rows, cols_t, vr, vc)
-        for lo, hi, (_, i, blk, rows, cols_t, vr, vc) in run))
-        for run in _chunks(pieces, n * n))
-    return SlabPlan(t0, contracted, outer, corner, chunks, _read_only(region), cutoff)
+    # the first piece opens a chunk; equal blocks share their slices
+    chunks, used, blocks = [], n * n, {}
+    for i, rows, cols_t, vr, vc in slabs:
+        vr, vc = _read_only(vr), _read_only(vc)
+        step = max(1, n * n // (len(vr) * len(vc)))
+        for s0 in range(0, samples, step):
+            s1 = min(s0 + step, samples)
+            size = len(vr) * (s1 - s0) * len(vc)
+            if used + size > n * n:
+                chunks.append([])
+                used = 0
+            block = blocks.setdefault((s0, s1), (slice(s0, s1), slice(s0 * r, s1 * r)))
+            chunks[-1].append((used, used + size, i, *block, rows, cols_t, vr, vc))
+            used += size
+    return SlabPlan(contracted, outer, corner, tuple(map(tuple, chunks)),
+                    _read_only(region), cutoff)
 
 
 def _largest_cut(cut):
@@ -816,23 +822,6 @@ def _over(eps, den):
     return np.divide(eps, den, out=np.full(len(den), np.inf), where=den > 0.0)
 
 
-def _chunks(pieces, cap):
-    """Runs of consecutive pieces of at most ``cap`` values together.
-
-    Each piece holds at most ``cap`` values, its size first; each run
-    lists (start, stop, piece), the piece's slice of the run's values.
-    """
-    run, used = [], 0
-    for piece in pieces:
-        if used + piece[0] > cap:
-            yield run
-            run, used = [], 0
-        run.append((used, used + piece[0], piece))
-        used += piece[0]
-    if run:
-        yield run
-
-
 def orbital_products(table):
     """q(x) = phi(x) (x) phi(x) of a real orbital table, (..., r * r)."""
     return (table[..., :, None] * table[..., None, :]).reshape(table.shape[:-1] + (-1,))
@@ -912,8 +901,9 @@ def _contracted(kmat, qs):
 def marginal_tables(state, scheme, k, *keeps):
     """The ``Rule`` of the unit tables for k coordinates, then each keep's density.
 
-    The rule is ``tabulated_rules`` of ``state.tables.unit_scale`` on
-    ``scheme``, the default ``QuadratureScheme`` where it is None.  The
+    The rule is ``tabulated_rules(...)(k)`` of ``state.tables.unit_scale``
+    on ``scheme``, the default ``QuadratureScheme`` where it is None: the
+    marginal rule for k = 1 or 2, and the 3D rule for k = 3.  The
     density of one kept coordinate there is rho = K Q^T, of two
     Gamma = Q K Q^T, K their ``density_matrix`` and Q the rule's q,
     contracted as every entropy of a report contracts it

@@ -366,13 +366,17 @@ def test_figures_momentum_pair_mi_exceeds_position(table1, momentum_reports):
 
 # the largest max_abs_err of the benchmark's workloads is 4.9e-4 nats
 CLAIM_MARGIN = 1e-3
+# a margin for I^3 alone: I^3(S) - I^3(A) of box momentum (1, 2, 3) is
+# 3.605e-4 at the default scheme and 3.735e-4 at line panels 64/40, and
+# between the two schemes I^3 of either state moves by at most 1.8e-5
+I3_MARGIN = 1e-4
 
 
 def test_abstract_pairs_favour_antisymmetric_and_i_higher_alternates():
     # N = 3, box n3 = 3-6 and oscillator n3 = 2-5, both spaces: A leads S
     # in I_pair in all 16 cases (least by 1.16e-2, box momentum n3 = 6),
-    # and I^3(S) - I^3(A) runs + - + + beyond the margin.  Box momentum
-    # n3 = 3 is left out: it leads by 3.6e-4, under the margin
+    # and I^3(S) - I^3(A) runs + - + + beyond the margin, box momentum
+    # n3 = 3 beyond I3_MARGIN: it leads by 3.6e-4, under CLAIM_MARGIN
     cases = [(BOX, (1, 2), range(3, 7)), (HO, (0, 1), range(2, 6))]
     configs = [Configuration(params, base + (n3,), sym, space)
                for params, base, n3s in cases for space in ("position", "momentum")
@@ -382,9 +386,11 @@ def test_abstract_pairs_favour_antisymmetric_and_i_higher_alternates():
     for cfg, a, s in zip(configs[::2], reports[::2], reports[1::2]):
         assert a.i_pair - s.i_pair > CLAIM_MARGIN, cfg.label
         gap = s.i_higher - a.i_higher
+        margin = I3_MARGIN if (cfg.space, cfg.ns) == ("momentum", (1, 2, 3)) \
+            else CLAIM_MARGIN
         signs.setdefault((cfg.params.kind, cfg.space), []).append(
-            int(math.copysign(1, gap)) if abs(gap) > CLAIM_MARGIN else 0)
-    assert signs[("box", "momentum")][1:] == [-1, 1, 1]
+            int(math.copysign(1, gap)) if abs(gap) > margin else 0)
+    assert signs[("box", "momentum")] == [1, -1, 1, 1]
     assert signs[("oscillator", "position")] == [1, -1, 1, 1]
     assert signs[("oscillator", "momentum")] == [1, -1, 1, 1]
 
